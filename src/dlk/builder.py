@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 from .logics import LogicProfile, alphabet_from
 from .semantics import ModularModel, evaluate
 from .syntax import (
-    And, Bottom, Enumeration, Formula, Implies, Just, Not, Or, Pair,
-    PropVar, Sum, Term,
+    Alphabet, And, Bottom, Enumeration, Formula, Implies, Just, Not, Or,
+    Pair, PropVar, Sum, Term,
     formula_size, print_formula, print_term, term_size,
 )
 

@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from .builder import (
     BoundsError, BuildError, BuildParams, FUNCTIONALS, build, realize_spec,
@@ -41,9 +42,9 @@ from .specifications import (
     spec_from_dict, spec_to_dict,
 )
 from .syntax import (
-    Alphabet, Const, ParseError, SignViolation, Var, formula_size,
-    formula_terms, parse_formula, parse_term, print_formula, print_term,
-    term_size,
+    Alphabet, Const, NestingError, ParseError, SignViolation, Var,
+    formula_size, formula_terms, parse_formula, parse_term, print_formula,
+    print_term, term_size,
 )
 
 PROFILE_NAMES = ("jl", "dl", "dl0", "lp", "fused")
@@ -162,6 +163,8 @@ def _cmd_parse(args) -> int:
     if args.term:
         try:
             term = parse_term(args.text, signed=profile.signed)
+        except NestingError as exc:
+            raise _Fail(2, str(exc)) from None
         except (ParseError, SignViolation) as exc:
             print(f"rejected: {exc}")
             return 1
@@ -174,6 +177,8 @@ def _cmd_parse(args) -> int:
         return 0
     try:
         f = parse_formula(args.text, signed=profile.signed)
+    except NestingError as exc:
+        raise _Fail(2, str(exc)) from None
     except (ParseError, SignViolation) as exc:
         print(f"rejected: {exc}")
         return 1
@@ -722,9 +727,13 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# built on the first call and reused: commands read DLK_MAX_BOUND when
+# they run, never when the parser is built
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _Fail as exc:

@@ -1,0 +1,657 @@
+"""Demand-driven saturation: ``derive_forward(strategy="demand")``.
+
+The exhaustive loop of ``proofs.derive_forward`` adds, in a fixed order,
+hypotheses, modus ponens conclusions and schema instances; call the first
+two "D".  Every addition gets a key that sorts like the loop's order:
+(0, 0, i) for hypothesis i, (r, 0, n) for the n-th conclusion of round
+r's modus ponens phase, and (r, 1, schema position, formula pool indices,
+term pool indices) for an instance first built in round r, i.e. one whose
+binding is in round r's snapshot of the pools but not in round r-1's.  A
+pair (major, major.left) enters the modus ponens queue once, at the later
+of the two additions, and an instance that is never such a premise
+changes D only by being present: an equal conclusion is not added again.
+This module therefore replays only the queue entries, ordered by key, and
+asks "is this formula an instance, and since when" by matching it against
+the schemas.  Instances come from matching each schema's antecedent
+against D, from matching D's implications' antecedents against the
+schemas, and from pairs of schemas one of whose antecedent unifies with
+the other's template (``s`` over ``k`` and the like), in the manner of a
+given-clause loop with the schemas as rules.
+
+``proofs`` imports this module on the first demand-driven call.
+"""
+
+from __future__ import annotations
+
+import heapq
+from collections import deque
+from dataclasses import dataclass
+from functools import cache
+from operator import itemgetter
+
+from . import logics, syntax
+from .logics import SCHEMAS, Binding, InstantiationError
+from .proofs import DerivedSet, _meta_names
+from .syntax import (
+    BOTTOM, And, App, Bang, Bottom, Formula, FMeta, Implies, Just, Not, Or,
+    Pair, PropVar, SignDisciplineError, Sum, Term, TMeta, formula_terms,
+    subformulas, subterms,
+)
+
+# Functions of other modules are called through their module, so that a
+# wrapper installed there (the benchmark's tracer) sees the calls even
+# though this module is imported late.
+
+
+_BINARY = frozenset({And, Or, Implies, App, Sum, Pair})
+
+
+def _kids(node) -> tuple:
+    """Immediate parts of a term or formula, in constructor order."""
+    kind = type(node)
+    if kind in _BINARY:
+        return (node.left, node.right)
+    if kind is Not:
+        return (node.body,)
+    if kind is Just:
+        return (node.term, node.body)
+    if kind is Bang:
+        return (node.inner,)
+    return ()
+
+
+def _fits(node, size: int) -> bool:
+    """``formula_size``/``term_size`` of the node is at most ``size``;
+    looks at no more than ``size + 1`` nodes."""
+    stack = [node]
+    while stack:
+        size -= 1
+        if size < 0:
+            return False
+        stack.extend(_kids(stack.pop()))
+    return True
+
+
+# Schema pairs are joined over light patterns rather than syntax nodes:
+# a metavariable is its name (a str), a compound is (constructor, *parts),
+# and a leaf is itself.  Building them calls no syntax constructor.
+
+def _pattern(node, tag: str):
+    if isinstance(node, (FMeta, TMeta)):
+        return tag + node.name
+    kids = _kids(node)
+    return (type(node), *(_pattern(k, tag) for k in kids)) if kids else node
+
+
+def _chase(p, subst: dict):
+    while isinstance(p, str) and p in subst:
+        p = subst[p]
+    return p
+
+
+def _occurs(name: str, p, subst: dict) -> bool:
+    p = _chase(p, subst)
+    if isinstance(p, str):
+        return p == name
+    return isinstance(p, tuple) and any(_occurs(name, q, subst)
+                                        for q in p[1:])
+
+
+def _unify(a, b, subst: dict) -> bool:
+    """Extend ``subst`` to a most general unifier of two patterns.
+
+    Polarities are ignored: a unifier only proposes candidates, and every
+    candidate is checked by instantiating and matching the real schemas.
+    """
+    a, b = _chase(a, subst), _chase(b, subst)
+    if isinstance(b, str) and not isinstance(a, str):
+        a, b = b, a
+    if isinstance(a, str):
+        if a == b:
+            return True
+        if _occurs(a, b, subst):
+            return False
+        subst[a] = b
+        return True
+    if not (isinstance(a, tuple) and isinstance(b, tuple)):
+        return a == b
+    return a[0] is b[0] and all(_unify(x, y, subst)
+                                for x, y in zip(a[1:], b[1:]))
+
+
+def _resolve(p, subst: dict):
+    p = _chase(p, subst)
+    if isinstance(p, tuple):
+        return (p[0], *(_resolve(q, subst) for q in p[1:]))
+    return p
+
+
+def _variables(p, found: dict) -> dict:
+    if isinstance(p, str):
+        found[p] = None
+    elif isinstance(p, tuple):
+        for q in p[1:]:
+            _variables(q, found)
+    return found
+
+
+def _fill(p, env: dict):
+    """The term or formula a pattern stands for under ``env``."""
+    if isinstance(p, str):
+        return env[p]
+    if isinstance(p, tuple):
+        return p[0](*(_fill(q, env) for q in p[1:]))
+    return p
+
+
+def _bind(p, value, env: dict) -> bool:
+    """One-sided matching; extends ``env``, which is spoilt on failure."""
+    if isinstance(p, str):
+        have = env.get(p)
+        if have is None:
+            env[p] = value
+            return True
+        return have == value
+    if isinstance(p, tuple):
+        return type(value) is p[0] and all(
+            _bind(q, v, env) for q, v in zip(p[1:], _kids(value)))
+    return p == value
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """A profile schema with its metavariables in the exhaustive loop's
+    order and those its antecedent leaves unbound."""
+
+    pos: int
+    sid: str
+    template: Implies
+    fnames: tuple[str, ...]
+    tnames: tuple[str, ...]
+    free_f: tuple[str, ...]
+    free_t: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Instances of ``major`` whose antecedent is an instance of another
+    schema: one entry per distinct pattern the metavariables of both take
+    under the most general unifier, bare variables last; each entry is
+    (holds a term, pattern, its variables).  ``slots`` gives the entry of
+    each of the major's metavariables."""
+
+    major: _Rule
+    entries: tuple[tuple[bool, object, tuple[str, ...]], ...]
+    slots: dict
+
+
+def _plan(major: _Rule, minor: _Rule) -> _Plan | None:
+    subst: dict = {}
+    if not _unify(_pattern(major.template.left, "1"),
+                  _pattern(minor.template, "2"), subst):
+        return None
+    is_term = {}
+    for tag, rule in (("1", major), ("2", minor)):
+        is_term.update({tag + n: False for n in rule.fnames})
+        is_term.update({tag + n: True for n in rule.tnames})
+    patterns = {name: _resolve(name, subst) for name in is_term}
+    terms = {p for name, p in patterns.items() if is_term[name]}
+    distinct = sorted(dict.fromkeys(patterns.values()),
+                      key=lambda p: isinstance(p, str))
+    entries = tuple((p in terms, p, tuple(_variables(p, {})))
+                    for p in distinct)
+    at = {p: i for i, p in enumerate(distinct)}
+    slots = {name: at[patterns["1" + name]]
+             for name in major.fnames + major.tnames}
+    return _Plan(major, entries, slots)
+
+
+_FORMULA_KINDS = (Bottom, PropVar, Not, And, Or, Implies, Just)
+
+
+class _RuleBook:
+    """A profile's schemas indexed by the shape of antecedent and
+    consequent, and the pairs whose instances can feed each other."""
+
+    def __init__(self, schema_ids: tuple[str, ...]):
+        rules = []
+        for pos, sid in enumerate(schema_ids):
+            template = SCHEMAS[sid].template
+            fnames, tnames = _meta_names(template)
+            bound_f, bound_t = _meta_names(template.left)
+            rule = _Rule(pos, sid, template, fnames, tnames,
+                         tuple(n for n in fnames if n not in bound_f),
+                         tuple(n for n in tnames if n not in bound_t))
+            if len(rule.free_f + rule.free_t) > 1:
+                # extend() relies on keys growing with the free value
+                raise ValueError(f"schema {sid!r} leaves more than one "
+                                 f"metavariable free in its antecedent")
+            rules.append(rule)
+
+        def fits(pattern, kind) -> bool:
+            return isinstance(pattern, FMeta) or type(pattern) is kind
+
+        # schemas whose antecedent is a bare metavariable, and the others
+        # by the kind of formula their antecedent matches
+        self.bare = [r for r in rules if isinstance(r.template.left, FMeta)]
+        self.shaped = {kind: [r for r in rules if type(r.template.left) is kind]
+                       for kind in _FORMULA_KINDS}
+        self.by_shape = {
+            (left, right): [r for r in rules if fits(r.template.left, left)
+                            and fits(r.template.right, right)]
+            for left in _FORMULA_KINDS for right in _FORMULA_KINDS}
+        self.plans = [p for major in rules for minor in rules
+                      if (p := _plan(major, minor)) is not None]
+
+
+@cache
+def _rule_book(schema_ids: tuple[str, ...]) -> _RuleBook:
+    return _RuleBook(schema_ids)
+
+
+class DemandSaturation:
+    """One demand-driven saturation; ``run`` returns its ``DerivedSet``."""
+
+    def __init__(self, profile, hypotheses, size_bound, rounds,
+                 term_size_bound, goal, goal_filter, extra_pool, extra_terms,
+                 limit, watch_contradiction):
+        self.hyps = tuple(hypotheses)
+        self.out = DerivedSet(profile, self.hyps)
+        self.signed = profile.signed
+        self.book = _rule_book(profile.schema_ids)
+        self.size_bound = size_bound
+        self.rounds = rounds
+        self.tbound = size_bound if term_size_bound is None \
+            else term_size_bound
+        self.goal, self.goal_filter = goal, goal_filter
+        self.limit, self.watch = limit, watch_contradiction
+        self.done = False
+        self.now = (0, 0, 0)            # key of the addition being made
+
+        # candidate pools in the exhaustive loop's order; *_round[i] is
+        # the first round whose snapshot holds item i, *_marks[r] the
+        # pool size at round r's snapshot, *_shapes the snapshot by kind
+        self.pool: list[Formula] = []
+        self.pool_index: dict[Formula, int] = {}
+        self.f_round: list[int] = []
+        self.f_marks = [0]
+        self.f_shapes: dict[type, list[int]] = {}
+        self.terms: list[Term] = []
+        self.term_index: dict[Term, int] = {}
+        self.t_round: list[int] = []
+        self.t_marks = [0]
+        self.t_shapes: dict[type, list[int]] = {}
+        # large nodes already fed, by id (holding them keeps ids unique)
+        self.fed: dict[int, Formula] = {}
+
+        # D implications by antecedent, with their keys; the modus ponens
+        # queue, of iterators of entries (see ``enqueue``)
+        self.by_antecedent: dict[Formula, list[tuple[tuple, Implies]]] = {}
+        self.queue: deque = deque()
+        # instance -> (key, rule, binding) of its first appearance
+        self.first: dict[Formula, tuple] = {}
+        # what later rounds must look for: schemas whose antecedent a D
+        # member matches, absent antecedents of D implications, absent
+        # implications whose negation is in D
+        self.ante_watch: list[tuple[_Rule, Binding]] = []
+        self.left_watch: dict[Formula, list[tuple[tuple, Implies]]] = {}
+        self.neg_watch: dict[Formula, Not] = {}
+
+        seeds = list(self.hyps) + ([goal] if goal is not None else [])
+        seeds += [BOTTOM] + list(extra_pool)
+        alphabet = logics.alphabet_from(seeds, profile,
+                                        extra_term_vars=("x", "y"))
+        for t in syntax.enumerate_terms(alphabet, self.tbound,
+                                        profile.term_ops):
+            self.feed_term(t)
+        for t in extra_terms:
+            if t not in self.term_index:
+                self.term_index[t] = len(self.terms)
+                self.terms.append(t)
+        for f in seeds:
+            self.feed_pool(f)
+
+    # pools ---------------------------------------------------------------
+
+    def feed_term(self, t: Term):
+        if t not in self.term_index and syntax.term_size(t) <= self.tbound:
+            self.term_index[t] = len(self.terms)
+            self.terms.append(t)
+
+    def feed_pool(self, f: Formula):
+        """The exhaustive loop's ``feed_pool``, without measuring or
+        hashing the parts too large for the pool, and walking each large
+        node object once (conclusions share their parts)."""
+        if id(f) in self.fed:
+            return
+        if not _fits(f, self.size_bound):
+            self.fed[id(f)] = f
+            for kid in _kids(f):
+                if isinstance(kid, Formula):
+                    self.feed_pool(kid)
+            return
+        if f in self.pool_index:        # and so is every part of it
+            return
+        for sub in subformulas(f):
+            if sub not in self.pool_index:
+                self.pool_index[sub] = len(self.pool)
+                self.pool.append(sub)
+                for t in formula_terms(sub):
+                    for part in subterms(t):
+                        self.feed_term(part)
+
+    def snapshot(self, round_no: int) -> bool:
+        """Take round ``round_no``'s snapshot; False when nothing is new."""
+        if len(self.pool) == len(self.f_round) \
+                and len(self.terms) == len(self.t_round) and round_no > 1:
+            return False
+        for items, rounds, marks, shapes in (
+                (self.pool, self.f_round, self.f_marks, self.f_shapes),
+                (self.terms, self.t_round, self.t_marks, self.t_shapes)):
+            for i in range(len(rounds), len(items)):
+                rounds.append(round_no)
+                shapes.setdefault(type(items[i]), []).append(i)
+            marks.append(len(items))
+        return True
+
+    def key_of(self, rule: _Rule, fm: dict, tm: dict) -> tuple | None:
+        """Key of the instance of ``rule`` with this binding, or None when
+        a value is outside the snapshots taken so far."""
+        newest = 1
+        fidx = []
+        for name in rule.fnames:
+            at = self.pool_index.get(fm[name])
+            if at is None or at >= len(self.f_round):
+                return None
+            newest = max(newest, self.f_round[at])
+            fidx.append(at)
+        tidx = []
+        for name in rule.tnames:
+            at = self.term_index.get(tm[name])
+            if at is None or at >= len(self.t_round):
+                return None
+            newest = max(newest, self.t_round[at])
+            tidx.append(at)
+        return (newest, 1, rule.pos, tuple(fidx), tuple(tidx))
+
+    # instances -----------------------------------------------------------
+
+    def instance(self, f: Formula) -> tuple | None:
+        """(key, rule, binding) of the first instance equal to ``f`` over
+        the snapshots taken so far, or None."""
+        hit = self.first.get(f)
+        if hit is not None or not isinstance(f, Implies):
+            return hit
+        for rule in self.book.by_shape[type(f.left), type(f.right)]:
+            binding = logics.match_template(rule.template, f, self.signed)
+            if binding is None:
+                continue
+            key = self.key_of(rule, binding.formulas, binding.terms)
+            if key is not None and (hit is None or key < hit[0]):
+                hit = (key, rule, binding)
+        if hit is not None:
+            self.first[f] = hit
+        return hit
+
+    def present(self, f: Formula) -> bool:
+        return f in self.out.provenance or self.instance(f) is not None
+
+    def store(self, f: Formula, rule: _Rule, binding: Binding):
+        """Record an instance that a stored formula relies on."""
+        if f not in self.out.provenance:
+            self.out.provenance[f] = ("axiom", rule.sid, binding)
+            self.out.order.append(f)
+
+    def extend(self, rule: _Rule, bound: Binding, round_no: int | None):
+        """Queue entries, in key order, for the instances of ``rule`` whose
+        antecedent has the bound part, the free metavariables ranging over
+        the current snapshot: all of them (``round_no`` None) or those
+        first built in ``round_no``.  Bindings that break a sign are left
+        for the queue to drop."""
+        fm, tm = bound.formulas, bound.terms
+        newest = 1
+        for value in fm.values():
+            at = self.pool_index.get(value)
+            if at is None or at >= len(self.f_round):
+                return
+            newest = max(newest, self.f_round[at])
+        for value in tm.values():
+            at = self.term_index.get(value)
+            if at is None or at >= len(self.t_round):
+                return
+            newest = max(newest, self.t_round[at])
+        everything = round_no is None or newest == round_no
+        if not (rule.free_f or rule.free_t):
+            if everything:
+                yield ((self.key_of(rule, fm, tm), 0, ()),
+                       (None, (rule, bound), None))
+            return
+        # one free metavariable: keys grow with its pool index
+        if rule.free_f:
+            name, items, marks = rule.free_f[0], self.pool, self.f_marks
+        else:
+            name, items, marks = rule.free_t[0], self.terms, self.t_marks
+        for at in range(0 if everything else marks[round_no - 1], marks[-1]):
+            fvals, tvals = dict(fm), dict(tm)
+            (fvals if rule.free_f else tvals)[name] = items[at]
+            yield ((self.key_of(rule, fvals, tvals), 0, ()),
+                   (None, (rule, Binding(fvals, tvals)), None))
+
+    def solutions(self, plan: _Plan, round_no: int) -> list[tuple]:
+        """Values of the plan's entries, each in the snapshot, the newest
+        first seen in round ``round_no``."""
+        entries = plan.entries
+        vals: list = [None] * len(entries)
+        found: list[tuple] = []
+
+        def step(i: int, newest: int, env: dict):
+            if i == len(entries):
+                if newest == round_no:
+                    found.append(tuple(vals))
+                return
+            is_term, pattern, names = entries[i]
+            items, index, rounds, shapes = (
+                (self.terms, self.term_index, self.t_round, self.t_shapes)
+                if is_term else
+                (self.pool, self.pool_index, self.f_round, self.f_shapes))
+            if all(name in env for name in names):
+                try:
+                    value = _fill(pattern, env)
+                except SignDisciplineError:
+                    return
+                at = index.get(value)
+                if at is not None and at < len(rounds):
+                    vals[i] = value
+                    step(i + 1, max(newest, rounds[at]), env)
+                return
+            candidates = range(len(rounds)) if isinstance(pattern, str) \
+                else shapes.get(pattern[0], ())
+            for at in candidates:
+                trial = dict(env)
+                if _bind(pattern, items[at], trial):
+                    vals[i] = items[at]
+                    step(i + 1, max(newest, rounds[at]), trial)
+
+        step(0, 1, {})
+        return found
+
+    # additions -----------------------------------------------------------
+    #
+    # A queue entry is (major, route, left route): the major premise, or
+    # None when it is the instance ``route`` = (rule, binding) still to be
+    # built, and the routes of the premises that are instances and must be
+    # stored if the entry yields a conclusion.  An entry may be queued
+    # twice (a formula that instantiates two schemas, an instance that
+    # reappears in a later round); the second copy comes later and finds
+    # its conclusion present, so it changes nothing.  The queue holds
+    # iterators of entries, built lazily: a search that stops early never
+    # builds the rest.
+
+    def enqueue(self, streams):
+        """Queue the entries of streams of (sort key, entry), each stream
+        sorted, in merged order."""
+        merged = heapq.merge(*streams, key=itemgetter(0))
+        self.queue.append(map(itemgetter(1), merged))
+
+    def add(self, f: Formula, prov: tuple):
+        """Add a hypothesis or modus ponens conclusion at key ``now``."""
+        out = self.out
+        out.provenance[f] = prov
+        out.order.append(f)
+        if out.contradiction is None:
+            body = f.body if isinstance(f, Not) else None
+            if body is not None and body not in out.provenance \
+                    and (hit := self.instance(body)) is not None:
+                self.store(body, *hit[1:])
+            if body is not None and body in out.provenance:
+                out.contradiction = (body, f)
+            elif Not(f) in out.provenance:
+                out.contradiction = (f, Not(f))
+            if out.contradiction is not None and self.watch:
+                self.done = True
+        if self.goal is not None and f == self.goal:
+            self.done = True
+        if self.goal_filter is not None and self.goal_filter(f):
+            self.done = True
+        self.check_limit()
+        if self.done:
+            return
+
+        if isinstance(f, Implies):
+            self.by_antecedent.setdefault(f.left, []).append((self.now, f))
+            if f.left in out.provenance:
+                self.queue.append(iter([(f, None, None)]))
+            elif (hit := self.instance(f.left)) is not None:
+                self.queue.append(iter([(f, None, hit[1:])]))
+            else:
+                self.left_watch.setdefault(f.left, []).append((self.now, f))
+        if isinstance(f, Not) and isinstance(f.body, Implies) \
+                and out.contradiction is None:
+            self.neg_watch.setdefault(f.body, f)
+        streams = [[((key, 0, ()), (m, None, None))
+                    for key, m in self.by_antecedent.get(f, ())]]
+        matches = [(rule, Binding({rule.template.left.name: f}, {}))
+                   for rule in self.book.bare] \
+            if _fits(f, self.size_bound) else []
+        for rule in self.book.shaped[type(f)]:
+            bound = logics.match_template(rule.template.left, f, self.signed)
+            if bound is not None and all(_fits(v, self.size_bound)
+                                         for v in bound.formulas.values()):
+                matches.append((rule, bound))
+        for rule, bound in matches:
+            self.ante_watch.append((rule, bound))
+            streams.append(self.extend(rule, bound, None))
+        self.enqueue(streams)
+
+    def check_limit(self):
+        if self.limit is not None and len(self.out.provenance) >= self.limit:
+            self.out.hit_limit = True
+            self.done = True
+
+    def instance_phase(self, round_no: int):
+        """Replay, in key order, what round ``round_no``'s instances do:
+        queue entries, the goal, the first complementary pair."""
+        events = []
+
+        def event(key, sub, tie, what):
+            events.append(((key, sub, tie), what))
+
+        for left in list(self.left_watch):
+            if left in self.out.provenance:
+                del self.left_watch[left]
+                continue
+            hit = self.instance(left)
+            if hit is not None:
+                for key, major in self.left_watch.pop(left):
+                    event(hit[0], 1, key, (major, None, hit[1:]))
+
+        for plan in self.book.plans:
+            fnames, tnames = plan.major.fnames, plan.major.tnames
+            for vals in self.solutions(plan, round_no):
+                binding = Binding({n: vals[plan.slots[n]] for n in fnames},
+                                  {n: vals[plan.slots[n]] for n in tnames})
+                try:
+                    major = logics.instantiate(plan.major.template,
+                                               binding, self.signed)
+                except InstantiationError:
+                    continue
+                own, left = self.instance(major), self.instance(major.left)
+                if own is None or left is None \
+                        or max(own[0], left[0])[0] != round_no:
+                    continue
+                entry = (major, own[1:], left[1:])
+                if own[0] > left[0]:
+                    event(own[0], 0, (), entry)
+                else:
+                    event(left[0], 1, own[0], entry)
+
+        events.sort(key=itemgetter(0))
+        self.enqueue([events] + [self.extend(rule, bound, round_no)
+                                 for rule, bound in self.ante_watch])
+
+        # the goal and the first complementary pair stop the search when
+        # the first instance reaching them is added; what the round queued
+        # after that is never drained
+        notes = []
+        if self.goal is not None and self.goal not in self.out.provenance:
+            hit = self.instance(self.goal)
+            if hit is not None:
+                notes.append(hit + (self.goal,))
+        if self.out.contradiction is None:
+            for g in self.neg_watch:
+                hit = self.instance(g)
+                if hit is not None:
+                    notes.append(hit + (g,))
+        notes.sort(key=itemgetter(0))
+        stop = None
+        for key, rule, binding, f in notes:
+            if stop is not None and key != stop:
+                break
+            self.store(f, rule, binding)
+            if f == self.goal:
+                self.done = True
+            if f in self.neg_watch and self.out.contradiction is None:
+                self.out.contradiction = (f, self.neg_watch[f])
+                self.done = self.done or self.watch
+            self.check_limit()
+            if self.done:
+                stop = key
+
+    def run(self) -> DerivedSet:
+        for i, h in enumerate(self.hyps):
+            if h not in self.out.provenance:
+                self.now = (0, 0, i)
+                self.add(h, ("hyp", i))
+            if self.done:
+                break
+        for round_no in range(1, self.rounds + 1):
+            if self.done:
+                break
+            self.out.rounds_used = round_no
+            n = 0
+            while self.queue and not self.done:
+                entry = next(self.queue[0], None)
+                if entry is None:
+                    self.queue.popleft()
+                    continue
+                major, route, left_route = entry
+                if major is None:
+                    try:
+                        major = logics.instantiate(
+                            route[0].template, route[1], self.signed)
+                    except InstantiationError:
+                        continue
+                if self.present(major.right):
+                    continue
+                if route is not None:
+                    self.store(major, *route)
+                if left_route is not None:
+                    self.store(major.left, *left_route)
+                self.now = (round_no, 0, n)
+                n += 1
+                self.add(major.right, ("mp", major, major.left))
+                self.feed_pool(major.right)
+            if self.done or not self.snapshot(round_no):
+                break
+            self.instance_phase(round_no)
+        return self.out

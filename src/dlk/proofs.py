@@ -218,7 +218,8 @@ def derive_forward(profile: LogicProfile, hypotheses, *,
                    goal: Formula | None = None, goal_filter=None,
                    extra_pool=(), extra_terms=(),
                    limit: int | None = None,
-                   watch_contradiction: bool = False) -> DerivedSet:
+                   watch_contradiction: bool = False,
+                   strategy: str = "exhaustive") -> DerivedSet:
     """Saturate the hypotheses under schema instances and modus ponens.
 
     Formula metavariable candidates are the subformulas, up to
@@ -236,7 +237,27 @@ def derive_forward(profile: LogicProfile, hypotheses, *,
     derived (recorded as ``hit_limit``; a cap truncates the derivation
     order but never reorders it), or, when ``watch_contradiction`` is
     set, on a complementary pair.
+
+    ``strategy="exhaustive"`` builds and stores every instance of every
+    round.  ``strategy="demand"`` stores only the instances modus ponens
+    uses as a premise, the goal and a half of the first complementary
+    pair, and finds them by matching schema antecedents against what is
+    derived.  Both reach the same hypotheses and modus ponens conclusions
+    in the same order with the same provenance, the same contradiction,
+    goal and ``rounds_used``, with two differences: ``limit`` counts the
+    formulas stored, so a capped demand run returns a longer prefix of
+    the same conclusions; and ``goal_filter`` sees only stored formulas,
+    so a filter that accepts an implication may fire later than in the
+    exhaustive run (every instance is an implication).
     """
+    if strategy == "demand":
+        from .demand import DemandSaturation    # loaded on first use
+        return DemandSaturation(profile, hypotheses, size_bound, rounds,
+                                term_size_bound, goal, goal_filter,
+                                extra_pool, extra_terms, limit,
+                                watch_contradiction).run()
+    if strategy != "exhaustive":
+        raise ValueError(f"unknown saturation strategy {strategy!r}")
     hyps = tuple(hypotheses)
     out = DerivedSet(profile, hyps)
     tbound = size_bound if term_size_bound is None else term_size_bound
@@ -565,7 +586,7 @@ def check_nonderivability(profile: LogicProfile, hypotheses, target: Formula, *,
         direct = derive_forward(profile, hyps, size_bound=size_bound,
                                 rounds=rounds, term_size_bound=tbound,
                                 goal_filter=hit, extra_pool=(target,),
-                                limit=limit)
+                                limit=limit, strategy="demand")
         found = next((f for f in direct.order if hit(f)), None)
         if found is not None:
             return NonderivabilityReport(
@@ -597,7 +618,7 @@ def check_nonderivability(profile: LogicProfile, hypotheses, target: Formula, *,
                 note=f"the target instantiates {sid!r}", proof=quick)
         direct = derive_forward(profile, hyps, size_bound=size_bound,
                                 rounds=rounds, term_size_bound=tbound,
-                                goal=target, limit=limit)
+                                goal=target, limit=limit, strategy="demand")
         if target in direct:
             return NonderivabilityReport(
                 target, "derivable", note="the target is derivable after all",
@@ -607,11 +628,13 @@ def check_nonderivability(profile: LogicProfile, hypotheses, target: Formula, *,
     # the claim is refuted only if every assumption shape clashes
     first_pair: tuple[Formula, Formula] | None = None
     first_proofs: tuple[Proof, Proof] | None = None
+    cut = direct.hit_limit
     for assumption in assumptions:
         assumed = derive_forward(profile, hyps + (assumption,),
                                  size_bound=size_bound, rounds=rounds,
                                  term_size_bound=tbound, limit=limit,
-                                 watch_contradiction=True)
+                                 watch_contradiction=True, strategy="demand")
+        cut = cut or assumed.hit_limit
         if assumed.contradiction is None:
             first_pair = None
             break
@@ -630,6 +653,12 @@ def check_nonderivability(profile: LogicProfile, hypotheses, target: Formula, *,
             contradiction=first_pair,
             refutation_proofs=first_proofs)
 
+    if cut:
+        return NonderivabilityReport(
+            target, "open", exists_term=exists_term,
+            note=f"no proof and no refutation before the search budget of "
+                 f"{limit} formulas ran out, within size {size_bound}, "
+                 f"{rounds} round(s)")
     return NonderivabilityReport(
         target, "open", exists_term=exists_term,
         note=f"no proof and no refutation within size {size_bound}, "
@@ -647,12 +676,28 @@ def _binding_to_dict(binding: Binding) -> dict:
                       for k, v in sorted(binding.terms.items())}}
 
 
-def _binding_from_dict(doc: dict, signed: bool) -> Binding:
-    return Binding(
-        {k: parse_formula(str(v), signed=signed)
-         for k, v in doc.get("formulas", {}).items()},
-        {k: parse_term(str(v), signed=signed)
-         for k, v in doc.get("terms", {}).items()})
+def _binding_from_dict(doc, signed: bool) -> Binding:
+    if not isinstance(doc, dict):
+        raise ProofFormatError("a binding must be an object")
+    formulas, terms = doc.get("formulas", {}), doc.get("terms", {})
+    if not (isinstance(formulas, dict) and isinstance(terms, dict)):
+        raise ProofFormatError("a binding maps metavariable names to "
+                               "formulas and terms")
+    try:
+        return Binding(
+            {k: parse_formula(str(v), signed=signed)
+             for k, v in formulas.items()},
+            {k: parse_term(str(v), signed=signed) for k, v in terms.items()})
+    except ValueError as exc:
+        raise ProofFormatError(f"bad binding: {exc}") from None
+
+
+def _index(value, what: str, n: int) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ProofFormatError(f"line {n}: {what} must be an integer, "
+                               f"not {value!r}") from None
 
 
 def proof_to_dict(proof: Proof) -> dict:
@@ -697,18 +742,23 @@ def proof_from_dict(doc: dict) -> Proof:
         except ValueError as exc:
             raise ProofFormatError(f"line {n}: {exc}") from None
         if kind == "axiom":
-            binding = _binding_from_dict(entry.get("binding", {}), signed)
+            try:
+                binding = _binding_from_dict(entry.get("binding", {}), signed)
+            except ProofFormatError as exc:
+                raise ProofFormatError(f"line {n}: {exc}") from None
             lines.append(axiom_line(str(entry.get("schema", "")), binding,
                                     formula))
         elif kind == "hyp":
             idx = entry.get("hyp_index")
-            lines.append(hyp_line(formula, int(idx) if idx is not None else None))
+            lines.append(hyp_line(formula, None if idx is None else
+                                  _index(idx, "hyp_index", n)))
         elif kind == "mp":
             prem = entry.get("premises")
             if not (isinstance(prem, list) and len(prem) == 2):
                 raise ProofFormatError(
                     f"line {n}: modus ponens needs premises [major, minor]")
-            lines.append(mp_line(int(prem[0]), int(prem[1]), formula))
+            lines.append(mp_line(_index(prem[0], "a premise", n),
+                                 _index(prem[1], "a premise", n), formula))
         else:
             raise ProofFormatError(f"line {n}: unknown kind {kind!r}")
     return Proof(profile, tuple(lines), hyps)

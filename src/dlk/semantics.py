@@ -381,8 +381,15 @@ def model_from_dict(doc: dict) -> ModularModel:
         interp[term] = frozenset(parsed)
     universe = None
     if "formula_universe" in doc:
-        universe = frozenset(parse_formula(str(ftext), signed=profile.signed)
-                             for ftext in doc["formula_universe"])
+        texts = doc["formula_universe"]
+        if not isinstance(texts, list):
+            raise ModelFormatError("'formula_universe' must be a formula list")
+        try:
+            universe = frozenset(parse_formula(str(ftext),
+                                               signed=profile.signed)
+                                 for ftext in texts)
+        except ValueError as exc:
+            raise ModelFormatError(f"bad universe formula: {exc}") from None
     return ModularModel(profile, valuation, interp,
                         provenance=str(doc.get("provenance", "hand")),
                         formula_universe=universe)

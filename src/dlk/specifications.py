@@ -211,12 +211,14 @@ def ok_extract(spec: ConstantSpec, profile: LogicProfile | None = None, *,
     found justifying it and a checkable proof of that justified formula.
     Schema instances bind terms up to ``term_size`` -- small by default,
     since compound evidence terms arise inside instance conclusions
-    anyway and a wide term pool mostly buys duplicate bodies.
+    anyway and a wide term pool mostly buys duplicate bodies.  The search
+    is ``derive_forward``'s demand strategy, so ``limit`` counts the
+    formulas it stores.
     """
     profile = profile or spec.profile
     derived: DerivedSet = derive_forward(
         profile, spec.formulas, size_bound=size, rounds=depth,
-        term_size_bound=term_size, limit=limit)
+        term_size_bound=term_size, limit=limit, strategy="demand")
     members: list[Formula] = []
     witnesses: dict[Formula, tuple[Term, Proof]] = {}
     for f in derived.justified():

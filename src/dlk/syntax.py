@@ -21,6 +21,11 @@ application of signed leaves.
 
 Identity of terms and formulas is structural: ``P /\\ P`` is a different
 formula from ``P`` and ``t:P`` never coincides with ``t:(P /\\ P)``.
+
+The parser refuses input nested more than ``MAX_NESTING`` levels deep,
+counting each parenthesised group or ``->`` operand, each ``~``, each
+``t:`` prefix and each term with ``NestingError``; deeper input would
+exhaust the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -43,6 +48,13 @@ class ParseError(ValueError):
 
 class SignViolation(ParseError):
     """Well-formed shape, but a sign constraint is broken."""
+
+
+class NestingError(ParseError):
+    """The input nests deeper than ``MAX_NESTING`` levels."""
+
+
+MAX_NESTING = 100
 
 
 class SignDisciplineError(ValueError):
@@ -320,15 +332,6 @@ def print_formula(f: Formula) -> str:
     return _pf(f, 0)
 
 
-def to_text(item) -> str:
-    """Print a term or a formula."""
-    return print_term(item) if isinstance(item, Term) else print_formula(item)
-
-
-def item_size(item) -> int:
-    return term_size(item) if isinstance(item, Term) else formula_size(item)
-
-
 # ---------------------------------------------------------------------------
 # tokenizer / parser
 
@@ -393,6 +396,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.signed = signed
         self.pos = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> tuple[str, str, int]:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -409,6 +413,16 @@ class _Parser:
             raise ParseError(f"expected {what}", tok[2])
         return tok
 
+    def nested(self, parse):
+        """Run ``parse`` one nesting level deeper."""
+        if self.depth == MAX_NESTING:
+            raise NestingError(f"input nested more than {MAX_NESTING} "
+                               f"levels deep", self.peek()[2])
+        self.depth += 1
+        result = parse()
+        self.depth -= 1
+        return result
+
     def expect_eof(self):
         tok = self.peek()
         if tok[0] != "EOF":
@@ -420,7 +434,7 @@ class _Parser:
         left = self.disjunction()
         if self.peek()[0] == "ARROW":
             self.next()
-            return Implies(left, self.formula())
+            return Implies(left, self.nested(self.formula))
         return left
 
     def disjunction(self) -> Formula:
@@ -440,7 +454,7 @@ class _Parser:
     def unary(self) -> Formula:
         if self.peek()[0] == "~":
             self.next()
-            return Not(self.unary())
+            return Not(self.nested(self.unary))
         return self.justified()
 
     def _starts_term(self) -> bool:
@@ -451,9 +465,9 @@ class _Parser:
 
     def justified(self) -> Formula:
         if self._starts_term():
-            t = self.term()
+            t = self.nested(self.term)
             self.expect(":", "':' after a justification term")
-            return Just(t, self.justified())
+            return Just(t, self.nested(self.justified))
         return self.atom()
 
     def atom(self) -> Formula:
@@ -463,7 +477,7 @@ class _Parser:
         if kind == "NAME" and value[0].isupper():
             return PropVar(value)
         if kind == "(":
-            f = self.formula()
+            f = self.nested(self.formula)
             self.expect(")", "')'")
             return f
         raise ParseError("expected a formula", pos)
@@ -474,11 +488,11 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "[":
             self.next()
-            left = self.term()
+            left = self.nested(self.term)
             op_kind, op_value, op_pos = self.next()
             if op_kind not in (".", "+", "&"):
                 raise ParseError("expected a term operator '.', '+' or '&'", op_pos)
-            right = self.term()
+            right = self.nested(self.term)
             self.expect("]", "']'")
             ctor = {".": App, "+": Sum, "&": Pair}[op_kind]
             try:
@@ -487,7 +501,7 @@ class _Parser:
                 raise SignViolation(str(exc), op_pos) from None
         if kind == "!":
             self.next()
-            inner = self.term()
+            inner = self.nested(self.term)
             try:
                 return Bang(inner)
             except SignDisciplineError as exc:

@@ -18,6 +18,7 @@ from dlk import (
     proof_to_dict,
     spec_from_dict,
 )
+from dlk import cli
 from dlk.cli import main
 
 dl = get_profile("dl")
@@ -76,6 +77,13 @@ def test_parse_rejects_garbage(capsys):
     code, out, _ = run_cli(capsys, "parse", "P ->")
     assert code == 1
     assert out.startswith("rejected:")
+
+
+def test_parse_refuses_input_nested_too_deeply(capsys):
+    code, out, err = run_cli(capsys, "parse", "~" * 3000 + "P")
+    assert code == 2
+    assert not out
+    assert err.startswith("error:") and "nested more than" in err
 
 
 def test_parse_flags_out_of_profile_operators(capsys):
@@ -152,6 +160,26 @@ def test_check_proof_rejects_malformed_documents(tmp_path, capsys):
     assert code == 2
 
 
+def test_check_proof_rejects_a_binding_that_is_not_an_object(tmp_path,
+                                                             capsys):
+    doc = proof_to_dict(denial_replay_proof())
+    doc["lines"][1]["binding"] = [1]
+    code, _, err = run_cli(capsys, "check-proof",
+                           write_json(tmp_path / "proof.json", doc))
+    assert code == 2
+    assert err.startswith("error: line 1:")
+
+
+def test_check_proof_rejects_a_hypothesis_index_that_is_not_a_number(
+        tmp_path, capsys):
+    doc = proof_to_dict(denial_replay_proof())
+    doc["lines"][0]["hyp_index"] = "x"
+    code, _, err = run_cli(capsys, "check-proof",
+                           write_json(tmp_path / "proof.json", doc))
+    assert code == 2
+    assert "hyp_index" in err
+
+
 # ---------------------------------------------------------------------------
 # eval / audit
 
@@ -188,6 +216,15 @@ def test_audit_passes_a_clean_model(hand_model, capsys):
                            "--universe", "occurring")
     assert code == 0
     assert "denial-falsity" in out
+
+
+def test_audit_rejects_a_universe_that_is_not_a_list(tmp_path, capsys):
+    doc = model_to_dict(ModularModel(dl, {"P": False}, {}))
+    doc["formula_universe"] = 5
+    code, _, err = run_cli(capsys, "audit", "--model",
+                           write_json(tmp_path / "model.json", doc))
+    assert code == 2
+    assert "formula_universe" in err
 
 
 def test_audit_reports_violations(tmp_path, capsys):
@@ -470,6 +507,13 @@ def test_scenario_runs_fast_bundles(capsys):
 def test_scenario_rejects_unknown_names(capsys):
     code, _, err = run_cli(capsys, "scenario", "no-such-scenario")
     assert code == 2
+
+
+def test_the_parser_is_built_once(capsys):
+    cli._parser.cache_clear()
+    for _ in range(3):
+        assert run_cli(capsys, "parse", "P")[0] == 0
+    assert cli._parser.cache_info().misses == 1
 
 
 def test_unknown_commands_exit_via_argparse(capsys):

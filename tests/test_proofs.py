@@ -327,6 +327,15 @@ def test_countermodel_closes_the_question():
     assert "size 4" in report.note
 
 
+def test_open_names_an_exhausted_budget():
+    hyps = [fm("e1:R"), fm("~R")]
+    capped = check_nonderivability(dl, hyps, fm("Z"), limit=200)
+    assert capped.status == "open"
+    assert "budget of 200 formulas ran out" in capped.note
+    free = check_nonderivability(dl, hyps, fm("Z"), size_bound=2, rounds=2)
+    assert free.note == "no proof and no refutation within size 2, 2 round(s)"
+
+
 def test_open_when_nothing_decides():
     hyps = [fm("a:A"), fm("~A"), fm("b:B"), fm("~B")]
     report = check_nonderivability(

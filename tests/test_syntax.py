@@ -3,11 +3,11 @@
 import pytest
 
 from dlk.syntax import (
-    Alphabet, And, App, Bang, Bottom, Const, Formula, Implies, Just, Not,
-    Or, Pair, ParseError, PropVar, SignDisciplineError, SignViolation, Sum,
-    Var, enumerate_formulas, enumerate_terms, formula_size, parse_formula,
-    parse_term, print_formula, print_term, subformulas, subterms,
-    term_sign, term_size,
+    MAX_NESTING, Alphabet, And, App, Bang, Bottom, Const, Formula, Implies,
+    Just, NestingError, Not, Or, Pair, ParseError, PropVar,
+    SignDisciplineError, SignViolation, Sum, Var, enumerate_formulas,
+    enumerate_terms, formula_size, parse_formula, parse_term, print_formula,
+    print_term, subformulas, subterms, term_sign, term_size,
 )
 
 P, Q, R = PropVar("P"), PropVar("Q"), PropVar("R")
@@ -52,6 +52,23 @@ def test_bottom_and_parens():
 def test_rejected_formulas(bad):
     with pytest.raises((ParseError, SignViolation)):
         parse_formula(bad)
+
+
+@pytest.mark.parametrize("open_, close", [
+    ("~", ""), ("(", ")"), ("t:", ""), ("P -> ", ""),
+])
+def test_nesting_is_capped(open_, close):
+    def nest(levels):
+        return open_ * levels + "P" + close * levels
+
+    assert isinstance(parse_formula(nest(MAX_NESTING - 1)), Formula)
+    with pytest.raises(NestingError):
+        parse_formula(nest(MAX_NESTING + 1))
+
+
+def test_term_nesting_is_capped():
+    with pytest.raises(NestingError):
+        parse_term("[" * 3000 + "x")
 
 
 def test_signed_leaves_need_signs():
