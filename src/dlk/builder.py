@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .logics import LogicProfile, alphabet_from
+from .logics import PROFILES, LogicProfile, alphabet_from
 from .semantics import ModularModel, evaluate
 from .syntax import (
     Alphabet, And, Bottom, Enumeration, Formula, Implies, Just, Not, Or,
@@ -224,14 +224,17 @@ class StageTrace:
             for row in self.rows]}
 
 
-_BUILDABLE = ("dl", "dl0")
+def _buildable(profile: LogicProfile) -> bool:
+    """The staged construction covers the unsigned profiles with denial."""
+    return not profile.signed and profile.has_schema("denial")
 
 
 def build(params: BuildParams) -> tuple[ModularModel, StageTrace | None]:
     profile = params.profile
-    if profile.name not in _BUILDABLE:
+    if not _buildable(profile):
+        names = sorted(p.name for p in PROFILES.values() if _buildable(p))
         raise BuildError(f"profile {profile.name!r} is outside the staged "
-                         f"construction; use one of {', '.join(_BUILDABLE)}")
+                         f"construction; use one of {', '.join(names)}")
     if params.fm_size < 1 or params.tm_size < 1:
         raise BoundsError("size bounds must be at least 1")
 

@@ -24,8 +24,8 @@ from .builder import (
     BoundsError, BuildError, BuildParams, FUNCTIONALS, build, realize_spec,
 )
 from .logics import (
-    SCHEMAS, check_in_profile, get_profile, translate as translate_formula,
-    translation_table,
+    PROFILES, SCHEMAS, check_in_profile, get_profile,
+    translate as translate_formula, translation_table,
 )
 from .proofs import (
     MissingConstantError, Proof, ProofFormatError, check_proof, internalize,
@@ -47,7 +47,7 @@ from .syntax import (
     print_term, term_size,
 )
 
-PROFILE_NAMES = ("jl", "dl", "dl0", "lp", "fused")
+PROFILE_NAMES = tuple(PROFILES)
 
 
 class _Fail(Exception):
@@ -492,6 +492,8 @@ def _cmd_translate(args) -> int:
             continue
         try:
             f = parse_formula(text, signed=True)
+        except NestingError as exc:
+            raise _Fail(2, str(exc)) from None
         except (ParseError, SignViolation) as exc:
             raise _Fail(1, f"non-fused input rejected: {text!r}: {exc}") \
                 from None
@@ -530,9 +532,12 @@ def _cmd_translate(args) -> int:
 def _cmd_internalize(args) -> int:
     spec = _load_spec(args.spec, args.logic)
     proof = _load_proof(args.proof, args.logic)
-    if proof.profile.name not in ("fused", "lp"):
-        raise _Fail(1, f"internalization lifts proofs in the fused or lp "
-                    f"profiles, not {proof.profile.name!r}")
+    if not proof.profile.has_schema("introspection"):
+        names = sorted(p.name for p in PROFILES.values()
+                       if p.has_schema("introspection"))
+        raise _Fail(1, f"internalization lifts proofs in the "
+                    f"{' or '.join(names)} profiles, not "
+                    f"{proof.profile.name!r}")
     try:
         lifted = internalize(proof, spec.formulas)
     except MissingConstantError as exc:

@@ -33,31 +33,13 @@ from . import logics, syntax
 from .logics import SCHEMAS, Binding, InstantiationError
 from .proofs import DerivedSet, _meta_names
 from .syntax import (
-    BOTTOM, And, App, Bang, Bottom, Formula, FMeta, Implies, Just, Not, Or,
-    Pair, PropVar, SignDisciplineError, Sum, Term, TMeta, formula_terms,
-    subformulas, subterms,
+    BOTTOM, Formula, FMeta, Implies, Not, SignDisciplineError, Term, TMeta,
+    _PARTS, _parts, formula_terms, subformulas, subterms,
 )
 
 # Functions of other modules are called through their module, so that a
 # wrapper installed there (the benchmark's tracer) sees the calls even
 # though this module is imported late.
-
-
-_BINARY = frozenset({And, Or, Implies, App, Sum, Pair})
-
-
-def _kids(node) -> tuple:
-    """Immediate parts of a term or formula, in constructor order."""
-    kind = type(node)
-    if kind in _BINARY:
-        return (node.left, node.right)
-    if kind is Not:
-        return (node.body,)
-    if kind is Just:
-        return (node.term, node.body)
-    if kind is Bang:
-        return (node.inner,)
-    return ()
 
 
 def _fits(node, size: int) -> bool:
@@ -68,7 +50,7 @@ def _fits(node, size: int) -> bool:
         size -= 1
         if size < 0:
             return False
-        stack.extend(_kids(stack.pop()))
+        stack.extend(_parts(stack.pop()))
     return True
 
 
@@ -79,8 +61,8 @@ def _fits(node, size: int) -> bool:
 def _pattern(node, tag: str):
     if isinstance(node, (FMeta, TMeta)):
         return tag + node.name
-    kids = _kids(node)
-    return (type(node), *(_pattern(k, tag) for k in kids)) if kids else node
+    parts = _parts(node)
+    return (type(node), *(_pattern(k, tag) for k in parts)) if parts else node
 
 
 def _chase(p, subst: dict):
@@ -154,7 +136,7 @@ def _bind(p, value, env: dict) -> bool:
         return have == value
     if isinstance(p, tuple):
         return type(value) is p[0] and all(
-            _bind(q, v, env) for q, v in zip(p[1:], _kids(value)))
+            _bind(q, v, env) for q, v in zip(p[1:], _parts(value)))
     return p == value
 
 
@@ -206,7 +188,8 @@ def _plan(major: _Rule, minor: _Rule) -> _Plan | None:
     return _Plan(major, entries, slots)
 
 
-_FORMULA_KINDS = (Bottom, PropVar, Not, And, Or, Implies, Just)
+_FORMULA_KINDS = tuple(kind for kind in _PARTS
+                       if issubclass(kind, Formula) and kind is not FMeta)
 
 
 class _RuleBook:
@@ -326,7 +309,7 @@ class DemandSaturation:
             return
         if not _fits(f, self.size_bound):
             self.fed[id(f)] = f
-            for kid in _kids(f):
+            for kid in _parts(f):
                 if isinstance(kid, Formula):
                     self.feed_pool(kid)
             return

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 from .syntax import (
     BOTTOM, NEGATIVE, POSITIVE, UNSIGNED,
-    Alphabet, And, App, Bang, Bottom, Const, FMeta, Formula, Implies, Just,
-    Not, Or, Pair, PropVar, SignDisciplineError, Sum, Term, TMeta, Var,
-    formula_terms, print_formula, print_term, subformulas, term_sign,
+    Alphabet, And, App, Bang, Const, FMeta, Formula, Implies, Just, Not, Or,
+    Pair, PropVar, SignDisciplineError, Sum, Term, TMeta, Var, _TERM_OPS,
+    _parts, formula_terms, print_formula, print_term, subformulas, term_sign,
 )
 
 
@@ -162,123 +162,58 @@ def _polarity_ok(polarity: str, term: Term, signed: bool) -> bool:
     return sign == (POSITIVE if polarity == "pos" else NEGATIVE)
 
 
-def _subst_term(t: Term, binding: Binding, signed: bool) -> Term:
-    match t:
-        case TMeta(name, polarity):
-            if name not in binding.terms:
-                raise InstantiationError(f"unbound term metavariable {name!r}")
-            bound = binding.terms[name]
-            if not _polarity_ok(polarity, bound, signed):
-                raise InstantiationError(
-                    f"term {print_term(bound)!r} has the wrong sign for "
-                    f"metavariable {name!r} ({polarity})")
-            return bound
-        case Const() | Var():
-            return t
-        case App(l, r):
-            return App(_subst_term(l, binding, signed), _subst_term(r, binding, signed))
-        case Sum(l, r):
-            return Sum(_subst_term(l, binding, signed), _subst_term(r, binding, signed))
-        case Pair(l, r):
-            return Pair(_subst_term(l, binding, signed), _subst_term(r, binding, signed))
-        case Bang(i):
-            return Bang(_subst_term(i, binding, signed))
-    raise TypeError(f"not a term: {t!r}")
-
-
 def instantiate(template: Formula, binding: Binding, signed: bool = False) -> Formula:
     """Fill a schema template; raises InstantiationError on bad bindings."""
     try:
-        return _subst_formula(template, binding, signed)
+        return _subst(template, binding, signed)
     except SignDisciplineError as exc:
         raise InstantiationError(str(exc)) from None
 
 
-def _subst_formula(f: Formula, binding: Binding, signed: bool) -> Formula:
-    match f:
-        case FMeta(name):
-            if name not in binding.formulas:
-                raise InstantiationError(f"unbound formula metavariable {name!r}")
-            return binding.formulas[name]
-        case Bottom() | PropVar():
-            return f
-        case Not(b):
-            return Not(_subst_formula(b, binding, signed))
-        case And(l, r):
-            return And(_subst_formula(l, binding, signed),
-                       _subst_formula(r, binding, signed))
-        case Or(l, r):
-            return Or(_subst_formula(l, binding, signed),
-                      _subst_formula(r, binding, signed))
-        case Implies(l, r):
-            return Implies(_subst_formula(l, binding, signed),
-                           _subst_formula(r, binding, signed))
-        case Just(t, b):
-            return Just(_subst_term(t, binding, signed),
-                        _subst_formula(b, binding, signed))
-    raise TypeError(f"not a formula: {f!r}")
+def _subst(node, binding: Binding, signed: bool):
+    kind = type(node)
+    if kind is FMeta:
+        if node.name not in binding.formulas:
+            raise InstantiationError(f"unbound formula metavariable {node.name!r}")
+        return binding.formulas[node.name]
+    if kind is TMeta:
+        if node.name not in binding.terms:
+            raise InstantiationError(f"unbound term metavariable {node.name!r}")
+        bound = binding.terms[node.name]
+        if not _polarity_ok(node.polarity, bound, signed):
+            raise InstantiationError(
+                f"term {print_term(bound)!r} has the wrong sign for "
+                f"metavariable {node.name!r} ({node.polarity})")
+        return bound
+    parts = _parts(node)
+    if not parts:
+        return node
+    return kind(*[_subst(part, binding, signed) for part in parts])
 
 
-def _match_term(pattern: Term, term: Term, fm: dict, tm: dict, signed: bool) -> bool:
-    match pattern:
-        case TMeta(name, polarity):
-            if name in tm:
-                return tm[name] == term
-            if not _polarity_ok(polarity, term, signed):
-                return False
-            tm[name] = term
-            return True
-        case Const() | Var():
-            return pattern == term
-        case App(pl, pr):
-            return (isinstance(term, App)
-                    and _match_term(pl, term.left, fm, tm, signed)
-                    and _match_term(pr, term.right, fm, tm, signed))
-        case Sum(pl, pr):
-            return (isinstance(term, Sum)
-                    and _match_term(pl, term.left, fm, tm, signed)
-                    and _match_term(pr, term.right, fm, tm, signed))
-        case Pair(pl, pr):
-            return (isinstance(term, Pair)
-                    and _match_term(pl, term.left, fm, tm, signed)
-                    and _match_term(pr, term.right, fm, tm, signed))
-        case Bang(pi):
-            return isinstance(term, Bang) and _match_term(pi, term.inner, fm, tm, signed)
-    return False
-
-
-def _match_formula(pattern: Formula, formula: Formula, fm: dict, tm: dict,
-                   signed: bool) -> bool:
-    match pattern:
-        case FMeta(name):
-            if name in fm:
-                return fm[name] == formula
-            fm[name] = formula
-            return True
-        case Bottom():
-            return isinstance(formula, Bottom)
-        case PropVar():
-            return pattern == formula
-        case Not(pb):
-            return isinstance(formula, Not) and _match_formula(pb, formula.body,
-                                                               fm, tm, signed)
-        case And(pl, pr):
-            return (isinstance(formula, And)
-                    and _match_formula(pl, formula.left, fm, tm, signed)
-                    and _match_formula(pr, formula.right, fm, tm, signed))
-        case Or(pl, pr):
-            return (isinstance(formula, Or)
-                    and _match_formula(pl, formula.left, fm, tm, signed)
-                    and _match_formula(pr, formula.right, fm, tm, signed))
-        case Implies(pl, pr):
-            return (isinstance(formula, Implies)
-                    and _match_formula(pl, formula.left, fm, tm, signed)
-                    and _match_formula(pr, formula.right, fm, tm, signed))
-        case Just(pt, pb):
-            return (isinstance(formula, Just)
-                    and _match_term(pt, formula.term, fm, tm, signed)
-                    and _match_formula(pb, formula.body, fm, tm, signed))
-    return False
+def _match(pattern, node, fm: dict, tm: dict, signed: bool) -> bool:
+    kind = type(pattern)
+    if kind is FMeta:
+        if pattern.name in fm:
+            return fm[pattern.name] == node
+        fm[pattern.name] = node
+        return True
+    if kind is TMeta:
+        if pattern.name in tm:
+            return tm[pattern.name] == node
+        if not _polarity_ok(pattern.polarity, node, signed):
+            return False
+        tm[pattern.name] = node
+        return True
+    if type(node) is not kind:
+        return False
+    parts = _parts(pattern)
+    if not parts:
+        return pattern == node
+    for part, sub in zip(parts, _parts(node)):
+        if not _match(part, sub, fm, tm, signed):
+            return False
+    return True
 
 
 def match_template(template: Formula, formula: Formula,
@@ -286,7 +221,7 @@ def match_template(template: Formula, formula: Formula,
     """Match a formula against one template; None when it does not fit."""
     fm: dict[str, Formula] = {}
     tm: dict[str, Term] = {}
-    if _match_formula(template, formula, fm, tm, signed):
+    if _match(template, formula, fm, tm, signed):
         return Binding(fm, tm)
     return None
 
@@ -313,22 +248,20 @@ def match_axiom(formula: Formula, profile: LogicProfile) -> list[tuple[str, Bind
 def check_in_profile(formula: Formula, profile: LogicProfile) -> list[str]:
     """Problems that make the formula fall outside the profile's language."""
     problems: list[str] = []
-    op_name = {App: ("app", "'.'"), Sum: ("sum", "'+'"),
-               Pair: ("pair", "'&'"), Bang: ("bang", "'!'")}
+    ops = {ctor: (op, symbol) for op, (ctor, symbol) in _TERM_OPS.items()}
     seen_ops: set[str] = set()
     for t in formula_terms(formula):
-        match t:
-            case Const(name, sign) | Var(name, sign):
-                if profile.signed and sign == UNSIGNED:
-                    problems.append(f"leaf {name!r} is unsigned in a signed profile")
-                elif not profile.signed and sign != UNSIGNED:
-                    problems.append(f"leaf {name}{sign} is signed in an unsigned profile")
-            case _:
-                op, label = op_name[type(t)]
-                if op not in profile.term_ops and op not in seen_ops:
-                    seen_ops.add(op)
-                    problems.append(f"term operation {label} is not part of "
-                                    f"profile {profile.name!r}")
+        if isinstance(t, (Const, Var)):
+            if profile.signed and t.sign == UNSIGNED:
+                problems.append(f"leaf {t.name!r} is unsigned in a signed profile")
+            elif not profile.signed and t.sign != UNSIGNED:
+                problems.append(f"leaf {t.name}{t.sign} is signed in an unsigned profile")
+            continue
+        op, symbol = ops[type(t)]
+        if op not in profile.term_ops and op not in seen_ops:
+            seen_ops.add(op)
+            problems.append(f"term operation '{symbol}' is not part of "
+                            f"profile {profile.name!r}")
     return problems
 
 
@@ -370,26 +303,16 @@ def translate(f: Formula) -> Formula:
     ones collapse to the same atom.  The image uses only positive terms
     and is a formula of the factive profile once signs are dropped.
     """
-    match f:
-        case Bottom() | PropVar():
-            return f
-        case Not(b):
-            return Not(translate(b))
-        case And(l, r):
-            return And(translate(l), translate(r))
-        case Or(l, r):
-            return Or(translate(l), translate(r))
-        case Implies(l, r):
-            return Implies(translate(l), translate(r))
-        case Just(t, b):
-            sign = term_sign(t)
-            if sign == POSITIVE:
-                return Just(t, translate(b))
-            if sign == NEGATIVE:
-                return _fresh_atom(Just(t, translate(b)))
-            raise ValueError(
-                f"cannot translate {print_formula(f)!r}: term has no sign")
-    raise TypeError(f"not a translatable formula: {f!r}")
+    if isinstance(f, Just):
+        sign = term_sign(f.term)
+        if sign == POSITIVE:
+            return Just(f.term, translate(f.body))
+        if sign == NEGATIVE:
+            return _fresh_atom(Just(f.term, translate(f.body)))
+        raise ValueError(
+            f"cannot translate {print_formula(f)!r}: term has no sign")
+    parts = _parts(f)
+    return type(f)(*map(translate, parts)) if parts else f
 
 
 def translation_table(f: Formula) -> dict[str, str]:
@@ -397,12 +320,9 @@ def translation_table(f: Formula) -> dict[str, str]:
     table: dict[str, str] = {}
 
     def walk(g: Formula):
-        match g:
-            case Not(b) | Just(_, b):
-                walk(b)
-            case And(l, r) | Or(l, r) | Implies(l, r):
-                walk(l)
-                walk(r)
+        for part in _parts(g):
+            if isinstance(part, Formula):
+                walk(part)
         if isinstance(g, Just) and term_sign(g.term) == NEGATIVE:
             translated = Just(g.term, translate(g.body))
             table[print_formula(g)] = _fresh_atom(translated).name

@@ -152,15 +152,10 @@ def check_proof(proof: Proof) -> CheckResult:
 
 
 def _meta_names(template: Formula) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    fnames: list[str] = []
-    tnames: list[str] = []
-    for sub in subformulas(template):
-        if isinstance(sub, FMeta) and sub.name not in fnames:
-            fnames.append(sub.name)
-        if isinstance(sub, Just):
-            for t in subterms(sub.term):
-                if isinstance(t, TMeta) and t.name not in tnames:
-                    tnames.append(t.name)
+    fnames = dict.fromkeys(f.name for f in subformulas(template)
+                           if isinstance(f, FMeta))
+    tnames = dict.fromkeys(t.name for t in formula_terms(template)
+                           if isinstance(t, TMeta))
     return tuple(fnames), tuple(tnames)
 
 

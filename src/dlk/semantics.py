@@ -18,14 +18,15 @@ mention is treated as having the empty set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .logics import LogicProfile, get_profile
 from .syntax import (
     NEGATIVE, POSITIVE,
     And, App, Bang, Bottom, Formula, Implies, Just, Not, Or, Pair, PropVar,
-    SignDisciplineError, Sum, Term,
+    SignDisciplineError, Sum, Term, _PARTS, _TERM_OPS,
     formula_sort_key, parse_formula, parse_term, print_formula, print_term,
-    subterms, term_sign, term_size, term_sort_key,
+    subterms, term_sign, term_sort_key,
 )
 
 
@@ -96,31 +97,14 @@ def default_universe(model: ModularModel) -> list[Term]:
     """
     base = occurring_terms(model)
     out: set[Term] = set(base)
-    ops = model.profile.term_ops
-    for s in base:
-        if "bang" in ops:
+    for op in model.profile.term_ops:
+        ctor, _ = _TERM_OPS[op]
+        for parts in product(base, repeat=len(_PARTS[ctor])):
             try:
-                out.add(Bang(s))
+                out.add(ctor(*parts))
             except SignDisciplineError:
                 pass
-        for t in base:
-            for op, ctor in (("app", App), ("sum", Sum), ("pair", Pair)):
-                if op in ops:
-                    try:
-                        out.add(ctor(s, t))
-                    except SignDisciplineError:
-                        pass
     return sorted(out, key=term_sort_key)
-
-
-def respects(model: ModularModel, formulas) -> bool:
-    """True when every formula of the set holds in the model."""
-    return all(evaluate(model, f) for f in formulas)
-
-
-def falsified(model: ModularModel, formulas) -> list[Formula]:
-    """The subset of the formulas the model falsifies."""
-    return [f for f in formulas if not evaluate(model, f)]
 
 
 # ---------------------------------------------------------------------------

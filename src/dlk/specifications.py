@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .builder import BoundsError, RealizationError, realize_spec
-from .logics import LogicProfile, get_profile
+from .builder import BoundsError, RealizationError, _buildable, realize_spec
+from .logics import PROFILES, LogicProfile, get_profile
 from .proofs import DerivedSet, Proof, derive_forward
 from .semantics import ModularModel, audit, evaluate
 from .syntax import (
@@ -87,18 +87,14 @@ def _check_shape(f: Formula) -> None:
 
 def _closure_extensions(f: Formula, profile: LogicProfile) -> list[Formula]:
     """What the closure rules add for one member."""
-    if profile.name in ("dl", "dl0"):
-        match f:
-            case Just(_, body):
-                return [Not(body)]
-            case Not(Just(_, body)):
-                return [body]
-    elif profile.name == "fused":
-        match f:
-            case Just(term, body):
-                return [body] if term_sign(term) == POSITIVE else [Not(body)]
-            case Not(Just(term, body)):
-                return [Not(body)] if term_sign(term) == POSITIVE else [body]
+    if not profile.has_schema("denial"):
+        return []
+    match f:
+        case Just(term, body) | Not(Just(term, body)):
+            # positive evidence in a signed profile asserts its content,
+            # any other evidence denies it; a negated member flips that
+            asserts = profile.signed and term_sign(term) == POSITIVE
+            return [body] if asserts != isinstance(f, Not) else [Not(body)]
     return []
 
 
@@ -165,7 +161,7 @@ def probe_consistency(spec: ConstantSpec, *,
     for f in spec.formulas:
         if isinstance(f, Not) and f.body in present:
             return ProbeResult("clash", pair=(f.body, f))
-    if spec.profile.name not in ("dl", "dl0"):
+    if not _buildable(spec.profile):
         return ProbeResult(
             "unknown",
             note=f"no staged model construction for profile "
@@ -334,9 +330,12 @@ def blue_pill(spec: ConstantSpec, *,
     means the agent's denial-backed knowledge is jointly tenable on
     neutral ground.  Failure is a bounded report, not an error.
     """
-    if spec.profile.name not in ("dl", "fused"):
+    if not spec.profile.has_schema("pairing"):
+        names = sorted(p.name for p in PROFILES.values()
+                       if p.has_schema("pairing"))
         raise ValueError(f"the model transplant is defined for profiles "
-                         f"'dl' and 'fused', not {spec.profile.name!r}")
+                         f"{' and '.join(map(repr, names))}, not "
+                         f"{spec.profile.name!r}")
     ok = ok_extract(spec, depth=depth, size=size, term_size=term_size,
                     limit=limit)
     have = set(ok.members)

@@ -26,12 +26,27 @@ The parser refuses input nested more than ``MAX_NESTING`` levels deep,
 counting each parenthesised group or ``->`` operand, each ``~``, each
 ``t:`` prefix and each term with ``NestingError``; deeper input would
 exhaust the interpreter's recursion limit.
+
+Structural code walks terms and formulas through one table, ``_PARTS``:
+each node class maps to the attributes that hold its parts, in
+constructor order (``Not: ("body",)``, ``Just: ("term", "body")``,
+leaves ``()``), and its row order ranks head symbols for enumeration.
+Size, subterms and subformulas, sort keys and enumeration here, and
+substitution, matching and the unsigning translation in ``logics``, all
+read it, as does the demand strategy's pattern code.  ``_TERM_OPS``
+maps each term operation name of a profile to its constructor and
+symbol, and ``_FORMATS`` gives each compound its printed form.  A new
+node class is one row in ``_PARTS`` (plus one in ``_FORMATS``, and one in
+``_TERM_OPS`` for a term operator); only the grammar and the code that
+gives the node a meaning, such as ``term_sign`` or model evaluation,
+need a new case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as _cartesian
+from operator import attrgetter
 
 POSITIVE = "+"
 NEGATIVE = "-"
@@ -154,17 +169,6 @@ def term_sign(t: Term) -> str | None:
     raise TypeError(f"not a term: {t!r}")
 
 
-def term_size(t: Term) -> int:
-    match t:
-        case Const() | Var() | TMeta():
-            return 1
-        case Bang(i):
-            return 1 + term_size(i)
-        case App(l, r) | Sum(l, r) | Pair(l, r):
-            return 1 + term_size(l) + term_size(r)
-    raise TypeError(f"not a term: {t!r}")
-
-
 # ---------------------------------------------------------------------------
 # formulas
 
@@ -224,48 +228,81 @@ class FMeta(Formula):
 BOTTOM = Bottom()
 
 
-def formula_size(f: Formula) -> int:
-    match f:
-        case Bottom() | PropVar() | FMeta():
-            return 1
-        case Not(b):
-            return 1 + formula_size(b)
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            return 1 + formula_size(l) + formula_size(r)
-        case Just(t, b):
-            return 1 + term_size(t) + formula_size(b)
-    raise TypeError(f"not a formula: {f!r}")
+# ---------------------------------------------------------------------------
+# the parts table
+
+# Every node class, with the attributes holding its parts (terms or
+# formulas) in constructor order; leaves have none.  The row order is the
+# order of head symbols in enumeration: terms first, then formulas.
+_PARTS: dict[type, tuple[str, ...]] = {
+    Const: (), Var: (), App: ("left", "right"), Sum: ("left", "right"),
+    Pair: ("left", "right"), Bang: ("inner",), TMeta: (),
+    Bottom: (), PropVar: (), Not: ("body",), And: ("left", "right"),
+    Or: ("left", "right"), Implies: ("left", "right"),
+    Just: ("term", "body"), FMeta: (),
+}
+
+# term operation name (as in ``LogicProfile.term_ops``) -> constructor
+# and operator symbol
+_TERM_OPS: dict[str, tuple[type, str]] = {
+    "app": (App, "."), "sum": (Sum, "+"), "pair": (Pair, "&"),
+    "bang": (Bang, "!"),
+}
+
+
+def _getter(names: tuple[str, ...]):
+    """A function returning the named attributes of a node as a tuple."""
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        return lambda node: (get(node),)
+    return attrgetter(*names) if names else lambda node: ()
+
+
+_GET_PARTS = {kind: _getter(names) for kind, names in _PARTS.items()}
+
+
+def _parts(node) -> tuple:
+    """Immediate parts of a term or formula, in constructor order."""
+    return _GET_PARTS[type(node)](node)
+
+
+def _label(leaf) -> tuple[str, ...]:
+    """What a leaf prints as: name and sign, a name, or ``_|_``."""
+    if isinstance(leaf, (Const, Var)):
+        return (leaf.name, leaf.sign)
+    return ("_|_",) if isinstance(leaf, Bottom) else (leaf.name,)
+
+
+def _size(node) -> int:
+    return 1 + sum(map(_size, _parts(node)))
+
+
+term_size = formula_size = _size
+
+
+def _walk(node, kind):
+    """The node and, pre-order, every part of class ``kind`` below it."""
+    yield node
+    for part in _parts(node):
+        if isinstance(part, kind):
+            yield from _walk(part, kind)
 
 
 def subterms(t: Term):
     """All subterms of t, t included."""
-    yield t
-    match t:
-        case App(l, r) | Sum(l, r) | Pair(l, r):
-            yield from subterms(l)
-            yield from subterms(r)
-        case Bang(i):
-            yield from subterms(i)
+    yield from _walk(t, Term)
 
 
 def subformulas(f: Formula):
     """All subformulas of f, f included (terms are not descended into)."""
-    yield f
-    match f:
-        case Not(b):
-            yield from subformulas(b)
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            yield from subformulas(l)
-            yield from subformulas(r)
-        case Just(_, b):
-            yield from subformulas(b)
+    yield from _walk(f, Formula)
 
 
 def formula_terms(f: Formula):
     """All terms occurring in justification position within f, with subterms."""
-    for sub in subformulas(f):
-        if isinstance(sub, Just):
-            yield from subterms(sub.term)
+    for node in _walk(f, (Term, Formula)):
+        if isinstance(node, Term):
+            yield node
 
 
 # ---------------------------------------------------------------------------
@@ -273,63 +310,53 @@ def formula_terms(f: Formula):
 
 _LVL_IMPLIES, _LVL_OR, _LVL_AND, _LVL_NOT, _LVL_JUST, _LVL_ATOM = 1, 2, 3, 4, 5, 6
 
+# compound node class -> (format, its binding level, the floor of each
+# part); a part binding more loosely than its floor is parenthesised
+_FORMATS: dict[type, tuple[str, int, tuple[int, ...]]] = {
+    App: ("[{}.{}]", _LVL_ATOM, (0, 0)),
+    Sum: ("[{}+{}]", _LVL_ATOM, (0, 0)),
+    Pair: ("[{} & {}]", _LVL_ATOM, (0, 0)),
+    Bang: ("!{}", _LVL_ATOM, (0,)),
+    Not: ("~{}", _LVL_NOT, (_LVL_NOT,)),
+    And: ("{} /\\ {}", _LVL_AND, (_LVL_AND, _LVL_NOT)),
+    Or: ("{} \\/ {}", _LVL_OR, (_LVL_OR, _LVL_AND)),
+    Implies: ("{} -> {}", _LVL_IMPLIES, (_LVL_OR, _LVL_IMPLIES)),
+    Just: ("{}:{}", _LVL_JUST, (0, _LVL_JUST)),
+}
+
+
+def _print(node, floor: int) -> str:
+    if type(node) not in _FORMATS:
+        return "".join(_label(node))
+    fmt, level, floors = _FORMATS[type(node)]
+    text = fmt.format(*map(_print, _parts(node), floors))
+    return "(" + text + ")" if level < floor else text
+
 
 def print_term(t: Term) -> str:
-    match t:
-        case Const(n, s) | Var(n, s):
-            return n + s
-        case App(l, r):
-            return f"[{print_term(l)}.{print_term(r)}]"
-        case Sum(l, r):
-            return f"[{print_term(l)}+{print_term(r)}]"
-        case Pair(l, r):
-            return f"[{print_term(l)} & {print_term(r)}]"
-        case Bang(i):
-            return "!" + print_term(i)
-        case TMeta(n, _):
-            return n
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _flevel(f: Formula) -> int:
-    match f:
-        case Implies():
-            return _LVL_IMPLIES
-        case Or():
-            return _LVL_OR
-        case And():
-            return _LVL_AND
-        case Not():
-            return _LVL_NOT
-        case Just():
-            return _LVL_JUST
-        case _:
-            return _LVL_ATOM
-
-
-def _pf(f: Formula, floor: int) -> str:
-    match f:
-        case Bottom():
-            s = "_|_"
-        case PropVar(n) | FMeta(n):
-            s = n
-        case Not(b):
-            s = "~" + _pf(b, _LVL_NOT)
-        case And(l, r):
-            s = _pf(l, _LVL_AND) + " /\\ " + _pf(r, _LVL_NOT)
-        case Or(l, r):
-            s = _pf(l, _LVL_OR) + " \\/ " + _pf(r, _LVL_AND)
-        case Implies(l, r):
-            s = _pf(l, _LVL_OR) + " -> " + _pf(r, _LVL_IMPLIES)
-        case Just(t, b):
-            s = print_term(t) + ":" + _pf(b, _LVL_JUST)
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
-    return "(" + s + ")" if _flevel(f) < floor else s
+    return _print(t, 0)
 
 
 def print_formula(f: Formula) -> str:
-    return _pf(f, 0)
+    return _print(f, 0)
+
+
+# ---------------------------------------------------------------------------
+# sort keys
+
+_RANK = {kind: rank for rank, kind in enumerate(_PARTS)}
+
+
+def _sort_key(node) -> tuple:
+    """(size, rank of the head symbol, the parts' keys or the leaf's label)."""
+    parts = _parts(node)
+    if not parts:
+        return (1, _RANK[type(node)], _label(node))
+    tail = tuple(map(_sort_key, parts))
+    return (1 + sum(key[0] for key in tail), _RANK[type(node)], tail)
+
+
+term_sort_key = formula_sort_key = _sort_key
 
 
 # ---------------------------------------------------------------------------
@@ -542,38 +569,6 @@ def parse_term(text: str, signed: bool = False) -> Term:
 # ---------------------------------------------------------------------------
 # enumeration
 
-_TERM_RANK = {Const: 0, Var: 1, App: 2, Sum: 3, Pair: 4, Bang: 5, TMeta: 6}
-_FORMULA_RANK = {Bottom: 0, PropVar: 1, Not: 2, And: 3, Or: 4, Implies: 5, Just: 6, FMeta: 7}
-
-
-def term_sort_key(t: Term):
-    match t:
-        case Const(n, s) | Var(n, s):
-            tail = (n, s)
-        case App(l, r) | Sum(l, r) | Pair(l, r):
-            tail = (term_sort_key(l), term_sort_key(r))
-        case Bang(i):
-            tail = (term_sort_key(i),)
-        case TMeta(n, _):
-            tail = (n,)
-    return (term_size(t), _TERM_RANK[type(t)], tail)
-
-
-def formula_sort_key(f: Formula):
-    match f:
-        case Bottom():
-            tail = ()
-        case PropVar(n) | FMeta(n):
-            tail = (n,)
-        case Not(b):
-            tail = (formula_sort_key(b),)
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            tail = (formula_sort_key(l), formula_sort_key(r))
-        case Just(t, b):
-            tail = (term_sort_key(t), formula_sort_key(b))
-    return (formula_size(f), _FORMULA_RANK[type(f)], tail)
-
-
 @dataclass(frozen=True)
 class Alphabet:
     """Symbol inventory for enumeration.
@@ -593,7 +588,22 @@ class Alphabet:
         return out
 
 
-ALL_TERM_OPS = frozenset({"app", "sum", "pair", "bang"})
+def _compounds(rows, n: int) -> list:
+    """Every node of size n that a row's constructor builds from parts
+    drawn, by size, from the row's pools (dicts size -> nodes); those
+    breaking sign discipline are skipped."""
+    items = []
+    for ctor, pools in rows:
+        splits = [(n - 1,)] if len(pools) == 1 else \
+            [(k, n - 1 - k) for k in range(1, n - 1)]
+        for sizes in splits:
+            for parts in _cartesian(*(pool.get(k, ())
+                                      for pool, k in zip(pools, sizes))):
+                try:
+                    items.append(ctor(*parts))
+                except SignDisciplineError:
+                    pass
+    return items
 
 
 def enumerate_terms(alphabet: Alphabet, size_bound: int,
@@ -603,26 +613,11 @@ def enumerate_terms(alphabet: Alphabet, size_bound: int,
     The order is total: by size, then by a fixed rank of the head symbol,
     then lexicographically; every proper subterm precedes its compound.
     """
-    by_size: dict[int, list[Term]] = {1: sorted(alphabet.leaves(), key=term_sort_key)}
+    by_size: dict[int, list[Term]] = {1: sorted(alphabet.leaves(), key=_sort_key)}
+    rows = [(ctor, (by_size,) * len(_PARTS[ctor]))
+            for op, (ctor, _) in _TERM_OPS.items() if op in ops]
     for n in range(2, size_bound + 1):
-        items: list[Term] = []
-        if "bang" in ops:
-            for inner in by_size.get(n - 1, ()):
-                try:
-                    items.append(Bang(inner))
-                except SignDisciplineError:
-                    pass
-        for lsize in range(1, n - 1):
-            rsize = n - 1 - lsize
-            for left, right in _cartesian(by_size.get(lsize, ()), by_size.get(rsize, ())):
-                for opname, ctor in (("app", App), ("sum", Sum), ("pair", Pair)):
-                    if opname not in ops:
-                        continue
-                    try:
-                        items.append(ctor(left, right))
-                    except SignDisciplineError:
-                        pass
-        by_size[n] = sorted(items, key=term_sort_key)
+        by_size[n] = sorted(_compounds(rows, n), key=_sort_key)
     return [t for n in range(1, size_bound + 1) for t in by_size.get(n, ())]
 
 
@@ -638,24 +633,17 @@ def enumerate_formulas(alphabet: Alphabet, size_bound: int,
         terms = enumerate_terms(alphabet, max(size_bound - 2, 0), term_ops)
     terms_by_size: dict[int, list[Term]] = {}
     for t in terms:
-        terms_by_size.setdefault(term_size(t), []).append(t)
+        terms_by_size.setdefault(_size(t), []).append(t)
 
     base: list[Formula] = [BOTTOM] + [PropVar(v) for v in alphabet.prop_vars]
-    by_size: dict[int, list[Formula]] = {1: sorted(base, key=formula_sort_key)}
+    by_size: dict[int, list[Formula]] = {1: sorted(base, key=_sort_key)}
+    # the one term part of a formula, Just's, is named "term"
+    rows = [(ctor, tuple(terms_by_size if name == "term" else by_size
+                         for name in names))
+            for ctor, names in _PARTS.items()
+            if names and issubclass(ctor, Formula)]
     for n in range(2, size_bound + 1):
-        items: list[Formula] = [Not(b) for b in by_size.get(n - 1, ())]
-        for lsize in range(1, n - 1):
-            rsize = n - 1 - lsize
-            for left, right in _cartesian(by_size.get(lsize, ()), by_size.get(rsize, ())):
-                items.append(And(left, right))
-                items.append(Or(left, right))
-                items.append(Implies(left, right))
-        for tsize in range(1, n - 1):
-            bsize = n - 1 - tsize
-            for t in terms_by_size.get(tsize, ()):
-                for b in by_size.get(bsize, ()):
-                    items.append(Just(t, b))
-        by_size[n] = sorted(items, key=formula_sort_key)
+        by_size[n] = sorted(_compounds(rows, n), key=_sort_key)
     return [f for n in range(1, size_bound + 1) for f in by_size.get(n, ())]
 
 

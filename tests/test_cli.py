@@ -447,6 +447,15 @@ def test_translate_rejects_unsigned_input(tmp_path, capsys):
     assert "non-fused input rejected" in err
 
 
+def test_translate_refuses_input_nested_too_deeply(tmp_path, capsys):
+    src = tmp_path / "formulas.txt"
+    src.write_text("~" * 3000 + "P\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "translate", str(src))
+    assert code == 2
+    assert not out
+    assert err.startswith("error:") and "nested more than" in err
+
+
 def test_internalize_lifts_an_axiom(tmp_path, capsys):
     inst = fm("E -> C -> E")
     proof = Proof(fused, (axiom_line("k", Binding({"P": fm("E"),

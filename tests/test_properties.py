@@ -2,7 +2,9 @@
 
 Matching must invert instantiation for every schema, since the demand
 strategy finds instances by matching; and on random small hypothesis
-sets both saturation strategies must reach the same conclusions.
+sets both saturation strategies must reach the same conclusions.  On
+random syntax trees, printing must round-trip through the parser and
+instantiating a ground formula must rebuild it part for part.
 """
 
 from hypothesis import HealthCheck, assume, given, settings
@@ -14,8 +16,10 @@ from dlk.logics import (
 )
 from dlk.proofs import derive_forward
 from dlk.syntax import (
-    Alphabet, FMeta, TMeta, enumerate_formulas, enumerate_terms,
-    formula_terms, subformulas,
+    BOTTOM, NEGATIVE, POSITIVE, UNSIGNED, Alphabet, And, App, Bang, Const,
+    FMeta, Implies, Just, Not, Or, Pair, PropVar, Sum, TMeta, Var,
+    enumerate_formulas, enumerate_terms, formula_terms, parse_formula,
+    print_formula, subformulas,
 )
 
 
@@ -78,3 +82,55 @@ def test_strategies_reach_the_same_conclusions(case):
     lean = derive_forward(profile, hyps, strategy="demand", **bounds)
     assert _d_part(lean) == _d_part(full)
     assert lean.contradiction == full.contradiction
+
+
+# ---------------------------------------------------------------------------
+# random syntax trees, deeper than the enumerations of test_syntax.py
+
+
+def _terms(sign: str):
+    """Terms whose leaves all carry ``sign``; pairing joins negative
+    terms, '!' positive ones, and unsigned terms take every operator."""
+    leaves = st.builds(Const, st.sampled_from("ab"), st.just(sign)) \
+        | st.builds(Var, st.sampled_from("xy"), st.just(sign))
+
+    def extend(kids):
+        ops = [st.builds(App, kids, kids), st.builds(Sum, kids, kids)]
+        if sign != POSITIVE:
+            ops.append(st.builds(Pair, kids, kids))
+        if sign != NEGATIVE:
+            ops.append(st.builds(Bang, kids))
+        return st.one_of(ops)
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+def _formulas(signed: bool):
+    terms = _terms(POSITIVE) | _terms(NEGATIVE) if signed \
+        else _terms(UNSIGNED)
+    leaves = st.just(BOTTOM) | st.builds(PropVar, st.sampled_from("PQR"))
+
+    def extend(kids):
+        return (st.builds(Not, kids) | st.builds(And, kids, kids)
+                | st.builds(Or, kids, kids) | st.builds(Implies, kids, kids)
+                | st.builds(Just, terms, kids))
+
+    return st.recursive(leaves, extend, max_leaves=24)
+
+
+SIGNED_AND_FORMULA = st.booleans().flatmap(
+    lambda signed: st.tuples(st.just(signed), _formulas(signed)))
+
+
+@given(SIGNED_AND_FORMULA)
+@settings(max_examples=300, deadline=None)
+def test_printing_round_trips(case):
+    signed, f = case
+    assert parse_formula(print_formula(f), signed) == f
+
+
+@given(SIGNED_AND_FORMULA)
+@settings(max_examples=300, deadline=None)
+def test_instantiating_a_ground_formula_rebuilds_it(case):
+    signed, f = case
+    assert instantiate(f, Binding({}, {}), signed) == f

@@ -7,8 +7,8 @@ import pytest
 from dlk.logics import get_profile
 from dlk.semantics import (
     ModelFormatError, ModularModel, audit, default_universe, evaluate,
-    falsified, model_from_dict, model_to_dict, occurring_terms, respects,
-    set_pairing, set_product,
+    model_from_dict, model_to_dict, occurring_terms, set_pairing,
+    set_product,
 )
 from dlk.syntax import (
     And, App, Bang, Implies, Just, Not, Pair, PropVar, Sum, Var,
@@ -72,13 +72,6 @@ def test_justification_is_membership_not_truth():
     assert evaluate(model, fm("t:P"))
     assert not evaluate(model, fm("P"))
     assert evaluate(model, fm("t:P -> ~P"))
-
-
-def test_respects_and_falsified():
-    model = ModularModel(dl, {"A": False}, {s: frozenset({fm("A")})})
-    assert respects(model, [fm("s:A"), fm("~A")])
-    assert falsified(model, [fm("A"), fm("s:A"), fm("t:A")]) == [
-        fm("A"), fm("t:A")]
 
 
 def test_set_operations():
