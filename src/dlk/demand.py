@@ -62,7 +62,8 @@ def _pattern(node, tag: str):
     if isinstance(node, (FMeta, TMeta)):
         return tag + node.name
     parts = _parts(node)
-    return (type(node), *(_pattern(k, tag) for k in parts)) if parts else node
+    return (type(node), *(_pattern(part, tag) for part in parts)) \
+        if parts else node
 
 
 def _chase(p, subst: dict):
