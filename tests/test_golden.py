@@ -5,8 +5,12 @@
 session writes.  Any change to a verdict, an ordering or a printed byte
 fails here.  The cases: ``dlk scenario NAME --json`` for every bundled
 scenario, ``dlk parse --schema-table --json --logic X`` for every
-profile, and the README session run twice (text and ``--json``) in a
-fresh directory with relative file names.
+profile, the README session run twice (text and ``--json``) in a
+fresh directory with relative file names, ``dlk build-model --json``
+with each preset functional in ``dl`` and ``dl0`` and with a
+specification, followed by ``dlk audit --json`` on each built model, and
+``dlk audit --json`` on a hand-written model with violations and
+universe-not-closed warnings under both universe kinds.
 """
 
 import json
@@ -33,6 +37,15 @@ SESSION = (
     ("eval", ["eval", "P", "--model", "model.json"]),
 )
 WRITTEN = ("closed.json", "model.json")
+FUNCTIONALS = ("const-zero", "const-one", "plus-syntactic")
+BUILD_BOUNDS = ["--fm-size", "3", "--tm-size", "3"]
+SPEC = '{"profile": "dl", "formulas": ["x:P", "y:Q", "~x:Q"]}\n'
+HAND_MODEL = json.dumps({
+    "profile": "dl",
+    "valuation": {"P": True, "Q": False},
+    "interp": {"x": ["P -> Q", "Q"], "y": ["P"], "[x+y]": ["Q"],
+               "[x & y]": []},
+}) + "\n"
 
 
 @pytest.fixture(autouse=True)
@@ -67,3 +80,36 @@ def test_readme_session(capsys, monkeypatch, tmp_path, flags):
     for name in WRITTEN:
         assert Path(name).read_text(encoding="utf-8") == \
             GOLDEN[f"{tag} file {name}"], name
+
+
+def _build_and_audit(capsys, tag, argv):
+    """Build into model.json (also reported as --json), then audit it."""
+    built = _run(capsys, ["build-model", *argv, "--out", "model.json",
+                          "--json"])
+    assert built == GOLDEN[f"build-model {tag}"]
+    assert _run(capsys, ["audit", "--model", "model.json", "--json"]) == \
+        GOLDEN[f"audit built {tag}"]
+
+
+@pytest.mark.parametrize("logic", ("dl", "dl0"))
+@pytest.mark.parametrize("functional", FUNCTIONALS)
+def test_build_model_and_audit_json(capsys, monkeypatch, tmp_path,
+                                    functional, logic):
+    monkeypatch.chdir(tmp_path)
+    _build_and_audit(capsys, f"{functional} {logic}",
+                     ["--functional", functional, "--logic", logic,
+                      "--vars", "P=0,Q=1", *BUILD_BOUNDS])
+
+
+def test_build_model_from_spec_and_audit_json(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    Path("spec.json").write_text(SPEC, encoding="utf-8")
+    _build_and_audit(capsys, "spec", ["--spec", "spec.json", *BUILD_BOUNDS])
+
+
+@pytest.mark.parametrize("universe", ("occurring", "default"))
+def test_audit_hand_model_json(capsys, monkeypatch, tmp_path, universe):
+    monkeypatch.chdir(tmp_path)
+    Path("hand.json").write_text(HAND_MODEL, encoding="utf-8")
+    argv = ["audit", "--model", "hand.json", "--universe", universe, "--json"]
+    assert _run(capsys, argv) == GOLDEN[f"audit hand {universe}"]
