@@ -10,10 +10,12 @@ evidence interpretation happen as stages close:
 * a firing justified formula contributes its body to its own term;
 * every staged-false formula is offered to all terms, landing wherever
   the functional fires;
-* before each stage (and once at the end) a propagation sweep closes the
-  interpretation upward: sum terms absorb the union of their parts, and
-  pairing terms absorb the pairwise conjunctions of their parts, clipped
-  to the enumerated formula universe.
+* once every formula is staged, one pass of ``semantics.close_upward``
+  closes the interpretation upward: sum terms absorb the union of their
+  parts, application terms the set product of their parts, and pairing
+  terms the conjunctions of their parts' members that lie in the
+  enumerated formula universe.  Staging never reads the interpretation,
+  so nothing is lost by closing last.
 
 The resulting model records that universe, so audits judge it relative
 to the bound it was built under.  Only the unsigned profiles make sense
@@ -27,10 +29,10 @@ import re
 from dataclasses import dataclass, field
 
 from .logics import PROFILES, LogicProfile, alphabet_from
-from .semantics import ModularModel, evaluate
+from .semantics import ModularModel, close_upward, evaluate
 from .syntax import (
     Alphabet, And, Bottom, Enumeration, Formula, Implies, Just, Not, Or,
-    Pair, PropVar, Sum, Term,
+    PropVar, Term,
     formula_size, print_formula, print_term, term_size,
 )
 
@@ -197,7 +199,7 @@ class BuildParams:
 class StageRow:
     index: int
     formula: str
-    kind: str           # bottom | atom | bool | just
+    kind: str           # bottom | atom | bool | just | close
     value: bool
     added: tuple[tuple[str, str, str], ...]   # (term, formula, via)
 
@@ -246,54 +248,17 @@ def build(params: BuildParams) -> tuple[ModularModel, StageTrace | None]:
     valuation = dict(params.seed)
     trace = StageTrace() if params.trace else None
 
-    members: dict[Term, list[Formula]] = {t: [] for t in enum.terms}
-    member_set: dict[Term, set[Formula]] = {t: set() for t in enum.terms}
-    compounds = [t for t in enum.terms if isinstance(t, (Sum, Pair))]
-    cursors: dict[Term, list[int]] = {c: [0, 0] for c in compounds}
-    do_pairing = profile.has_schema("pairing")
-    dirty = False
+    members: dict[Term, dict[Formula, None]] = {t: {} for t in enum.terms}
     stage_added: list[tuple[str, str, str]] = []
 
     def add_member(term: Term, f: Formula, via: str):
-        nonlocal dirty
-        if f not in member_set[term]:
-            member_set[term].add(f)
-            members[term].append(f)
-            dirty = True
+        if f not in members[term]:
+            members[term][f] = None
             if trace is not None:
                 stage_added.append((print_term(term), print_formula(f), via))
 
-    def sweep():
-        nonlocal dirty
-        if not dirty:
-            return
-        dirty = False
-        for c in compounds:
-            cur = cursors[c]
-            if isinstance(c, Sum):
-                for slot, part in ((0, c.left), (1, c.right)):
-                    lst = members[part]
-                    for f in lst[cur[slot]:]:
-                        add_member(c, f, "sum")
-                    cur[slot] = len(lst)
-            elif do_pairing:
-                lx, ly = members[c.left], members[c.right]
-                ox, oy = cur
-                if len(lx) > ox or len(ly) > oy:
-                    fresh = [(p, q) for p in lx[ox:] for q in ly]
-                    fresh += [(p, q) for p in lx[:ox] for q in ly[oy:]]
-                    for p, q in fresh:
-                        conj = And(p, q)
-                        if conj in enum.formula_index:
-                            add_member(c, conj, "pair")
-                    cur[0], cur[1] = len(lx), len(ly)
-        # members added to a compound can feed a larger compound, which
-        # sits later in the ascending order and was handled above; a part
-        # never follows its compound, so one pass reaches the fixpoint
-
     staged: dict[Formula, bool] = {}
     for index, f in enumerate(enum.formulas):
-        sweep()
         match f:
             case Bottom():
                 kind, value = "bottom", False
@@ -323,20 +288,25 @@ def build(params: BuildParams) -> tuple[ModularModel, StageTrace | None]:
                         add_member(term, f, "spray")
             else:
                 for term in targets:
-                    if term in member_set:
+                    if term in members:
                         add_member(term, f, "spray")
         if trace is not None:
             trace.rows.append(StageRow(index, print_formula(f), kind, value,
                                        tuple(stage_added)))
             stage_added = []
-    sweep()
-    if trace is not None and stage_added:
-        trace.rows.append(StageRow(len(enum.formulas), "", "close", False,
-                                   tuple(stage_added)))
+
+    conjunctions = ([f for f in enum.formulas if isinstance(f, And)]
+                    if profile.has_schema("pairing") else None)
+    closed = close_upward(members, enum.terms, conjunctions)
+    if trace is not None and closed:
+        trace.rows.append(StageRow(
+            len(enum.formulas), "", "close", False,
+            tuple((print_term(t), print_formula(g), via)
+                  for t, g, via in closed)))
 
     model = ModularModel(
         profile, valuation,
-        {t: frozenset(member_set[t]) for t in enum.terms},
+        {t: frozenset(members[t]) for t in enum.terms},
         provenance="built",
         formula_universe=frozenset(enum.formulas))
     return model, trace

@@ -80,6 +80,45 @@ def set_pairing(xs: frozenset[Formula], ys: frozenset[Formula]) -> frozenset[For
     return frozenset(And(x, y) for x in xs for y in ys)
 
 
+def _paired(conjunctions, xs, ys) -> list[And]:
+    """Pairing inside a formula universe: those of its conjunctions whose
+    left side lies in xs and right side in ys."""
+    return [c for c in conjunctions if c.left in xs and c.right in ys]
+
+
+def close_upward(members: dict[Term, dict[Formula, None]], terms,
+                 conjunctions=None) -> list[tuple[Term, Formula, str]]:
+    """Close evidence sets upward under the compound term operations.
+
+    ``members`` maps every term in ``terms`` to an insertion-ordered set
+    of formulas (a dict with None values) and is extended in place: sums
+    absorb the members of their parts, applications the ``set_product``
+    of their parts, and, when a universe's ``conjunctions`` are given,
+    pairs absorb those whose two sides lie in their parts.  ``terms``
+    must hold every part of each of its compounds and list it first
+    (ascending size does), so one pass reaches the least closure.
+    Returns the additions in order as (term, formula, rule) triples.
+    """
+    added: list[tuple[Term, Formula, str]] = []
+    for t in terms:
+        match t:
+            case Sum(left, right):
+                rule, new = "sum", [*members[left], *members[right]]
+            case App(left, right):
+                rule, new = "app", set_product(members[left], members[right])
+            case Pair(left, right) if conjunctions is not None:
+                rule, new = "pair", _paired(conjunctions, members[left],
+                                            members[right])
+            case _:
+                continue
+        have = members[t]
+        for f in new:
+            if f not in have:
+                have[f] = None
+                added.append((t, f, rule))
+    return added
+
+
 def occurring_terms(model: ModularModel) -> list[Term]:
     """Interpretation keys and their subterms, enumeration order."""
     seen: set[Term] = set()
@@ -272,8 +311,7 @@ def audit(model: ModularModel,
                     pair = None
                 if pair is not None:
                     if universe_conjunctions is not None:
-                        needed = [c for c in universe_conjunctions
-                                  if c.left in es and c.right in et]
+                        needed = _paired(universe_conjunctions, es, et)
                     else:
                         needed = set_pairing(es, et)
                     require("pairing-closure", (s, t), pair, needed)

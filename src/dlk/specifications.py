@@ -16,7 +16,7 @@ once: the agent's denial-backed conclusions survive transplanting into
 a logic that does not treat evidence as falsifying.  A first pass tries
 the empty interpretation with an exhaustive valuation search; failing
 that, small interpretation sets are grown over the justified
-subformulas, gated by the application/sum closure audit.
+subformulas and closed upward under application and sum.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from itertools import combinations, product
 from .builder import BoundsError, RealizationError, _buildable, realize_spec
 from .logics import PROFILES, LogicProfile, get_profile
 from .proofs import DerivedSet, Proof, derive_forward
-from .semantics import ModularModel, audit, evaluate
+from .semantics import ModularModel, close_upward, evaluate, occurring_terms
 from .syntax import (
     NEGATIVE, POSITIVE,
     And, Const, Formula, Just, Not, PropVar, Term, Var,
@@ -240,15 +240,6 @@ def conjunction_fold(formulas) -> Formula:
 # model search
 
 
-_GATE_CONDITIONS = ("application-closure", "sum-closure")
-
-
-def _passes_gate(model: ModularModel) -> bool:
-    report = audit(model)
-    return all(not c.violations for c in report.conditions
-               if c.name in _GATE_CONDITIONS)
-
-
 def search_jl_model(targets, profile: LogicProfile | None = None, *,
                     max_candidates: int = 12, max_combo: int = 3,
                     max_per_term: int = 2,
@@ -259,9 +250,10 @@ def search_jl_model(targets, profile: LogicProfile | None = None, *,
     lexicographic order (all-false first, sorted variable names), so a
     purely propositional win is found with the least valuation.  Then
     interpretation sets are grown over the justified subformulas of the
-    targets, smallest combinations first, each candidate gated by the
-    application/sum closure audit.  Returns None when the bounded space
-    is exhausted.
+    targets, smallest combinations first, each candidate closed upward
+    under application and sum over its occurring terms
+    (``semantics.close_upward``) before it is evaluated.  Returns None
+    when the bounded space is exhausted.
     """
     wanted = list(targets)
     profile = profile or get_profile("jl")
@@ -291,17 +283,19 @@ def search_jl_model(targets, profile: LogicProfile | None = None, *,
 
     for r in range(1, min(max_combo, len(candidates)) + 1):
         for combo in combinations(candidates, r):
-            interp: dict[Term, set[Formula]] = {}
+            interp: dict[Term, dict[Formula, None]] = {}
             for j in combo:
-                interp.setdefault(j.term, set()).add(j.body)
+                interp.setdefault(j.term, {})[j.body] = None
             if any(len(v) > max_per_term for v in interp.values()):
                 continue
-            frozen = {t: frozenset(v) for t, v in interp.items()}
+            terms = occurring_terms(ModularModel(profile, {}, interp))
+            members = {t: interp.get(t, {}) for t in terms}
+            close_upward(members, terms)
+            frozen = {t: frozenset(v) for t, v in members.items() if v}
             for valuation in valuations():
                 model = ModularModel(profile, valuation, frozen,
                                      provenance="search")
-                if all(evaluate(model, f) for f in wanted) \
-                        and _passes_gate(model):
+                if all(evaluate(model, f) for f in wanted):
                     return model
     return None
 

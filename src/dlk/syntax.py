@@ -649,18 +649,14 @@ def enumerate_formulas(alphabet: Alphabet, size_bound: int,
 
 @dataclass(frozen=True)
 class Enumeration:
-    """A term and formula enumeration with per-item index lookup."""
+    """A term enumeration and the formula enumeration over it."""
 
     terms: tuple[Term, ...]
     formulas: tuple[Formula, ...]
-    term_index: dict
-    formula_index: dict
 
     @classmethod
     def build(cls, alphabet: Alphabet, fm_size: int, tm_size: int,
               term_ops: frozenset[str]) -> "Enumeration":
         terms = enumerate_terms(alphabet, tm_size, term_ops)
         formulas = enumerate_formulas(alphabet, fm_size, terms=terms)
-        return cls(tuple(terms), tuple(formulas),
-                   {t: i for i, t in enumerate(terms)},
-                   {f: i for i, f in enumerate(formulas)})
+        return cls(tuple(terms), tuple(formulas))

@@ -1,18 +1,23 @@
 """Staged model construction: functionals, realization, traces, errors."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlk import (
     Alphabet,
+    And,
     BoundsError,
     BuildError,
     BuildParams,
     ConstOne,
     ConstZero,
+    Pair,
     PlusSyntactic,
     RealizationError,
     RuleTable,
     SpecDriven,
+    Sum,
     audit,
     build,
     enumerate_formulas,
@@ -23,6 +28,7 @@ from dlk import (
     parse_term,
     realize_spec,
 )
+from dlk.builder import FUNCTIONALS
 
 dl = get_profile("dl")
 dl0 = get_profile("dl0")
@@ -146,6 +152,20 @@ def test_trace_records_membership_contributions():
     doc = trace.as_dict()
     assert {stage["formula"] for stage in doc["stages"]} >= {"P", "Q"}
 
+    # sums and pairs fill only the closing row; every member is added once
+    functional = SpecDriven([fm("x:P"), fm("y:Q"), fm("[x+y]:P")])
+    model, trace = build(small_params(functional, fm_size=3, tm_size=3,
+                                      trace=True))
+    *stages, close = trace.rows
+    assert close.kind == "close"
+    assert {via for _, _, via in close.added} == {"sum", "pair"}
+    assert {via for row in stages for _, _, via in row.added} <= \
+        {"body", "spray"}
+    added = [(tm(t), fm(f)) for row in trace.rows for t, f, _ in row.added]
+    members = [(t, f) for t, fs in model.interp.items() for f in fs]
+    assert len(added) == len(set(added)) == len(members)
+    assert set(added) == set(members)
+
 
 def test_sum_terms_absorb_their_parts():
     functional = SpecDriven([fm("x:P"), fm("y:Q")])
@@ -250,3 +270,62 @@ def test_degenerate_bounds_are_rejected():
 def test_an_alphabet_without_terms_cannot_build():
     with pytest.raises(BuildError):
         build(BuildParams(dl, Alphabet(("P",), (), ()), 2, 2, ConstZero()))
+
+
+# ---------------------------------------------------------------------------
+# random builds against a naive fixpoint
+
+_TERM_PATTERNS = ("*", "x", "y", "[*", "*+*", "*.*", "*&*")
+_FORMULA_PATTERNS = ("*", "P", "Q", "_|_", "~*", "*/\\*", "*->*", "*:*")
+
+
+@st.composite
+def random_builds(draw):
+    profile = draw(st.sampled_from((dl, dl0)))
+    atoms = ("P", "Q")[:draw(st.integers(1, 2))]
+    leaves = ("x", "y")[:draw(st.integers(1, 2))]
+    seed = {a: draw(st.booleans()) for a in atoms}
+    stock = st.sampled_from(sorted(FUNCTIONALS)).map(lambda n: FUNCTIONALS[n]())
+    rules = st.lists(st.tuples(st.sampled_from(_TERM_PATTERNS),
+                               st.sampled_from(_FORMULA_PATTERNS),
+                               st.booleans()),
+                     min_size=1, max_size=3).map(RuleTable)
+    return BuildParams(profile, Alphabet(atoms, leaves, ()),
+                       draw(st.integers(1, 4)), draw(st.integers(1, 3)),
+                       draw(st.one_of(stock, rules)), seed=seed, trace=True)
+
+
+def _naive_closure(staged, universe, pairing):
+    """Repeat until nothing changes: sums take their parts' members, pairs
+    every conjunction of their parts' members inside the universe."""
+    interp = {t: set(fs) for t, fs in staged.items()}
+    changed = True
+    while changed:
+        changed = False
+        for t, have in interp.items():
+            if isinstance(t, Sum):
+                new = interp[t.left] | interp[t.right]
+            elif isinstance(t, Pair) and pairing:
+                new = {And(p, q) for p in interp[t.left]
+                       for q in interp[t.right]} & universe
+            else:
+                continue
+            if not new <= have:
+                have |= new
+                changed = True
+    return interp
+
+
+@given(random_builds())
+@settings(max_examples=300, deadline=None)
+def test_random_builds_pass_their_audit_and_match_a_naive_fixpoint(params):
+    model, trace = build(params)
+    assert audit(model).ok
+    staged = {t: set() for t in model.interp}
+    for row in trace.rows:
+        for t, f, via in row.added:
+            if via in ("body", "spray"):
+                staged[tm(t)].add(fm(f))
+    expected = _naive_closure(staged, model.formula_universe,
+                              params.profile.has_schema("pairing"))
+    assert model.interp == expected

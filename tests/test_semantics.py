@@ -6,8 +6,8 @@ import pytest
 
 from dlk.logics import get_profile
 from dlk.semantics import (
-    ModelFormatError, ModularModel, audit, default_universe, evaluate,
-    model_from_dict, model_to_dict, occurring_terms, set_pairing,
+    ModelFormatError, ModularModel, audit, close_upward, default_universe,
+    evaluate, model_from_dict, model_to_dict, occurring_terms, set_pairing,
     set_product,
 )
 from dlk.syntax import (
@@ -80,6 +80,21 @@ def test_set_operations():
     assert set_product(xs, ys) == frozenset({fm("Q")})
     assert set_pairing(xs, ys) == frozenset(
         And(a, b) for a in xs for b in ys)
+
+
+def test_close_upward_reaches_the_least_closure_in_one_pass():
+    app, pair = App(s, t), Pair(s, t)
+    outer = Sum(app, pair)
+    members = {s: dict.fromkeys([fm("P -> Q"), fm("P")]),
+               t: dict.fromkeys([fm("P")]), app: {}, pair: {}, outer: {}}
+    terms = [s, t, app, pair, outer]
+    added = close_upward(members, terms, [fm("P /\\ P"), fm("Q /\\ P")])
+    assert added == [(app, fm("Q"), "app"), (pair, fm("P /\\ P"), "pair"),
+                     (outer, fm("Q"), "sum"), (outer, fm("P /\\ P"), "sum")]
+    assert close_upward(members, terms, [fm("P /\\ P")]) == []
+    # without a universe's conjunctions, pairs are left alone
+    members[pair] = {}
+    assert close_upward(members, terms) == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Constant specifications: closure, probing, extraction, transplanting."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dlk import (
     ConstantSpec,
     SpecClashError,
     SpecFormatError,
     SpecShapeError,
+    audit,
     blue_pill,
     check_coherence,
     check_proof,
@@ -205,6 +208,62 @@ def test_search_grows_evidence_when_the_targets_need_it():
 def test_search_gives_up_on_a_contradiction():
     assert search_jl_model([fm("_|_")]) is None
     assert search_jl_model([fm("P"), fm("~P")]) is None
+
+
+@pytest.mark.parametrize("targets, compound, closed", [
+    (["a:A", "b:B", "[a+b]:A"], "[a+b]", ["A", "B"]),
+    (["a:(A -> B)", "b:A", "[a.b]:A"], "[a.b]", ["A", "B"]),
+], ids=["sum", "app"])
+def test_search_closes_candidates_over_members_no_target_offers(
+        targets, compound, closed):
+    # B is never a candidate for the compound, yet closure puts it there
+    targets = [fm(t) for t in targets]
+    model = search_jl_model(targets)
+    assert model is not None
+    assert all(evaluate(model, f) for f in targets)
+    assert model.interp[tm(compound)] == {fm(f) for f in closed}
+
+
+_SEARCH_LEAVES = {"jl": ("a", "b"), "fused": ("a+", "b-", "c+")}
+_BODIES = st.recursive(
+    st.sampled_from(("A", "B", "C")),
+    lambda inner: st.one_of(
+        inner.map(lambda b: f"~{b}"),
+        st.builds(lambda l, op, r: f"({l} {op} {r})",
+                  inner, st.sampled_from(("->", "/\\", "\\/")), inner)),
+    max_leaves=3)
+
+
+@st.composite
+def search_cases(draw):
+    name = draw(st.sampled_from(sorted(_SEARCH_LEAVES)))
+    profile = get_profile(name)
+    terms = st.recursive(
+        st.sampled_from(_SEARCH_LEAVES[name]),
+        lambda inner: st.builds(lambda l, op, r: f"[{l}{op}{r}]",
+                                inner, st.sampled_from("+."), inner),
+        max_leaves=3)
+    justified = st.builds(lambda t, b: f"{t}:{b}", terms, _BODIES)
+    target = st.one_of(justified, justified, justified.map(lambda j: f"~{j}"),
+                       _BODIES)
+    texts = draw(st.lists(target, min_size=2, max_size=4))
+    try:
+        return profile, [parse_formula(t, signed=profile.signed)
+                         for t in texts]
+    except ValueError:
+        assume(False)
+
+
+@given(search_cases())
+@settings(max_examples=200, deadline=None)
+def test_found_models_satisfy_their_targets_and_are_closed(case):
+    profile, targets = case
+    model = search_jl_model(targets, profile)
+    assume(model is not None)
+    assert all(evaluate(model, f) for f in targets)
+    report = audit(model)
+    for name in ("application-closure", "sum-closure"):
+        assert report.condition(name).ok, report.condition(name).violations
 
 
 # ---------------------------------------------------------------------------
