@@ -4,7 +4,9 @@ The builder walks the formula enumeration once.  Every formula gets a
 staged truth value: variables from the seed valuation, falsum false,
 boolean compounds classically from their (earlier) parts, and a
 justified formula ``t:B`` counts as true when its body is staged false
-and the acceptance functional fires at ``(B, t)``.  Contributions to the
+and either the acceptance functional fires at ``(B, t)`` or the closing
+pass below will put ``B`` into ``t`` (``_reaches``), so every staged
+value is the value in the finished model.  Contributions to the
 evidence interpretation happen as stages close:
 
 * a firing justified formula contributes its body to its own term;
@@ -32,7 +34,7 @@ from .logics import PROFILES, LogicProfile, alphabet_from
 from .semantics import ModularModel, close_upward, evaluate
 from .syntax import (
     Alphabet, And, Bottom, Enumeration, Formula, Implies, Just, Not, Or,
-    PropVar, Term,
+    Pair, PropVar, Sum, Term,
     formula_size, print_formula, print_term, term_size,
 )
 
@@ -231,6 +233,25 @@ def _buildable(profile: LogicProfile) -> bool:
     return not profile.signed and profile.has_schema("denial")
 
 
+def _reaches(members: dict[Term, dict[Formula, None]], t: Term, b: Formula,
+             pairing: bool) -> bool:
+    """Whether closing ``members`` upward puts ``b`` into ``t``: it is a
+    member already, ``t`` is a sum and ``b`` reaches one of its parts, or
+    ``t`` is a pair, ``pairing`` holds and ``b`` is a conjunction whose
+    sides reach its parts.  Applications reach nothing: every staged
+    member is false, and a false ``A -> B`` needs ``A`` true."""
+    if b in members[t]:
+        return True
+    match t:
+        case Sum(left, right):
+            return (_reaches(members, left, b, pairing)
+                    or _reaches(members, right, b, pairing))
+        case Pair(left, right) if pairing and isinstance(b, And):
+            return (_reaches(members, left, b.left, pairing)
+                    and _reaches(members, right, b.right, pairing))
+    return False
+
+
 def build(params: BuildParams) -> tuple[ModularModel, StageTrace | None]:
     profile = params.profile
     if not _buildable(profile):
@@ -257,6 +278,7 @@ def build(params: BuildParams) -> tuple[ModularModel, StageTrace | None]:
             if trace is not None:
                 stage_added.append((print_term(term), print_formula(f), via))
 
+    pairing = profile.has_schema("pairing")
     staged: dict[Formula, bool] = {}
     for index, f in enumerate(enum.formulas):
         match f:
@@ -274,9 +296,11 @@ def build(params: BuildParams) -> tuple[ModularModel, StageTrace | None]:
                 kind, value = "bool", (not staged[l]) or staged[r]
             case Just(t, b):
                 kind = "just"
-                value = (not staged[b]) and functional.fires(valuation, b, t)
-                if value:
+                fires = (not staged[b]) and functional.fires(valuation, b, t)
+                if fires:
                     add_member(t, b, "body")
+                value = fires or ((not staged[b])
+                                  and _reaches(members, t, b, pairing))
             case _:
                 raise BuildError(f"unexpected formula {f!r}")
         staged[f] = value
@@ -296,7 +320,7 @@ def build(params: BuildParams) -> tuple[ModularModel, StageTrace | None]:
             stage_added = []
 
     conjunctions = ([f for f in enum.formulas if isinstance(f, And)]
-                    if profile.has_schema("pairing") else None)
+                    if pairing else None)
     closed = close_upward(members, enum.terms, conjunctions)
     if trace is not None and closed:
         trace.rows.append(StageRow(

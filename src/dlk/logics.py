@@ -132,11 +132,10 @@ PROFILES: dict[str, LogicProfile] = {
 
 
 def get_profile(name: str) -> LogicProfile:
-    try:
+    if isinstance(name, str) and name in PROFILES:
         return PROFILES[name]
-    except KeyError:
-        raise KeyError(f"unknown logic profile {name!r}; "
-                       f"expected one of {', '.join(sorted(PROFILES))}") from None
+    raise KeyError(f"unknown logic profile {name!r}; "
+                   f"expected one of {', '.join(sorted(PROFILES))}")
 
 
 # ---------------------------------------------------------------------------

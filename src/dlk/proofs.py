@@ -715,8 +715,10 @@ def proof_to_dict(proof: Proof) -> dict:
 
 
 def proof_from_dict(doc: dict) -> Proof:
-    if not isinstance(doc, dict) or "lines" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("lines"), list):
         raise ProofFormatError("proof document must be an object with 'lines'")
+    if not isinstance(doc.get("hypotheses", []), list):
+        raise ProofFormatError("'hypotheses' must be a formula list")
     try:
         profile = get_profile(doc.get("profile", "dl"))
     except KeyError as exc:

@@ -75,11 +75,6 @@ def set_product(xs: frozenset[Formula], ys: frozenset[Formula]) -> frozenset[For
                      if isinstance(x, Implies) and x.left in ys)
 
 
-def set_pairing(xs: frozenset[Formula], ys: frozenset[Formula]) -> frozenset[Formula]:
-    """Pairing on evidence sets: all conjunctions across the two sets."""
-    return frozenset(And(x, y) for x in xs for y in ys)
-
-
 def _paired(conjunctions, xs, ys) -> list[And]:
     """Pairing inside a formula universe: those of its conjunctions whose
     left side lies in xs and right side in ys."""
@@ -212,6 +207,14 @@ def _sign_admits(profile: LogicProfile, term: Term, wanted: str) -> bool:
     return term_sign(term) == wanted
 
 
+def _compound(ctor, *parts) -> Term | None:
+    """The compound term, or None where the sign discipline forbids it."""
+    try:
+        return ctor(*parts)
+    except SignDisciplineError:
+        return None
+
+
 def audit(model: ModularModel,
           term_universe: list[Term] | None = None) -> AuditReport:
     """Check every closure condition of the model's profile over a
@@ -224,17 +227,19 @@ def audit(model: ModularModel,
     violation; a compound inside the universe is held to its evidence
     set, with the empty set as the default.  When the model carries a
     ``formula_universe``, required members outside it are ignored.
+
+    Each formula is hashed once per call: the formulas of the universe,
+    of the evidence sets and of their implications get dense int ids on
+    entry, so every check compares int sets, and ids map back to
+    formulas only for violations.  The conditions, the ``checked``
+    counts and the order of violations and warnings are those of a
+    check of every ordered pair of universe terms.
     """
     profile = model.profile
     universe = model.formula_universe
-    bounded = universe is not None
     terms = term_universe if term_universe is not None else occurring_terms(model)
-    term_set = set(terms)
     warnings: list[str] = []
     not_closed: set[str] = set()
-    universe_conjunctions: list[And] | None = None
-    if bounded:
-        universe_conjunctions = [f for f in universe if isinstance(f, And)]
 
     reports: dict[str, ConditionReport] = {}
 
@@ -242,30 +247,6 @@ def audit(model: ModularModel,
         if name not in reports:
             reports[name] = ConditionReport(name)
         return reports[name]
-
-    def require(name: str, parts: tuple[Term, ...], compound: Term,
-                required) -> None:
-        """required ⊆ evidence(compound), relative to the universes."""
-        rep = report(name)
-        rep.checked += 1
-        if bounded:
-            required = [f for f in required if f in universe]
-        if not required:
-            return
-        if compound not in term_set:
-            key = print_term(compound)
-            if key not in not_closed:
-                not_closed.add(key)
-                warnings.append(f"universe not closed: {key} is missing "
-                                f"({name} has members to check there)")
-            return
-        have = model.evidence(compound)
-        parts_printed = tuple(print_term(p) for p in parts)
-        for f in sorted((g for g in required if g not in have),
-                        key=formula_sort_key):
-            rep.violations.append(Violation(
-                name, parts_printed + (print_term(compound),),
-                print_formula(f)))
 
     # conditions applicable to this profile
     do_app = "app" in profile.term_ops
@@ -285,63 +266,122 @@ def audit(model: ModularModel,
         if enabled:
             report(name)
 
-    for s in terms:
-        es = model.evidence(s)
-        for t in terms:
-            et = model.evidence(t)
+    ids: dict[Formula, int] = {}
+    formulas: list[Formula] = []
+
+    def intern(f: Formula) -> int:
+        i = ids.get(f)
+        if i is None:
+            i = ids[f] = len(formulas)
+            formulas.append(f)
+        return i
+
+    in_universe = (None if universe is None
+                   else frozenset(intern(f) for f in universe))
+    # the universe's conjunctions by the ids of their sides, for pairing
+    by_left: dict[int, list[int]] = {}
+    by_right: dict[int, list[int]] = {}
+    if do_pair and universe is not None:
+        for f in universe:
+            if isinstance(f, And):
+                by_left.setdefault(intern(f.left), []).append(ids[f])
+                by_right.setdefault(intern(f.right), []).append(ids[f])
+
+    # per term: its evidence ids, the same cut to the universe, its
+    # implications as (antecedent, consequent) ids, and the universe's
+    # conjunctions whose left (right) side it holds
+    ev: dict[Term, frozenset[int]] = {}
+    rows = []
+    for t in terms:
+        members = model.evidence(t)
+        have = ev[t] = frozenset(intern(f) for f in members)
+        rows.append((
+            t, have,
+            have if in_universe is None or have <= in_universe
+            else have & in_universe,
+            [(intern(f.left), intern(f.right)) for f in members
+             if isinstance(f, Implies)],
+            frozenset(c for i in have for c in by_left.get(i, ())),
+            frozenset(c for i in have for c in by_right.get(i, ()))))
+
+    def require(name: str, parts: tuple[Term, ...], compound: Term,
+                required) -> None:
+        """The ids ``required`` (inside the universe) ⊆ evidence(compound)."""
+        rep = report(name)
+        rep.checked += 1
+        if not required:
+            return
+        have = ev.get(compound)
+        if have is None:
+            key = print_term(compound)
+            if key not in not_closed:
+                not_closed.add(key)
+                warnings.append(f"universe not closed: {key} is missing "
+                                f"({name} has members to check there)")
+            return
+        missing = required - have
+        if not missing:
+            return
+        where = tuple(print_term(p) for p in (*parts, compound))
+        for f in sorted((formulas[i] for i in missing), key=formula_sort_key):
+            rep.violations.append(Violation(name, where, print_formula(f)))
+
+    for s, es, cs, imps, lefts, _ in rows:
+        for t, et, ct, _, _, rights in rows:
             if do_app and (es or et):
-                try:
-                    require("application-closure", (s, t), App(s, t),
-                            set_product(es, et))
-                except SignDisciplineError:
-                    pass
+                compound = _compound(App, s, t)
+                if compound is not None:
+                    needed = {r for l, r in imps if l in et}
+                    if in_universe is not None:
+                        needed &= in_universe
+                    require("application-closure", (s, t), compound, needed)
             if do_sum and (es or et):
-                try:
-                    compound = Sum(s, t)
-                except SignDisciplineError:
-                    compound = None
+                compound = _compound(Sum, s, t)
                 if compound is not None:
                     # each part is reported on its own
-                    require("sum-closure", (s,), compound, es)
-                    require("sum-closure", (t,), compound, et)
+                    require("sum-closure", (s,), compound, cs)
+                    require("sum-closure", (t,), compound, ct)
             if do_pair and es and et:
-                try:
-                    pair = Pair(s, t)
-                except SignDisciplineError:
-                    pair = None
-                if pair is not None:
-                    if universe_conjunctions is not None:
-                        needed = _paired(universe_conjunctions, es, et)
+                compound = _compound(Pair, s, t)
+                if compound is not None:
+                    if in_universe is not None:
+                        needed = lefts & rights
                     else:
-                        needed = set_pairing(es, et)
-                    require("pairing-closure", (s, t), pair, needed)
+                        needed = {intern(And(formulas[l], formulas[r]))
+                                  for l in es for r in et}
+                    require("pairing-closure", (s, t), compound, needed)
 
-    for t in terms:
-        ev = model.evidence(t)
+    truth: dict[int, bool] = {}
+
+    def offenders(name: str, t: Term, have: frozenset[int], value: bool,
+                  note: str) -> None:
+        """Members of ``have`` evaluating to ``value`` violate ``name``."""
+        rep = report(name)
+        rep.checked += 1
+        bad = []
+        for i in have:
+            if i not in truth:
+                truth[i] = bool(evaluate(model, formulas[i]))
+            if truth[i] == value:
+                bad.append(formulas[i])
+        for f in sorted(bad, key=formula_sort_key):
+            rep.violations.append(Violation(name, (print_term(t),),
+                                            print_formula(f), note))
+
+    for t, have, _, _, _, _ in rows:
         if do_denial and _sign_admits(profile, t, NEGATIVE):
-            rep = report("denial-falsity")
-            rep.checked += 1
-            for f in sorted(ev, key=formula_sort_key):
-                if evaluate(model, f):
-                    rep.violations.append(Violation(
-                        "denial-falsity", (print_term(t),), print_formula(f),
-                        "member evaluates true"))
+            offenders("denial-falsity", t, have, True,
+                      "member evaluates true")
         if do_fact and _sign_admits(profile, t, POSITIVE):
-            rep = report("factivity-truth")
-            rep.checked += 1
-            for f in sorted(ev, key=formula_sort_key):
-                if not evaluate(model, f):
-                    rep.violations.append(Violation(
-                        "factivity-truth", (print_term(t),), print_formula(f),
-                        "member evaluates false"))
-        if do_intro and ev and _sign_admits(profile, t, POSITIVE):
-            try:
-                bang = Bang(t)
-            except SignDisciplineError:
-                bang = None
+            offenders("factivity-truth", t, have, False,
+                      "member evaluates false")
+        if do_intro and have and _sign_admits(profile, t, POSITIVE):
+            bang = _compound(Bang, t)
             if bang is not None:
-                require("introspection-closure", (t,), bang,
-                        [Just(t, f) for f in ev])
+                needed = {intern(Just(t, formulas[i])) for i in have}
+                if in_universe is not None:
+                    needed &= in_universe
+                require("introspection-closure", (t,), bang, needed)
 
     ordered = [reports[n] for n in ("application-closure", "sum-closure",
                                     "pairing-closure", "denial-falsity",

@@ -12,6 +12,7 @@ from dlk import (
     BuildParams,
     ConstOne,
     ConstZero,
+    Just,
     Pair,
     PlusSyntactic,
     RealizationError,
@@ -184,6 +185,27 @@ def test_pairing_terms_absorb_conjunctions_inside_the_universe():
     assert not clipped.interp[tm("[x & y]")]
 
 
+def test_closure_makes_a_justified_formula_over_a_compound_true():
+    # x accepts everything, so [x+y] absorbs P from x: [x+y]:P holds
+    # although the functional never fires there, and it must not be
+    # sprayed into x as a false formula
+    for profile in (dl, dl0):
+        params = BuildParams(profile, Alphabet(("P",), ("x", "y"), ()), 5, 3,
+                             RuleTable([("x", "*", True)]), trace=True)
+        model, trace = build(params)
+        assert evaluate(model, fm("[x+y]:P"))
+        assert fm("[x+y]:P") not in model.interp[tm("x")]
+        assert audit(model).ok
+        assert _staged_mismatches(model, trace) == []
+
+
+def _staged_mismatches(model, trace):
+    """Staged rows whose value differs from the formula's value in the
+    finished model."""
+    return [row.formula for row in trace.rows
+            if row.formula and row.value != evaluate(model, fm(row.formula))]
+
+
 # ---------------------------------------------------------------------------
 # realization
 
@@ -280,7 +302,7 @@ _FORMULA_PATTERNS = ("*", "P", "Q", "_|_", "~*", "*/\\*", "*->*", "*:*")
 
 
 @st.composite
-def random_builds(draw):
+def random_builds(draw, max_fm=4):
     profile = draw(st.sampled_from((dl, dl0)))
     atoms = ("P", "Q")[:draw(st.integers(1, 2))]
     leaves = ("x", "y")[:draw(st.integers(1, 2))]
@@ -291,7 +313,7 @@ def random_builds(draw):
                                st.booleans()),
                      min_size=1, max_size=3).map(RuleTable)
     return BuildParams(profile, Alphabet(atoms, leaves, ()),
-                       draw(st.integers(1, 4)), draw(st.integers(1, 3)),
+                       draw(st.integers(1, max_fm)), draw(st.integers(1, 3)),
                        draw(st.one_of(stock, rules)), seed=seed, trace=True)
 
 
@@ -329,3 +351,42 @@ def test_random_builds_pass_their_audit_and_match_a_naive_fixpoint(params):
     expected = _naive_closure(staged, model.formula_universe,
                               params.profile.has_schema("pairing"))
     assert model.interp == expected
+
+
+# formula size 6 builds take up to ~0.5 s each, so this property draws
+# fewer examples than the one above
+@given(random_builds(max_fm=6))
+@settings(max_examples=40, deadline=None)
+def test_staged_values_are_the_built_model_values(params):
+    model, trace = build(params)
+    assert _staged_mismatches(model, trace) == []
+    assert audit(model).ok
+
+
+_SPEC_FORMULAS = ("A", "B", "~A", "A /\\ B", "A -> B", "~B", "a:A")
+_SPEC_TERMS = ("a", "b", "[a+b]", "[b+a]", "[a.b]", "[a & b]", "[a+[a & b]]")
+
+
+@st.composite
+def random_specs(draw):
+    profile = draw(st.sampled_from((dl, dl0)))
+    bodies = st.sampled_from(_SPEC_FORMULAS).map(fm)
+    terms = st.sampled_from(_SPEC_TERMS).filter(
+        lambda t: "&" not in t or profile is dl).map(tm)
+    entries = st.builds(Just, terms, bodies)
+    literals = st.sampled_from(("A", "~A", "B", "~B")).map(fm)
+    wanted = draw(st.lists(entries | literals, min_size=1, max_size=4))
+    return profile, wanted, draw(st.integers(3, 6))
+
+
+@given(random_specs())
+@settings(max_examples=60, deadline=None)
+def test_realized_staged_values_are_the_built_model_values(case):
+    profile, wanted, fm_size = case
+    try:
+        model, trace = realize_spec(profile, wanted, fm_size=fm_size,
+                                    tm_size=3, trace=True)
+    except (RealizationError, BoundsError):
+        return
+    assert _staged_mismatches(model, trace) == []
+    assert audit(model).ok

@@ -118,8 +118,8 @@ def _formulas(signed: bool):
     return st.recursive(leaves, extend, max_leaves=24)
 
 
-SIGNED_AND_FORMULA = st.booleans().flatmap(
-    lambda signed: st.tuples(st.just(signed), _formulas(signed)))
+SIGNED_AND_FORMULA = (st.tuples(st.just(False), _formulas(False))
+                      | st.tuples(st.just(True), _formulas(True)))
 
 
 @given(SIGNED_AND_FORMULA)

@@ -7,8 +7,7 @@ import pytest
 from dlk.logics import get_profile
 from dlk.semantics import (
     ModelFormatError, ModularModel, audit, close_upward, default_universe,
-    evaluate, model_from_dict, model_to_dict, occurring_terms, set_pairing,
-    set_product,
+    evaluate, model_from_dict, model_to_dict, occurring_terms, set_product,
 )
 from dlk.syntax import (
     And, App, Bang, Implies, Just, Not, Pair, PropVar, Sum, Var,
@@ -78,8 +77,6 @@ def test_set_operations():
     xs = frozenset({fm("P -> Q"), fm("P")})
     ys = frozenset({fm("P"), fm("R")})
     assert set_product(xs, ys) == frozenset({fm("Q")})
-    assert set_pairing(xs, ys) == frozenset(
-        And(a, b) for a in xs for b in ys)
 
 
 def test_close_upward_reaches_the_least_closure_in_one_pass():
