@@ -1,8 +1,9 @@
-"""Demand-driven saturation: ``derive_forward(strategy="demand")``.
+"""Demand-driven saturation, the engine of ``proofs.derive_forward``.
 
-The exhaustive loop of ``proofs.derive_forward`` adds, in a fixed order,
-hypotheses, modus ponens conclusions and schema instances; call the first
-two "D".  Every addition gets a key that sorts like the loop's order:
+The exhaustive loop -- build every schema instance of every round, kept
+as this module's oracle in ``tests/exhaustive.py`` -- adds, in a fixed
+order, hypotheses, modus ponens conclusions and schema instances; call
+the first two "D".  Every addition gets a key that sorts like that order:
 (0, 0, i) for hypothesis i, (r, 0, n) for the n-th conclusion of round
 r's modus ponens phase, and (r, 1, schema position, formula pool indices,
 term pool indices) for an instance first built in round r, i.e. one whose
@@ -18,7 +19,8 @@ schemas, and from pairs of schemas one of whose antecedent unifies with
 the other's template (``s`` over ``k`` and the like), in the manner of a
 given-clause loop with the schemas as rules.
 
-``proofs`` imports this module on the first demand-driven call.
+``proofs`` imports this module on the first call of ``derive_forward``,
+so importing ``dlk`` does not load it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from operator import itemgetter
 
 from . import logics, syntax
 from .logics import SCHEMAS, Binding, InstantiationError
-from .proofs import DerivedSet, _meta_names
+from .proofs import DerivedSet
 from .syntax import (
     BOTTOM, Formula, FMeta, Implies, Not, SignDisciplineError, Term, TMeta,
     _PARTS, _parts, formula_terms, subformulas, subterms,
@@ -40,6 +42,16 @@ from .syntax import (
 # Functions of other modules are called through their module, so that a
 # wrapper installed there (the benchmark's tracer) sees the calls even
 # though this module is imported late.
+
+
+def _meta_names(template: Formula) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The formula and term metavariable names of a template, in order of
+    first occurrence: the order in which the exhaustive loop binds them."""
+    fnames = dict.fromkeys(f.name for f in subformulas(template)
+                           if isinstance(f, FMeta))
+    tnames = dict.fromkeys(t.name for t in formula_terms(template)
+                           if isinstance(t, TMeta))
+    return tuple(fnames), tuple(tnames)
 
 
 def _fits(node, size: int) -> bool:
@@ -237,8 +249,8 @@ class DemandSaturation:
     """One demand-driven saturation; ``run`` returns its ``DerivedSet``."""
 
     def __init__(self, profile, hypotheses, size_bound, rounds,
-                 term_size_bound, goal, goal_filter, extra_pool, extra_terms,
-                 limit, watch_contradiction):
+                 term_size_bound, goal, goal_filter, extra_pool, limit,
+                 watch_contradiction):
         self.hyps = tuple(hypotheses)
         self.out = DerivedSet(profile, self.hyps)
         self.signed = profile.signed
@@ -288,10 +300,6 @@ class DemandSaturation:
         for t in syntax.enumerate_terms(alphabet, self.tbound,
                                         profile.term_ops):
             self.feed_term(t)
-        for t in extra_terms:
-            if t not in self.term_index:
-                self.term_index[t] = len(self.terms)
-                self.terms.append(t)
         for f in seeds:
             self.feed_pool(f)
 

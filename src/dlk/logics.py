@@ -265,9 +265,9 @@ def check_in_profile(formula: Formula, profile: LogicProfile) -> list[str]:
 
 
 def alphabet_from(formulas, profile: LogicProfile,
-                  extra_prop_vars=(), extra_term_vars=()) -> Alphabet:
+                  extra_term_vars=()) -> Alphabet:
     """Smallest alphabet covering the symbols the formulas use."""
-    prop_vars: set[str] = set(extra_prop_vars)
+    prop_vars: set[str] = set()
     consts: set[str] = set()
     term_vars: set[str] = set(extra_term_vars)
     for f in formulas:

@@ -12,20 +12,17 @@ specification and gluing steps with the application schema.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import product as _cartesian
 
 from .logics import (
     SCHEMAS, Binding, InstantiationError, LogicProfile, alphabet_from,
     check_in_profile, get_profile, instantiate, match_axiom,
 )
 from .syntax import (
-    BOTTOM, NEGATIVE, POSITIVE, UNSIGNED,
-    App, Const, FMeta, Formula, Implies, Just, Not,
-    SignDisciplineError, Term, TMeta, Var, enumerate_terms, formula_size,
-    formula_terms, parse_formula, parse_term, print_formula, print_term,
-    subformulas, subterms, term_sign, term_size,
+    NEGATIVE, POSITIVE, UNSIGNED, App, Const, Formula, Implies, Just,
+    SignDisciplineError, Term, Var, enumerate_terms, formula_terms,
+    parse_formula, parse_term, print_formula, print_term, subterms,
+    term_sign,
 )
 
 
@@ -151,18 +148,11 @@ def check_proof(proof: Proof) -> CheckResult:
 # forward derivation
 
 
-def _meta_names(template: Formula) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    fnames = dict.fromkeys(f.name for f in subformulas(template)
-                           if isinstance(f, FMeta))
-    tnames = dict.fromkeys(t.name for t in formula_terms(template)
-                           if isinstance(t, TMeta))
-    return tuple(fnames), tuple(tnames)
-
-
 @dataclass
 class DerivedSet:
-    """Formulas reached by saturation, each with enough provenance to
-    rebuild a checkable proof."""
+    """What ``derive_forward`` stores, in derivation order: hypotheses,
+    modus ponens conclusions and the schema instances they rest on, each
+    with enough provenance to rebuild a checkable proof."""
 
     profile: LogicProfile
     hypotheses: tuple[Formula, ...]
@@ -211,10 +201,8 @@ def derive_forward(profile: LogicProfile, hypotheses, *,
                    size_bound: int = 4, rounds: int = 3,
                    term_size_bound: int | None = None,
                    goal: Formula | None = None, goal_filter=None,
-                   extra_pool=(), extra_terms=(),
-                   limit: int | None = None,
-                   watch_contradiction: bool = False,
-                   strategy: str = "exhaustive") -> DerivedSet:
+                   extra_pool=(), limit: int | None = None,
+                   watch_contradiction: bool = False) -> DerivedSet:
     """Saturate the hypotheses under schema instances and modus ponens.
 
     Formula metavariable candidates are the subformulas, up to
@@ -223,179 +211,30 @@ def derive_forward(profile: LogicProfile, hypotheses, *,
     instances themselves feed nothing, which keeps the pools from
     swallowing their own output.  Term candidates are the terms
     enumerated up to ``term_size_bound`` (defaulting to ``size_bound``)
-    over the occurring symbols plus fallback variables x and y, the
-    subterms of pooled formulas, and ``extra_terms``.  Each round
-    instantiates every schema over assignments that bind at least one
-    candidate unseen in earlier rounds, then closes under modus ponens.
+    over the occurring symbols plus fallback variables x and y, and the
+    subterms of pooled formulas.  Each round's instances are those over
+    assignments that bind at least one candidate unseen in earlier
+    rounds; a round closes under modus ponens before the pools widen.
     The search stops early on reaching ``goal``, on any formula
-    satisfying ``goal_filter``, when ``limit`` formulas have been
-    derived (recorded as ``hit_limit``; a cap truncates the derivation
-    order but never reorders it), or, when ``watch_contradiction`` is
-    set, on a complementary pair.
+    satisfying ``goal_filter``, when ``limit`` formulas have been stored
+    (recorded as ``hit_limit``; a cap truncates the derivation order but
+    never reorders it), or, when ``watch_contradiction`` is set, on a
+    complementary pair.
 
-    ``strategy="exhaustive"`` builds and stores every instance of every
-    round.  ``strategy="demand"`` stores only the instances modus ponens
-    uses as a premise, the goal and a half of the first complementary
-    pair, and finds them by matching schema antecedents against what is
-    derived.  Both reach the same hypotheses and modus ponens conclusions
-    in the same order with the same provenance, the same contradiction,
-    goal and ``rounds_used``, with two differences: ``limit`` counts the
-    formulas stored, so a capped demand run returns a longer prefix of
-    the same conclusions; and ``goal_filter`` sees only stored formulas,
-    so a filter that accepts an implication may fire later than in the
-    exhaustive run (every instance is an implication).
+    Saturation is demand-driven (``dlk.demand``): it stores only the
+    instances modus ponens uses as a premise, the goal and a half of the
+    first complementary pair, and finds them by matching schema
+    antecedents against what is derived.  The hypotheses and modus
+    ponens conclusions, their order and provenance, the contradiction,
+    goal and ``rounds_used`` are those of building every instance of
+    every round, which ``tests/exhaustive.py`` does as the oracle.  Since
+    instances nobody uses are never stored, ``limit`` counts stored
+    formulas only, and ``goal_filter`` sees stored formulas only.
     """
-    if strategy == "demand":
-        from .demand import DemandSaturation    # loaded on first use
-        return DemandSaturation(profile, hypotheses, size_bound, rounds,
-                                term_size_bound, goal, goal_filter,
-                                extra_pool, extra_terms, limit,
-                                watch_contradiction).run()
-    if strategy != "exhaustive":
-        raise ValueError(f"unknown saturation strategy {strategy!r}")
-    hyps = tuple(hypotheses)
-    out = DerivedSet(profile, hyps)
-    tbound = size_bound if term_size_bound is None else term_size_bound
-
-    pool: list[Formula] = []
-    pool_set: set[Formula] = set()
-    term_pool: list[Term] = []
-    term_set: set[Term] = set()
-    fresh_f: list[Formula] = []
-    fresh_t: list[Term] = []
-
-    def feed_term(t: Term):
-        if t not in term_set and term_size(t) <= tbound:
-            term_set.add(t)
-            term_pool.append(t)
-            fresh_t.append(t)
-
-    def feed_pool(f: Formula):
-        for sub in subformulas(f):
-            if sub not in pool_set and formula_size(sub) <= size_bound:
-                pool_set.add(sub)
-                pool.append(sub)
-                fresh_f.append(sub)
-                for t in formula_terms(sub):
-                    for part in subterms(t):
-                        feed_term(part)
-
-    done = False
-
-    def note_contradiction(f: Formula):
-        nonlocal done
-        if out.contradiction is not None:
-            return
-        if isinstance(f, Not) and f.body in out.provenance:
-            out.contradiction = (f.body, f)
-        elif Not(f) in out.provenance:
-            out.contradiction = (f, Not(f))
-        if out.contradiction is not None and watch_contradiction:
-            done = True
-
-    by_antecedent: dict[Formula, list[Implies]] = {}
-    mp_queue: deque[tuple[Implies, Formula]] = deque()
-
-    def add(f: Formula, prov: tuple) -> bool:
-        nonlocal done
-        if f in out.provenance:
-            return False
-        out.provenance[f] = prov
-        out.order.append(f)
-        if isinstance(f, Implies):
-            by_antecedent.setdefault(f.left, []).append(f)
-            if f.left in out.provenance:
-                mp_queue.append((f, f.left))
-        for major in by_antecedent.get(f, ()):
-            mp_queue.append((major, f))
-        note_contradiction(f)
-        if goal is not None and f == goal:
-            done = True
-        if goal_filter is not None and goal_filter(f):
-            done = True
-        if limit is not None and len(out.provenance) >= limit:
-            out.hit_limit = True
-            done = True
-        return True
-
-    seeds = list(hyps) + ([goal] if goal is not None else []) + [BOTTOM]
-    seeds += list(extra_pool)
-    alphabet = alphabet_from(seeds, profile, extra_term_vars=("x", "y"))
-    for t in enumerate_terms(alphabet, tbound, profile.term_ops):
-        feed_term(t)
-    for t in extra_terms:
-        if t not in term_set:
-            term_set.add(t)
-            term_pool.append(t)
-            fresh_t.append(t)
-    for f in seeds:
-        feed_pool(f)
-    for i, h in enumerate(hyps):
-        add(h, ("hyp", i))
-        if done:
-            break
-
-    schemas = profile.schemas()
-    metas = {sch.id: _meta_names(sch.template) for sch in schemas}
-
-    for round_no in range(1, rounds + 1):
-        if done:
-            break
-        out.rounds_used = round_no
-
-        # modus ponens first: close the working set (hypotheses, then
-        # whatever earlier rounds queued) before widening it; only these
-        # conclusions feed the candidate pools
-        while mp_queue and not done:
-            major, minor = mp_queue.popleft()
-            if add(major.right, ("mp", major, minor)):
-                feed_pool(major.right)
-        if done:
-            break
-
-        new_f = set(fresh_f)
-        new_t = set(fresh_t)
-        fresh_f, fresh_t = [], []
-        if round_no > 1 and not new_f and not new_t:
-            break
-        f_snapshot = list(pool)
-        t_snapshot = list(term_pool)
-
-        # term-metavariable assignments, full and newness-filtered,
-        # cached per schema arity for the round
-        t_full: dict[int, list[tuple[Term, ...]]] = {}
-        t_delta: dict[int, list[tuple[Term, ...]]] = {}
-
-        def t_assignments(arity: int, need_new: bool) -> list[tuple[Term, ...]]:
-            if arity not in t_full:
-                t_full[arity] = list(_cartesian(*[t_snapshot] * arity))
-                t_delta[arity] = [a for a in t_full[arity]
-                                  if any(v in new_t for v in a)]
-            return t_delta[arity] if need_new else t_full[arity]
-
-        for sch in schemas:
-            if done:
-                break
-            fnames, tnames = metas[sch.id]
-            template = sch.template
-            for fvals in _cartesian(*[f_snapshot] * len(fnames)):
-                if done:
-                    break
-                f_is_new = round_no == 1 or any(v in new_f for v in fvals)
-                tvals_list = t_assignments(len(tnames), not f_is_new)
-                if not tvals_list:
-                    continue
-                fpart = dict(zip(fnames, fvals))
-                for tvals in tvals_list:
-                    binding = Binding(fpart, dict(zip(tnames, tvals)))
-                    try:
-                        inst = instantiate(template, binding, profile.signed)
-                    except (InstantiationError, SignDisciplineError):
-                        continue
-                    add(inst, ("axiom", sch.id, binding))
-                    if done:
-                        break
-    return out
+    from .demand import DemandSaturation    # loaded on first call
+    return DemandSaturation(profile, hypotheses, size_bound, rounds,
+                            term_size_bound, goal, goal_filter, extra_pool,
+                            limit, watch_contradiction).run()
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +420,7 @@ def check_nonderivability(profile: LogicProfile, hypotheses, target: Formula, *,
         direct = derive_forward(profile, hyps, size_bound=size_bound,
                                 rounds=rounds, term_size_bound=tbound,
                                 goal_filter=hit, extra_pool=(target,),
-                                limit=limit, strategy="demand")
+                                limit=limit)
         found = next((f for f in direct.order if hit(f)), None)
         if found is not None:
             return NonderivabilityReport(
@@ -613,7 +452,7 @@ def check_nonderivability(profile: LogicProfile, hypotheses, target: Formula, *,
                 note=f"the target instantiates {sid!r}", proof=quick)
         direct = derive_forward(profile, hyps, size_bound=size_bound,
                                 rounds=rounds, term_size_bound=tbound,
-                                goal=target, limit=limit, strategy="demand")
+                                goal=target, limit=limit)
         if target in direct:
             return NonderivabilityReport(
                 target, "derivable", note="the target is derivable after all",
@@ -628,7 +467,7 @@ def check_nonderivability(profile: LogicProfile, hypotheses, target: Formula, *,
         assumed = derive_forward(profile, hyps + (assumption,),
                                  size_bound=size_bound, rounds=rounds,
                                  term_size_bound=tbound, limit=limit,
-                                 watch_contradiction=True, strategy="demand")
+                                 watch_contradiction=True)
         cut = cut or assumed.hit_limit
         if assumed.contradiction is None:
             first_pair = None

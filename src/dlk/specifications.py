@@ -208,13 +208,14 @@ def ok_extract(spec: ConstantSpec, profile: LogicProfile | None = None, *,
     Schema instances bind terms up to ``term_size`` -- small by default,
     since compound evidence terms arise inside instance conclusions
     anyway and a wide term pool mostly buys duplicate bodies.  The search
-    is ``derive_forward``'s demand strategy, so ``limit`` counts the
-    formulas it stores.
+    is ``derive_forward``, so ``limit`` counts the formulas it stores:
+    modus ponens conclusions and the instances they rest on, not every
+    instance (``tests/exhaustive.py`` builds those).
     """
     profile = profile or spec.profile
     derived: DerivedSet = derive_forward(
         profile, spec.formulas, size_bound=size, rounds=depth,
-        term_size_bound=term_size, limit=limit, strategy="demand")
+        term_size_bound=term_size, limit=limit)
     members: list[Formula] = []
     witnesses: dict[Formula, tuple[Term, Proof]] = {}
     for f in derived.justified():

@@ -33,7 +33,7 @@ constructor order (``Not: ("body",)``, ``Just: ("term", "body")``,
 leaves ``()``), and its row order ranks head symbols for enumeration.
 Size, subterms and subformulas, sort keys and enumeration here, and
 substitution, matching and the unsigning translation in ``logics``, all
-read it, as does the demand strategy's pattern code.  ``_TERM_OPS``
+read it, as does the pattern code of ``demand``.  ``_TERM_OPS``
 maps each term operation name of a profile to its constructor and
 symbol, and ``_FORMATS`` gives each compound its printed form.  A new
 node class is one row in ``_PARTS`` (plus one in ``_FORMATS``, and one in

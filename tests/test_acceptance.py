@@ -26,7 +26,6 @@ from dlk import (
     check_nonderivability,
     check_proof,
     close_spec,
-    derive_forward,
     enumerate_formulas,
     enumerate_terms,
     evaluate,
@@ -59,6 +58,8 @@ from dlk.syntax import (
     subterms,
     term_sign,
 )
+
+from exhaustive import derive_exhaustive
 
 jl = get_profile("jl")
 dl = get_profile("dl")
@@ -160,8 +161,8 @@ def test_criterion_06_soundness_sweep(capsys):
     spec = [fm("e1:R"), fm("~R")]
     alphabet = Alphabet(("R",), ("x", "y"), ("e1",))
     t0 = time.perf_counter()
-    derived = derive_forward(dl, spec, size_bound=4, rounds=3,
-                             term_size_bound=2, limit=None)
+    derived = derive_exhaustive(dl, spec, size_bound=4, rounds=3,
+                                term_size_bound=2, limit=None)
 
     functionals = [
         SpecDriven([fm("e1:R")]),

@@ -1,13 +1,17 @@
 """Random JSON documents through the command line: whatever a model,
-proof or specification document holds, ``dlk audit``, ``dlk check-proof``
-and ``dlk close-spec`` end in a documented exit code (0 success, 1 a
-negative verdict, 2 bad input) and never in a traceback."""
+proof or specification document holds, every command that reads one
+(``audit``, ``eval``, ``build-model --spec``, ``check-proof``,
+``close-spec``, ``extract-ok``, ``blue-pill``, ``check-coherence`` and
+``internalize``) ends in a documented exit code (0 success, 1 a negative
+verdict, 2 bad input) and never in a traceback.  The searches run under
+small bounds and ``DLK_MAX_BOUND=3``."""
 
 import contextlib
 import io
 import json
 import os
 import tempfile
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,16 +71,24 @@ def model_documents(draw):
     return doc
 
 
-def _exit_code(doc, *argv) -> int:
-    """Run ``dlk`` with ``doc`` written to a file whose path replaces
-    ``{}`` in ``argv``; the command must end in a documented code."""
+def _exit_code(docs, *argv) -> int:
+    """Run ``dlk`` with ``docs`` (one document, or a tuple of them) written
+    to files whose paths replace the ``{}`` in ``argv``, in order; the
+    command must end in a documented code."""
+    docs = list(docs) if isinstance(docs, tuple) else [docs]
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "doc.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+        args = []
+        for a in argv:
+            if a == "{}":
+                path = os.path.join(tmp, f"doc{len(args)}.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(docs.pop(0), fh)
+                a = path
+            args.append(a)
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([path if a == "{}" else a for a in argv])
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch.dict(os.environ, {"DLK_MAX_BOUND": "3"}):
+            code = main(args)
     assert "Traceback" not in err.getvalue()
     return code
 
@@ -119,3 +131,77 @@ def test_check_proof_ends_in_a_documented_exit_code(doc):
 @settings(max_examples=150, deadline=None)
 def test_close_spec_ends_in_a_documented_exit_code(doc, logic):
     assert _exit_code(doc, "close-spec", "{}", *logic) in (0, 1, 2)
+
+
+@given(plain_documents | model_documents() | json_values,
+       st.sampled_from(_FORMULAS))
+@settings(max_examples=150, deadline=None)
+def test_eval_ends_in_a_documented_exit_code(doc, formula):
+    assert _exit_code(doc, "eval", "--model", "{}", formula) in (0, 1, 2)
+
+
+# specifications that mostly parse, so that closure, extraction, model
+# search and realization run on them
+plain_specs = st.fixed_dictionaries(
+    {"profile": st.sampled_from(_PROFILES),
+     "formulas": st.lists(st.sampled_from(_PLAIN_FORMULAS + _FORMULAS[12:15]),
+                          max_size=4)},
+    optional={"closed": st.booleans()})
+any_specs = plain_specs | spec_documents | json_values
+logic_options = st.sampled_from(((), ("--logic", "dl"), ("--logic", "fused")))
+
+
+@given(any_specs, logic_options, st.sampled_from(((), ("--fm-size", "4"))))
+@settings(max_examples=100, deadline=None)
+def test_build_model_from_a_spec_ends_in_a_documented_exit_code(doc, logic,
+                                                                 sizes):
+    assert _exit_code(doc, "build-model", "--spec", "{}", *logic,
+                      *sizes) in (0, 1, 2)
+
+
+SMALL = ("--size", "2", "--depth", "1", "--term-size", "1", "--limit", "200")
+
+
+@given(any_specs, logic_options,
+       st.sampled_from(("extract-ok", "blue-pill", "check-coherence")))
+@settings(max_examples=150, deadline=None)
+def test_extraction_commands_end_in_a_documented_exit_code(doc, logic,
+                                                           command):
+    assert _exit_code(doc, command, "{}", *logic, *SMALL) in (0, 1, 2)
+
+
+_TERM_FREE = ("P", "Q", "_|_", "~P", "P /\\ Q", "P -> Q", "~~~~P")
+
+
+@st.composite
+def lifting_cases(draw):
+    """A proof document from hypothesis lines, a ``k`` instance and modus
+    ponens, mostly checking, and a specification that justifies some of
+    its lines by leaf terms."""
+    profile = draw(st.sampled_from(("lp", "fused", "dl")))
+    hyp, other = draw(st.sampled_from(_TERM_FREE)), \
+        draw(st.sampled_from(_TERM_FREE))
+    k = f"({hyp}) -> (({other}) -> ({hyp}))"
+    lines = [{"kind": "hyp", "formula": hyp,
+              "hyp_index": draw(st.sampled_from((0, 0, 0, 1)))},
+             {"kind": "axiom", "formula": k, "schema": "k",
+              "binding": {"formulas": {"P": hyp, "Q": other}, "terms": {}}},
+             {"kind": "mp", "formula": f"({other}) -> ({hyp})",
+              "premises": draw(st.sampled_from(([1, 0], [1, 0], [0, 1])))}]
+    lines = lines[:draw(st.integers(1, 3))]
+    sign = "+" if profile == "fused" else ""
+    entries = [f"{draw(st.sampled_from('ax'))}{sign}:({f})"
+               for f in (hyp, k) if draw(st.sampled_from((True, True, False)))]
+    spec = {"profile": profile,
+            "formulas": entries + draw(st.lists(st.sampled_from(_FORMULAS),
+                                                max_size=1))}
+    return {"profile": profile, "hypotheses": [hyp], "lines": lines}, spec
+
+
+@given(lifting_cases()
+       | st.tuples(proof_documents | json_values, any_specs),
+       st.sampled_from(((), ("--logic", "lp"))))
+@settings(max_examples=150, deadline=None)
+def test_internalize_ends_in_a_documented_exit_code(docs, logic):
+    assert _exit_code(docs, "internalize", "{}", "--spec", "{}",
+                      *logic) in (0, 1, 2)

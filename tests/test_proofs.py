@@ -18,6 +18,8 @@ from dlk.syntax import (
     print_formula, subformulas,
 )
 
+from exhaustive import derive_exhaustive
+
 jl = get_profile("jl")
 dl = get_profile("dl")
 dl0 = get_profile("dl0")
@@ -173,7 +175,7 @@ def brute_instances(profile, pool, terms):
 
 
 def test_single_round_is_exactly_the_instance_set():
-    derived = derive_forward(jl, [], size_bound=2, rounds=1)
+    derived = derive_exhaustive(jl, [], size_bound=2, rounds=1)
     terms = enumerate_terms(Alphabet((), ("x", "y"), (), signed=False),
                             2, jl.term_ops)
     assert set(derived.order) == brute_instances(jl, [Bottom()], terms)

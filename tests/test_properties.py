@@ -1,18 +1,19 @@
 """Property-based checks with ``hypothesis``.
 
 Matching must invert instantiation for every schema, since the demand
-strategy finds instances by matching; and on random small hypothesis
-sets both saturation strategies must reach the same conclusions.  On
-random syntax trees, printing must round-trip through the parser and
-instantiating a ground formula must rebuild it part for part.
+engine finds instances by matching; and on random small hypothesis
+sets it must reach the conclusions of the exhaustive loop.  On
+random syntax trees, printing must round-trip through the parser,
+instantiating a ground formula must rebuild it part for part, and the
+unsigning translation must be an injective homomorphism.
 """
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from dlk.logics import (
-    PROFILES, SCHEMAS, Binding, InstantiationError, instantiate,
-    match_template,
+    PROFILES, SCHEMAS, Binding, InstantiationError, check_in_profile,
+    instantiate, match_template, translate,
 )
 from dlk.proofs import derive_forward
 from dlk.syntax import (
@@ -21,6 +22,8 @@ from dlk.syntax import (
     enumerate_formulas, enumerate_terms, formula_terms, parse_formula,
     print_formula, subformulas,
 )
+
+from exhaustive import derive_exhaustive
 
 
 def _pools(signed: bool, ops):
@@ -78,8 +81,8 @@ def _d_part(derived):
 def test_strategies_reach_the_same_conclusions(case):
     profile, hyps, rounds = case
     bounds = {"size_bound": 2, "rounds": rounds, "term_size_bound": 2}
-    full = derive_forward(profile, hyps, **bounds)
-    lean = derive_forward(profile, hyps, strategy="demand", **bounds)
+    full = derive_exhaustive(profile, hyps, **bounds)
+    lean = derive_forward(profile, hyps, **bounds)
     assert _d_part(lean) == _d_part(full)
     assert lean.contradiction == full.contradiction
 
@@ -134,3 +137,20 @@ def test_printing_round_trips(case):
 def test_instantiating_a_ground_formula_rebuilds_it(case):
     signed, f = case
     assert instantiate(f, Binding({}, {}), signed) == f
+
+
+FUSED_FORMULAS = _formulas(True).filter(
+    lambda f: not check_in_profile(f, PROFILES["fused"]))
+
+
+@given(FUSED_FORMULAS, FUSED_FORMULAS, _terms(POSITIVE))
+@settings(max_examples=200, deadline=None)
+def test_translate_is_an_injective_homomorphism(f, g, t):
+    tf, tg = translate(f), translate(g)
+    assert translate(Not(f)) == Not(tf)
+    for kind in (And, Or, Implies):
+        assert translate(kind(f, g)) == kind(tf, tg)
+    assert translate(Just(t, f)) == Just(t, tf)
+    # distinct inputs, distinct images: over every subformula of both
+    subs = set(subformulas(f)) | set(subformulas(g))
+    assert len({translate(h) for h in subs}) == len(subs)

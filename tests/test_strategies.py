@@ -1,7 +1,7 @@
-"""Demand-driven saturation against the exhaustive strategy, its oracle.
+"""Demand-driven saturation against the exhaustive loop, its oracle.
 
-``derive_forward(strategy="exhaustive")`` builds every schema instance;
-``strategy="demand"`` builds only those modus ponens uses.  Both must
+``derive_exhaustive`` (``exhaustive.py``) builds every schema instance;
+``derive_forward`` builds only those modus ponens uses.  Both must
 reach the same hypotheses and modus ponens conclusions ("D"), in the same
 order with the same provenance, the same contradiction, goal and rounds,
 and every instance the demand run stores must be an exhaustive instance
@@ -17,6 +17,8 @@ from dlk.proofs import check_proof, derive_forward
 from dlk.specifications import close_spec
 from dlk.syntax import Implies, Just, parse_formula
 
+from exhaustive import derive_exhaustive
+
 jl, dl, dl0, lp, fused = (get_profile(n)
                           for n in ("jl", "dl", "dl0", "lp", "fused"))
 
@@ -31,8 +33,8 @@ def d_part(derived):
 
 
 def both(profile, hyps, **bounds):
-    full = derive_forward(profile, hyps, **bounds)
-    lean = derive_forward(profile, hyps, strategy="demand", **bounds)
+    full = derive_exhaustive(profile, hyps, **bounds)
+    lean = derive_forward(profile, hyps, **bounds)
     for f, prov in lean.provenance.items():
         if prov[0] == "axiom":
             assert full.provenance.get(f) == prov, f
@@ -95,8 +97,8 @@ def _corpus(seed=20):
 def test_strategies_agree(profile, hyps, mode, bounds):
     if mode == "goal":
         # a goal in the middle of the exhaustive run's conclusions
-        reached = [f for f, _ in d_part(derive_forward(profile, hyps,
-                                                       **bounds))]
+        reached = [f for f, _ in d_part(derive_exhaustive(profile, hyps,
+                                                          **bounds))]
         bounds = dict(bounds, goal=reached[len(reached) // 2])
     elif mode == "goal_filter":
         bodies = {h.body for h in hyps if isinstance(h, Just)}
@@ -160,8 +162,8 @@ def test_a_capped_demand_run_extends_the_capped_exhaustive_run(limit):
     hyps = [fm("s:E"), fm("~E")]
     bounds = {"size_bound": 3, "rounds": 2, "term_size_bound": 2}
     uncapped, _ = assert_same(dl, hyps, **bounds)
-    full = derive_forward(dl, hyps, limit=limit, **bounds)
-    lean = derive_forward(dl, hyps, limit=limit, strategy="demand", **bounds)
+    full = derive_exhaustive(dl, hyps, limit=limit, **bounds)
+    lean = derive_forward(dl, hyps, limit=limit, **bounds)
     assert full.hit_limit and lean.hit_limit and len(lean) >= limit
     assert d_part(lean)[:len(d_part(full))] == d_part(full)
     assert d_part(uncapped)[:len(d_part(lean))] == d_part(lean)
@@ -173,7 +175,7 @@ def test_a_capped_demand_run_extends_the_capped_exhaustive_run(limit):
 def test_without_goal_or_pair_only_premises_are_stored():
     hyps = hypotheses(dl, ["a:A", "b:B"], True)
     lean = derive_forward(dl, hyps, size_bound=2, rounds=3,
-                          term_size_bound=2, strategy="demand")
+                          term_size_bound=2)
     premises = {p for prov in lean.provenance.values() if prov[0] == "mp"
                 for p in prov[1:]}
     for f, prov in lean.provenance.items():
@@ -183,13 +185,7 @@ def test_without_goal_or_pair_only_premises_are_stored():
 
 def test_every_demand_conclusion_has_a_checking_proof():
     lean = derive_forward(fused, hypotheses(fused, ["s+:C", "t-:E"], True),
-                          size_bound=2, rounds=2, term_size_bound=2,
-                          strategy="demand")
+                          size_bound=2, rounds=2, term_size_bound=2)
     for f in lean.order:
         result = check_proof(lean.proof_of(f))
         assert result.ok and result.conclusion == f
-
-
-def test_unknown_strategy_is_refused():
-    with pytest.raises(ValueError, match="strategy"):
-        derive_forward(dl, [fm("A")], strategy="lazy")
