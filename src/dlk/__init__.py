@@ -35,8 +35,8 @@ from .semantics import (
 from .specifications import (
     BluePillResult, CoherenceReport, ConstantSpec, OKSet, ProbeResult,
     SpecClashError, SpecFormatError, SpecShapeError, blue_pill,
-    check_coherence, close_spec, conjunction_fold, is_closed, ok_extract,
-    probe_consistency, search_jl_model, spec_from_dict, spec_to_dict,
+    check_coherence, close_spec, ok_extract, probe_consistency,
+    search_jl_model, spec_from_dict, spec_to_dict,
 )
 from .syntax import (
     Alphabet, And, App, Bang, Bottom, Const, Formula, Implies, Just, Not,

@@ -33,9 +33,9 @@ from dataclasses import dataclass, field
 from .logics import PROFILES, LogicProfile, alphabet_from
 from .semantics import ModularModel, close_upward, evaluate
 from .syntax import (
-    Alphabet, And, Bottom, Enumeration, Formula, Implies, Just, Not, Or,
-    Pair, PropVar, Sum, Term,
-    formula_size, print_formula, print_term, term_size,
+    Alphabet, And, Bottom, Formula, Implies, Just, Not, Or, Pair, PropVar,
+    Sum, Term, enumerate_formulas, enumerate_terms, formula_size,
+    print_formula, print_term, term_size,
 )
 
 
@@ -58,46 +58,38 @@ class RealizationError(BuildError):
 class Functional:
     """Decides which formulas a term accepts as denial evidence."""
 
-    name = "functional"
-
-    def fires(self, valuation: dict, formula: Formula, term: Term) -> bool:
+    def fires(self, formula: Formula, term: Term) -> bool:
         raise NotImplementedError
 
-    def spray_targets(self, valuation: dict, formula: Formula):
-        """Terms worth offering the formula to; None means try them all."""
-        return None
+    def spray(self, formula: Formula, terms):
+        """The terms, in order, that accept the staged-false formula."""
+        return [t for t in terms if self.fires(formula, t)]
 
 
 class ConstZero(Functional):
     """Never accepts; the built interpretation is empty everywhere."""
 
-    name = "const-zero"
-
-    def fires(self, valuation, formula, term):
+    def fires(self, formula, term):
         return False
 
-    def spray_targets(self, valuation, formula):
+    def spray(self, formula, terms):
         return ()
 
 
 class ConstOne(Functional):
     """Always accepts; every term collects every false formula."""
 
-    name = "const-one"
-
-    def fires(self, valuation, formula, term):
+    def fires(self, formula, term):
         return True
 
 
 class PlusSyntactic(Functional):
     """Accepts at sum terms only (the printed term contains a '+')."""
 
-    name = "plus-syntactic"
-
     def __init__(self):
         self._cache: dict[Term, bool] = {}
 
-    def fires(self, valuation, formula, term):
+    def fires(self, formula, term):
         hit = self._cache.get(term)
         if hit is None:
             hit = self._cache[term] = "+" in print_term(term)
@@ -108,8 +100,6 @@ class SpecDriven(Functional):
     """Accepts exactly at the (body, term) positions of the given
     entries; ``suppressed`` positions never accept, whatever else says
     so (they come from negated entries)."""
-
-    name = "spec-driven"
 
     def __init__(self, entries, suppressed=()):
         self._targets: dict[Formula, tuple[Term, ...]] = {}
@@ -125,35 +115,24 @@ class SpecDriven(Functional):
             if entry.term not in terms:
                 self._targets[entry.body] = terms + (entry.term,)
 
-    def fires(self, valuation, formula, term):
+    def fires(self, formula, term):
         if (formula, term) in self._suppressed:
             return False
         return term in self._targets.get(formula, ())
 
-    def spray_targets(self, valuation, formula):
-        return self._targets.get(formula, ())
+    def spray(self, formula, terms):
+        return [t for t in self._targets.get(formula, ()) if t in terms]
 
 
 def _compile_star(pattern: str) -> re.Pattern:
     # '*' is the only wildcard; everything else (brackets included) is literal
-    return re.compile(
-        "".join(".*" if part is None else re.escape(part)
-                for part in _star_split(pattern)) + r"\Z")
-
-
-def _star_split(pattern: str):
-    for i, chunk in enumerate(pattern.split("*")):
-        if i:
-            yield None
-        yield chunk
+    return re.compile(".*".join(map(re.escape, pattern.split("*"))) + r"\Z")
 
 
 class RuleTable(Functional):
     """First matching (term pattern, formula pattern) rule decides; the
     default is to reject.  Patterns are matched against printed forms,
     with '*' the only wildcard."""
-
-    name = "rule-table"
 
     def __init__(self, rules):
         self.rules = [(str(tp), str(fp), bool(fire)) for tp, fp, fire in rules]
@@ -162,7 +141,7 @@ class RuleTable(Functional):
         self._tcache: dict[Term, str] = {}
         self._fcache: dict[Formula, str] = {}
 
-    def fires(self, valuation, formula, term):
+    def fires(self, formula, term):
         ttext = self._tcache.get(term)
         if ttext is None:
             ttext = self._tcache[term] = print_term(term)
@@ -261,15 +240,15 @@ def build(params: BuildParams) -> tuple[ModularModel, StageTrace | None]:
     if params.fm_size < 1 or params.tm_size < 1:
         raise BoundsError("size bounds must be at least 1")
 
-    enum = Enumeration.build(params.alphabet, params.fm_size, params.tm_size,
-                             profile.term_ops)
-    if not enum.terms:
+    terms = enumerate_terms(params.alphabet, params.tm_size, profile.term_ops)
+    formulas = enumerate_formulas(params.alphabet, params.fm_size, terms)
+    if not terms:
         raise BuildError("the alphabet has no term symbols")
     functional = params.functional
     valuation = dict(params.seed)
     trace = StageTrace() if params.trace else None
 
-    members: dict[Term, dict[Formula, None]] = {t: {} for t in enum.terms}
+    members: dict[Term, dict[Formula, None]] = {t: {} for t in terms}
     stage_added: list[tuple[str, str, str]] = []
 
     def add_member(term: Term, f: Formula, via: str):
@@ -280,7 +259,7 @@ def build(params: BuildParams) -> tuple[ModularModel, StageTrace | None]:
 
     pairing = profile.has_schema("pairing")
     staged: dict[Formula, bool] = {}
-    for index, f in enumerate(enum.formulas):
+    for index, f in enumerate(formulas):
         match f:
             case Bottom():
                 kind, value = "bottom", False
@@ -296,7 +275,7 @@ def build(params: BuildParams) -> tuple[ModularModel, StageTrace | None]:
                 kind, value = "bool", (not staged[l]) or staged[r]
             case Just(t, b):
                 kind = "just"
-                fires = (not staged[b]) and functional.fires(valuation, b, t)
+                fires = (not staged[b]) and functional.fires(b, t)
                 if fires:
                     add_member(t, b, "body")
                 value = fires or ((not staged[b])
@@ -305,34 +284,27 @@ def build(params: BuildParams) -> tuple[ModularModel, StageTrace | None]:
                 raise BuildError(f"unexpected formula {f!r}")
         staged[f] = value
         if not value:
-            targets = functional.spray_targets(valuation, f)
-            if targets is None:
-                for term in enum.terms:
-                    if functional.fires(valuation, f, term):
-                        add_member(term, f, "spray")
-            else:
-                for term in targets:
-                    if term in members:
-                        add_member(term, f, "spray")
+            for term in functional.spray(f, members):
+                add_member(term, f, "spray")
         if trace is not None:
             trace.rows.append(StageRow(index, print_formula(f), kind, value,
                                        tuple(stage_added)))
             stage_added = []
 
-    conjunctions = ([f for f in enum.formulas if isinstance(f, And)]
+    conjunctions = ([f for f in formulas if isinstance(f, And)]
                     if pairing else None)
-    closed = close_upward(members, enum.terms, conjunctions)
+    closed = close_upward(members, terms, conjunctions)
     if trace is not None and closed:
         trace.rows.append(StageRow(
-            len(enum.formulas), "", "close", False,
+            len(formulas), "", "close", False,
             tuple((print_term(t), print_formula(g), via)
                   for t, g, via in closed)))
 
     model = ModularModel(
         profile, valuation,
-        {t: frozenset(members[t]) for t in enum.terms},
+        {t: frozenset(members[t]) for t in terms},
         provenance="built",
-        formula_universe=frozenset(enum.formulas))
+        formula_universe=frozenset(formulas))
     return model, trace
 
 
@@ -348,6 +320,14 @@ def _literal(f: Formula) -> tuple[str, bool] | None:
         case Not(PropVar(name)):
             return name, False
     return None
+
+
+def inferred_bounds(formulas) -> tuple[int, int]:
+    """The formula and term bounds ``realize_spec`` uses when given none:
+    the largest body and the largest term of the justified formulas."""
+    entries = [f for f in formulas if isinstance(f, Just)]
+    return (max((formula_size(e.body) for e in entries), default=1),
+            max((term_size(e.term) for e in entries), default=1))
 
 
 def realize_spec(profile: LogicProfile, formulas, *,
@@ -390,12 +370,10 @@ def realize_spec(profile: LogicProfile, formulas, *,
             # the body must be false for the entry to hold
             demand(lit[0], not lit[1], f"entry {print_formula(entry)!r}")
 
-    need_fm = max((formula_size(e.body) for e in entries), default=1)
-    need_tm = max((term_size(e.term) for e in entries), default=1)
-    if fm_size is None:
-        fm_size = need_fm
-    if tm_size is None:
-        tm_size = need_tm
+    if fm_size is None or tm_size is None:
+        need_fm, need_tm = inferred_bounds(entries)
+        fm_size = need_fm if fm_size is None else fm_size
+        tm_size = need_tm if tm_size is None else tm_size
     for entry in entries:
         if term_size(entry.term) > tm_size:
             raise BoundsError(f"term of {print_formula(entry)!r} exceeds the "

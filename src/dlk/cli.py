@@ -21,7 +21,8 @@ import sys
 from functools import cache
 
 from .builder import (
-    BoundsError, BuildError, BuildParams, FUNCTIONALS, build, realize_spec,
+    BoundsError, BuildError, BuildParams, FUNCTIONALS, build, inferred_bounds,
+    realize_spec,
 )
 from .logics import (
     PROFILES, SCHEMAS, check_in_profile, get_profile,
@@ -38,7 +39,7 @@ from .semantics import (
 )
 from .specifications import (
     SpecClashError, SpecFormatError, SpecShapeError, blue_pill,
-    check_coherence, close_spec, ok_extract, probe_consistency,
+    _check_shape, check_coherence, close_spec, ok_extract, probe_consistency,
     spec_from_dict, spec_to_dict,
 )
 from .syntax import (
@@ -63,8 +64,8 @@ class _Fail(Exception):
 # small helpers
 
 
-def _profile(name: str | None, fallback: str = "dl"):
-    return get_profile(name or fallback)
+def _profile(name: str | None):
+    return get_profile(name or "dl")
 
 
 def _read_json(path: str):
@@ -123,6 +124,11 @@ def _load_spec(path: str, logic: str | None):
     if logic is not None and isinstance(doc, dict):
         doc = dict(doc, profile=logic)
     return spec_from_dict(doc, default_profile=_profile(logic))
+
+
+def _load_closed_spec(args):
+    spec = _load_spec(args.spec, args.logic)
+    return close_spec(spec.formulas, spec.profile)
 
 
 def _load_proof(path: str, logic: str | None,
@@ -281,6 +287,11 @@ def _cmd_build_model(args) -> int:
 
     if args.spec:
         spec = _load_spec(args.spec, args.logic)
+        need_fm, need_tm = inferred_bounds(spec.formulas)
+        if fm_size is None:
+            fm_size = _clamp(need_fm, "inferred --fm-size")
+        if tm_size is None:
+            tm_size = _clamp(need_tm, "inferred --tm-size")
         model, trace = realize_spec(
             spec.profile, spec.formulas, fm_size=fm_size, tm_size=tm_size,
             trace=args.trace is not None)
@@ -379,8 +390,7 @@ def _extraction_bounds(args):
 
 
 def _cmd_extract_ok(args) -> int:
-    spec_doc = _load_spec(args.spec, args.logic)
-    spec = close_spec(spec_doc.formulas, spec_doc.profile)
+    spec = _load_closed_spec(args)
     ok = ok_extract(spec, **_extraction_bounds(args))
     rows = []
     for f in ok.members:
@@ -389,13 +399,13 @@ def _cmd_extract_ok(args) -> int:
     if args.out:
         _write_json(args.out, {
             "profile": spec.profile.name,
-            "bounded": ok.bounded, "hit_limit": ok.hit_limit,
+            "bounded": True, "hit_limit": ok.hit_limit,
             "members": [{"formula": ftext, "witness": ttext,
                          "proof": proof_to_dict(proof)}
                         for ftext, ttext, proof in rows]})
     if args.json:
         _emit_json({"profile": spec.profile.name,
-                    "bounded": ok.bounded, "hit_limit": ok.hit_limit,
+                    "bounded": True, "hit_limit": ok.hit_limit,
                     "members": [{"formula": ftext, "witness": ttext,
                                  "proof_lines": len(proof.lines)}
                                 for ftext, ttext, proof in rows]})
@@ -410,8 +420,7 @@ def _cmd_extract_ok(args) -> int:
 
 
 def _cmd_blue_pill(args) -> int:
-    spec_doc = _load_spec(args.spec, args.logic)
-    spec = close_spec(spec_doc.formulas, spec_doc.profile)
+    spec = _load_closed_spec(args)
     result = blue_pill(spec, **_extraction_bounds(args))
     members = [print_formula(f) for f in result.ok.members]
     if result.status != "model":
@@ -440,8 +449,7 @@ def _cmd_blue_pill(args) -> int:
 
 
 def _cmd_check_coherence(args) -> int:
-    spec_doc = _load_spec(args.spec, args.logic)
-    spec = close_spec(spec_doc.formulas, spec_doc.profile)
+    spec = _load_closed_spec(args)
     report = check_coherence(spec, **_extraction_bounds(args))
     members = [print_formula(f) for f in report.members]
     if args.json:
@@ -538,6 +546,8 @@ def _cmd_internalize(args) -> int:
         raise _Fail(1, f"internalization lifts proofs in the "
                     f"{' or '.join(names)} profiles, not "
                     f"{proof.profile.name!r}")
+    for f in spec.formulas:
+        _check_shape(f)
     try:
         lifted = internalize(proof, spec.formulas)
     except MissingConstantError as exc:

@@ -241,13 +241,6 @@ def audit(model: ModularModel,
     warnings: list[str] = []
     not_closed: set[str] = set()
 
-    reports: dict[str, ConditionReport] = {}
-
-    def report(name: str) -> ConditionReport:
-        if name not in reports:
-            reports[name] = ConditionReport(name)
-        return reports[name]
-
     # conditions applicable to this profile
     do_app = "app" in profile.term_ops
     do_sum = "sum" in profile.term_ops
@@ -257,14 +250,14 @@ def audit(model: ModularModel,
     do_intro = (profile.has_schema("introspection")
                 and any(isinstance(t, Bang) for t in terms))
 
-    for name, enabled in (("application-closure", do_app),
-                          ("sum-closure", do_sum),
-                          ("pairing-closure", do_pair),
-                          ("denial-falsity", do_denial),
-                          ("factivity-truth", do_fact),
-                          ("introspection-closure", do_intro)):
-        if enabled:
-            report(name)
+    reports = {name: ConditionReport(name)
+               for name, enabled in (("application-closure", do_app),
+                                     ("sum-closure", do_sum),
+                                     ("pairing-closure", do_pair),
+                                     ("denial-falsity", do_denial),
+                                     ("factivity-truth", do_fact),
+                                     ("introspection-closure", do_intro))
+               if enabled}
 
     ids: dict[Formula, int] = {}
     formulas: list[Formula] = []
@@ -307,7 +300,7 @@ def audit(model: ModularModel,
     def require(name: str, parts: tuple[Term, ...], compound: Term,
                 required) -> None:
         """The ids ``required`` (inside the universe) ⊆ evidence(compound)."""
-        rep = report(name)
+        rep = reports[name]
         rep.checked += 1
         if not required:
             return
@@ -356,7 +349,7 @@ def audit(model: ModularModel,
     def offenders(name: str, t: Term, have: frozenset[int], value: bool,
                   note: str) -> None:
         """Members of ``have`` evaluating to ``value`` violate ``name``."""
-        rep = report(name)
+        rep = reports[name]
         rep.checked += 1
         bad = []
         for i in have:
@@ -383,11 +376,7 @@ def audit(model: ModularModel,
                     needed &= in_universe
                 require("introspection-closure", (t,), bang, needed)
 
-    ordered = [reports[n] for n in ("application-closure", "sum-closure",
-                                    "pairing-closure", "denial-falsity",
-                                    "factivity-truth", "introspection-closure")
-               if n in reports]
-    return AuditReport(profile.name, ordered, warnings)
+    return AuditReport(profile.name, list(reports.values()), warnings)
 
 
 # ---------------------------------------------------------------------------

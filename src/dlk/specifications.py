@@ -13,15 +13,15 @@ within bounds, with a reconstructed proof as witness.  ``blue_pill``
 then looks for a plain justification-logic model (no denial link
 between evidence and truth) that makes all of these formulas true at
 once: the agent's denial-backed conclusions survive transplanting into
-a logic that does not treat evidence as falsifying.  A first pass tries
-the empty interpretation with an exhaustive valuation search; failing
-that, small interpretation sets are grown over the justified
-subformulas and closed upward under application and sum.
+a logic that does not treat evidence as falsifying.  The search tries
+the empty interpretation, then small interpretation sets grown over the
+justified subformulas and closed upward under application and sum, each
+with an exhaustive valuation search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, product
 
 from .builder import BoundsError, RealizationError, _buildable, realize_spec
@@ -29,8 +29,7 @@ from .logics import PROFILES, LogicProfile, get_profile
 from .proofs import DerivedSet, Proof, derive_forward
 from .semantics import ModularModel, close_upward, evaluate, occurring_terms
 from .syntax import (
-    NEGATIVE, POSITIVE,
-    And, Const, Formula, Just, Not, PropVar, Term, Var,
+    POSITIVE, Const, Formula, Just, Not, PropVar, Term, Var,
     formula_sort_key, parse_formula, print_formula, print_term, subformulas,
     term_sign,
 )
@@ -129,16 +128,6 @@ def close_spec(raw, profile: LogicProfile) -> ConstantSpec:
     return ConstantSpec(profile, tuple(ordered), closed=True)
 
 
-def is_closed(formulas, profile: LogicProfile) -> bool:
-    """True when the closure rules add nothing (and nothing clashes)."""
-    have = set(formulas)
-    try:
-        spec = close_spec(formulas, profile)
-    except SpecClashError:
-        return False
-    return set(spec.formulas) == have
-
-
 @dataclass
 class ProbeResult:
     status: str                 # model | clash | unknown
@@ -147,15 +136,15 @@ class ProbeResult:
     note: str = ""
 
 
-def probe_consistency(spec: ConstantSpec, *,
-                      fm_size: int | None = None,
-                      tm_size: int | None = None) -> ProbeResult:
+def probe_consistency(spec: ConstantSpec) -> ProbeResult:
     """Certify the specification consistent, refute it, or give up.
 
-    A realized model respecting every member is a consistency
-    certificate.  A complementary pair is a refutation.  Anything else
-    (unbuildable profile, bounds too small) is unknown -- the question
-    is only semidecidable and every verdict here is a bounded one.
+    A model ``realize_spec`` builds under the bounds it infers from the
+    members (the largest entry body and term) and that respects every
+    member is a consistency certificate.  A complementary pair is a
+    refutation.  Anything else (unbuildable profile, a member the built
+    model does not satisfy) is unknown -- the question is only
+    semidecidable and every verdict here is a bounded one.
     """
     present = set(spec.formulas)
     for f in spec.formulas:
@@ -167,8 +156,7 @@ def probe_consistency(spec: ConstantSpec, *,
             note=f"no staged model construction for profile "
                  f"{spec.profile.name!r}")
     try:
-        model, _ = realize_spec(spec.profile, spec.formulas,
-                                fm_size=fm_size, tm_size=tm_size)
+        model, _ = realize_spec(spec.profile, spec.formulas)
     except (RealizationError, BoundsError) as exc:
         return ProbeResult("unknown", note=str(exc))
     return ProbeResult("model", model=model,
@@ -185,7 +173,6 @@ class OKSet:
 
     members: tuple[Formula, ...]
     witnesses: dict[Formula, tuple[Term, Proof]]
-    bounded: bool = True
     hit_limit: bool = False
 
     def __iter__(self):
@@ -198,7 +185,7 @@ class OKSet:
         return f in self.witnesses
 
 
-def ok_extract(spec: ConstantSpec, profile: LogicProfile | None = None, *,
+def ok_extract(spec: ConstantSpec, *,
                depth: int = 3, size: int = 4, term_size: int = 2,
                limit: int | None = 50000) -> OKSet:
     """Bodies of the justified formulas derivable from the specification.
@@ -210,11 +197,11 @@ def ok_extract(spec: ConstantSpec, profile: LogicProfile | None = None, *,
     anyway and a wide term pool mostly buys duplicate bodies.  The search
     is ``derive_forward``, so ``limit`` counts the formulas it stores:
     modus ponens conclusions and the instances they rest on, not every
-    instance (``tests/exhaustive.py`` builds those).
+    instance (``tests/exhaustive.py`` builds those).  The proofs are in
+    the specification's own profile.
     """
-    profile = profile or spec.profile
     derived: DerivedSet = derive_forward(
-        profile, spec.formulas, size_bound=size, rounds=depth,
+        spec.profile, spec.formulas, size_bound=size, rounds=depth,
         term_size_bound=term_size, limit=limit)
     members: list[Formula] = []
     witnesses: dict[Formula, tuple[Term, Proof]] = {}
@@ -222,55 +209,42 @@ def ok_extract(spec: ConstantSpec, profile: LogicProfile | None = None, *,
         if f.body not in witnesses:
             witnesses[f.body] = (f.term, derived.proof_of(f))
             members.append(f.body)
-    return OKSet(tuple(members), witnesses, bounded=True,
-                 hit_limit=derived.hit_limit)
-
-
-def conjunction_fold(formulas) -> Formula:
-    """Left-nested conjunction of the given formulas, in order."""
-    items = list(formulas)
-    if not items:
-        raise ValueError("nothing to conjoin")
-    out = items[0]
-    for f in items[1:]:
-        out = And(out, f)
-    return out
+    return OKSet(tuple(members), witnesses, hit_limit=derived.hit_limit)
 
 
 # ---------------------------------------------------------------------------
 # model search
 
 
-def search_jl_model(targets, profile: LogicProfile | None = None, *,
-                    max_candidates: int = 12, max_combo: int = 3,
-                    max_per_term: int = 2,
-                    max_vars: int = 14) -> ModularModel | None:
+# the fixed bounds of ``search_jl_model`` (see its docstring)
+_MAX_CANDIDATES = 12
+_MAX_COMBO = 3
+_MAX_PER_TERM = 2
+_MAX_VARS = 14
+
+
+def search_jl_model(targets,
+                    profile: LogicProfile | None = None) -> ModularModel | None:
     """Deterministic bounded search for a model satisfying the targets.
 
-    Tries the empty interpretation first, over valuations in
-    lexicographic order (all-false first, sorted variable names), so a
-    purely propositional win is found with the least valuation.  Then
-    interpretation sets are grown over the justified subformulas of the
-    targets, smallest combinations first, each candidate closed upward
-    under application and sum over its occurring terms
-    (``semantics.close_upward``) before it is evaluated.  Returns None
-    when the bounded space is exhausted.
+    The profile defaults to ``jl``.  Interpretations are tried smallest
+    first: the empty one, then sets grown over the justified
+    subformulas of the targets (the first 12 in formula order, at most 3
+    at once, at most 2 members per term), each closed upward under
+    application and sum over its occurring terms
+    (``semantics.close_upward``).  Each interpretation is tried over
+    valuations in lexicographic order (all-false first, sorted variable
+    names), so a purely propositional win is found with the least
+    valuation.  The bounds are fixed.  Returns None when this space is
+    exhausted, or at once when the targets have more than 14
+    propositional variables.
     """
     wanted = list(targets)
     profile = profile or get_profile("jl")
     names = sorted({sub.name for f in wanted for sub in subformulas(f)
                     if isinstance(sub, PropVar)})
-    if len(names) > max_vars:
+    if len(names) > _MAX_VARS:
         return None
-
-    def valuations():
-        for bits in product((False, True), repeat=len(names)):
-            yield dict(zip(names, bits))
-
-    for valuation in valuations():
-        model = ModularModel(profile, valuation, {}, provenance="search")
-        if all(evaluate(model, f) for f in wanted):
-            return model
 
     candidates: list[Just] = []
     seen: set[Formula] = set()
@@ -280,21 +254,21 @@ def search_jl_model(targets, profile: LogicProfile | None = None, *,
                 seen.add(sub)
                 candidates.append(sub)
     candidates.sort(key=formula_sort_key)
-    candidates = candidates[:max_candidates]
+    candidates = candidates[:_MAX_CANDIDATES]
 
-    for r in range(1, min(max_combo, len(candidates)) + 1):
+    for r in range(min(_MAX_COMBO, len(candidates)) + 1):
         for combo in combinations(candidates, r):
             interp: dict[Term, dict[Formula, None]] = {}
             for j in combo:
                 interp.setdefault(j.term, {})[j.body] = None
-            if any(len(v) > max_per_term for v in interp.values()):
+            if any(len(v) > _MAX_PER_TERM for v in interp.values()):
                 continue
             terms = occurring_terms(ModularModel(profile, {}, interp))
             members = {t: interp.get(t, {}) for t in terms}
             close_upward(members, terms)
             frozen = {t: frozenset(v) for t, v in members.items() if v}
-            for valuation in valuations():
-                model = ModularModel(profile, valuation, frozen,
+            for bits in product((False, True), repeat=len(names)):
+                model = ModularModel(profile, dict(zip(names, bits)), frozen,
                                      provenance="search")
                 if all(evaluate(model, f) for f in wanted):
                     return model

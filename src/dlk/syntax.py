@@ -622,15 +622,12 @@ def enumerate_terms(alphabet: Alphabet, size_bound: int,
 
 
 def enumerate_formulas(alphabet: Alphabet, size_bound: int,
-                       terms: list[Term] | None = None,
-                       term_ops: frozenset[str] = frozenset({"app", "sum"})) -> list[Formula]:
+                       terms: list[Term]) -> list[Formula]:
     """All formulas of size <= size_bound, enumeration order.
 
-    Justified formulas draw their terms from ``terms`` when given
-    (a prebuilt term enumeration), otherwise from the alphabet.
+    Justified formulas draw their terms from ``terms``, a term
+    enumeration such as ``enumerate_terms`` gives.
     """
-    if terms is None:
-        terms = enumerate_terms(alphabet, max(size_bound - 2, 0), term_ops)
     terms_by_size: dict[int, list[Term]] = {}
     for t in terms:
         terms_by_size.setdefault(_size(t), []).append(t)
@@ -645,18 +642,3 @@ def enumerate_formulas(alphabet: Alphabet, size_bound: int,
     for n in range(2, size_bound + 1):
         by_size[n] = sorted(_compounds(rows, n), key=_sort_key)
     return [f for n in range(1, size_bound + 1) for f in by_size.get(n, ())]
-
-
-@dataclass(frozen=True)
-class Enumeration:
-    """A term enumeration and the formula enumeration over it."""
-
-    terms: tuple[Term, ...]
-    formulas: tuple[Formula, ...]
-
-    @classmethod
-    def build(cls, alphabet: Alphabet, fm_size: int, tm_size: int,
-              term_ops: frozenset[str]) -> "Enumeration":
-        terms = enumerate_terms(alphabet, tm_size, term_ops)
-        formulas = enumerate_formulas(alphabet, fm_size, terms=terms)
-        return cls(tuple(terms), tuple(formulas))

@@ -99,8 +99,7 @@ def test_criterion_02_trivial_model(capsys):
     t0 = time.perf_counter()
     model, _ = build(BuildParams(dl, alphabet, 5, 3, ConstZero()))
     terms = enumerate_terms(alphabet, 3, dl.term_ops)
-    formulas = enumerate_formulas(alphabet, 5, terms=terms,
-                                  term_ops=dl.term_ops)
+    formulas = enumerate_formulas(alphabet, 5, terms=terms)
     empty = all(not members for members in model.interp.values())
     clean = audit(model, term_universe=terms).ok
     instances = [Implies(Just(t, b), Not(b)) for t in terms for b in formulas]
@@ -118,8 +117,7 @@ def test_criterion_03_maximal_model(capsys):
     model, _ = build(BuildParams(dl, alphabet, 5, 3, ConstOne(),
                                  seed={"P": True}))
     terms = enumerate_terms(alphabet, 3, dl.term_ops)
-    formulas = enumerate_formulas(alphabet, 5, terms=terms,
-                                  term_ops=dl.term_ops)
+    formulas = enumerate_formulas(alphabet, 5, terms=terms)
     false_set = {f for f in formulas if not evaluate(model, f)}
     maximal = all(model.interp[t] == false_set for t in terms)
     clean = audit(model, term_universe=terms).ok
@@ -251,7 +249,8 @@ def test_criterion_08_signed_discipline(capsys):
     alphabet = Alphabet(("P",), (), ("c",), signed=True)
     denial_hits = 0
     bad_terms = []
-    for f in enumerate_formulas(alphabet, 6, term_ops=fused.term_ops):
+    for f in enumerate_formulas(
+            alphabet, 6, enumerate_terms(alphabet, 4, fused.term_ops)):
         for sid, binding in match_axiom(f, fused):
             if sid == "denial":
                 denial_hits += 1
@@ -268,7 +267,8 @@ def test_criterion_08_signed_discipline(capsys):
 def test_criterion_09_translation_properties(capsys):
     alphabet = Alphabet(("P", "Q"), (), ("c", "d"), signed=True)
     t0 = time.perf_counter()
-    formulas = enumerate_formulas(alphabet, 6, term_ops=fused.term_ops)
+    formulas = enumerate_formulas(
+        alphabet, 6, enumerate_terms(alphabet, 4, fused.term_ops))
     images = {f: translate(f) for f in formulas}
 
     sources_by_image = {}

@@ -178,8 +178,7 @@ def naive_audit(model: ModularModel,
 def _pools(profile: LogicProfile):
     alphabet = Alphabet(("P", "Q"), ("x", "y"), (), signed=profile.signed)
     terms = enumerate_terms(alphabet, 3, profile.term_ops)
-    formulas = enumerate_formulas(alphabet, 4, terms=terms,
-                                  term_ops=profile.term_ops)
+    formulas = enumerate_formulas(alphabet, 4, terms=terms)
     return terms, formulas
 
 

@@ -72,8 +72,7 @@ def test_const_one_collects_exactly_the_false_formulas():
     model, _ = build(params)
     alphabet = Alphabet(("P", "Q"), ("x", "y"), ())
     terms = enumerate_terms(alphabet, 2, dl.term_ops)
-    formulas = enumerate_formulas(alphabet, 3, terms=terms,
-                                  term_ops=dl.term_ops)
+    formulas = enumerate_formulas(alphabet, 3, terms=terms)
     false_set = {f for f in formulas if not evaluate(model, f)}
     for t in terms:
         assert model.interp[t] == false_set
@@ -92,11 +91,12 @@ def test_plus_syntactic_splits_sums_from_their_parts():
 
 def test_spec_driven_fires_only_at_listed_positions():
     functional = SpecDriven([fm("x:P"), fm("y:Q")])
-    assert functional.fires({}, fm("P"), tm("x"))
-    assert not functional.fires({}, fm("P"), tm("y"))
-    assert not functional.fires({}, fm("Q"), tm("x"))
-    assert functional.spray_targets({}, fm("P")) == (tm("x"),)
-    assert functional.spray_targets({}, fm("P /\\ Q")) == ()
+    assert functional.fires(fm("P"), tm("x"))
+    assert not functional.fires(fm("P"), tm("y"))
+    assert not functional.fires(fm("Q"), tm("x"))
+    terms = {tm("x"): None, tm("y"): None}
+    assert functional.spray(fm("P"), terms) == [tm("x")]
+    assert functional.spray(fm("P /\\ Q"), terms) == []
 
 
 def test_spec_driven_rejects_unjustified_entries():
@@ -106,22 +106,22 @@ def test_spec_driven_rejects_unjustified_entries():
 
 def test_rule_table_first_match_wins():
     table = RuleTable([("e1", "*", False), ("*", "*", True)])
-    assert not table.fires({}, fm("R"), tm("e1"))
-    assert table.fires({}, fm("R"), tm("e2"))
+    assert not table.fires(fm("R"), tm("e1"))
+    assert table.fires(fm("R"), tm("e2"))
 
 
 def test_rule_table_star_wildcards_match_printed_forms():
     table = RuleTable([("*+*", "R", True)])
-    assert table.fires({}, fm("R"), tm("[e1+e2]"))
-    assert not table.fires({}, fm("R"), tm("e1"))
-    assert not table.fires({}, fm("Q"), tm("[e1+e2]"))
+    assert table.fires(fm("R"), tm("[e1+e2]"))
+    assert not table.fires(fm("R"), tm("e1"))
+    assert not table.fires(fm("Q"), tm("[e1+e2]"))
     exact = RuleTable([("[e1+e2]", "~~R", True)])
-    assert exact.fires({}, fm("~~R"), tm("[e1+e2]"))
-    assert not exact.fires({}, fm("~R"), tm("[e1+e2]"))
+    assert exact.fires(fm("~~R"), tm("[e1+e2]"))
+    assert not exact.fires(fm("~R"), tm("[e1+e2]"))
 
 
 def test_rule_table_defaults_to_rejection():
-    assert not RuleTable([]).fires({}, fm("P"), tm("x"))
+    assert not RuleTable([]).fires(fm("P"), tm("x"))
 
 
 # ---------------------------------------------------------------------------

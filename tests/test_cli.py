@@ -1,6 +1,7 @@
 """End-to-end command coverage for the ``dlk`` entry point."""
 
 import json
+import time
 
 import pytest
 
@@ -325,6 +326,18 @@ def test_max_bound_clamps_sizes(tmp_path, monkeypatch, capsys):
                            "--fm-size", "2", "--tm-size", "1")
     assert code == 0
     assert "ignoring DLK_MAX_BOUND" in err
+    # the sizes --spec infers are capped too: a body of size 9 no longer
+    # fits, and the build is refused before any staging
+    monkeypatch.setenv("DLK_MAX_BOUND", "3")
+    spath = write_json(tmp_path / "spec.json",
+                       {"profile": "dl",
+                        "formulas": ["x:(P /\\ P /\\ P /\\ P /\\ P)"]})
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "build-model", "--spec", spath)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert "inferred --fm-size 9 clamped to DLK_MAX_BOUND=3" in err
+    assert "exceeds the formula bound 3" in err
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +506,18 @@ def test_internalize_needs_covering_constants(tmp_path, capsys):
                        {"profile": "fused", "formulas": []})
     code, _, err = run_cli(capsys, "internalize", ppath, "--spec", spath)
     assert code == 1
+
+
+@pytest.mark.parametrize("entry", ["[a+b]:P", "!a:P"])
+def test_internalize_rejects_compound_justifiers(tmp_path, capsys, entry):
+    proof = Proof(get_profile("lp"), (hyp_line(fm("P"), 0),), (fm("P"),))
+    ppath = write_json(tmp_path / "proof.json", proof_to_dict(proof))
+    spath = write_json(tmp_path / "spec.json", [entry])
+    code, out, err = run_cli(capsys, "internalize", ppath, "--spec", spath,
+                             "--logic", "lp")
+    assert code == 1
+    assert not out
+    assert err.startswith("rejected:") and "compound justifier" in err
 
 
 # ---------------------------------------------------------------------------

@@ -166,8 +166,7 @@ def test_translate_images_have_no_negative_terms():
     fused = get_profile("fused")
     alpha = Alphabet(("P",), (), ("c",), signed=True)
     terms = enumerate_terms(alpha, 4, fused.term_ops)
-    for f in enumerate_formulas(alpha, 5, terms=terms,
-                                term_ops=fused.term_ops):
+    for f in enumerate_formulas(alpha, 5, terms=terms):
         image = translate(f)
         for sub in subformulas(image):
             if isinstance(sub, Just):
@@ -178,8 +177,7 @@ def test_translate_injective_on_a_small_fragment():
     fused = get_profile("fused")
     alpha = Alphabet(("P", "Q"), (), ("c",), signed=True)
     terms = enumerate_terms(alpha, 4, fused.term_ops)
-    fms = enumerate_formulas(alpha, 5, terms=terms,
-                             term_ops=fused.term_ops)
+    fms = enumerate_formulas(alpha, 5, terms=terms)
     images = {}
     for f in fms:
         key = translate(f)

@@ -5,17 +5,22 @@ engine finds instances by matching; and on random small hypothesis
 sets it must reach the conclusions of the exhaustive loop.  On
 random syntax trees, printing must round-trip through the parser,
 instantiating a ground formula must rebuild it part for part, and the
-unsigning translation must be an injective homomorphism.
+unsigning translation must be an injective homomorphism.  On random
+small specifications, what forward chaining derives must hold in the
+audited model ``realize_spec`` builds, wherever its bounds reach.
 """
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from dlk.builder import RealizationError, realize_spec
 from dlk.logics import (
     PROFILES, SCHEMAS, Binding, InstantiationError, check_in_profile,
     instantiate, match_template, translate,
 )
 from dlk.proofs import derive_forward
+from dlk.semantics import audit, evaluate
+from dlk.specifications import SpecClashError, close_spec
 from dlk.syntax import (
     BOTTOM, NEGATIVE, POSITIVE, UNSIGNED, Alphabet, And, App, Bang, Const,
     FMeta, Implies, Just, Not, Or, Pair, PropVar, Sum, TMeta, Var,
@@ -154,3 +159,43 @@ def test_translate_is_an_injective_homomorphism(f, g, t):
     # distinct inputs, distinct images: over every subformula of both
     subs = set(subformulas(f)) | set(subformulas(g))
     assert len({translate(h) for h in subs}) == len(subs)
+
+
+# ---------------------------------------------------------------------------
+# derived theorems in built models
+
+
+@st.composite
+def small_specs(draw):
+    atom = st.sampled_from("AB").map(PropVar)
+    leaf = st.builds(Const, st.sampled_from("ab"))
+    entry = (st.builds(Just, leaf, atom)
+             | st.builds(Just, leaf, st.builds(Not, atom))
+             | st.builds(Just, leaf, st.builds(And, atom, atom))
+             | st.builds(Not, atom))
+    name = draw(st.sampled_from(("dl", "dl0")))
+    return PROFILES[name], draw(st.lists(entry, min_size=1, max_size=3))
+
+
+@given(small_specs())
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_derived_theorems_hold_in_audited_respecting_models(case):
+    profile, raw = case
+    try:
+        spec = close_spec(raw, profile)
+        model, _ = realize_spec(profile, spec.formulas, fm_size=4, tm_size=3)
+    except (SpecClashError, RealizationError):
+        assume(False)
+    assert audit(model).ok
+    derived = derive_forward(profile, spec.formulas, size_bound=3, rounds=2,
+                             term_size_bound=2, limit=3000)
+    universe = model.formula_universe
+    for f in derived.order:
+        # the audit holds the model to its closure conditions inside the
+        # universe only; a justified formula of the universe has its term
+        # among the model's terms
+        lines = derived.proof_of(f).lines
+        if all(sub in universe for line in lines
+               for sub in subformulas(line.formula) if isinstance(sub, Just)):
+            assert evaluate(model, f), print_formula(f)

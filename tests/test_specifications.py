@@ -14,10 +14,8 @@ from dlk import (
     check_coherence,
     check_proof,
     close_spec,
-    conjunction_fold,
     evaluate,
     get_profile,
-    is_closed,
     ok_extract,
     parse_formula,
     parse_term,
@@ -26,7 +24,7 @@ from dlk import (
     spec_from_dict,
     spec_to_dict,
 )
-from dlk.syntax import And, Just
+from dlk.syntax import Just
 
 jl = get_profile("jl")
 dl = get_profile("dl")
@@ -75,7 +73,6 @@ def test_plain_profiles_close_to_themselves():
     for profile in (jl, lp):
         spec = close_spec([fm("e:R"), fm("~(c:Q)")], profile)
         assert spec.formulas == (fm("e:R"), fm("~(c:Q)"))
-        assert is_closed(spec.formulas, profile)
 
 
 def test_closure_clash_carries_the_witness_pair():
@@ -96,13 +93,6 @@ def test_compound_justifiers_are_rejected():
         close_spec([fm("~(s:([x.y]:P))")], dl)
     # leaf chains over arbitrary bodies are fine
     close_spec([fm("s:(t:P -> ~P)")], jl)
-
-
-def test_is_closed_spots_missing_extensions_and_clashes():
-    assert not is_closed([fm("e:R")], dl)
-    assert is_closed([fm("e:R"), fm("~R")], dl)
-    assert not is_closed([fm("e:P"), fm("P")], dl)
-    assert is_closed([fm("e:R")], jl)
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +167,6 @@ def test_pairing_contributes_conjoined_bodies():
     bare = close_spec([fm("a:A"), fm("b:B")], dl0)
     assert fm("A /\\ B") not in ok_extract(bare, depth=2, size=3,
                                            term_size=2, limit=None)
-
-
-def test_conjunction_fold_nests_left():
-    out = conjunction_fold([fm("P"), fm("Q"), fm("R")])
-    assert out == And(And(fm("P"), fm("Q")), fm("R"))
-    assert conjunction_fold([fm("P")]) == fm("P")
-    with pytest.raises(ValueError):
-        conjunction_fold([])
 
 
 # ---------------------------------------------------------------------------

@@ -239,7 +239,7 @@ def test_formula_enumeration_matches_brute_force():
     alpha = Alphabet(("P",), ("x",), (), signed=False)
     ops = frozenset({"app", "sum"})
     terms = enumerate_terms(alpha, 3, ops)
-    got = enumerate_formulas(alpha, 4, terms=terms, term_ops=ops)
+    got = enumerate_formulas(alpha, 4, terms=terms)
     want = brute_formulas([P], brute_terms([x], 3, ops), 4)
     assert set(got) == want
     sizes = [formula_size(f) for f in got]
