@@ -358,7 +358,10 @@ def _cmd_close_spec(args) -> int:
     added = [f for f in closed.formulas if f not in set(raw.formulas)]
     probe = None
     if args.probe:
-        probe = probe_consistency(closed)
+        need_fm, need_tm = inferred_bounds(closed.formulas)
+        probe = probe_consistency(
+            closed, fm_size=_clamp(need_fm, "inferred --fm-size"),
+            tm_size=_clamp(need_tm, "inferred --tm-size"))
     if args.out:
         _write_json(args.out, spec_to_dict(closed))
     if args.json:

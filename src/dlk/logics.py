@@ -13,17 +13,24 @@ A profile names a logic by its schema inventory and term operations:
 Schemas are templates over metavariables (``FMeta``/``TMeta``); a
 ``Binding`` instantiates them.  Term metavariables carry a polarity that
 is enforced only in signed profiles.
+
+``match_template`` and ``instantiate`` compile each template once, on
+its first use, into a straight-line Python function that tests (or
+builds) the template's nodes one after another, instead of walking
+``_PARTS`` on every call; the compiled functions are cached by template.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .syntax import (
     BOTTOM, NEGATIVE, POSITIVE, UNSIGNED,
     Alphabet, And, App, Bang, Const, FMeta, Formula, Implies, Just, Not, Or,
-    Pair, PropVar, SignDisciplineError, Sum, Term, TMeta, Var, _TERM_OPS,
-    _parts, formula_terms, print_formula, print_term, subformulas, term_sign,
+    Pair, PropVar, SignDisciplineError, Sum, Term, TMeta, Var, _PARTS,
+    _TERM_OPS, _parts, formula_terms, print_formula, print_term, subformulas,
+    term_sign,
 )
 
 
@@ -154,75 +161,141 @@ class Binding:
                      tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
 
 
-def _polarity_ok(polarity: str, term: Term, signed: bool) -> bool:
-    if not signed or polarity in ("any", "sigma"):
-        return True
-    sign = term_sign(term)
-    return sign == (POSITIVE if polarity == "pos" else NEGATIVE)
+# Each template is compiled, on its first use, into two straight-line
+# functions read off ``_PARTS``: a matcher, which tests the formula's
+# nodes in pre-order and reads each part once, and a filler, which looks
+# each metavariable up once and builds the instance bottom-up.  Both do
+# what a recursive walk of the template does, in the same order: binding
+# keys come in order of first occurrence, a term metavariable's polarity
+# is checked, in signed profiles only, at its first occurrence when
+# matching and at every occurrence when filling, and filling raises the
+# first error that walk meets.
+
+
+def _expected_sign(polarity: str) -> str | None:
+    """The sign a polarity demands in signed profiles; None for any."""
+    if polarity in ("any", "sigma"):
+        return None
+    return POSITIVE if polarity == "pos" else NEGATIVE
+
+
+def _unbound(what: str, name: str) -> InstantiationError:
+    return InstantiationError(f"unbound {what} metavariable {name!r}")
+
+
+def _wrong_sign(term: Term, name: str, polarity: str) -> InstantiationError:
+    return InstantiationError(
+        f"term {print_term(term)!r} has the wrong sign for metavariable "
+        f"{name!r} ({polarity})")
+
+
+class _Source:
+    """A generated function: its body, and the node classes and template
+    leaves it reads from closure cells.  Its other free names are this
+    module's globals, looked up as it runs, so that a wrapper installed
+    over ``term_sign`` sees every call."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.cells: dict[str, object] = {}
+
+    def cell(self, value) -> str:
+        """The name of a cell holding a node class or a template leaf."""
+        name = value.__name__ if isinstance(value, type) \
+            else f"leaf{len(self.cells)}"
+        self.cells[name] = value
+        return name
+
+    def define(self, header: str):
+        name = header.partition("(")[0]
+        source = (f"def make({', '.join(self.cells)}):\n    def {header}:\n"
+                  + "".join(f"        {line}\n" for line in self.lines)
+                  + f"    return {name}\n")
+        namespace: dict = {}
+        exec(source, globals(), namespace)
+        return namespace["make"](**self.cells)
+
+
+@lru_cache(maxsize=1024)
+def _matcher(template):
+    """``match(n, signed)``: the binding that makes ``n`` the template's
+    instance, or None."""
+    src = _Source()
+    seen: dict[type, dict[str, str]] = {FMeta: {}, TMeta: {}}
+
+    def visit(pattern, var: str) -> None:
+        kind = type(pattern)
+        if kind in seen:
+            earlier = seen[kind].setdefault(pattern.name, var)
+            if earlier != var:
+                src.lines.append(f"if {earlier} != {var}: return None")
+            elif kind is TMeta and (sign := _expected_sign(pattern.polarity)):
+                src.lines.append(f"if signed and term_sign({var}) != "
+                                 f"{sign!r}: return None")
+        elif not _PARTS[kind]:
+            src.lines.append(f"if {var} != {src.cell(pattern)}: "
+                             f"return None")
+        else:
+            src.lines.append(f"if type({var}) is not {src.cell(kind)}: "
+                             f"return None")
+            for i, (attr, part) in enumerate(zip(_PARTS[kind],
+                                                 _parts(pattern))):
+                src.lines.append(f"{var}_{i} = {var}.{attr}")
+                visit(part, f"{var}_{i}")
+
+    visit(template, "n")
+    fs, ts = (", ".join(f"{name!r}: {var}" for name, var in seen[kind].items())
+              for kind in (FMeta, TMeta))
+    src.lines.append(f"return Binding({{{fs}}}, {{{ts}}})")
+    return src.define("match(n, signed)")
+
+
+@lru_cache(maxsize=1024)
+def _filler(template):
+    """``fill(F, T, signed)``: the template's instance under the formula
+    and term bindings ``F`` and ``T``."""
+    src = _Source()
+    local: dict[tuple[type, str], str] = {}
+
+    def visit(node, var: str) -> str:
+        """Emit the lines that put the node's instance in ``var``, or in
+        the variable already holding it; return that variable."""
+        kind = type(node)
+        if kind is FMeta or kind is TMeta:
+            earlier = local.setdefault((kind, node.name), var)
+            if earlier == var:
+                what, table = ("formula", "F") if kind is FMeta else ("term", "T")
+                src.lines += [f"try: {var} = {table}[{node.name!r}]",
+                              f"except KeyError: raise _unbound({what!r}, "
+                              f"{node.name!r}) from None"]
+            if kind is TMeta and (sign := _expected_sign(node.polarity)):
+                src.lines.append(
+                    f"if signed and term_sign({earlier}) != {sign!r}: raise "
+                    f"_wrong_sign({earlier}, {node.name!r}, {node.polarity!r})")
+            return earlier
+        if not _PARTS[kind]:
+            return src.cell(node)
+        parts = [visit(part, f"{var}_{i}")
+                 for i, part in enumerate(_parts(node))]
+        src.lines.append(f"{var} = {src.cell(kind)}({', '.join(parts)})")
+        return var
+
+    src.lines.append(f"return {visit(template, 'v')}")
+    return src.define("fill(F, T, signed)")
 
 
 def instantiate(template: Formula, binding: Binding, signed: bool = False) -> Formula:
     """Fill a schema template; raises InstantiationError on bad bindings."""
     try:
-        return _subst(template, binding, signed)
+        return _filler(template)(binding.formulas, binding.terms, signed)
     except SignDisciplineError as exc:
         raise InstantiationError(str(exc)) from None
-
-
-def _subst(node, binding: Binding, signed: bool):
-    kind = type(node)
-    if kind is FMeta:
-        if node.name not in binding.formulas:
-            raise InstantiationError(f"unbound formula metavariable {node.name!r}")
-        return binding.formulas[node.name]
-    if kind is TMeta:
-        if node.name not in binding.terms:
-            raise InstantiationError(f"unbound term metavariable {node.name!r}")
-        bound = binding.terms[node.name]
-        if not _polarity_ok(node.polarity, bound, signed):
-            raise InstantiationError(
-                f"term {print_term(bound)!r} has the wrong sign for "
-                f"metavariable {node.name!r} ({node.polarity})")
-        return bound
-    parts = _parts(node)
-    if not parts:
-        return node
-    return kind(*[_subst(part, binding, signed) for part in parts])
-
-
-def _match(pattern, node, fm: dict, tm: dict, signed: bool) -> bool:
-    kind = type(pattern)
-    if kind is FMeta:
-        if pattern.name in fm:
-            return fm[pattern.name] == node
-        fm[pattern.name] = node
-        return True
-    if kind is TMeta:
-        if pattern.name in tm:
-            return tm[pattern.name] == node
-        if not _polarity_ok(pattern.polarity, node, signed):
-            return False
-        tm[pattern.name] = node
-        return True
-    if type(node) is not kind:
-        return False
-    parts = _parts(pattern)
-    if not parts:
-        return pattern == node
-    for part, sub in zip(parts, _parts(node)):
-        if not _match(part, sub, fm, tm, signed):
-            return False
-    return True
 
 
 def match_template(template: Formula, formula: Formula,
                    signed: bool = False) -> Binding | None:
     """Match a formula against one template; None when it does not fit."""
-    fm: dict[str, Formula] = {}
-    tm: dict[str, Term] = {}
-    if _match(template, formula, fm, tm, signed):
-        return Binding(fm, tm)
-    return None
+    return _matcher(template)(formula, signed)
 
 
 def match_axiom(formula: Formula, profile: LogicProfile) -> list[tuple[str, Binding]]:

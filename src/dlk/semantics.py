@@ -239,7 +239,7 @@ def audit(model: ModularModel,
     universe = model.formula_universe
     terms = term_universe if term_universe is not None else occurring_terms(model)
     warnings: list[str] = []
-    not_closed: set[str] = set()
+    not_closed: set[Term] = set()
 
     # conditions applicable to this profile
     do_app = "app" in profile.term_ops
@@ -306,11 +306,13 @@ def audit(model: ModularModel,
             return
         have = ev.get(compound)
         if have is None:
-            key = print_term(compound)
-            if key not in not_closed:
-                not_closed.add(key)
-                warnings.append(f"universe not closed: {key} is missing "
-                                f"({name} has members to check there)")
+            # distinct compounds print apart, so the first sight of a
+            # compound is the first of its warning
+            if compound not in not_closed:
+                not_closed.add(compound)
+                warnings.append(f"universe not closed: {print_term(compound)} "
+                                f"is missing ({name} has members to check "
+                                f"there)")
             return
         missing = required - have
         if not missing:

@@ -136,15 +136,18 @@ class ProbeResult:
     note: str = ""
 
 
-def probe_consistency(spec: ConstantSpec) -> ProbeResult:
+def probe_consistency(spec: ConstantSpec, *,
+                      fm_size: int | None = None,
+                      tm_size: int | None = None) -> ProbeResult:
     """Certify the specification consistent, refute it, or give up.
 
-    A model ``realize_spec`` builds under the bounds it infers from the
-    members (the largest entry body and term) and that respects every
-    member is a consistency certificate.  A complementary pair is a
-    refutation.  Anything else (unbuildable profile, a member the built
-    model does not satisfy) is unknown -- the question is only
-    semidecidable and every verdict here is a bounded one.
+    A model ``realize_spec`` builds and that respects every member is a
+    consistency certificate; ``fm_size``/``tm_size`` default to the
+    bounds it infers from the members (the largest entry body and term).
+    A complementary pair is a refutation.  Anything else (unbuildable
+    profile, bounds too small for a member, a member the built model does
+    not satisfy) is unknown -- the question is only semidecidable and
+    every verdict here is a bounded one.
     """
     present = set(spec.formulas)
     for f in spec.formulas:
@@ -156,7 +159,8 @@ def probe_consistency(spec: ConstantSpec) -> ProbeResult:
             note=f"no staged model construction for profile "
                  f"{spec.profile.name!r}")
     try:
-        model, _ = realize_spec(spec.profile, spec.formulas)
+        model, _ = realize_spec(spec.profile, spec.formulas,
+                                fm_size=fm_size, tm_size=tm_size)
     except (RealizationError, BoundsError) as exc:
         return ProbeResult("unknown", note=str(exc))
     return ProbeResult("model", model=model,

@@ -21,6 +21,12 @@ application of signed leaves.
 
 Identity of terms and formulas is structural: ``P /\\ P`` is a different
 formula from ``P`` and ``t:P`` never coincides with ``t:(P /\\ P)``.
+Nodes are frozen dataclasses with slots and the generated structural
+``==``.  Each computes its hash once, when it is built, and keeps it in
+a slot; the value is the one the generated dataclass hash would give,
+``hash`` of the tuple of the node's fields, so every set and dict of
+nodes iterates in the same order as with that hash.  There is no intern
+table: equal nodes built apart stay distinct objects.
 
 The parser refuses input nested more than ``MAX_NESTING`` levels deep,
 counting each parenthesised group or ``->`` operand, each ``~``, each
@@ -44,7 +50,7 @@ need a new case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 from itertools import product as _cartesian
 from operator import attrgetter
 
@@ -81,7 +87,11 @@ class SignDisciplineError(ValueError):
 
 
 class Term:
-    __slots__ = ()
+    __slots__ = ("_hash",)
+
+    def __post_init__(self):
+        # a class with a ``__post_init__`` of its own calls ``_seal`` last
+        _seal(self)
 
 
 def _part_signs(what: str, left: Term, right: Term) -> tuple[str, str] | None:
@@ -93,37 +103,39 @@ def _part_signs(what: str, left: Term, right: Term) -> tuple[str, str] | None:
     return ls, rs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const(Term):
     name: str
     sign: str = UNSIGNED
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     name: str
     sign: str = UNSIGNED
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App(Term):
     left: Term
     right: Term
 
     def __post_init__(self):
         _part_signs("application", self.left, self.right)
+        _seal(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sum(Term):
     left: Term
     right: Term
 
     def __post_init__(self):
         _part_signs("sum", self.left, self.right)
+        _seal(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pair(Term):
     left: Term
     right: Term
@@ -132,18 +144,20 @@ class Pair(Term):
         signs = _part_signs("pairing", self.left, self.right)
         if signs is not None and signs[0] == POSITIVE:
             raise SignDisciplineError("pairing takes negative terms")
+        _seal(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bang(Term):
     inner: Term
 
     def __post_init__(self):
         if term_sign(self.inner) == NEGATIVE:
             raise SignDisciplineError("'!' takes a positive term")
+        _seal(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TMeta(Term):
     """Term metavariable for axiom schemas; polarity constrains bindings."""
 
@@ -174,43 +188,46 @@ def term_sign(t: Term) -> str | None:
 
 
 class Formula:
-    __slots__ = ()
+    __slots__ = ("_hash",)
+
+    def __post_init__(self):
+        _seal(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PropVar(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Just(Formula):
     """A justified formula ``t:F``."""
 
@@ -218,14 +235,11 @@ class Just(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FMeta(Formula):
     """Formula metavariable for axiom schemas."""
 
     name: str
-
-
-BOTTOM = Bottom()
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +273,46 @@ def _getter(names: tuple[str, ...]):
 
 
 _GET_PARTS = {kind: _getter(names) for kind, names in _PARTS.items()}
+
+# A node's hash is computed once, as the last step of its constructor,
+# and kept in the ``_hash`` slot that ``Term`` and ``Formula`` declare.
+# It is ``hash`` of the field tuple, the value the generated dataclass
+# hash gives, so sets and dicts of nodes iterate as they did.  Copies and
+# pickles call the constructor again, so a node never carries a hash
+# over from another process, where strings hash differently.
+_GET_FIELDS = {kind: _getter(tuple(f.name for f in fields(kind)))
+               for kind in _PARTS}
+
+
+def _seal(node) -> None:
+    object.__setattr__(node, "_hash", hash(_GET_FIELDS[type(node)](node)))
+
+
+def _hash(node) -> int:
+    return node._hash
+
+
+def _reduce(node):
+    return type(node), _GET_FIELDS[type(node)](node)
+
+
+# the generated guards of a frozen class with slots raise TypeError on a
+# name that is not a field, from ``super()`` in the replaced class
+def _setattr(node, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _delattr(node, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+for _kind in _PARTS:
+    _kind.__hash__ = _hash
+    _kind.__reduce__ = _reduce
+    _kind.__setattr__ = _setattr
+    _kind.__delattr__ = _delattr
+
+BOTTOM = Bottom()
 
 
 def _parts(node) -> tuple:

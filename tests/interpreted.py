@@ -1,0 +1,90 @@
+"""The recursive matcher and filler, kept as the oracle of the compiled
+ones in ``dlk.logics``.
+
+``match_template`` and ``instantiate`` here walk the template through
+``syntax._PARTS`` on every call, as ``dlk.logics`` did before it compiled
+each template into a straight-line function.  The compiled functions
+must return the same binding, with its keys in the same order, or None,
+and the same instance or an ``InstantiationError`` with the same
+message.  ``_polarity_ok``, ``_subst`` and ``_match`` are the old code,
+verbatim.
+"""
+
+from __future__ import annotations
+
+from dlk.logics import Binding, InstantiationError
+from dlk.syntax import (
+    NEGATIVE, POSITIVE, FMeta, Formula, SignDisciplineError, Term, TMeta,
+    _parts, print_term, term_sign,
+)
+
+
+def _polarity_ok(polarity: str, term: Term, signed: bool) -> bool:
+    if not signed or polarity in ("any", "sigma"):
+        return True
+    sign = term_sign(term)
+    return sign == (POSITIVE if polarity == "pos" else NEGATIVE)
+
+
+def instantiate(template: Formula, binding: Binding, signed: bool = False) -> Formula:
+    """Fill a schema template; raises InstantiationError on bad bindings."""
+    try:
+        return _subst(template, binding, signed)
+    except SignDisciplineError as exc:
+        raise InstantiationError(str(exc)) from None
+
+
+def _subst(node, binding: Binding, signed: bool):
+    kind = type(node)
+    if kind is FMeta:
+        if node.name not in binding.formulas:
+            raise InstantiationError(f"unbound formula metavariable {node.name!r}")
+        return binding.formulas[node.name]
+    if kind is TMeta:
+        if node.name not in binding.terms:
+            raise InstantiationError(f"unbound term metavariable {node.name!r}")
+        bound = binding.terms[node.name]
+        if not _polarity_ok(node.polarity, bound, signed):
+            raise InstantiationError(
+                f"term {print_term(bound)!r} has the wrong sign for "
+                f"metavariable {node.name!r} ({node.polarity})")
+        return bound
+    parts = _parts(node)
+    if not parts:
+        return node
+    return kind(*[_subst(part, binding, signed) for part in parts])
+
+
+def _match(pattern, node, fm: dict, tm: dict, signed: bool) -> bool:
+    kind = type(pattern)
+    if kind is FMeta:
+        if pattern.name in fm:
+            return fm[pattern.name] == node
+        fm[pattern.name] = node
+        return True
+    if kind is TMeta:
+        if pattern.name in tm:
+            return tm[pattern.name] == node
+        if not _polarity_ok(pattern.polarity, node, signed):
+            return False
+        tm[pattern.name] = node
+        return True
+    if type(node) is not kind:
+        return False
+    parts = _parts(pattern)
+    if not parts:
+        return pattern == node
+    for part, sub in zip(parts, _parts(node)):
+        if not _match(part, sub, fm, tm, signed):
+            return False
+    return True
+
+
+def match_template(template: Formula, formula: Formula,
+                   signed: bool = False) -> Binding | None:
+    """Match a formula against one template; None when it does not fit."""
+    fm: dict[str, Formula] = {}
+    tm: dict[str, Term] = {}
+    if _match(template, formula, fm, tm, signed):
+        return Binding(fm, tm)
+    return None

@@ -357,6 +357,25 @@ def test_close_spec_lists_the_closure(tmp_path, capsys):
     assert closed.formulas == (fm("e:R"), fm("~R"))
 
 
+def test_close_spec_probe_clamps_inferred_sizes(tmp_path, capsys,
+                                                 monkeypatch):
+    # the probe builds at the sizes the members need, capped like
+    # build-model --spec: too small a cap gives up at once
+    monkeypatch.setenv("DLK_MAX_BOUND", "3")
+    spath = write_json(tmp_path / "spec.json",
+                       {"profile": "dl",
+                        "formulas": ["x:(P /\\ P /\\ P /\\ P /\\ P)"]})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "close-spec", spath, "--probe", "--json")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert "inferred --fm-size 9 clamped to DLK_MAX_BOUND=3" in err
+    assert json.loads(out)["probe"] == {
+        "status": "unknown",
+        "note": "body of 'x:(P /\\\\ P /\\\\ P /\\\\ P /\\\\ P)' exceeds the "
+                "formula bound 3"}
+
+
 def test_close_spec_reports_a_clash(tmp_path, capsys):
     spath = write_json(tmp_path / "spec.json",
                        {"profile": "dl", "formulas": ["e:P", "P"]})

@@ -1,11 +1,16 @@
 """Grammar, printing, sizes, and the bounded enumerations."""
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError, fields
+
 import pytest
 
 from dlk.syntax import (
-    MAX_NESTING, Alphabet, And, App, Bang, Bottom, Const, Formula, Implies,
-    Just, NestingError, Not, Or, Pair, ParseError, PropVar,
-    SignDisciplineError, SignViolation, Sum, Var, enumerate_formulas,
+    BOTTOM, MAX_NESTING, Alphabet, And, App, Bang, Bottom, Const, FMeta,
+    Formula, Implies, Just, NestingError, Not, Or, Pair, ParseError, PropVar,
+    SignDisciplineError, SignViolation, Sum, TMeta, Var, _PARTS,
+    enumerate_formulas,
     enumerate_terms, formula_size, parse_formula, parse_term, print_formula,
     print_term, subformulas, subterms, term_sign, term_size,
 )
@@ -252,3 +257,63 @@ def test_enumeration_monotone_in_bound():
     small = set(enumerate_terms(alpha, 3, ops))
     large = set(enumerate_terms(alpha, 5, ops))
     assert small <= large
+
+
+# ---------------------------------------------------------------------------
+# the node classes: slotted, frozen, hashed once
+
+# one node of every class, and each class's match arguments
+NODES = {
+    Const: (Const("a", "+"), ("name", "sign")),
+    Var: (Var("x"), ("name", "sign")),
+    App: (App(x, y), ("left", "right")),
+    Sum: (Sum(Var("x", "-"), Var("y", "-")), ("left", "right")),
+    Pair: (Pair(Var("x", "-"), Const("a", "-")), ("left", "right")),
+    Bang: (Bang(Var("x", "+")), ("inner",)),
+    TMeta: (TMeta("t", "neg"), ("name", "polarity")),
+    Bottom: (BOTTOM, ()),
+    PropVar: (P, ("name",)),
+    Not: (Not(P), ("body",)),
+    And: (And(P, Q), ("left", "right")),
+    Or: (Or(P, Not(Q)), ("left", "right")),
+    Implies: (Implies(And(P, Q), R), ("left", "right")),
+    Just: (Just(App(x, y), P), ("term", "body")),
+    FMeta: (FMeta("P"), ("name",)),
+}
+
+
+def test_every_node_class_is_covered():
+    assert set(NODES) == set(_PARTS)
+
+
+@pytest.mark.parametrize("kind", list(NODES), ids=lambda k: k.__name__)
+def test_node_hash_is_the_generated_one(kind):
+    node, match_args = NODES[kind]
+    assert type(node) is kind
+    assert hash(node) == hash(tuple(getattr(node, f.name)
+                                    for f in fields(node)))
+    assert not hasattr(node, "__dict__")
+    assert kind.__match_args__ == match_args
+    for name in [f.name for f in fields(node)] + ["other"]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(node, name)
+
+
+@pytest.mark.parametrize("kind", list(NODES), ids=lambda k: k.__name__)
+def test_node_copies_and_pickles_equal(kind):
+    node, _ = NODES[kind]
+    for twin in (copy.copy(node), copy.deepcopy(node),
+                 pickle.loads(pickle.dumps(node))):
+        assert twin == node and hash(twin) == hash(node)
+        assert type(twin) is kind
+
+
+def test_constructors_keep_the_sign_discipline():
+    pos, neg = Var("x", "+"), Var("y", "-")
+    for build in (lambda: App(pos, neg), lambda: Sum(neg, pos),
+                  lambda: Pair(neg, pos), lambda: Pair(pos, Var("z", "+")),
+                  lambda: Bang(neg), lambda: Just(Sum(pos, neg), P)):
+        with pytest.raises(SignDisciplineError):
+            build()
