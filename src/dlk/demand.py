@@ -301,7 +301,7 @@ class DemandSaturation:
                                         profile.term_ops):
             self.feed_term(t)
         for f in seeds:
-            self.feed_pool(f)
+            self.feed_pool(f, _fits(f, self.size_bound))
 
     # pools ---------------------------------------------------------------
 
@@ -310,17 +310,18 @@ class DemandSaturation:
             self.term_index[t] = len(self.terms)
             self.terms.append(t)
 
-    def feed_pool(self, f: Formula):
+    def feed_pool(self, f: Formula, fits: bool):
         """The exhaustive loop's ``feed_pool``, without measuring or
         hashing the parts too large for the pool, and walking each large
-        node object once (conclusions share their parts)."""
+        node object once (conclusions share their parts).  ``fits`` is
+        ``_fits(f, self.size_bound)``."""
         if id(f) in self.fed:
             return
-        if not _fits(f, self.size_bound):
+        if not fits:
             self.fed[id(f)] = f
             for kid in _parts(f):
-                if isinstance(kid, Formula):
-                    self.feed_pool(kid)
+                if isinstance(kid, Formula) and id(kid) not in self.fed:
+                    self.feed_pool(kid, _fits(kid, self.size_bound))
             return
         if f in self.pool_index:        # and so is every part of it
             return
@@ -485,8 +486,9 @@ class DemandSaturation:
         merged = heapq.merge(*streams, key=itemgetter(0))
         self.queue.append(map(itemgetter(1), merged))
 
-    def add(self, f: Formula, prov: tuple):
-        """Add a hypothesis or modus ponens conclusion at key ``now``."""
+    def add(self, f: Formula, prov: tuple, fits: bool):
+        """Add a hypothesis or modus ponens conclusion at key ``now``;
+        ``fits`` is ``_fits(f, self.size_bound)``."""
         out = self.out
         out.provenance[f] = prov
         out.order.append(f)
@@ -524,7 +526,7 @@ class DemandSaturation:
                     for key, m in self.by_antecedent.get(f, ())]]
         matches = [(rule, Binding({rule.template.left.name: f}, {}))
                    for rule in self.book.bare] \
-            if _fits(f, self.size_bound) else []
+            if fits else []
         for rule in self.book.shaped[type(f)]:
             bound = logics.match_template(rule.template.left, f, self.signed)
             if bound is not None and all(_fits(v, self.size_bound)
@@ -613,7 +615,7 @@ class DemandSaturation:
         for i, h in enumerate(self.hyps):
             if h not in self.out.provenance:
                 self.now = (0, 0, i)
-                self.add(h, ("hyp", i))
+                self.add(h, ("hyp", i), _fits(h, self.size_bound))
             if self.done:
                 break
         for round_no in range(1, self.rounds + 1):
@@ -641,8 +643,9 @@ class DemandSaturation:
                     self.store(major.left, *left_route)
                 self.now = (round_no, 0, n)
                 n += 1
-                self.add(major.right, ("mp", major, major.left))
-                self.feed_pool(major.right)
+                fits = _fits(major.right, self.size_bound)
+                self.add(major.right, ("mp", major, major.left), fits)
+                self.feed_pool(major.right, fits)
             if self.done or not self.snapshot(round_no):
                 break
             self.instance_phase(round_no)

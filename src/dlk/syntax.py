@@ -46,6 +46,17 @@ node class is one row in ``_PARTS`` (plus one in ``_FORMATS``, and one in
 ``_TERM_OPS`` for a term operator); only the grammar and the code that
 gives the node a meaning, such as ``term_sign`` or model evaluation,
 need a new case.
+
+Enumeration order is ``_sort_key`` order: by size, then by the head
+symbol's rank, then by the parts' keys.  ``enumerate_terms`` and
+``enumerate_formulas`` meet it by construction, computing no key per
+node: their rows run in ``_RANK`` order, the size splits of a binary
+node run by ascending size of the first part (the first field of its
+key), and ``itertools.product`` walks pools that are each sorted.  Only
+the leaves and the caller's term list are sorted.  ``_sort_key`` itself
+orders sets for output: ``occurring_terms``, ``default_universe``, audit
+violations and ``model_to_dict`` in ``semantics``, and the candidates of
+``search_jl_model``.
 """
 
 from __future__ import annotations
@@ -627,7 +638,8 @@ def parse_term(text: str, signed: bool = False) -> Term:
 class Alphabet:
     """Symbol inventory for enumeration.
 
-    With ``signed`` set, every term leaf is generated in both signs.
+    With ``signed`` set, every term leaf is generated in both signs.  A
+    name given twice is one symbol.
     """
 
     prop_vars: tuple[str, ...] = ()
@@ -637,15 +649,23 @@ class Alphabet:
 
     def leaves(self) -> list[Term]:
         signs = (POSITIVE, NEGATIVE) if self.signed else (UNSIGNED,)
-        out: list[Term] = [Const(n, s) for n in self.term_consts for s in signs]
-        out += [Var(n, s) for n in self.term_vars for s in signs]
+        out: list[Term] = [Const(n, s) for n in dict.fromkeys(self.term_consts)
+                           for s in signs]
+        out += [Var(n, s) for n in dict.fromkeys(self.term_vars) for s in signs]
         return out
 
 
 def _compounds(rows, n: int) -> list:
     """Every node of size n that a row's constructor builds from parts
     drawn, by size, from the row's pools (dicts size -> nodes); those
-    breaking sign discipline are skipped."""
+    breaking sign discipline are skipped.
+
+    The nodes come out in ``_sort_key`` order when the rows are in
+    ``_RANK`` order and every pool list is sorted by ``_sort_key`` and
+    free of duplicates: the size splits run by ascending size of the
+    first part, which is the first field of its key, and the product
+    walks each part's sorted pool in turn, so the parts' keys ascend
+    lexicographically within a row."""
     items = []
     for ctor, pools in rows:
         splits = [(n - 1,)] if len(pools) == 1 else \
@@ -665,13 +685,16 @@ def enumerate_terms(alphabet: Alphabet, size_bound: int,
     """All terms of size <= size_bound over the alphabet, enumeration order.
 
     The order is total: by size, then by a fixed rank of the head symbol,
-    then lexicographically; every proper subterm precedes its compound.
+    then lexicographically by the parts; every proper subterm precedes
+    its compound.  It is ``_sort_key`` order, met by construction (see
+    ``_compounds``): only the leaves are sorted.
     """
     by_size: dict[int, list[Term]] = {1: sorted(alphabet.leaves(), key=_sort_key)}
-    rows = [(ctor, (by_size,) * len(_PARTS[ctor]))
-            for op, (ctor, _) in _TERM_OPS.items() if op in ops]
+    built = {ctor for op, (ctor, _) in _TERM_OPS.items() if op in ops}
+    rows = [(ctor, (by_size,) * len(names))
+            for ctor, names in _PARTS.items() if ctor in built]
     for n in range(2, size_bound + 1):
-        by_size[n] = sorted(_compounds(rows, n), key=_sort_key)
+        by_size[n] = _compounds(rows, n)
     return [t for n in range(1, size_bound + 1) for t in by_size.get(n, ())]
 
 
@@ -680,13 +703,18 @@ def enumerate_formulas(alphabet: Alphabet, size_bound: int,
     """All formulas of size <= size_bound, enumeration order.
 
     Justified formulas draw their terms from ``terms``, a term
-    enumeration such as ``enumerate_terms`` gives.
+    enumeration such as ``enumerate_terms`` gives, or any list of terms:
+    they are deduplicated, grouped by size and each group sorted once,
+    so that ``_compounds`` builds the formulas in ``_sort_key`` order.
     """
     terms_by_size: dict[int, list[Term]] = {}
-    for t in terms:
+    for t in dict.fromkeys(terms):
         terms_by_size.setdefault(_size(t), []).append(t)
+    for group in terms_by_size.values():
+        group.sort(key=_sort_key)
 
-    base: list[Formula] = [BOTTOM] + [PropVar(v) for v in alphabet.prop_vars]
+    base: list[Formula] = [BOTTOM] + [PropVar(v) for v in
+                                      dict.fromkeys(alphabet.prop_vars)]
     by_size: dict[int, list[Formula]] = {1: sorted(base, key=_sort_key)}
     # the one term part of a formula, Just's, is named "term"
     rows = [(ctor, tuple(terms_by_size if name == "term" else by_size
@@ -694,5 +722,5 @@ def enumerate_formulas(alphabet: Alphabet, size_bound: int,
             for ctor, names in _PARTS.items()
             if names and issubclass(ctor, Formula)]
     for n in range(2, size_bound + 1):
-        by_size[n] = sorted(_compounds(rows, n), key=_sort_key)
+        by_size[n] = _compounds(rows, n)
     return [f for n in range(1, size_bound + 1) for f in by_size.get(n, ())]

@@ -289,6 +289,20 @@ def test_build_model_traces_the_stages(tmp_path, capsys):
     assert trace["stages"]
 
 
+def test_build_model_traces_each_formula_once(tmp_path, capsys):
+    # a repeated term name is one symbol: 20 distinct formulas, 20 rows
+    tpath = tmp_path / "trace.json"
+    code, _, _ = run_cli(capsys, "build-model", "--logic", "dl",
+                         "--functional", "const-one", "--vars", "P=0",
+                         "--terms", "x,x", "--fm-size", "3", "--tm-size", "2",
+                         "--trace", str(tpath), "--json")
+    assert code == 0
+    rows = json.loads(tpath.read_text())["stages"]
+    formulas = [row["formula"] for row in rows]
+    assert len(formulas) == len(set(formulas)) == 20
+    assert [row["index"] for row in rows] == list(range(20))
+
+
 def test_build_model_argument_errors(tmp_path, capsys):
     spath = write_json(tmp_path / "spec.json",
                        {"profile": "dl", "formulas": []})

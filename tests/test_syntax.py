@@ -9,7 +9,8 @@ import pytest
 from dlk.syntax import (
     BOTTOM, MAX_NESTING, Alphabet, And, App, Bang, Bottom, Const, FMeta,
     Formula, Implies, Just, NestingError, Not, Or, Pair, ParseError, PropVar,
-    SignDisciplineError, SignViolation, Sum, TMeta, Var, _PARTS,
+    SignDisciplineError, SignViolation, Sum, TMeta, Var, _PARTS, _RANK,
+    _size,
     enumerate_formulas,
     enumerate_terms, formula_size, parse_formula, parse_term, print_formula,
     print_term, subformulas, subterms, term_sign, term_size,
@@ -249,6 +250,32 @@ def test_formula_enumeration_matches_brute_force():
     assert set(got) == want
     sizes = [formula_size(f) for f in got]
     assert sizes == sorted(sizes)
+
+
+def test_enumerations_run_their_rows_in_rank_order():
+    alpha = Alphabet(("P",), ("x",), ("a",), signed=False)
+    terms = enumerate_terms(alpha, 4, frozenset({"app", "sum", "pair", "bang"}))
+    formulas = enumerate_formulas(alpha, 5, terms)
+    for nodes, kinds in ((terms, {Const, Var, App, Sum, Pair, Bang}),
+                         (formulas, {Bottom, PropVar, Not, And, Or, Implies,
+                                     Just})):
+        assert {type(node) for node in nodes} == kinds
+        heads = [(_size(node), _RANK[type(node)]) for node in nodes]
+        assert heads == sorted(heads)
+
+
+def test_repeated_symbols_and_terms_enumerate_once():
+    ops = frozenset({"app", "sum", "pair", "bang"})
+    for signed in (False, True):
+        alpha = Alphabet(("P", "Q", "P"), ("x", "x"), ("a", "a"), signed)
+        once = Alphabet(("P", "Q"), ("x",), ("a",), signed)
+        assert alpha.leaves() == once.leaves()
+        terms = enumerate_terms(alpha, 3, ops)
+        assert terms == enumerate_terms(once, 3, ops)
+        assert len(set(terms)) == len(terms)
+        formulas = enumerate_formulas(alpha, 4, terms + terms[::-1])
+        assert formulas == enumerate_formulas(once, 4, terms)
+        assert len(set(formulas)) == len(formulas)
 
 
 def test_enumeration_monotone_in_bound():
