@@ -10,7 +10,9 @@ fresh directory with relative file names, ``dlk build-model --json``
 with each preset functional in ``dl`` and ``dl0`` and with a
 specification, followed by ``dlk audit --json`` on each built model, and
 ``dlk audit --json`` on a hand-written model with violations and
-universe-not-closed warnings under both universe kinds.
+universe-not-closed warnings under both universe kinds, and the text
+report of every command on small inputs (``TEXT_CASES``), with the files
+it writes.
 """
 
 import json
@@ -113,3 +115,85 @@ def test_audit_hand_model_json(capsys, monkeypatch, tmp_path, universe):
     Path("hand.json").write_text(HAND_MODEL, encoding="utf-8")
     argv = ["audit", "--model", "hand.json", "--universe", universe, "--json"]
     assert _run(capsys, argv) == GOLDEN[f"audit hand {universe}"]
+
+
+# inputs for the text cases, written into each case's fresh directory
+REPLAY = {
+    "profile": "dl", "hypotheses": ["s:(t:P -> ~P)"],
+    "lines": [
+        {"kind": "hyp", "formula": "s:(t:P -> ~P)", "hyp_index": 0},
+        {"kind": "axiom", "formula": "s:(t:P -> ~P) -> ~(t:P -> ~P)",
+         "schema": "denial",
+         "binding": {"formulas": {"P": "t:P -> ~P"}, "terms": {"t": "s"}}},
+        {"kind": "mp", "formula": "~(t:P -> ~P)", "premises": [1, 0]}]}
+INPUTS = {
+    "hand.json": HAND_MODEL,
+    "replay.json": json.dumps(REPLAY) + "\n",
+    "broken.json": json.dumps(dict(REPLAY, lines=REPLAY["lines"][:2] + [
+        {"kind": "mp", "formula": "~(t:P -> ~P)", "premises": [0, 1]}]))
+    + "\n",
+    "clash.json": '{"profile": "dl", "formulas": ["a:A", "A"]}\n',
+    "one.json": '{"profile": "dl", "formulas": ["s:E"]}\n',
+    "incoherent.json": '{"profile": "dl", "formulas": ["a:_|_"]}\n',
+    "signed.txt": "# premises\ns-:E\nt+:(s-:E)\n",
+    "signed.json": '["s-:E", "c+:C"]\n',
+    "proof_k.json": json.dumps({
+        "profile": "fused", "hypotheses": [],
+        "lines": [{"kind": "axiom", "formula": "E -> C -> E", "schema": "k",
+                   "binding": {"formulas": {"P": "E", "Q": "C"},
+                               "terms": {}}}]}) + "\n",
+    "spec_k.json": '{"profile": "fused", "formulas": ["a+:(E -> C -> E)"]}\n',
+}
+SMALL = ["--size", "3"]
+# name -> (argv, files the command writes)
+TEXT_CASES = {
+    "parse formula": (["parse", "P/\\Q -> x:P"], ()),
+    "parse term": (["parse", "--term", "[x.y]"], ()),
+    "parse problem": (["parse", "--logic", "dl", "!x:P"], ()),
+    "parse rejected": (["parse", "P ->"], ()),
+    "parse schema-table": (["parse", "--schema-table", "--logic", "lp"], ()),
+    "eval": (["eval", "--model", "hand.json", "x:(P -> Q)"], ()),
+    "check-proof accepted": (["check-proof", "replay.json"], ()),
+    "check-proof rejected": (["check-proof", "broken.json"], ()),
+    "audit hand occurring": (["audit", "--model", "hand.json",
+                              "--universe", "occurring"], ()),
+    "audit hand default": (["audit", "--model", "hand.json",
+                            "--universe", "default"], ()),
+    "build-model out": (["build-model", "--functional", "const-one",
+                         "--vars", "P=1", "--fm-size", "3", "--tm-size", "2",
+                         "--out", "model.json", "--trace", "trace.json"],
+                        ("model.json", "trace.json")),
+    "close-spec clash": (["close-spec", "clash.json"], ()),
+    "extract-ok": (["extract-ok", "one.json", *SMALL, "--out", "ok.json"],
+                   ("ok.json",)),
+    "blue-pill out": (["blue-pill", "one.json", *SMALL, "--out", "pill.json"],
+                      ("pill.json",)),
+    "blue-pill": (["blue-pill", "one.json", *SMALL], ()),
+    "blue-pill failure": (["blue-pill", "incoherent.json", *SMALL], ()),
+    "check-coherence coherent": (["check-coherence", "one.json", *SMALL], ()),
+    "check-coherence counterexample": (["check-coherence", "incoherent.json",
+                                        *SMALL], ()),
+    "translate text out": (["translate", "signed.txt", "--out", "out.txt"],
+                           ("out.txt",)),
+    "translate json": (["translate", "signed.json"], ()),
+    "internalize": (["internalize", "proof_k.json", "--spec", "spec_k.json",
+                     "--out", "lifted.json"], ("lifted.json",)),
+    "scenario list": (["scenario"], ()),
+    "scenario run": (["scenario", "envatted-brain"], ()),
+}
+
+
+def _run_case(capsys, argv, written=()) -> dict:
+    """Run one case in the current directory over fresh ``INPUTS``."""
+    for name, text in INPUTS.items():
+        Path(name).write_text(text, encoding="utf-8")
+    got = _run(capsys, argv)
+    got["files"] = {name: Path(name).read_text(encoding="utf-8")
+                    for name in written}
+    return got
+
+
+@pytest.mark.parametrize("case", TEXT_CASES)
+def test_text_report(capsys, monkeypatch, tmp_path, case):
+    monkeypatch.chdir(tmp_path)
+    assert _run_case(capsys, *TEXT_CASES[case]) == GOLDEN[f"text {case}"]
