@@ -1,11 +1,14 @@
 """Command-line surface: batch-oriented, file-in/file-out.
 
-Every command reads files (or argument text), prints a human-readable
-report, and exits 0 when the verdict is positive (parsed, accepted,
-clean, built, coherent), 1 when the tools produce a negative verdict
-(rejected proof, clashing specification, failed audit, refutation), and
-2 on usage or I/O problems.  ``--json`` swaps the report for one JSON
-document on stdout; warnings and errors go to stderr either way.
+Every command reads files (or argument text), writes any files it was
+asked for, and builds one report document.  It exits 0 when the verdict
+is positive (parsed, accepted, clean, built, coherent), 1 when the tools
+produce a negative verdict (rejected input or proof, clashing
+specification, failed audit, refutation), and 2 on usage or I/O
+problems.  ``--json`` prints that document on stdout; without it the
+command's text view prints the same document as a human-readable report,
+so the text never says what the document does not.  Warnings and errors
+go to stderr either way, with no document.
 
 The environment variable ``DLK_MAX_BOUND`` caps every enumeration bound
 (formula/term sizes, search depth, limits are left alone) so a shared
@@ -34,8 +37,8 @@ from .proofs import (
 )
 from .scenarios import ScenarioError, available, load, run
 from .semantics import (
-    ModelFormatError, audit, default_universe, evaluate, model_from_dict,
-    model_to_dict, occurring_terms,
+    ModelFormatError, Violation, audit, default_universe, evaluate,
+    model_from_dict, model_to_dict, occurring_terms,
 )
 from .specifications import (
     SpecClashError, SpecFormatError, SpecShapeError, blue_pill,
@@ -78,17 +81,20 @@ def _read_json(path: str):
         raise _Fail(2, f"{path} is not JSON: {exc}") from None
 
 
-def _write_json(path: str, doc) -> None:
+def _dumps(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=False)
+
+
+def _write(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=False)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         raise _Fail(2, f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _emit_json(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=False))
+def _write_json(path: str, doc) -> None:
+    _write(path, _dumps(doc) + "\n")
 
 
 def _parse_arg_formula(text: str, profile):
@@ -145,10 +151,11 @@ def _load_proof(path: str, logic: str | None,
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each does its work, writes any --out/--trace files and returns
+# (exit code, document); its ``_text_*`` view renders the document as lines
 
 
-def _cmd_parse(args) -> int:
+def _cmd_parse(args):
     profile = _profile(args.logic)
     if args.schema_table:
         table = []
@@ -162,78 +169,75 @@ def _cmd_parse(args) -> int:
                           "terms": [{"name": n, "polarity": p}
                                     for n, p in metas],
                           "note": sch.note})
-        _emit_json({"profile": profile.name, "schemas": table})
-        return 0
+        return 0, {"profile": profile.name, "schemas": table}
     if args.text is None:
         raise _Fail(2, "nothing to parse: give a formula or --schema-table")
-    if args.term:
-        try:
-            term = parse_term(args.text, signed=profile.signed)
-        except NestingError as exc:
-            raise _Fail(2, str(exc)) from None
-        except (ParseError, SignViolation) as exc:
-            print(f"rejected: {exc}")
-            return 1
-        if args.json:
-            _emit_json({"kind": "term", "canonical": print_term(term),
-                        "size": term_size(term)})
-        else:
-            print(print_term(term))
-            print(f"term, size {term_size(term)}")
-        return 0
+    kind = "term" if args.term else "formula"
     try:
-        f = parse_formula(args.text, signed=profile.signed)
+        node = (parse_term if args.term else parse_formula)(
+            args.text, signed=profile.signed)
     except NestingError as exc:
         raise _Fail(2, str(exc)) from None
     except (ParseError, SignViolation) as exc:
-        print(f"rejected: {exc}")
-        return 1
-    problems = check_in_profile(f, profile)
-    if args.json:
-        _emit_json({"kind": "formula", "canonical": print_formula(f),
-                    "size": formula_size(f), "profile": profile.name,
-                    "problems": problems})
+        return 1, {"kind": kind, "rejected": str(exc)}
+    if args.term:
+        return 0, {"kind": kind, "canonical": print_term(node),
+                   "size": term_size(node)}
+    problems = check_in_profile(node, profile)
+    return (1 if problems else 0), {
+        "kind": kind, "canonical": print_formula(node),
+        "size": formula_size(node), "profile": profile.name,
+        "problems": problems}
+
+
+def _text_parse(doc, args):
+    if "schemas" in doc:
+        yield _dumps(doc)
+    elif "rejected" in doc:
+        yield f"rejected: {doc['rejected']}"
+    elif doc["kind"] == "term":
+        yield doc["canonical"]
+        yield f"term, size {doc['size']}"
     else:
-        print(print_formula(f))
-        print(f"formula, size {formula_size(f)}, profile {profile.name}")
-        for p in problems:
-            print(f"problem: {p}")
-    return 0 if not problems else 1
+        yield doc["canonical"]
+        yield f"formula, size {doc['size']}, profile {doc['profile']}"
+        for p in doc["problems"]:
+            yield f"problem: {p}"
 
 
-def _cmd_check_proof(args) -> int:
+def _cmd_check_proof(args):
     spec = _load_spec(args.spec, args.logic) if args.spec else None
     proof = _load_proof(args.proof, args.logic, spec)
     result = check_proof(proof)
-    if args.json:
-        _emit_json({
-            "accepted": result.ok,
-            "conclusion": (print_formula(result.conclusion)
-                           if result.conclusion is not None else None),
-            "problems": [{"line": n, "reason": why}
-                         for n, why in result.problems]})
-    elif result.ok:
-        print(f"accepted: {len(proof.lines)} lines conclude "
-              f"{print_formula(result.conclusion)}")
-    else:
-        print("rejected")
-        for line in result.describe():
-            print(f"  {line}")
-    return 0 if result.ok else 1
+    return (0 if result.ok else 1), {
+        "accepted": result.ok,
+        "conclusion": (print_formula(result.conclusion)
+                       if result.conclusion is not None else None),
+        "problems": [{"line": n, "reason": why}
+                     for n, why in result.problems],
+        "lines": len(proof.lines)}
 
 
-def _cmd_eval(args) -> int:
+def _text_check_proof(doc, args):
+    if doc["accepted"]:
+        yield f"accepted: {doc['lines']} lines conclude {doc['conclusion']}"
+        return
+    yield "rejected"
+    for p in doc["problems"]:
+        yield f"  line {p['line']}: {p['reason']}"
+
+
+def _cmd_eval(args):
     model = model_from_dict(_read_json(args.model))
     f = _parse_arg_formula(args.formula, model.profile)
-    value = evaluate(model, f)
-    if args.json:
-        _emit_json({"formula": print_formula(f), "value": int(value)})
-    else:
-        print(int(value))
-    return 0
+    return 0, {"formula": print_formula(f), "value": int(evaluate(model, f))}
 
 
-def _cmd_audit(args) -> int:
+def _text_eval(doc, args):
+    yield str(doc["value"])
+
+
+def _cmd_audit(args):
     model = model_from_dict(_read_json(args.model))
     kind = args.universe
     if kind is None:
@@ -241,24 +245,25 @@ def _cmd_audit(args) -> int:
     universe = (occurring_terms(model) if kind == "occurring"
                 else default_universe(model))
     report = audit(model, universe)
-    if args.json:
-        doc = report.as_dict()
-        doc["universe"] = [print_term(t) for t in universe]
-        doc["universe_kind"] = kind
-        _emit_json(doc)
-    else:
-        print(f"audit over {len(universe)} terms ({kind} universe), "
-              f"profile {report.profile}")
-        for cond in report.conditions:
-            mark = "ok" if cond.ok else f"{len(cond.violations)} violations"
-            print(f"  {cond.name}: {cond.checked} checked, {mark}")
-            for v in cond.violations[:20]:
-                print(f"    {v.describe()}")
-            if len(cond.violations) > 20:
-                print(f"    ... and {len(cond.violations) - 20} more")
-        for w in report.warnings:
-            print(f"  warning: {w}")
-    return 0 if report.ok else 1
+    doc = report.as_dict()
+    doc["universe"] = [print_term(t) for t in universe]
+    doc["universe_kind"] = kind
+    return (0 if report.ok else 1), doc
+
+
+def _text_audit(doc, args):
+    yield (f"audit over {len(doc['universe'])} terms "
+           f"({doc['universe_kind']} universe), profile {doc['profile']}")
+    for cond in doc["conditions"]:
+        bad = cond["violations"]
+        mark = "ok" if cond["ok"] else f"{len(bad)} violations"
+        yield f"  {cond['name']}: {cond['checked']} checked, {mark}"
+        for v in bad[:20]:
+            yield f"    {Violation(**v).describe()}"
+        if len(bad) > 20:
+            yield f"    ... and {len(bad) - 20} more"
+    for w in doc["warnings"]:
+        yield f"  warning: {w}"
 
 
 def _split_csv(raw: str | None) -> list[str]:
@@ -278,7 +283,7 @@ def _seed_from_vars(raw: str | None) -> dict[str, bool]:
     return seed
 
 
-def _cmd_build_model(args) -> int:
+def _cmd_build_model(args):
     profile = _profile(args.logic)
     fm_size = _clamp(args.fm_size, "--fm-size")
     tm_size = _clamp(args.tm_size, "--tm-size")
@@ -322,67 +327,62 @@ def _cmd_build_model(args) -> int:
     doc = model_to_dict(model)
     if args.trace is not None and trace is not None:
         _write_json(args.trace, trace.as_dict())
-    if args.json:
-        _emit_json({"model": doc,
-                    "terms": len(model.interp),
-                    "formulas_staged": (len(model.formula_universe)
-                                        if model.formula_universe else 0),
-                    "out": args.out})
-        if args.out:
-            _write_json(args.out, doc)
-        return 0
     if args.out:
         _write_json(args.out, doc)
-        staged = len(model.formula_universe) if model.formula_universe else 0
-        print(f"built: {staged} formulas staged over {len(model.interp)} "
-              f"terms, model written to {args.out}")
-        if args.trace is not None:
-            print(f"trace written to {args.trace}")
-    else:
-        _emit_json(doc)
-    return 0
+    return 0, {"model": doc,
+               "terms": len(model.interp),
+               "formulas_staged": (len(model.formula_universe)
+                                   if model.formula_universe else 0),
+               "out": args.out}
 
 
-def _cmd_close_spec(args) -> int:
+def _text_build_model(doc, args):
+    if not args.out:
+        yield _dumps(doc["model"])
+        return
+    yield (f"built: {doc['formulas_staged']} formulas staged over "
+           f"{doc['terms']} terms, model written to {args.out}")
+    if args.trace is not None:
+        yield f"trace written to {args.trace}"
+
+
+def _cmd_close_spec(args):
     raw = _load_spec(args.spec, args.logic)
     try:
         closed = close_spec(raw.formulas, raw.profile)
     except SpecClashError as exc:
-        a, b = exc.pair
-        if args.json:
-            _emit_json({"closed": False,
-                        "clash": [print_formula(a), print_formula(b)]})
-        else:
-            print(f"clash: {print_formula(a)} against {print_formula(b)}")
-        return 1
+        return 1, {"closed": False,
+                   "clash": [print_formula(f) for f in exc.pair]}
     added = [f for f in closed.formulas if f not in set(raw.formulas)]
-    probe = None
+    doc = {"closed": True,
+           "profile": closed.profile.name,
+           "members": [print_formula(f) for f in closed.formulas],
+           "added": [print_formula(f) for f in added]}
     if args.probe:
         need_fm, need_tm = inferred_bounds(closed.formulas)
         probe = probe_consistency(
             closed, fm_size=_clamp(need_fm, "inferred --fm-size"),
             tm_size=_clamp(need_tm, "inferred --tm-size"))
+        doc["probe"] = {"status": probe.status, "note": probe.note}
     if args.out:
         _write_json(args.out, spec_to_dict(closed))
-    if args.json:
-        doc = {"closed": True,
-               "profile": closed.profile.name,
-               "members": [print_formula(f) for f in closed.formulas],
-               "added": [print_formula(f) for f in added]}
-        if probe is not None:
-            doc["probe"] = {"status": probe.status, "note": probe.note}
-        _emit_json(doc)
-    else:
-        print(f"closed: {len(closed.formulas)} members "
-              f"({len(added)} added by closure)")
-        for f in closed.formulas:
-            print(f"  {print_formula(f)}")
-        if probe is not None:
-            print(f"probe: {probe.status}"
-                  + (f" ({probe.note})" if probe.note else ""))
-        if args.out:
-            print(f"written to {args.out}")
-    return 0
+    return 0, doc
+
+
+def _text_close_spec(doc, args):
+    if not doc["closed"]:
+        yield "clash: {} against {}".format(*doc["clash"])
+        return
+    yield (f"closed: {len(doc['members'])} members "
+           f"({len(doc['added'])} added by closure)")
+    for m in doc["members"]:
+        yield f"  {m}"
+    probe = doc.get("probe")
+    if probe is not None:
+        yield (f"probe: {probe['status']}"
+               + (f" ({probe['note']})" if probe["note"] else ""))
+    if args.out:
+        yield f"written to {args.out}"
 
 
 def _extraction_bounds(args):
@@ -392,81 +392,84 @@ def _extraction_bounds(args):
             "limit": args.limit}
 
 
-def _cmd_extract_ok(args) -> int:
+def _budget_note(doc) -> str:
+    return ", search budget exhausted" if doc["hit_limit"] else ""
+
+
+def _cmd_extract_ok(args):
     spec = _load_closed_spec(args)
     ok = ok_extract(spec, **_extraction_bounds(args))
     rows = []
     for f in ok.members:
         term, proof = ok.witnesses[f]
         rows.append((print_formula(f), print_term(term), proof))
+    head = {"profile": spec.profile.name,
+            "bounded": True, "hit_limit": ok.hit_limit}
     if args.out:
-        _write_json(args.out, {
-            "profile": spec.profile.name,
-            "bounded": True, "hit_limit": ok.hit_limit,
-            "members": [{"formula": ftext, "witness": ttext,
-                         "proof": proof_to_dict(proof)}
-                        for ftext, ttext, proof in rows]})
-    if args.json:
-        _emit_json({"profile": spec.profile.name,
-                    "bounded": True, "hit_limit": ok.hit_limit,
-                    "members": [{"formula": ftext, "witness": ttext,
-                                 "proof_lines": len(proof.lines)}
-                                for ftext, ttext, proof in rows]})
-    else:
-        tail = ", search budget exhausted" if ok.hit_limit else ""
-        print(f"OK set within bounds: {len(rows)} members{tail}")
-        for ftext, ttext, proof in rows:
-            print(f"  {ftext}  [{ttext}, {len(proof.lines)}-line proof]")
-        if args.out:
-            print(f"written to {args.out}")
-    return 0
+        _write_json(args.out, dict(head, members=[
+            {"formula": ftext, "witness": ttext,
+             "proof": proof_to_dict(proof)}
+            for ftext, ttext, proof in rows]))
+    return 0, dict(head, members=[
+        {"formula": ftext, "witness": ttext, "proof_lines": len(proof.lines)}
+        for ftext, ttext, proof in rows])
 
 
-def _cmd_blue_pill(args) -> int:
+def _text_extract_ok(doc, args):
+    yield (f"OK set within bounds: {len(doc['members'])} members"
+           f"{_budget_note(doc)}")
+    for m in doc["members"]:
+        yield (f"  {m['formula']}  [{m['witness']}, "
+               f"{m['proof_lines']}-line proof]")
+    if args.out:
+        yield f"written to {args.out}"
+
+
+def _cmd_blue_pill(args):
     spec = _load_closed_spec(args)
     result = blue_pill(spec, **_extraction_bounds(args))
     members = [print_formula(f) for f in result.ok.members]
     if result.status != "model":
-        if args.json:
-            _emit_json({"status": result.status, "members": members,
-                        "note": result.note})
-        else:
-            print(f"no model: {result.note}")
-        return 1
+        return 1, {"status": result.status, "members": members,
+                   "note": result.note}
     doc = model_to_dict(result.model)
     if args.out:
         _write_json(args.out, doc)
-    if args.json:
-        _emit_json({"status": "model", "members": members,
-                    "model": doc, "out": args.out})
+    return 0, {"status": "model", "members": members,
+               "model": doc, "out": args.out}
+
+
+def _text_blue_pill(doc, args):
+    if doc["status"] != "model":
+        yield f"no model: {doc['note']}"
+        return
+    yield (f"model found satisfying all {len(doc['members'])} extracted "
+           f"conclusions")
+    for m in doc["members"]:
+        yield f"  {m}"
+    if args.out:
+        yield f"model written to {args.out}"
     else:
-        print(f"model found satisfying all {len(members)} extracted "
-              f"conclusions")
-        for m in members:
-            print(f"  {m}")
-        if args.out:
-            print(f"model written to {args.out}")
-        else:
-            _emit_json(doc)
-    return 0
+        yield _dumps(doc["model"])
 
 
-def _cmd_check_coherence(args) -> int:
+def _cmd_check_coherence(args):
     spec = _load_closed_spec(args)
     report = check_coherence(spec, **_extraction_bounds(args))
-    members = [print_formula(f) for f in report.members]
-    if args.json:
-        _emit_json({"status": report.status, "members": members,
-                    "counterexample": (print_formula(report.counterexample)
-                                       if report.counterexample is not None
-                                       else None)})
-    elif report.coherent:
-        print(f"{report.status}: each of the {len(members)} extracted "
-              f"conclusions has a model")
+    return (0 if report.coherent else 1), {
+        "status": report.status,
+        "members": [print_formula(f) for f in report.members],
+        "counterexample": (print_formula(report.counterexample)
+                           if report.counterexample is not None else None)}
+
+
+def _text_check_coherence(doc, args):
+    if doc["counterexample"] is None:
+        yield (f"{doc['status']}: each of the {len(doc['members'])} "
+               f"extracted conclusions has a model")
     else:
-        print(f"counterexample: no searched model satisfies "
-              f"{print_formula(report.counterexample)}")
-    return 0 if report.coherent else 1
+        yield (f"counterexample: no searched model satisfies "
+               f"{doc['counterexample']}")
 
 
 def _read_formula_file(path: str):
@@ -477,8 +480,7 @@ def _read_formula_file(path: str):
             raw = fh.read()
     except OSError as exc:
         raise _Fail(2, f"cannot read {path}: {exc.strerror or exc}") from None
-    stripped = raw.lstrip()
-    if stripped.startswith("["):
+    if raw.lstrip().startswith("["):
         try:
             doc = json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -486,11 +488,10 @@ def _read_formula_file(path: str):
         if not all(isinstance(x, str) for x in doc):
             raise _Fail(2, f"{path}: expected an array of formula strings")
         return list(doc), "json"
-    lines = raw.splitlines()
-    return lines, "text"
+    return raw.splitlines(), "text"
 
 
-def _cmd_translate(args) -> int:
+def _cmd_translate(args):
     entries, shape = _read_formula_file(args.file)
     fused = get_profile("fused")
     out_lines: list[str] = []
@@ -520,27 +521,24 @@ def _cmd_translate(args) -> int:
 
     doc = {"formulas": images,
            "dictionary": {k: dictionary[k] for k in sorted(dictionary)}}
+    if args.out and shape == "json":
+        _write_json(args.out, doc)
+    elif args.out:
+        body = out_lines + ["", "# dictionary"] + [
+            f"# {k} = {dictionary[k]}" for k in sorted(dictionary)]
+        _write(args.out, "\n".join(body) + "\n")
+    return 0, doc
+
+
+def _text_translate(doc, args):
     if args.out:
-        if shape == "json":
-            _write_json(args.out, doc)
-        else:
-            body = out_lines + ["", "# dictionary"] + [
-                f"# {k} = {dictionary[k]}" for k in sorted(dictionary)]
-            try:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write("\n".join(body) + "\n")
-            except OSError as exc:
-                raise _Fail(2, f"cannot write {args.out}: "
-                            f"{exc.strerror or exc}") from None
-        if not args.json:
-            print(f"translated {len(images)} formulas "
-                  f"({len(dictionary)} dictionary entries) to {args.out}")
-    if args.json or not args.out:
-        _emit_json(doc)
-    return 0
+        yield (f"translated {len(doc['formulas'])} formulas "
+               f"({len(doc['dictionary'])} dictionary entries) to {args.out}")
+    else:
+        yield _dumps(doc)
 
 
-def _cmd_internalize(args) -> int:
+def _cmd_internalize(args):
     spec = _load_spec(args.spec, args.logic)
     proof = _load_proof(args.proof, args.logic)
     if not proof.profile.has_schema("introspection"):
@@ -553,50 +551,45 @@ def _cmd_internalize(args) -> int:
         _check_shape(f)
     try:
         lifted = internalize(proof, spec.formulas)
-    except MissingConstantError as exc:
-        raise _Fail(1, str(exc)) from None
-    except ValueError as exc:
+    except (MissingConstantError, ValueError) as exc:
         raise _Fail(1, str(exc)) from None
     doc = proof_to_dict(lifted.proof)
     if args.out:
         _write_json(args.out, doc)
-    if args.json:
-        _emit_json({"term": print_term(lifted.term),
-                    "conclusion": print_formula(lifted.conclusion),
-                    "lines": len(lifted.proof.lines),
-                    "proof": None if args.out else doc,
-                    "out": args.out})
-    else:
-        print(f"term: {print_term(lifted.term)}")
-        print(f"conclusion: {print_formula(lifted.conclusion)}")
-        print(f"lifted proof: {len(lifted.proof.lines)} lines")
-        if args.out:
-            print(f"written to {args.out}")
-    return 0
+    return 0, {"term": print_term(lifted.term),
+               "conclusion": print_formula(lifted.conclusion),
+               "lines": len(lifted.proof.lines),
+               "proof": None if args.out else doc,
+               "out": args.out}
 
 
-def _cmd_scenario(args) -> int:
+def _text_internalize(doc, args):
+    yield f"term: {doc['term']}"
+    yield f"conclusion: {doc['conclusion']}"
+    yield f"lifted proof: {doc['lines']} lines"
+    if args.out:
+        yield f"written to {args.out}"
+
+
+def _cmd_scenario(args):
     if args.name is None:
-        names = available()
-        if args.json:
-            _emit_json({"scenarios": [
-                {"name": n, "title": load(n).get("title", "")}
-                for n in names]})
-        else:
-            for n in names:
-                print(f"{n}  —  {load(n).get('title', '')}")
-        return 0
+        return 0, {"scenarios": [{"name": n, "title": load(n).get("title", "")}
+                                 for n in available()]}
     try:
         result = run(args.name)
     except ScenarioError as exc:
         raise _Fail(2, str(exc)) from None
-    if args.json:
-        _emit_json({"name": result.name, "ok": result.ok,
-                    "report": result.report, "lines": result.lines})
+    return (0 if result.ok else 1), {"name": result.name, "ok": result.ok,
+                                     "report": result.report,
+                                     "lines": result.lines}
+
+
+def _text_scenario(doc, args):
+    if "scenarios" in doc:
+        for s in doc["scenarios"]:
+            yield f"{s['name']}  —  {s['title']}"
     else:
-        for line in result.lines:
-            print(line)
-    return 0 if result.ok else 1
+        yield from doc["lines"]
 
 
 # ---------------------------------------------------------------------------
@@ -608,9 +601,12 @@ def _add_logic(p: argparse.ArgumentParser) -> None:
                    help="logic profile (overrides any profile in the files)")
 
 
-def _add_json(p: argparse.ArgumentParser) -> None:
+def _add_report(p: argparse.ArgumentParser, func, view) -> None:
+    """``func`` returns (exit code, document); ``--json`` prints the
+    document, and without it ``view(document, args)`` yields the lines."""
     p.add_argument("--json", action="store_true",
                    help="machine-readable report on stdout")
+    p.set_defaults(func=func, view=view)
 
 
 def _add_extraction(p: argparse.ArgumentParser) -> None:
@@ -637,22 +633,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema-table", action="store_true", dest="schema_table",
                    help="dump the profile's axiom schemas as JSON")
     _add_logic(p)
-    _add_json(p)
-    p.set_defaults(func=_cmd_parse)
+    _add_report(p, _cmd_parse, _text_parse)
 
     p = sub.add_parser("check-proof", help="check a proof file")
     p.add_argument("proof", help="proof JSON file")
     p.add_argument("--spec", help="specification whose members are the "
                    "allowed hypotheses")
     _add_logic(p)
-    _add_json(p)
-    p.set_defaults(func=_cmd_check_proof)
+    _add_report(p, _cmd_check_proof, _text_check_proof)
 
     p = sub.add_parser("eval", help="evaluate a formula in a model")
     p.add_argument("--model", required=True, help="model JSON file")
     p.add_argument("formula", help="formula text")
-    _add_json(p)
-    p.set_defaults(func=_cmd_eval)
+    _add_report(p, _cmd_eval, _text_eval)
 
     p = sub.add_parser("audit", help="check a model's closure conditions")
     p.add_argument("--model", required=True, help="model JSON file")
@@ -661,8 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="term universe (default: 'occurring' for built "
                    "models, 'default' = occurring plus depth-1 compounds "
                    "for hand-written ones)")
-    _add_json(p)
-    p.set_defaults(func=_cmd_audit)
+    _add_report(p, _cmd_audit, _text_audit)
 
     p = sub.add_parser("build-model", help="construct a model by staged "
                        "enumeration")
@@ -680,8 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the model here (default stdout)")
     p.add_argument("--trace", help="write the stage trace here")
     _add_logic(p)
-    _add_json(p)
-    p.set_defaults(func=_cmd_build_model)
+    _add_report(p, _cmd_build_model, _text_build_model)
 
     p = sub.add_parser("close-spec", help="close a specification under "
                        "the profile's rules")
@@ -690,8 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe", action="store_true",
                    help="also try to build a model of the closure")
     _add_logic(p)
-    _add_json(p)
-    p.set_defaults(func=_cmd_close_spec)
+    _add_report(p, _cmd_close_spec, _text_close_spec)
 
     p = sub.add_parser("extract-ok", help="extract the bounded OK set of "
                        "a specification")
@@ -699,8 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write members with witness proofs here")
     _add_extraction(p)
     _add_logic(p)
-    _add_json(p)
-    p.set_defaults(func=_cmd_extract_ok)
+    _add_report(p, _cmd_extract_ok, _text_extract_ok)
 
     p = sub.add_parser("blue-pill", help="find a model satisfying the "
                        "extracted conclusions without the evidence")
@@ -708,23 +697,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the model here")
     _add_extraction(p)
     _add_logic(p)
-    _add_json(p)
-    p.set_defaults(func=_cmd_blue_pill)
+    _add_report(p, _cmd_blue_pill, _text_blue_pill)
 
     p = sub.add_parser("check-coherence", help="check each extracted "
                        "conclusion is satisfiable on its own")
     p.add_argument("spec", help="spec JSON file")
     _add_extraction(p)
     _add_logic(p)
-    _add_json(p)
-    p.set_defaults(func=_cmd_check_coherence)
+    _add_report(p, _cmd_check_coherence, _text_check_coherence)
 
     p = sub.add_parser("translate", help="rewrite signed formulas over "
                        "fresh variables for the justified parts")
     p.add_argument("file", help="formula file (JSON array or one per line)")
     p.add_argument("--out", help="write the translated file here")
-    _add_json(p)
-    p.set_defaults(func=_cmd_translate)
+    _add_report(p, _cmd_translate, _text_translate)
 
     p = sub.add_parser("internalize", help="lift a proof of F to a proof "
                        "of t:F")
@@ -733,14 +719,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="specification supplying evidence constants")
     p.add_argument("--out", help="write the lifted proof here")
     _add_logic(p)
-    _add_json(p)
-    p.set_defaults(func=_cmd_internalize)
+    _add_report(p, _cmd_internalize, _text_internalize)
 
     p = sub.add_parser("scenario", help="run a bundled scenario (no name: "
                        "list them)")
     p.add_argument("name", nargs="?", help="scenario name")
-    _add_json(p)
-    p.set_defaults(func=_cmd_scenario)
+    _add_report(p, _cmd_scenario, _text_scenario)
 
     return top
 
@@ -753,7 +737,7 @@ _parser = cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, doc = args.func(args)
     except _Fail as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         return exc.code
@@ -774,6 +758,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.json:
+        print(_dumps(doc))
+    else:
+        for line in args.view(doc, args):
+            print(line)
+    return code
 
 
 def entry() -> None:

@@ -80,6 +80,19 @@ def test_parse_rejects_garbage(capsys):
     assert out.startswith("rejected:")
 
 
+@pytest.mark.parametrize("flags, text", [([], "P ->"), (["--term"], "[x")],
+                         ids=["formula", "term"])
+def test_parse_json_reports_a_rejection(capsys, flags, text):
+    code, out, _ = run_cli(capsys, "parse", "--json", *flags, text)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["kind"] == ("term" if flags else "formula")
+    assert set(doc) == {"kind", "rejected"}
+    # the text report is the same document
+    assert run_cli(capsys, "parse", *flags, text)[:2] == \
+        (1, f"rejected: {doc['rejected']}\n")
+
+
 def test_parse_refuses_input_nested_too_deeply(capsys):
     code, out, err = run_cli(capsys, "parse", "~" * 3000 + "P")
     assert code == 2
@@ -150,6 +163,7 @@ def test_check_proof_reports_problem_lines(tmp_path, capsys):
     report = json.loads(out)
     assert not report["accepted"]
     assert report["problems"][0]["line"] == 2
+    assert report["lines"] == 3
 
 
 def test_check_proof_rejects_malformed_documents(tmp_path, capsys):
