@@ -155,7 +155,7 @@ def _load_proof(path: str, logic: str | None,
 # (exit code, document); its ``_text_*`` view renders the document as lines
 
 
-def _cmd_parse(args):
+def _cmd_parse(args) -> tuple[int, dict]:
     profile = _profile(args.logic)
     if args.schema_table:
         table = []
@@ -205,7 +205,7 @@ def _text_parse(doc, args):
             yield f"problem: {p}"
 
 
-def _cmd_check_proof(args):
+def _cmd_check_proof(args) -> tuple[int, dict]:
     spec = _load_spec(args.spec, args.logic) if args.spec else None
     proof = _load_proof(args.proof, args.logic, spec)
     result = check_proof(proof)
@@ -227,7 +227,7 @@ def _text_check_proof(doc, args):
         yield f"  line {p['line']}: {p['reason']}"
 
 
-def _cmd_eval(args):
+def _cmd_eval(args) -> tuple[int, dict]:
     model = model_from_dict(_read_json(args.model))
     f = _parse_arg_formula(args.formula, model.profile)
     return 0, {"formula": print_formula(f), "value": int(evaluate(model, f))}
@@ -237,7 +237,7 @@ def _text_eval(doc, args):
     yield str(doc["value"])
 
 
-def _cmd_audit(args):
+def _cmd_audit(args) -> tuple[int, dict]:
     model = model_from_dict(_read_json(args.model))
     kind = args.universe
     if kind is None:
@@ -283,7 +283,7 @@ def _seed_from_vars(raw: str | None) -> dict[str, bool]:
     return seed
 
 
-def _cmd_build_model(args):
+def _cmd_build_model(args) -> tuple[int, dict]:
     profile = _profile(args.logic)
     fm_size = _clamp(args.fm_size, "--fm-size")
     tm_size = _clamp(args.tm_size, "--tm-size")
@@ -346,7 +346,7 @@ def _text_build_model(doc, args):
         yield f"trace written to {args.trace}"
 
 
-def _cmd_close_spec(args):
+def _cmd_close_spec(args) -> tuple[int, dict]:
     raw = _load_spec(args.spec, args.logic)
     try:
         closed = close_spec(raw.formulas, raw.profile)
@@ -396,7 +396,7 @@ def _budget_note(doc) -> str:
     return ", search budget exhausted" if doc["hit_limit"] else ""
 
 
-def _cmd_extract_ok(args):
+def _cmd_extract_ok(args) -> tuple[int, dict]:
     spec = _load_closed_spec(args)
     ok = ok_extract(spec, **_extraction_bounds(args))
     rows = []
@@ -425,26 +425,26 @@ def _text_extract_ok(doc, args):
         yield f"written to {args.out}"
 
 
-def _cmd_blue_pill(args):
+def _cmd_blue_pill(args) -> tuple[int, dict]:
     spec = _load_closed_spec(args)
     result = blue_pill(spec, **_extraction_bounds(args))
-    members = [print_formula(f) for f in result.ok.members]
+    head = {"status": result.status,
+            "members": [print_formula(f) for f in result.ok.members],
+            "hit_limit": result.ok.hit_limit}
     if result.status != "model":
-        return 1, {"status": result.status, "members": members,
-                   "note": result.note}
+        return 1, dict(head, note=result.note)
     doc = model_to_dict(result.model)
     if args.out:
         _write_json(args.out, doc)
-    return 0, {"status": "model", "members": members,
-               "model": doc, "out": args.out}
+    return 0, dict(head, model=doc, out=args.out)
 
 
 def _text_blue_pill(doc, args):
     if doc["status"] != "model":
-        yield f"no model: {doc['note']}"
+        yield f"no model: {doc['note']}{_budget_note(doc)}"
         return
     yield (f"model found satisfying all {len(doc['members'])} extracted "
-           f"conclusions")
+           f"conclusions{_budget_note(doc)}")
     for m in doc["members"]:
         yield f"  {m}"
     if args.out:
@@ -453,12 +453,13 @@ def _text_blue_pill(doc, args):
         yield _dumps(doc["model"])
 
 
-def _cmd_check_coherence(args):
+def _cmd_check_coherence(args) -> tuple[int, dict]:
     spec = _load_closed_spec(args)
     report = check_coherence(spec, **_extraction_bounds(args))
     return (0 if report.coherent else 1), {
         "status": report.status,
-        "members": [print_formula(f) for f in report.members],
+        "members": [print_formula(f) for f in report.ok.members],
+        "hit_limit": report.ok.hit_limit,
         "counterexample": (print_formula(report.counterexample)
                            if report.counterexample is not None else None)}
 
@@ -466,10 +467,10 @@ def _cmd_check_coherence(args):
 def _text_check_coherence(doc, args):
     if doc["counterexample"] is None:
         yield (f"{doc['status']}: each of the {len(doc['members'])} "
-               f"extracted conclusions has a model")
+               f"extracted conclusions has a model{_budget_note(doc)}")
     else:
         yield (f"counterexample: no searched model satisfies "
-               f"{doc['counterexample']}")
+               f"{doc['counterexample']}{_budget_note(doc)}")
 
 
 def _read_formula_file(path: str):
@@ -491,7 +492,7 @@ def _read_formula_file(path: str):
     return raw.splitlines(), "text"
 
 
-def _cmd_translate(args):
+def _cmd_translate(args) -> tuple[int, dict]:
     entries, shape = _read_formula_file(args.file)
     fused = get_profile("fused")
     out_lines: list[str] = []
@@ -538,7 +539,7 @@ def _text_translate(doc, args):
         yield _dumps(doc)
 
 
-def _cmd_internalize(args):
+def _cmd_internalize(args) -> tuple[int, dict]:
     spec = _load_spec(args.spec, args.logic)
     proof = _load_proof(args.proof, args.logic)
     if not proof.profile.has_schema("introspection"):
@@ -571,7 +572,7 @@ def _text_internalize(doc, args):
         yield f"written to {args.out}"
 
 
-def _cmd_scenario(args):
+def _cmd_scenario(args) -> tuple[int, dict]:
     if args.name is None:
         return 0, {"scenarios": [{"name": n, "title": load(n).get("title", "")}
                                  for n in available()]}

@@ -154,16 +154,20 @@ def _step_blue_pill(step, profile, ctx):
     formulas = _parse_all(step["formulas"], profile)
     spec = close_spec(formulas, profile)
     bounds = step.get("bounds", {})
+    limit = int(bounds.get("limit", 50000))
     result = blue_pill(spec,
                        depth=int(bounds.get("depth", 3)),
                        size=int(bounds.get("size", 4)),
-                       limit=int(bounds.get("limit", 50000)))
+                       limit=limit)
     lines = [f"  extracted: "
              + ", ".join(print_formula(f) for f in result.ok.members[:8])
              + (", ..." if len(result.ok.members) > 8 else "")]
+    if result.ok.hit_limit:
+        lines.append(f"  search budget of {limit} formulas exhausted")
+    fragment = {"status": result.status, "hit_limit": result.ok.hit_limit}
     if not result.found:
         lines.append(f"  no model: {result.note}")
-        return step.get("expect") == "failure", lines, {"status": result.status}
+        return step.get("expect") == "failure", lines, fragment
     vals = {name: val for name, val in sorted(result.model.valuation.items())}
     lines.append("  model found; valuation "
                  + ", ".join(f"{k}={int(v)}" for k, v in vals.items()))
@@ -175,7 +179,7 @@ def _step_blue_pill(step, profile, ctx):
             lines.append(f"    expected {text} to come out true")
         else:
             lines.append(f"  {text} comes out true")
-    return ok, lines, {"status": result.status, "valuation": vals}
+    return ok, lines, dict(fragment, valuation=vals)
 
 
 _STEPS = {
@@ -193,20 +197,18 @@ def run(name: str) -> ScenarioResult:
     result = ScenarioResult(name, ok=True)
     result.lines.append(f"scenario {name} ({profile.name}): {doc['title']}")
     steps_report = []
+    ctx: dict = {}      # what later steps read: the closed spec, the model
     for i, step in enumerate(doc["steps"], start=1):
         kind = step["kind"]
         runner = _STEPS.get(kind)
         if runner is None:
             raise ScenarioError(f"scenario step {i} has unknown kind {kind!r}")
         result.lines.append(f"step {i}: {step.get('title', kind)}")
-        ok, lines, fragment = runner(step, profile, ctx=result.report
-                                     .setdefault("_ctx", {}))
+        ok, lines, fragment = runner(step, profile, ctx)
         result.lines += lines
         steps_report.append({"kind": kind, "ok": ok, **fragment})
         result.ok = result.ok and ok
-    result.report.pop("_ctx", None)
-    result.report.update({"scenario": name, "ok": result.ok,
-                          "steps": steps_report})
+    result.report = {"scenario": name, "ok": result.ok, "steps": steps_report}
     result.lines.append("scenario verdict: "
                         + ("accepted" if result.ok else "FAILED"))
     return result

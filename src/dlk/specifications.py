@@ -334,7 +334,7 @@ def blue_pill(spec: ConstantSpec, *,
 @dataclass
 class CoherenceReport:
     status: str                 # coherent-within-bounds | counterexample
-    members: tuple[Formula, ...]
+    ok: OKSet
     counterexample: Formula | None = None
 
     @property
@@ -350,16 +350,17 @@ def check_coherence(spec: ConstantSpec, *,
 
     Walks the bounded OK set member by member and reports the first one
     no searched model satisfies.  An empty extraction is vacuously
-    coherent.
+    coherent.  The report carries the OK set, so a verdict on a search
+    the budget cut short says so (``report.ok.hit_limit``).
     """
     ok = ok_extract(spec, depth=depth, size=size, term_size=term_size,
                     limit=limit)
     model_profile = spec.profile if spec.profile.signed else get_profile("jl")
     for member in ok.members:
         if search_jl_model([member], model_profile) is None:
-            return CoherenceReport("counterexample", ok.members,
+            return CoherenceReport("counterexample", ok,
                                    counterexample=member)
-    return CoherenceReport("coherent-within-bounds", ok.members)
+    return CoherenceReport("coherent-within-bounds", ok)
 
 
 # ---------------------------------------------------------------------------

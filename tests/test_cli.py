@@ -456,6 +456,7 @@ def test_blue_pill_json_reports_members(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["status"] == "model"
     assert "E" in doc["members"]
+    assert doc["hit_limit"] is False
 
 
 def test_check_coherence_verdicts(tmp_path, capsys):
@@ -469,6 +470,19 @@ def test_check_coherence_verdicts(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "check-coherence", bad, "--size", "3")
     assert code == 1
     assert "counterexample" in out
+
+
+@pytest.mark.parametrize("command",
+                         ["extract-ok", "blue-pill", "check-coherence"])
+def test_a_search_cut_by_its_budget_says_so(tmp_path, capsys, command):
+    spath = write_json(tmp_path / "spec.json",
+                       {"profile": "dl", "formulas": ["a:A", "b:B"]})
+    code, out, _ = run_cli(capsys, command, spath, "--limit", "200", "--json")
+    assert code == 0
+    assert json.loads(out)["hit_limit"] is True
+    code, out, _ = run_cli(capsys, command, spath, "--limit", "200")
+    assert code == 0
+    assert out.splitlines()[0].endswith(", search budget exhausted")
 
 
 # ---------------------------------------------------------------------------

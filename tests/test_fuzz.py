@@ -3,8 +3,9 @@ proof or specification document holds, every command that reads one
 (``audit``, ``eval``, ``build-model --spec``, ``check-proof``,
 ``close-spec``, ``extract-ok``, ``blue-pill``, ``check-coherence`` and
 ``internalize``) ends in a documented exit code (0 success, 1 a negative
-verdict, 2 bad input) and never in a traceback.  The searches run under
-small bounds and ``DLK_MAX_BOUND=3``."""
+verdict, 2 bad input) and never in a traceback; with ``--json``, stdout
+holds one JSON document or, when the error went to stderr, nothing.  The
+searches run under small bounds and ``DLK_MAX_BOUND=3``."""
 
 import contextlib
 import io
@@ -26,6 +27,7 @@ _FORMULAS = ("P", "Q", "_|_", "~P", "P /\\ Q", "P -> Q", "x:P", "y:(P -> Q)",
              "[x+y]:P", "x:P /\\ y:Q", "[x & y]:(P /\\ Q)", "~~~~P",
              "x+:P", "y-:~Q", "!x:x:P", "P /\\", "(", "")
 _PLAIN_TERMS, _PLAIN_FORMULAS = _TERMS[:8], _FORMULAS[:12]
+json_flag = st.sampled_from(((), ("--json",)))
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=4),
@@ -74,7 +76,8 @@ def model_documents(draw):
 def _exit_code(docs, *argv) -> int:
     """Run ``dlk`` with ``docs`` (one document, or a tuple of them) written
     to files whose paths replace the ``{}`` in ``argv``, in order; the
-    command must end in a documented code."""
+    command must end in a documented code, and with ``--json`` leave one
+    JSON document or nothing on stdout."""
     docs = list(docs) if isinstance(docs, tuple) else [docs]
     with tempfile.TemporaryDirectory() as tmp:
         args = []
@@ -90,15 +93,17 @@ def _exit_code(docs, *argv) -> int:
                 mock.patch.dict(os.environ, {"DLK_MAX_BOUND": "3"}):
             code = main(args)
     assert "Traceback" not in err.getvalue()
+    if "--json" in args and out.getvalue():
+        json.loads(out.getvalue())
     return code
 
 
 @given(plain_documents | model_documents() | json_values,
-       st.sampled_from(("occurring", "default")))
+       st.sampled_from(("occurring", "default")), json_flag)
 @settings(max_examples=200, deadline=None)
-def test_audit_ends_in_a_documented_exit_code(doc, universe):
+def test_audit_ends_in_a_documented_exit_code(doc, universe, flag):
     assert _exit_code(doc, "audit", "--model", "{}",
-                      "--universe", universe) in (0, 1, 2)
+                      "--universe", universe, *flag) in (0, 1, 2)
 
 
 proof_lines = st.fixed_dictionaries(
@@ -121,23 +126,25 @@ spec_documents = st.fixed_dictionaries(
                   "closed": json_values}) | formula_lists
 
 
-@given(proof_documents | json_values)
+@given(proof_documents | json_values, json_flag)
 @settings(max_examples=150, deadline=None)
-def test_check_proof_ends_in_a_documented_exit_code(doc):
-    assert _exit_code(doc, "check-proof", "{}") in (0, 1, 2)
+def test_check_proof_ends_in_a_documented_exit_code(doc, flag):
+    assert _exit_code(doc, "check-proof", "{}", *flag) in (0, 1, 2)
 
 
-@given(spec_documents | json_values, st.sampled_from(((), ("--logic", "dl"))))
+@given(spec_documents | json_values, st.sampled_from(((), ("--logic", "dl"))),
+       json_flag)
 @settings(max_examples=150, deadline=None)
-def test_close_spec_ends_in_a_documented_exit_code(doc, logic):
-    assert _exit_code(doc, "close-spec", "{}", *logic) in (0, 1, 2)
+def test_close_spec_ends_in_a_documented_exit_code(doc, logic, flag):
+    assert _exit_code(doc, "close-spec", "{}", *logic, *flag) in (0, 1, 2)
 
 
 @given(plain_documents | model_documents() | json_values,
-       st.sampled_from(_FORMULAS))
+       st.sampled_from(_FORMULAS), json_flag)
 @settings(max_examples=150, deadline=None)
-def test_eval_ends_in_a_documented_exit_code(doc, formula):
-    assert _exit_code(doc, "eval", "--model", "{}", formula) in (0, 1, 2)
+def test_eval_ends_in_a_documented_exit_code(doc, formula, flag):
+    assert _exit_code(doc, "eval", "--model", "{}", formula,
+                      *flag) in (0, 1, 2)
 
 
 # specifications that mostly parse, so that closure, extraction, model
@@ -151,23 +158,26 @@ any_specs = plain_specs | spec_documents | json_values
 logic_options = st.sampled_from(((), ("--logic", "dl"), ("--logic", "fused")))
 
 
-@given(any_specs, logic_options, st.sampled_from(((), ("--fm-size", "4"))))
+@given(any_specs, logic_options, st.sampled_from(((), ("--fm-size", "4"))),
+       json_flag)
 @settings(max_examples=100, deadline=None)
 def test_build_model_from_a_spec_ends_in_a_documented_exit_code(doc, logic,
-                                                                 sizes):
+                                                                 sizes, flag):
     assert _exit_code(doc, "build-model", "--spec", "{}", *logic,
-                      *sizes) in (0, 1, 2)
+                      *sizes, *flag) in (0, 1, 2)
 
 
 SMALL = ("--size", "2", "--depth", "1", "--term-size", "1", "--limit", "200")
 
 
 @given(any_specs, logic_options,
-       st.sampled_from(("extract-ok", "blue-pill", "check-coherence")))
+       st.sampled_from(("extract-ok", "blue-pill", "check-coherence")),
+       json_flag)
 @settings(max_examples=150, deadline=None)
 def test_extraction_commands_end_in_a_documented_exit_code(doc, logic,
-                                                           command):
-    assert _exit_code(doc, command, "{}", *logic, *SMALL) in (0, 1, 2)
+                                                           command, flag):
+    assert _exit_code(doc, command, "{}", *logic, *SMALL,
+                      *flag) in (0, 1, 2)
 
 
 _TERM_FREE = ("P", "Q", "_|_", "~P", "P /\\ Q", "P -> Q", "~~~~P")
@@ -200,8 +210,8 @@ def lifting_cases(draw):
 
 @given(lifting_cases()
        | st.tuples(proof_documents | json_values, any_specs),
-       st.sampled_from(((), ("--logic", "lp"))))
+       st.sampled_from(((), ("--logic", "lp"))), json_flag)
 @settings(max_examples=150, deadline=None)
-def test_internalize_ends_in_a_documented_exit_code(docs, logic):
+def test_internalize_ends_in_a_documented_exit_code(docs, logic, flag):
     assert _exit_code(docs, "internalize", "{}", "--spec", "{}",
-                      *logic) in (0, 1, 2)
+                      *logic, *flag) in (0, 1, 2)

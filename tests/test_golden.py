@@ -197,3 +197,15 @@ def _run_case(capsys, argv, written=()) -> dict:
 def test_text_report(capsys, monkeypatch, tmp_path, case):
     monkeypatch.chdir(tmp_path)
     assert _run_case(capsys, *TEXT_CASES[case]) == GOLDEN[f"text {case}"]
+
+
+@pytest.mark.parametrize("case", TEXT_CASES)
+def test_json_report_is_one_document(capsys, monkeypatch, tmp_path, case):
+    """``--json`` prints one JSON document and changes neither the exit
+    code nor the files written."""
+    monkeypatch.chdir(tmp_path)
+    argv, written = TEXT_CASES[case]
+    got = _run_case(capsys, [*argv, "--json"], written)
+    want = GOLDEN[f"text {case}"]
+    assert (got["code"], got["files"]) == (want["code"], want["files"])
+    json.loads(got["stdout"])

@@ -290,6 +290,16 @@ def test_coherence_flags_an_unsatisfiable_member():
     assert report.counterexample == fm("_|_")
 
 
+def test_coherence_carries_the_ok_set_and_its_budget():
+    spec = close_spec([fm("a:A"), fm("b:B")], dl)
+    report = check_coherence(spec, limit=200)
+    assert report.coherent
+    assert report.ok.hit_limit
+    assert report.ok.members == ok_extract(spec, limit=200).members
+    assert not check_coherence(ConstantSpec(dl, (fm("s:E"),)),
+                               size=3).ok.hit_limit
+
+
 # ---------------------------------------------------------------------------
 # documents
 
