@@ -189,15 +189,6 @@ class StageRow:
 class StageTrace:
     rows: list[StageRow] = field(default_factory=list)
 
-    def lines(self) -> list[str]:
-        out = []
-        for row in self.rows:
-            mark = "1" if row.value else "0"
-            out.append(f"{row.index:4d} {mark} {row.kind:6s} {row.formula}")
-            for term, formula, via in row.added:
-                out.append(f"        -> {term} gets {formula} [{via}]")
-        return out
-
     def as_dict(self) -> dict:
         return {"stages": [
             {"index": row.index, "formula": row.formula, "kind": row.kind,

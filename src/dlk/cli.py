@@ -759,11 +759,22 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.json:
-        print(_dumps(doc))
-    else:
-        for line in args.view(doc, args):
-            print(line)
+    try:
+        if args.json:
+            print(_dumps(doc))
+        else:
+            for line in args.view(doc, args):
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; stdout is pointed at the null device so
+        # that the interpreter's flush at exit does not raise again
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        print("error: output closed before the report was written",
+              file=sys.stderr)
+        return 2
     return code
 
 

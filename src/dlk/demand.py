@@ -19,6 +19,16 @@ schemas, and from pairs of schemas one of whose antecedent unifies with
 the other's template (``s`` over ``k`` and the like), in the manner of a
 given-clause loop with the schemas as rules.
 
+Only a snapshot reads the pools, so a round's conclusions are fed to them
+just before its snapshot, in the order they were added, and not at all
+when the search stops within the round.  Nothing drains what the last
+round's instances would queue, so it is not built: the last round is
+examined only for the goal and the first complementary pair, and only
+when an instance can reach one of them, i.e. the goal is an implication
+or a negated implication waits for its pair.  ``tests/eager_rounds.py``
+keeps, as the oracle, the loop that feeds each conclusion as it is added
+and runs the whole instance phase after every round.
+
 ``proofs`` imports this module on the first call of ``derive_forward``,
 so importing ``dlk`` does not load it.
 """
@@ -542,9 +552,9 @@ class DemandSaturation:
             self.out.hit_limit = True
             self.done = True
 
-    def instance_phase(self, round_no: int):
-        """Replay, in key order, what round ``round_no``'s instances do:
-        queue entries, the goal, the first complementary pair."""
+    def queue_phase(self, round_no: int):
+        """Queue, in key order, the entries round ``round_no``'s instances
+        make for the next round's modus ponens phase."""
         events = []
 
         def event(key, sub, tie, what):
@@ -583,9 +593,20 @@ class DemandSaturation:
         self.enqueue([events] + [self.extend(rule, bound, round_no)
                                  for rule, bound in self.ante_watch])
 
-        # the goal and the first complementary pair stop the search when
-        # the first instance reaching them is added; what the round queued
-        # after that is never drained
+    def may_note(self) -> bool:
+        """Whether ``note_phase`` can store anything; ``instance`` finds
+        implications only."""
+        return isinstance(self.goal, Implies) \
+            or (self.out.contradiction is None and bool(self.neg_watch))
+
+    def note_phase(self):
+        """Store the first instances, over the snapshots taken so far, that
+        reach the goal or complete the first complementary pair.
+
+        The goal, or a watched pair, stops the search at the first
+        instance reaching it; what the round queued after that is never
+        drained.  Runs after ``queue_phase``, whose ``left_watch`` loop
+        must not see the instances stored here."""
         notes = []
         if self.goal is not None and self.goal not in self.out.provenance:
             hit = self.instance(self.goal)
@@ -623,6 +644,7 @@ class DemandSaturation:
                 break
             self.out.rounds_used = round_no
             n = 0
+            concluded = []
             while self.queue and not self.done:
                 entry = next(self.queue[0], None)
                 if entry is None:
@@ -645,8 +667,15 @@ class DemandSaturation:
                 n += 1
                 fits = _fits(major.right, self.size_bound)
                 self.add(major.right, ("mp", major, major.left), fits)
-                self.feed_pool(major.right, fits)
-            if self.done or not self.snapshot(round_no):
+                concluded.append((major.right, fits))
+            last = round_no == self.rounds
+            if self.done or (last and not self.may_note()):
                 break
-            self.instance_phase(round_no)
+            for f, fits in concluded:
+                self.feed_pool(f, fits)
+            if not self.snapshot(round_no):
+                break
+            if not last:
+                self.queue_phase(round_no)
+            self.note_phase()
         return self.out

@@ -224,12 +224,15 @@ def derive_forward(profile: LogicProfile, hypotheses, *,
     Saturation is demand-driven (``dlk.demand``): it stores only the
     instances modus ponens uses as a premise, the goal and a half of the
     first complementary pair, and finds them by matching schema
-    antecedents against what is derived.  The hypotheses and modus
-    ponens conclusions, their order and provenance, the contradiction,
-    goal and ``rounds_used`` are those of building every instance of
-    every round, which ``tests/exhaustive.py`` does as the oracle.  Since
-    instances nobody uses are never stored, ``limit`` counts stored
-    formulas only, and ``goal_filter`` sees stored formulas only.
+    antecedents against what is derived.  The pools are fed at each
+    round's snapshot, and the last round's instances are examined only
+    for the goal and the first complementary pair.  The hypotheses and
+    modus ponens conclusions, their order and provenance, the
+    contradiction, goal and ``rounds_used`` are those of building every
+    instance of every round, which ``tests/exhaustive.py`` does as the
+    oracle.  Since instances nobody uses are never stored, ``limit``
+    counts stored formulas only, and ``goal_filter`` sees stored formulas
+    only.
     """
     from .demand import DemandSaturation    # loaded on first call
     return DemandSaturation(profile, hypotheses, size_bound, rounds,

@@ -1,0 +1,74 @@
+"""The round loop of ``dlk.demand`` before it deferred work nobody reads,
+kept as the oracle of ``DemandSaturation.run``.
+
+``EagerRounds.run`` feeds each modus ponens conclusion to the pools as
+soon as it is added, and after every round, the last one included, takes
+the snapshot and runs the whole instance phase: the queue for the next
+round, then the goal and complementary-pair notes.  ``DemandSaturation``
+feeds a round's conclusions just before its snapshot and, after the last
+round, takes the notes only, and only when one can fire.  Both must
+return the same ``DerivedSet``: order, provenance, contradiction,
+``rounds_used`` and ``hit_limit``.
+"""
+
+from __future__ import annotations
+
+from dlk import logics
+from dlk.demand import DemandSaturation, _fits
+from dlk.logics import InstantiationError
+from dlk.proofs import DerivedSet
+
+
+class EagerRounds(DemandSaturation):
+
+    def run(self) -> DerivedSet:
+        for i, h in enumerate(self.hyps):
+            if h not in self.out.provenance:
+                self.now = (0, 0, i)
+                self.add(h, ("hyp", i), _fits(h, self.size_bound))
+            if self.done:
+                break
+        for round_no in range(1, self.rounds + 1):
+            if self.done:
+                break
+            self.out.rounds_used = round_no
+            n = 0
+            while self.queue and not self.done:
+                entry = next(self.queue[0], None)
+                if entry is None:
+                    self.queue.popleft()
+                    continue
+                major, route, left_route = entry
+                if major is None:
+                    try:
+                        major = logics.instantiate(
+                            route[0].template, route[1], self.signed)
+                    except InstantiationError:
+                        continue
+                if self.present(major.right):
+                    continue
+                if route is not None:
+                    self.store(major, *route)
+                if left_route is not None:
+                    self.store(major.left, *left_route)
+                self.now = (round_no, 0, n)
+                n += 1
+                fits = _fits(major.right, self.size_bound)
+                self.add(major.right, ("mp", major, major.left), fits)
+                self.feed_pool(major.right, fits)
+            if self.done or not self.snapshot(round_no):
+                break
+            self.queue_phase(round_no)
+            self.note_phase()
+        return self.out
+
+
+def derive_eager(profile, hypotheses, *, size_bound: int = 4,
+                 rounds: int = 3, term_size_bound: int | None = None,
+                 goal=None, goal_filter=None, extra_pool=(),
+                 limit: int | None = None,
+                 watch_contradiction: bool = False) -> DerivedSet:
+    """``proofs.derive_forward`` over the eager round loop."""
+    return EagerRounds(profile, hypotheses, size_bound, rounds,
+                       term_size_bound, goal, goal_filter, extra_pool,
+                       limit, watch_contradiction).run()

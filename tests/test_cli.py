@@ -1,7 +1,11 @@
 """End-to-end command coverage for the ``dlk`` entry point."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +120,53 @@ def test_parse_needs_something_to_do(capsys):
     code, _, err = run_cli(capsys, "parse")
     assert code == 2
     assert "nothing to parse" in err
+
+
+CLOSED = "error: output closed before the report was written"
+
+
+class _ClosedPipe:
+    """A stdout over a real descriptor whose reader has gone."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_exits_2_and_silences_stdout(capsys, monkeypatch,
+                                                   tmp_path):
+    with open(tmp_path / "stdout", "w") as sink:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(sink.fileno()))
+        code = main(["parse", "--json", "P"])
+        # what is left to flush at exit goes to the null device
+        assert os.path.samestat(os.fstat(sink.fileno()),
+                                os.stat(os.devnull))
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [CLOSED]
+
+
+def test_a_closed_pipe_ends_without_a_traceback():
+    read, write = os.pipe()
+    os.close(read)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "dlk.cli", "parse", "--json", "P"],
+            stdout=write, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=120)
+    finally:
+        os.close(write)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [CLOSED]
 
 
 def test_schema_table_lists_term_polarities(capsys):

@@ -1,0 +1,196 @@
+"""``DemandSaturation.run`` against the eager round loop, its oracle.
+
+``derive_eager`` (``eager_rounds.py``) feeds every conclusion to the
+pools as it is added and runs the whole instance phase after every round;
+``derive_forward`` feeds a round's conclusions at its snapshot and, after
+the last round, looks only for the goal and the first complementary pair,
+and only when one of them can be found.  The two must store the same
+formulas in the same order with the same provenance, axioms included,
+and agree on the contradiction, ``rounds_used`` and ``hit_limit``.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from dlk.demand import DemandSaturation
+from dlk.logics import PROFILES
+from dlk.proofs import check_proof, derive_forward
+from dlk.syntax import Implies, Just
+
+from eager_rounds import derive_eager
+from test_properties import POOLS
+from test_strategies import SETS, d_part, fm, hypotheses
+
+jl, dl = PROFILES["jl"], PROFILES["dl"]
+
+
+def assert_same(profile, hyps, **bounds):
+    eager = derive_eager(profile, hyps, **bounds)
+    lean = derive_forward(profile, hyps, **bounds)
+    assert lean.order == eager.order
+    assert list(lean.provenance.items()) == list(eager.provenance.items())
+    assert lean.contradiction == eager.contradiction
+    assert lean.rounds_used == eager.rounds_used
+    assert lean.hit_limit == eager.hit_limit
+    return lean
+
+
+MODES = ("none", "goal", "goal_filter", "watch", "limit40", "limit150")
+
+
+def _corpus():
+    """Every set in every stopping regime at rounds 1-3: formula size 3 up
+    to two rounds, size 2 at three, term size 2."""
+    cases = []
+    for profile, texts, closed in SETS:
+        for mode in MODES:
+            for rounds in (1, 2, 3):
+                size = 3 if rounds < 3 else 2
+                name = f"{profile.name}:{','.join(texts)}:{mode}:r{rounds}"
+                cases.append(pytest.param(profile, texts, closed, mode,
+                                          size, rounds, id=name))
+    return cases
+
+
+@pytest.mark.parametrize("profile, texts, closed, mode, size, rounds",
+                         _corpus())
+def test_rounds_agree_with_the_eager_loop(profile, texts, closed, mode,
+                                          size, rounds):
+    hyps = hypotheses(profile, texts, closed)
+    bounds = {"size_bound": size, "rounds": rounds, "term_size_bound": 2}
+    if mode == "goal":
+        # a conclusion in the middle of the unstopped run
+        reached = [f for f, _ in d_part(derive_eager(profile, hyps,
+                                                     **bounds))]
+        if reached:
+            bounds["goal"] = reached[len(reached) // 2]
+    elif mode == "goal_filter":
+        bodies = {h.body for h in hyps if isinstance(h, Just)}
+        bounds["goal_filter"] = (lambda f: isinstance(f, Just)
+                                 and f.body not in bodies)
+    elif mode == "watch":
+        bounds["watch_contradiction"] = True
+    elif mode.startswith("limit"):
+        bounds["limit"] = int(mode[len("limit"):])
+    assert_same(profile, hyps, **bounds)
+
+
+@st.composite
+def small_runs(draw):
+    name = draw(st.sampled_from(sorted(PROFILES)))
+    formulas, _ = POOLS[name]
+    hyps = draw(st.lists(st.sampled_from(formulas), min_size=1, max_size=3))
+    bounds = {"size_bound": 2, "rounds": draw(st.integers(1, 3)),
+              "term_size_bound": 2}
+    stop = draw(st.sampled_from(("none", "goal", "watch", "limit")))
+    if stop == "goal":
+        bounds["goal"] = draw(st.sampled_from(formulas))
+    elif stop == "watch":
+        bounds["watch_contradiction"] = True
+    elif stop == "limit":
+        bounds["limit"] = draw(st.integers(1, 200))
+    return PROFILES[name], hyps, bounds
+
+
+@given(small_runs())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_random_runs_agree_with_the_eager_loop(case):
+    profile, hyps, bounds = case
+    assert_same(profile, hyps, **bounds)
+
+
+# ---------------------------------------------------------------------------
+# the last round
+
+
+class _Recording(DemandSaturation):
+    """Records the rounds whose snapshot is taken."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.snapshots = []
+
+    def snapshot(self, round_no):
+        self.snapshots.append(round_no)
+        return super().snapshot(round_no)
+
+
+def _snapshots(profile, hyps, size, rounds, goal=None, watch=False):
+    run = _Recording(profile, hyps, size, rounds, 2, goal, None, (), None,
+                     watch)
+    run.run()
+    return run.snapshots
+
+
+def test_implication_goal_found_by_the_last_rounds_snapshot():
+    # the k instance is a goal, and the only round is the last one: only
+    # its snapshot makes the goal an instance; A -> B is concluded in it
+    hyps = [fm("A", jl), fm("A -> B", jl)]
+    goal = fm("B -> (A -> B)", jl)
+    lean = assert_same(jl, hyps, size_bound=3, rounds=1, goal=goal)
+    assert lean.provenance[goal][:2] == ("axiom", "k")
+    assert lean.rounds_used == 1 and fm("B", jl) in lean
+    assert _snapshots(jl, hyps, 3, 1, goal) == [1]
+
+
+def test_non_implication_goal_skips_the_last_phase():
+    # no instance is ever a bare atom, so the last round ends at its
+    # modus ponens phase: no pool feeding, no snapshot, no notes
+    hyps = hypotheses(dl, ["a:A", "b:B"], True)
+    goal = fm("C")
+    lean = assert_same(dl, hyps, size_bound=2, rounds=3,
+                       term_size_bound=2, goal=goal)
+    assert goal not in lean and lean.rounds_used == 3
+    assert _snapshots(dl, hyps, 2, 3, goal) == [1, 2]
+    # an implication goal keeps the last snapshot
+    assert _snapshots(dl, hyps, 2, 3, fm("C -> D")) == [1, 2, 3]
+
+
+def test_limit_hit_in_the_last_modus_ponens_phase():
+    hyps = [fm("s:E"), fm("~E")]
+    bounds = {"size_bound": 3, "rounds": 2, "term_size_bound": 2}
+    one_round = derive_forward(dl, hyps, **dict(bounds, rounds=1))
+    uncapped = assert_same(dl, hyps, **bounds)
+    limit = (len(one_round) + len(uncapped)) // 2
+    assert len(one_round) < limit < len(uncapped)
+    lean = assert_same(dl, hyps, limit=limit, **bounds)
+    assert lean.hit_limit and lean.rounds_used == 2 and len(lean) >= limit
+    assert lean.order == uncapped.order[:len(lean)]
+
+
+@pytest.mark.parametrize("watch", [False, True])
+def test_a_single_round(watch):
+    # the first round is the last: its notes find the pair and the goal,
+    # the pair's instance first, and a watched pair stops the run there;
+    # a goal concluded by modus ponens stops it before the snapshot
+    denied = fm("~(A -> (B -> A))", jl)
+    hyps = [fm("A", jl), fm("A -> B", jl), denied]
+    bounds = {"size_bound": 3, "rounds": 1, "watch_contradiction": watch}
+    lean = assert_same(jl, hyps, **bounds)
+    assert lean.contradiction == (denied.body, denied)
+    goal = fm("B -> (A -> B)", jl)
+    lean = assert_same(jl, hyps, goal=goal, **bounds)
+    assert lean.contradiction == (denied.body, denied)
+    assert (goal in lean) == (not watch)
+    lean = assert_same(jl, hyps, goal=fm("B", jl), **bounds)
+    assert lean.order[-1] == fm("B", jl) and lean.contradiction is None
+    assert _snapshots(jl, hyps, 3, 1, fm("B", jl), watch) == []
+
+
+def test_negation_note_without_watch_sets_the_pair_and_goes_on():
+    # round 1 concludes ~g, and g, a k instance, is the antecedent of a
+    # hypothesis: the note stores g and records the pair, the run goes
+    # on, and round 2 uses the stored g as the minor premise for R
+    g = fm("Q -> (P -> Q)", jl)
+    hyps = [fm("P", jl), Implies(fm("P", jl), fm("~(Q -> (P -> Q))", jl)),
+            Implies(g, fm("R", jl))]
+    lean = assert_same(jl, hyps, size_bound=3, rounds=2)
+    assert lean.contradiction == (g, fm("~(Q -> (P -> Q))", jl))
+    assert lean.provenance[g][:2] == ("axiom", "k")
+    assert lean.provenance[fm("R", jl)] == ("mp", hyps[2], g)
+    assert lean.rounds_used == 2
+    for f in (g, fm("R", jl)):
+        result = check_proof(lean.proof_of(f))
+        assert result.ok and result.conclusion == f
