@@ -82,6 +82,9 @@ class ConstOne(Functional):
     def fires(self, formula, term):
         return True
 
+    def spray(self, formula, terms):
+        return terms
+
 
 class PlusSyntactic(Functional):
     """Accepts at sum terms only (the printed term contains a '+')."""
@@ -276,7 +279,12 @@ def build(params: BuildParams) -> tuple[ModularModel, StageTrace | None]:
         staged[f] = value
         if not value:
             for term in functional.spray(f, members):
-                add_member(term, f, "spray")
+                have = members[term]
+                if f not in have:
+                    have[f] = None
+                    if trace is not None:
+                        stage_added.append((print_term(term), print_formula(f),
+                                            "spray"))
         if trace is not None:
             trace.rows.append(StageRow(index, print_formula(f), kind, value,
                                        tuple(stage_added)))

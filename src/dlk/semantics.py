@@ -24,7 +24,7 @@ from .logics import LogicProfile, get_profile
 from .syntax import (
     NEGATIVE, POSITIVE,
     And, App, Bang, Bottom, Formula, Implies, Just, Not, Or, Pair, PropVar,
-    SignDisciplineError, Sum, Term, _PARTS, _TERM_OPS,
+    SignDisciplineError, Sum, Term, _FORMATS, _PARTS, _TERM_OPS, _parts,
     formula_sort_key, parse_formula, parse_term, print_formula, print_term,
     subterms, term_sign, term_sort_key,
 )
@@ -228,18 +228,23 @@ def audit(model: ModularModel,
     set, with the empty set as the default.  When the model carries a
     ``formula_universe``, required members outside it are ignored.
 
-    Each formula is hashed once per call: the formulas of the universe,
-    of the evidence sets and of their implications get dense int ids on
-    entry, so every check compares int sets, and ids map back to
-    formulas only for violations.  The conditions, the ``checked``
-    counts and the order of violations and warnings are those of a
-    check of every ordered pair of universe terms.
+    The work follows the distinct evidence, not the universe: terms with
+    equal evidence sets share one row, numbered, holding the set's int
+    ids (only formulas some evidence set holds, and the conjunctions and
+    justified formulas the checks build, get one), the same cut to the
+    formula universe, its implications and the universe conjunctions its
+    members are sides of; what a check requires is computed once per
+    pair of rows.  A compound is looked up by its constructor and parts
+    among the universe's compounds, never built except in a signed model
+    to test the sign discipline, and printed from its parts' prints only
+    for a warning.  The conditions, the ``checked`` counts and the order
+    of violations and warnings are those of a check of every ordered
+    pair of universe terms.
     """
     profile = model.profile
     universe = model.formula_universe
     terms = term_universe if term_universe is not None else occurring_terms(model)
     warnings: list[str] = []
-    not_closed: set[Term] = set()
 
     # conditions applicable to this profile
     do_app = "app" in profile.term_ops
@@ -269,114 +274,167 @@ def audit(model: ModularModel,
             formulas.append(f)
         return i
 
-    in_universe = (None if universe is None
-                   else frozenset(intern(f) for f in universe))
-    # the universe's conjunctions by the ids of their sides, for pairing
-    by_left: dict[int, list[int]] = {}
-    by_right: dict[int, list[int]] = {}
-    if do_pair and universe is not None:
-        for f in universe:
-            if isinstance(f, And):
-                by_left.setdefault(intern(f.left), []).append(ids[f])
-                by_right.setdefault(intern(f.right), []).append(ids[f])
+    # universe terms by number (an equal term given twice counts once),
+    # printed on first need
+    number = {t: n for n, t in enumerate(terms)}
+    prints: list[str | None] = [None] * len(terms)
 
-    # per term: its evidence ids, the same cut to the universe, its
-    # implications as (antecedent, consequent) ids, and the universe's
-    # conjunctions whose left (right) side it holds
-    ev: dict[Term, frozenset[int]] = {}
-    rows = []
+    def shown(n: int) -> str:
+        text = prints[n]
+        if text is None:
+            text = prints[n] = print_term(terms[n])
+        return text
+
+    # one row per distinct evidence set, numbered in order of first use
+    row_of: dict[frozenset[Formula], int] = {}
+    sets: list[frozenset[Formula]] = []
+    term_rows: list[tuple[Term, int, int]] = []
     for t in terms:
         members = model.evidence(t)
-        have = ev[t] = frozenset(intern(f) for f in members)
-        rows.append((
-            t, have,
-            have if in_universe is None or have <= in_universe
-            else have & in_universe,
-            [(intern(f.left), intern(f.right)) for f in members
-             if isinstance(f, Implies)],
-            frozenset(c for i in have for c in by_left.get(i, ())),
-            frozenset(c for i in have for c in by_right.get(i, ()))))
+        k = row_of.get(members)
+        if k is None:
+            k = row_of[members] = len(sets)
+            sets.append(members)
+        term_rows.append((t, number[t], k))
+    have = [frozenset(map(intern, members)) for members in sets]
+    if universe is None:
+        cut = have
+    else:
+        in_universe = frozenset(i for i, f in enumerate(formulas)
+                                if f in universe)
+        cut = [h if h <= in_universe else h & in_universe for h in have]
+    # implications as (antecedent, consequent) ids, consequents in the
+    # universe; an antecedent no evidence set holds is never met
+    imps = [[(ids[f.left], intern(f.right)) for f in members
+             if isinstance(f, Implies) and f.left in ids
+             and (universe is None or f.right in universe)]
+            for members in sets] if do_app else []
+    if do_pair and universe is not None:
+        # the universe's conjunctions with both sides held by some
+        # evidence set, by the ids of their sides
+        both = [f for f in universe
+                if isinstance(f, And) and f.left in ids and f.right in ids]
+        by_left: dict[int, list[int]] = {}
+        by_right: dict[int, list[int]] = {}
+        for f in both:
+            c = intern(f)
+            by_left.setdefault(ids[f.left], []).append(c)
+            by_right.setdefault(ids[f.right], []).append(c)
+        lefts = [frozenset(c for i in h for c in by_left.get(i, ()))
+                 for h in have]
+        rights = [frozenset(c for i in h for c in by_right.get(i, ()))
+                  for h in have]
 
-    def require(name: str, parts: tuple[Term, ...], compound: Term,
-                required) -> None:
-        """The ids ``required`` (inside the universe) ⊆ evidence(compound)."""
+    # the universe's compounds over universe terms, by (constructor, the
+    # parts' numbers), to their own number and row
+    compounds: dict[tuple, tuple[int, int]] = {}
+    for t, n, k in term_rows:
+        parts = _parts(t)
+        if parts and all(p in number for p in parts):
+            compounds[(type(t), *(number[p] for p in parts))] = n, k
+    # only signed terms can break the sign discipline
+    signed = profile.signed or any(map(term_sign, terms))
+    needs: dict[tuple, frozenset[int]] = {}
+    gaps: dict[tuple, list[str]] = {}
+    not_closed: set[tuple] = set()
+
+    def require(name: str, key: tuple, parts: tuple[int, ...],
+                need: tuple, required: frozenset[int]) -> None:
+        """The ids ``required`` (inside the universe) ⊆ the evidence of
+        the compound ``key`` names, reported at the terms numbered
+        ``parts``; ``need`` names ``required`` for the memo of what a row
+        misses of it."""
         rep = reports[name]
         rep.checked += 1
         if not required:
             return
-        have = ev.get(compound)
-        if have is None:
-            # distinct compounds print apart, so the first sight of a
-            # compound is the first of its warning
-            if compound not in not_closed:
-                not_closed.add(compound)
-                warnings.append(f"universe not closed: {print_term(compound)} "
-                                f"is missing ({name} has members to check "
-                                f"there)")
+        hit = compounds.get(key)
+        if hit is None:
+            if key not in not_closed:
+                not_closed.add(key)
+                # term formats never parenthesise a part
+                text = _FORMATS[key[0]][0].format(*map(shown, key[1:]))
+                warnings.append(f"universe not closed: {text} is missing "
+                                f"({name} has members to check there)")
             return
-        missing = required - have
-        if not missing:
-            return
-        where = tuple(print_term(p) for p in (*parts, compound))
-        for f in sorted((formulas[i] for i in missing), key=formula_sort_key):
-            rep.violations.append(Violation(name, where, print_formula(f)))
+        nc, k = hit
+        gap = gaps.get((need, k))
+        if gap is None:
+            gap = gaps[need, k] = [print_formula(f) for f in sorted(
+                (formulas[i] for i in required - have[k]),
+                key=formula_sort_key)]
+        if gap:
+            where = (*map(shown, parts), shown(nc))
+            rep.violations.extend(Violation(name, where, text) for text in gap)
 
-    for s, es, cs, imps, lefts, _ in rows:
-        for t, et, ct, _, _, rights in rows:
-            if do_app and (es or et):
-                compound = _compound(App, s, t)
-                if compound is not None:
-                    needed = {r for l, r in imps if l in et}
-                    if in_universe is not None:
-                        needed &= in_universe
-                    require("application-closure", (s, t), compound, needed)
-            if do_sum and (es or et):
-                compound = _compound(Sum, s, t)
-                if compound is not None:
-                    # each part is reported on its own
-                    require("sum-closure", (s,), compound, cs)
-                    require("sum-closure", (t,), compound, ct)
-            if do_pair and es and et:
-                compound = _compound(Pair, s, t)
-                if compound is not None:
-                    if in_universe is not None:
-                        needed = lefts & rights
+    for s, ns, ks in term_rows:
+        es = have[ks]
+        for t, nt, kt in term_rows:
+            et = have[kt]
+            if not (es or et):
+                continue
+            if do_app and (not signed or _compound(App, s, t) is not None):
+                need = ("application-closure", ks, kt)
+                needed = needs.get(need)
+                if needed is None:
+                    needed = needs[need] = frozenset(
+                        r for l, r in imps[ks] if l in et)
+                require(need[0], (App, ns, nt), (ns, nt), need, needed)
+            if do_sum and (not signed or _compound(Sum, s, t) is not None):
+                # each part is reported on its own
+                require("sum-closure", (Sum, ns, nt), (ns,),
+                        ("sum-closure", ks), cut[ks])
+                require("sum-closure", (Sum, ns, nt), (nt,),
+                        ("sum-closure", kt), cut[kt])
+            if (do_pair and es and et
+                    and (not signed or _compound(Pair, s, t) is not None)):
+                need = ("pairing-closure", ks, kt)
+                needed = needs.get(need)
+                if needed is None:
+                    if universe is not None:
+                        needed = lefts[ks] & rights[kt]
                     else:
-                        needed = {intern(And(formulas[l], formulas[r]))
-                                  for l in es for r in et}
-                    require("pairing-closure", (s, t), compound, needed)
+                        needed = frozenset(
+                            intern(And(formulas[l], formulas[r]))
+                            for l in es for r in et)
+                    needs[need] = needed
+                require(need[0], (Pair, ns, nt), (ns, nt), need, needed)
 
     truth: dict[int, bool] = {}
+    offending: dict[tuple[int, bool], list[str]] = {}
 
-    def offenders(name: str, t: Term, have: frozenset[int], value: bool,
+    def offenders(name: str, n: int, k: int, value: bool,
                   note: str) -> None:
-        """Members of ``have`` evaluating to ``value`` violate ``name``."""
+        """Members of row ``k`` evaluating to ``value`` violate ``name``."""
         rep = reports[name]
         rep.checked += 1
-        bad = []
-        for i in have:
-            if i not in truth:
-                truth[i] = bool(evaluate(model, formulas[i]))
-            if truth[i] == value:
-                bad.append(formulas[i])
-        for f in sorted(bad, key=formula_sort_key):
-            rep.violations.append(Violation(name, (print_term(t),),
-                                            print_formula(f), note))
+        bad = offending.get((k, value))
+        if bad is None:
+            found = []
+            for i in have[k]:
+                if i not in truth:
+                    truth[i] = bool(evaluate(model, formulas[i]))
+                if truth[i] == value:
+                    found.append(formulas[i])
+            bad = offending[k, value] = [
+                print_formula(f) for f in sorted(found, key=formula_sort_key)]
+        if bad:
+            where = (shown(n),)
+            rep.violations.extend(Violation(name, where, text, note)
+                                  for text in bad)
 
-    for t, have, _, _, _, _ in rows:
+    for t, n, k in term_rows:
         if do_denial and _sign_admits(profile, t, NEGATIVE):
-            offenders("denial-falsity", t, have, True,
-                      "member evaluates true")
+            offenders("denial-falsity", n, k, True, "member evaluates true")
         if do_fact and _sign_admits(profile, t, POSITIVE):
-            offenders("factivity-truth", t, have, False,
-                      "member evaluates false")
-        if do_intro and have and _sign_admits(profile, t, POSITIVE):
-            bang = _compound(Bang, t)
-            if bang is not None:
-                needed = {intern(Just(t, formulas[i])) for i in have}
-                if in_universe is not None:
-                    needed &= in_universe
-                require("introspection-closure", (t,), bang, needed)
+            offenders("factivity-truth", n, k, False, "member evaluates false")
+        if (do_intro and have[k] and _sign_admits(profile, t, POSITIVE)
+                and (not signed or _compound(Bang, t) is not None)):
+            justified = (Just(t, f) for f in sets[k])
+            needed = frozenset(intern(j) for j in justified
+                               if universe is None or j in universe)
+            require("introspection-closure", (Bang, n), (n,),
+                    ("introspection-closure", n), needed)
 
     return AuditReport(profile.name, list(reports.values()), warnings)
 
@@ -413,16 +471,25 @@ def model_from_dict(doc: dict) -> ModularModel:
     valuation_doc = doc.get("valuation", {})
     if not isinstance(valuation_doc, dict):
         raise ModelFormatError("'valuation' must map variable names to booleans")
-    valuation = {str(k): bool(v) for k, v in valuation_doc.items()}
+    for name, value in valuation_doc.items():
+        if not isinstance(value, bool):
+            raise ModelFormatError(f"value of variable {name!r} must be "
+                                   f"true or false, not {value!r}")
+    valuation = {str(k): v for k, v in valuation_doc.items()}
     interp_doc = doc.get("interp", {})
     if not isinstance(interp_doc, dict):
         raise ModelFormatError("'interp' must map terms to formula lists")
     interp: dict[Term, frozenset[Formula]] = {}
+    spelled: dict[Term, str] = {}
     for term_text, formulas in interp_doc.items():
         try:
             term = parse_term(term_text, signed=profile.signed)
         except ValueError as exc:
             raise ModelFormatError(f"bad term {term_text!r}: {exc}") from None
+        if term in spelled:
+            raise ModelFormatError(f"terms {spelled[term]!r} and "
+                                   f"{term_text!r} are the same term")
+        spelled[term] = term_text
         if not isinstance(formulas, list):
             raise ModelFormatError(f"evidence for {term_text!r} must be a list")
         parsed = []

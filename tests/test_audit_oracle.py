@@ -4,11 +4,13 @@ same report, condition by condition, violation by violation and warning
 by warning, on seeded random hand-written models in every profile and
 on random built models."""
 
+import copy
 import random
+from itertools import product
 
 from hypothesis import given, settings
 
-from dlk.builder import build
+from dlk.builder import FUNCTIONALS, BuildParams, build
 from dlk.logics import PROFILES, LogicProfile
 from dlk.semantics import (
     AuditReport, ConditionReport, ModularModel, Violation, _paired,
@@ -16,9 +18,10 @@ from dlk.semantics import (
     occurring_terms, set_product,
 )
 from dlk.syntax import (
-    NEGATIVE, POSITIVE, Alphabet, And, App, Bang, Just, Pair,
-    SignDisciplineError, Sum, Term, enumerate_formulas, enumerate_terms,
-    formula_sort_key, print_formula, print_term,
+    NEGATIVE, POSITIVE, Alphabet, And, App, Bang, Const, Just, Pair,
+    SignDisciplineError, Sum, Term, Var, _PARTS, _TERM_OPS, _parts,
+    enumerate_formulas, enumerate_terms, formula_sort_key, parse_formula,
+    parse_term, print_formula, print_term,
 )
 
 from test_builder import random_builds
@@ -241,3 +244,107 @@ def test_hand_written_models_audit_as_the_reference_does():
 def test_built_models_audit_as_the_reference_does(params):
     model, _ = build(params)
     assert audit(model).as_dict() == naive_audit(model).as_dict()
+
+
+# ---------------------------------------------------------------------------
+# shared evidence sets, sign discipline and warning texts
+
+
+def _same_report(model, terms=None) -> dict:
+    got = audit(model, terms).as_dict()
+    assert got == naive_audit(model, terms).as_dict()
+    return got
+
+
+def _with_interp(model: ModularModel, interp) -> ModularModel:
+    return ModularModel(model.profile, model.valuation, interp,
+                        model.provenance, model.formula_universe)
+
+
+def test_terms_sharing_one_evidence_set_audit_as_the_reference_does():
+    """Built models give many terms one evidence set: as one frozenset
+    object, as equal copies (formulas copied too) or as built."""
+    for name, functional, leaves in (
+            ("dl", "const-one", ("x", "y")), ("dl0", "const-one", ("x", "y")),
+            ("dl", "plus-syntactic", ("x", "y")),
+            ("dl0", "plus-syntactic", ("x", "y")), ("dl", "const-one", ("x",))):
+        model, _ = build(BuildParams(
+            PROFILES[name], Alphabet(("P", "Q"), leaves, ()), 4, 3,
+            FUNCTIONALS[functional](), seed={"P": True}))
+        distinct = set(model.interp.values())
+        assert len(distinct) <= len(model.interp) // 2
+        one = {fs: fs for fs in distinct}
+        shared = {t: one[fs] for t, fs in model.interp.items()}
+        copies = {t: frozenset(copy.deepcopy(sorted(fs, key=formula_sort_key)))
+                  for t, fs in model.interp.items()}
+        over = default_universe(model) if len(leaves) == 1 else None
+        want = _same_report(model, over)
+        assert sum(c["checked"] for c in want["conditions"])
+        for interp in (shared, copies):
+            assert _same_report(_with_interp(model, interp), over) == want
+
+
+def test_const_zero_model_with_a_universe_audits_as_the_reference_does():
+    for name in ("dl", "dl0"):
+        model, _ = build(BuildParams(
+            PROFILES[name], Alphabet(("P", "Q"), ("x",), ()), 4, 3,
+            FUNCTIONALS["const-zero"]()))
+        assert model.formula_universe and not any(model.interp.values())
+        for terms in (None, default_universe(model)):
+            got = _same_report(model, terms)
+            assert got["ok"] and not got["warnings"]
+
+
+def test_sign_discipline_skips_checks_as_the_reference_does():
+    """In fused, and in an unsigned profile given signed terms, the pairs
+    whose compound the sign discipline forbids are not checked."""
+    terms = {text: parse_term(text, signed=True)
+             for text in ("s+", "t+", "u-", "v-", "[s+.t+]", "!s+",
+                          "[u- & v-]", "[u-+v-]")}
+    terms["w"] = Var("w")
+    evidence = {
+        "s+": ["E", "E -> F", "t+:E"], "t+": ["E", "F"], "u-": ["G", "~E"],
+        "v-": ["G -> E", "~E"], "[s+.t+]": ["F"], "[u- & v-]": ["G /\\ ~E"],
+        "w": ["E"]}
+    interp = {terms[k]: frozenset(parse_formula(f, signed=True) for f in fs)
+              for k, fs in evidence.items()}
+    for name in ("fused", "dl", "lp"):
+        for universe in (None, frozenset(parse_formula(f, signed=True) for f in
+                                         ("E", "F", "G /\\ ~E", "~E"))):
+            model = ModularModel(PROFILES[name], {"E": True}, interp,
+                                 formula_universe=universe)
+            for over in (occurring_terms(model), default_universe(model),
+                         list(terms.values())):
+                got = _same_report(model, over)
+                pairs = sum(1 for s in over for t in over
+                            if model.evidence(s) or model.evidence(t))
+                checked = {c["name"]: c["checked"] for c in got["conditions"]}
+                if "application-closure" in checked:
+                    assert checked["application-closure"] < pairs
+
+
+def test_warnings_print_nested_compounds_as_print_term_does():
+    """Every compound kind, over compound parts, is named in a warning
+    exactly as ``print_term`` prints the built compound."""
+    seen = set()
+    for name, evidence in (
+            ("dl", {"[a.b]": ["P -> Q", "P"], "[[a+b] & c]": ["P", "Q"]}),
+            ("lp", {"[!a.b]": ["P -> Q", "P"], "[a+!b]": ["Q"]})):
+        profile = PROFILES[name]
+        model = ModularModel(profile, {}, {
+            parse_term(t): frozenset(map(parse_formula, fs))
+            for t, fs in evidence.items()})
+        terms = occurring_terms(model)
+        got = _same_report(model, terms)
+        built = {}
+        for op in profile.term_ops:
+            ctor, _ = _TERM_OPS[op]
+            for parts in product(terms, repeat=len(_PARTS[ctor])):
+                compound = ctor(*parts)
+                built[print_term(compound)] = compound
+        for text in got["warnings"]:
+            key = text.removeprefix("universe not closed: ").split(" is ")[0]
+            compound = built[key]
+            if any(not isinstance(p, (Const, Var)) for p in _parts(compound)):
+                seen.add(type(compound))
+    assert seen == {App, Sum, Pair, Bang}

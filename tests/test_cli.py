@@ -277,6 +277,20 @@ def test_eval_rejects_bad_formulas(hand_model, capsys):
     assert "bad formula" in err
 
 
+@pytest.mark.parametrize("doc, named", [
+    ({"profile": "dl", "valuation": {"P": "false"}}, "'P'"),
+    ({"profile": "dl", "interp": {"[a.b]": ["P"], "[a . b]": []}},
+     "'[a . b]'"),
+])
+def test_eval_and_audit_reject_ambiguous_models(tmp_path, capsys, doc, named):
+    path = write_json(tmp_path / "model.json", doc)
+    for argv in (("eval", "--model", path, "P"),
+                 ("audit", "--model", path)):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert named in err
+
+
 def test_audit_passes_a_clean_model(hand_model, capsys):
     code, out, _ = run_cli(capsys, "audit", "--model", hand_model,
                            "--universe", "occurring")

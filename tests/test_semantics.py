@@ -243,7 +243,25 @@ def test_model_round_trip_signed_and_universe():
     {"profile": "dl", "interp": {"((": ["P"]}},
     {"profile": "dl", "interp": {"t": ["P ->"]}},
     {"profile": "dl", "valuation": ["P"]},
+    {"profile": "dl", "valuation": {"P": "false"}},
+    {"profile": "dl", "valuation": {"P": 1}},
+    {"profile": "dl", "valuation": {"P": None}},
 ])
 def test_model_format_errors(doc):
     with pytest.raises(ModelFormatError):
         model_from_dict(doc)
+
+
+def test_model_format_error_names_the_variable():
+    with pytest.raises(ModelFormatError, match="'Q'"):
+        model_from_dict({"valuation": {"P": True, "Q": "false"}})
+
+
+def test_model_rejects_two_spellings_of_one_term():
+    doc = {"profile": "dl", "interp": {"[a.b]": ["P"], "[a . b]": []}}
+    with pytest.raises(ModelFormatError) as err:
+        model_from_dict(doc)
+    assert "'[a.b]'" in str(err.value) and "'[a . b]'" in str(err.value)
+    # distinct terms that print alike are not confused
+    doc["interp"] = {"[a.b]": ["P"], "[b.a]": []}
+    assert len(model_from_dict(doc).interp) == 2
