@@ -4,14 +4,14 @@ The builder walks the formula enumeration once.  Every formula gets a
 staged truth value: variables from the seed valuation, falsum false,
 boolean compounds classically from their (earlier) parts, and a
 justified formula ``t:B`` counts as true when its body is staged false
-and either the acceptance functional fires at ``(B, t)`` or the closing
-pass below will put ``B`` into ``t`` (``_reaches``), so every staged
-value is the value in the finished model.  Contributions to the
+and ``B`` ends up in ``t`` (``_reaches``): the functional accepted it
+there when ``B`` was staged, or the closing pass below will carry it
+there.  So every staged value is the value in the finished model, and
+the functional is asked once per formula.  Contributions to the
 evidence interpretation happen as stages close:
 
-* a firing justified formula contributes its body to its own term;
 * every staged-false formula is offered to all terms, landing wherever
-  the functional fires;
+  the functional accepts it (``spray``);
 * once every formula is staged, one pass of ``semantics.close_upward``
   closes the interpretation upward: sum terms absorb the union of their
   parts, application terms the set product of their parts, and pairing
@@ -56,7 +56,10 @@ class RealizationError(BuildError):
 
 
 class Functional:
-    """Decides which formulas a term accepts as denial evidence."""
+    """Decides which formulas a term accepts as denial evidence.
+
+    A functional implements ``spray``, or ``fires`` behind the default
+    ``spray``."""
 
     def fires(self, formula: Formula, term: Term) -> bool:
         raise NotImplementedError
@@ -69,18 +72,12 @@ class Functional:
 class ConstZero(Functional):
     """Never accepts; the built interpretation is empty everywhere."""
 
-    def fires(self, formula, term):
-        return False
-
     def spray(self, formula, terms):
         return ()
 
 
 class ConstOne(Functional):
     """Always accepts; every term collects every false formula."""
-
-    def fires(self, formula, term):
-        return True
 
     def spray(self, formula, terms):
         return terms
@@ -106,22 +103,17 @@ class SpecDriven(Functional):
 
     def __init__(self, entries, suppressed=()):
         self._targets: dict[Formula, tuple[Term, ...]] = {}
-        self._suppressed = frozenset(suppressed)
+        suppressed = frozenset(suppressed)
         for entry in entries:
             if not isinstance(entry, Just):
                 raise BuildError(
                     f"spec-driven functional needs justified formulas, "
                     f"got {print_formula(entry)!r}")
-            if (entry.body, entry.term) in self._suppressed:
+            if (entry.body, entry.term) in suppressed:
                 continue
             terms = self._targets.setdefault(entry.body, ())
             if entry.term not in terms:
                 self._targets[entry.body] = terms + (entry.term,)
-
-    def fires(self, formula, term):
-        if (formula, term) in self._suppressed:
-            return False
-        return term in self._targets.get(formula, ())
 
     def spray(self, formula, terms):
         return [t for t in self._targets.get(formula, ()) if t in terms]
@@ -244,13 +236,6 @@ def build(params: BuildParams) -> tuple[ModularModel, StageTrace | None]:
 
     members: dict[Term, dict[Formula, None]] = {t: {} for t in terms}
     stage_added: list[tuple[str, str, str]] = []
-
-    def add_member(term: Term, f: Formula, via: str):
-        if f not in members[term]:
-            members[term][f] = None
-            if trace is not None:
-                stage_added.append((print_term(term), print_formula(f), via))
-
     pairing = profile.has_schema("pairing")
     staged: dict[Formula, bool] = {}
     for index, f in enumerate(formulas):
@@ -268,12 +253,10 @@ def build(params: BuildParams) -> tuple[ModularModel, StageTrace | None]:
             case Implies(l, r):
                 kind, value = "bool", (not staged[l]) or staged[r]
             case Just(t, b):
-                kind = "just"
-                fires = (not staged[b]) and functional.fires(b, t)
-                if fires:
-                    add_member(t, b, "body")
-                value = fires or ((not staged[b])
-                                  and _reaches(members, t, b, pairing))
+                # b came first: if staged false, every term accepting it
+                # holds it already
+                kind, value = "just", (not staged[b]
+                                       and _reaches(members, t, b, pairing))
             case _:
                 raise BuildError(f"unexpected formula {f!r}")
         staged[f] = value

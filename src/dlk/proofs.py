@@ -18,6 +18,7 @@ from .logics import (
     SCHEMAS, Binding, InstantiationError, LogicProfile, alphabet_from,
     check_in_profile, get_profile, instantiate, match_axiom,
 )
+from .semantics import audit, evaluate
 from .syntax import (
     NEGATIVE, POSITIVE, UNSIGNED, App, Const, Formula, Implies, Just,
     SignDisciplineError, Term, Var, enumerate_terms, formula_terms,
@@ -367,8 +368,6 @@ def check_nonderivability(profile: LogicProfile, hypotheses, target: Formula, *,
     a contradiction is searched for.  When nothing fires the question
     stays open within the given bounds.
     """
-    from .semantics import audit, evaluate   # local import, no cycle at load
-
     hyps = tuple(hypotheses)
     tbound = size_bound if term_size_bound is None else term_size_bound
     if not profile.signed:
@@ -517,24 +516,24 @@ def _binding_from_dict(doc, signed: bool) -> Binding:
     if not isinstance(doc, dict):
         raise ProofFormatError("a binding must be an object")
     formulas, terms = doc.get("formulas", {}), doc.get("terms", {})
-    if not (isinstance(formulas, dict) and isinstance(terms, dict)):
+    if not (isinstance(formulas, dict) and isinstance(terms, dict)
+            and all(isinstance(v, str)
+                    for v in (*formulas.values(), *terms.values()))):
         raise ProofFormatError("a binding maps metavariable names to "
-                               "formulas and terms")
+                               "formula and term strings")
     try:
         return Binding(
-            {k: parse_formula(str(v), signed=signed)
-             for k, v in formulas.items()},
-            {k: parse_term(str(v), signed=signed) for k, v in terms.items()})
+            {k: parse_formula(v, signed=signed) for k, v in formulas.items()},
+            {k: parse_term(v, signed=signed) for k, v in terms.items()})
     except ValueError as exc:
         raise ProofFormatError(f"bad binding: {exc}") from None
 
 
 def _index(value, what: str, n: int) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
+    if isinstance(value, bool) or not isinstance(value, int):
         raise ProofFormatError(f"line {n}: {what} must be an integer, "
-                               f"not {value!r}") from None
+                               f"not {value!r}")
+    return value
 
 
 def proof_to_dict(proof: Proof) -> dict:
@@ -559,25 +558,30 @@ def proof_to_dict(proof: Proof) -> dict:
 def proof_from_dict(doc: dict) -> Proof:
     if not isinstance(doc, dict) or not isinstance(doc.get("lines"), list):
         raise ProofFormatError("proof document must be an object with 'lines'")
-    if not isinstance(doc.get("hypotheses", []), list):
-        raise ProofFormatError("'hypotheses' must be a formula list")
+    hyp_texts = doc.get("hypotheses", [])
+    if not (isinstance(hyp_texts, list)
+            and all(isinstance(h, str) for h in hyp_texts)):
+        raise ProofFormatError("'hypotheses' must be a list of formula "
+                               "strings")
     try:
         profile = get_profile(doc.get("profile", "dl"))
     except KeyError as exc:
         raise ProofFormatError(str(exc)) from None
     signed = profile.signed
     try:
-        hyps = tuple(parse_formula(str(h), signed=signed)
-                     for h in doc.get("hypotheses", []))
+        hyps = tuple(parse_formula(h, signed=signed) for h in hyp_texts)
     except ValueError as exc:
         raise ProofFormatError(f"bad hypothesis: {exc}") from None
     lines: list[ProofLine] = []
     for n, entry in enumerate(doc["lines"]):
         if not isinstance(entry, dict) or "formula" not in entry:
             raise ProofFormatError(f"line {n}: each line needs a formula")
+        if not isinstance(entry["formula"], str):
+            raise ProofFormatError(f"line {n}: 'formula' must be a string, "
+                                   f"not {entry['formula']!r}")
         kind = entry.get("kind", "")
         try:
-            formula = parse_formula(str(entry["formula"]), signed=signed)
+            formula = parse_formula(entry["formula"], signed=signed)
         except ValueError as exc:
             raise ProofFormatError(f"line {n}: {exc}") from None
         if kind == "axiom":
@@ -585,8 +589,11 @@ def proof_from_dict(doc: dict) -> Proof:
                 binding = _binding_from_dict(entry.get("binding", {}), signed)
             except ProofFormatError as exc:
                 raise ProofFormatError(f"line {n}: {exc}") from None
-            lines.append(axiom_line(str(entry.get("schema", "")), binding,
-                                    formula))
+            schema = entry.get("schema", "")
+            if not isinstance(schema, str):
+                raise ProofFormatError(f"line {n}: 'schema' must be a "
+                                       f"string, not {schema!r}")
+            lines.append(axiom_line(schema, binding, formula))
         elif kind == "hyp":
             idx = entry.get("hyp_index")
             lines.append(hyp_line(formula, None if idx is None else

@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
+from .builder import realize_spec
 from .logics import get_profile
 from .proofs import check_nonderivability, check_proof, proof_from_dict
 from .semantics import evaluate
@@ -94,7 +95,6 @@ def _step_close_spec(step, profile, ctx):
 
 
 def _step_realize(step, profile, ctx):
-    from .builder import realize_spec   # heavier import, only on demand
     formulas = _parse_all(step["formulas"], profile)
     model, _ = realize_spec(profile, formulas)
     ctx["model"] = model

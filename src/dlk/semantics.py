@@ -229,17 +229,17 @@ def audit(model: ModularModel,
     ``formula_universe``, required members outside it are ignored.
 
     The work follows the distinct evidence, not the universe: terms with
-    equal evidence sets share one row, numbered, holding the set's int
-    ids (only formulas some evidence set holds, and the conjunctions and
-    justified formulas the checks build, get one), the same cut to the
-    formula universe, its implications and the universe conjunctions its
-    members are sides of; what a check requires is computed once per
-    pair of rows.  A compound is looked up by its constructor and parts
-    among the universe's compounds, never built except in a signed model
-    to test the sign discipline, and printed from its parts' prints only
-    for a warning.  The conditions, the ``checked`` counts and the order
-    of violations and warnings are those of a check of every ordered
-    pair of universe terms.
+    equal evidence sets share one numbered row, holding the set and its
+    cut to the formula universe.  What a check requires of a pair of
+    rows is computed once, by the rules ``close_upward`` builds with:
+    application requires ``set_product`` of the two sets, pairing inside
+    a formula universe ``_paired`` over its conjunctions.  A compound is
+    looked up by its constructor and parts among the universe's
+    compounds, never built except in a signed model to test the sign
+    discipline, and printed from its parts' prints only for a warning.
+    The conditions, the ``checked`` counts and the order of violations
+    and warnings are those of a check of every ordered pair of universe
+    terms.
     """
     profile = model.profile
     universe = model.formula_universe
@@ -264,15 +264,9 @@ def audit(model: ModularModel,
                                      ("introspection-closure", do_intro))
                if enabled}
 
-    ids: dict[Formula, int] = {}
-    formulas: list[Formula] = []
-
-    def intern(f: Formula) -> int:
-        i = ids.get(f)
-        if i is None:
-            i = ids[f] = len(formulas)
-            formulas.append(f)
-        return i
+    def inside(fs: frozenset[Formula]) -> frozenset[Formula]:
+        """The members of ``fs`` the formula universe admits."""
+        return fs if universe is None else fs & universe
 
     # universe terms by number (an equal term given twice counts once),
     # printed on first need
@@ -296,34 +290,9 @@ def audit(model: ModularModel,
             k = row_of[members] = len(sets)
             sets.append(members)
         term_rows.append((t, number[t], k))
-    have = [frozenset(map(intern, members)) for members in sets]
-    if universe is None:
-        cut = have
-    else:
-        in_universe = frozenset(i for i, f in enumerate(formulas)
-                                if f in universe)
-        cut = [h if h <= in_universe else h & in_universe for h in have]
-    # implications as (antecedent, consequent) ids, consequents in the
-    # universe; an antecedent no evidence set holds is never met
-    imps = [[(ids[f.left], intern(f.right)) for f in members
-             if isinstance(f, Implies) and f.left in ids
-             and (universe is None or f.right in universe)]
-            for members in sets] if do_app else []
+    cut = [inside(members) for members in sets]
     if do_pair and universe is not None:
-        # the universe's conjunctions with both sides held by some
-        # evidence set, by the ids of their sides
-        both = [f for f in universe
-                if isinstance(f, And) and f.left in ids and f.right in ids]
-        by_left: dict[int, list[int]] = {}
-        by_right: dict[int, list[int]] = {}
-        for f in both:
-            c = intern(f)
-            by_left.setdefault(ids[f.left], []).append(c)
-            by_right.setdefault(ids[f.right], []).append(c)
-        lefts = [frozenset(c for i in h for c in by_left.get(i, ()))
-                 for h in have]
-        rights = [frozenset(c for i in h for c in by_right.get(i, ()))
-                  for h in have]
+        conjunctions = [f for f in universe if isinstance(f, And)]
 
     # the universe's compounds over universe terms, by (constructor, the
     # parts' numbers), to their own number and row
@@ -334,16 +303,16 @@ def audit(model: ModularModel,
             compounds[(type(t), *(number[p] for p in parts))] = n, k
     # only signed terms can break the sign discipline
     signed = profile.signed or any(map(term_sign, terms))
-    needs: dict[tuple, frozenset[int]] = {}
+    needs: dict[tuple, frozenset[Formula]] = {}
     gaps: dict[tuple, list[str]] = {}
     not_closed: set[tuple] = set()
 
     def require(name: str, key: tuple, parts: tuple[int, ...],
-                need: tuple, required: frozenset[int]) -> None:
-        """The ids ``required`` (inside the universe) ⊆ the evidence of
-        the compound ``key`` names, reported at the terms numbered
-        ``parts``; ``need`` names ``required`` for the memo of what a row
-        misses of it."""
+                need: tuple, required: frozenset[Formula]) -> None:
+        """``required`` (inside the universe) ⊆ the evidence of the
+        compound ``key`` names, reported at the terms numbered ``parts``;
+        ``need`` names ``required`` for the memo of what a row misses of
+        it."""
         rep = reports[name]
         rep.checked += 1
         if not required:
@@ -361,24 +330,22 @@ def audit(model: ModularModel,
         gap = gaps.get((need, k))
         if gap is None:
             gap = gaps[need, k] = [print_formula(f) for f in sorted(
-                (formulas[i] for i in required - have[k]),
-                key=formula_sort_key)]
+                required - sets[k], key=formula_sort_key)]
         if gap:
             where = (*map(shown, parts), shown(nc))
             rep.violations.extend(Violation(name, where, text) for text in gap)
 
     for s, ns, ks in term_rows:
-        es = have[ks]
+        es = sets[ks]
         for t, nt, kt in term_rows:
-            et = have[kt]
+            et = sets[kt]
             if not (es or et):
                 continue
             if do_app and (not signed or _compound(App, s, t) is not None):
                 need = ("application-closure", ks, kt)
                 needed = needs.get(need)
                 if needed is None:
-                    needed = needs[need] = frozenset(
-                        r for l, r in imps[ks] if l in et)
+                    needed = needs[need] = inside(set_product(es, et))
                 require(need[0], (App, ns, nt), (ns, nt), need, needed)
             if do_sum and (not signed or _compound(Sum, s, t) is not None):
                 # each part is reported on its own
@@ -391,16 +358,12 @@ def audit(model: ModularModel,
                 need = ("pairing-closure", ks, kt)
                 needed = needs.get(need)
                 if needed is None:
-                    if universe is not None:
-                        needed = lefts[ks] & rights[kt]
-                    else:
-                        needed = frozenset(
-                            intern(And(formulas[l], formulas[r]))
-                            for l in es for r in et)
-                    needs[need] = needed
+                    needed = needs[need] = frozenset(
+                        _paired(conjunctions, es, et) if universe is not None
+                        else (And(l, r) for l in es for r in et))
                 require(need[0], (Pair, ns, nt), (ns, nt), need, needed)
 
-    truth: dict[int, bool] = {}
+    truth: dict[Formula, bool] = {}
     offending: dict[tuple[int, bool], list[str]] = {}
 
     def offenders(name: str, n: int, k: int, value: bool,
@@ -411,11 +374,11 @@ def audit(model: ModularModel,
         bad = offending.get((k, value))
         if bad is None:
             found = []
-            for i in have[k]:
-                if i not in truth:
-                    truth[i] = bool(evaluate(model, formulas[i]))
-                if truth[i] == value:
-                    found.append(formulas[i])
+            for f in sets[k]:
+                if f not in truth:
+                    truth[f] = bool(evaluate(model, f))
+                if truth[f] == value:
+                    found.append(f)
             bad = offending[k, value] = [
                 print_formula(f) for f in sorted(found, key=formula_sort_key)]
         if bad:
@@ -428,13 +391,11 @@ def audit(model: ModularModel,
             offenders("denial-falsity", n, k, True, "member evaluates true")
         if do_fact and _sign_admits(profile, t, POSITIVE):
             offenders("factivity-truth", n, k, False, "member evaluates false")
-        if (do_intro and have[k] and _sign_admits(profile, t, POSITIVE)
+        if (do_intro and sets[k] and _sign_admits(profile, t, POSITIVE)
                 and (not signed or _compound(Bang, t) is not None)):
-            justified = (Just(t, f) for f in sets[k])
-            needed = frozenset(intern(j) for j in justified
-                               if universe is None or j in universe)
             require("introspection-closure", (Bang, n), (n,),
-                    ("introspection-closure", n), needed)
+                    ("introspection-closure", n),
+                    inside(frozenset(Just(t, f) for f in sets[k])))
 
     return AuditReport(profile.name, list(reports.values()), warnings)
 
@@ -475,7 +436,7 @@ def model_from_dict(doc: dict) -> ModularModel:
         if not isinstance(value, bool):
             raise ModelFormatError(f"value of variable {name!r} must be "
                                    f"true or false, not {value!r}")
-    valuation = {str(k): v for k, v in valuation_doc.items()}
+    valuation = dict(valuation_doc)
     interp_doc = doc.get("interp", {})
     if not isinstance(interp_doc, dict):
         raise ModelFormatError("'interp' must map terms to formula lists")
@@ -490,26 +451,32 @@ def model_from_dict(doc: dict) -> ModularModel:
             raise ModelFormatError(f"terms {spelled[term]!r} and "
                                    f"{term_text!r} are the same term")
         spelled[term] = term_text
-        if not isinstance(formulas, list):
-            raise ModelFormatError(f"evidence for {term_text!r} must be a list")
+        if not (isinstance(formulas, list)
+                and all(isinstance(ftext, str) for ftext in formulas)):
+            raise ModelFormatError(f"evidence for {term_text!r} must be a "
+                                   f"list of formula strings")
         parsed = []
         for ftext in formulas:
             try:
-                parsed.append(parse_formula(str(ftext), signed=profile.signed))
+                parsed.append(parse_formula(ftext, signed=profile.signed))
             except ValueError as exc:
                 raise ModelFormatError(f"bad formula {ftext!r}: {exc}") from None
         interp[term] = frozenset(parsed)
     universe = None
     if "formula_universe" in doc:
         texts = doc["formula_universe"]
-        if not isinstance(texts, list):
-            raise ModelFormatError("'formula_universe' must be a formula list")
+        if not (isinstance(texts, list)
+                and all(isinstance(ftext, str) for ftext in texts)):
+            raise ModelFormatError("'formula_universe' must be a list of "
+                                   "formula strings")
         try:
-            universe = frozenset(parse_formula(str(ftext),
-                                               signed=profile.signed)
+            universe = frozenset(parse_formula(ftext, signed=profile.signed)
                                  for ftext in texts)
         except ValueError as exc:
             raise ModelFormatError(f"bad universe formula: {exc}") from None
-    return ModularModel(profile, valuation, interp,
-                        provenance=str(doc.get("provenance", "hand")),
+    provenance = doc.get("provenance", "hand")
+    if not isinstance(provenance, str):
+        raise ModelFormatError(f"'provenance' must be a string, "
+                               f"not {provenance!r}")
+    return ModularModel(profile, valuation, interp, provenance=provenance,
                         formula_universe=universe)

@@ -327,8 +327,9 @@ def blue_pill(spec: ConstantSpec, *,
             "failure", ok,
             note="no model found within the search bounds")
     return BluePillResult("model", ok, model=model,
-                          note="every extracted formula holds; "
-                               "application/sum closure audited")
+                          note="every extracted formula holds; evidence "
+                               "closed under application and sum over "
+                               "its occurring terms")
 
 
 @dataclass
@@ -390,16 +391,22 @@ def spec_from_dict(doc, default_profile: LogicProfile | None = None,
         if profile is None:
             raise SpecFormatError("specification document names no profile")
         texts = doc.get("formulas")
-        closed = bool(doc.get("closed", False))
+        closed = doc.get("closed", False)
         if not isinstance(texts, list):
             raise SpecFormatError("'formulas' must be an array")
+        if not isinstance(closed, bool):
+            raise SpecFormatError(f"'closed' must be true or false, "
+                                  f"not {closed!r}")
     else:
         raise SpecFormatError("specification document must be an object "
                               "or an array of formulas")
     out: list[Formula] = []
     for i, text in enumerate(texts):
+        if not isinstance(text, str):
+            raise SpecFormatError(f"formula {i} must be a string, "
+                                  f"not {text!r}")
         try:
-            out.append(parse_formula(str(text), signed=profile.signed))
+            out.append(parse_formula(text, signed=profile.signed))
         except ValueError as exc:
             raise SpecFormatError(f"formula {i}: {exc}")
     return ConstantSpec(profile, tuple(out), closed=closed)

@@ -90,13 +90,22 @@ def test_plus_syntactic_splits_sums_from_their_parts():
 
 
 def test_spec_driven_fires_only_at_listed_positions():
-    functional = SpecDriven([fm("x:P"), fm("y:Q")])
-    assert functional.fires(fm("P"), tm("x"))
-    assert not functional.fires(fm("P"), tm("y"))
-    assert not functional.fires(fm("Q"), tm("x"))
-    terms = {tm("x"): None, tm("y"): None}
-    assert functional.spray(fm("P"), terms) == [tm("x")]
+    # a body is sprayed at its entries' terms, in entry order, except at
+    # a suppressed position, and only at terms the build enumerates
+    functional = SpecDriven(
+        [fm("y:P"), fm("x:P"), fm("y:Q"), fm("[x+y]:P"), fm("y:P")],
+        suppressed=[(fm("P"), tm("x")), (fm("R"), tm("y"))])
+    terms = {tm("x"): None, tm("y"): None, tm("[x+y]"): None}
+    assert functional.spray(fm("P"), terms) == [tm("y"), tm("[x+y]")]
+    assert functional.spray(fm("Q"), terms) == [tm("y")]
     assert functional.spray(fm("P /\\ Q"), terms) == []
+    assert functional.spray(fm("P"), {tm("x"): None, tm("y"): None}) == \
+        [tm("y")]
+    model, trace = build(small_params(functional, trace=True))
+    sprayed = {(t, f) for row in trace.rows for t, f, via in row.added
+               if via == "spray"}
+    assert ("y", "P") in sprayed and ("x", "P") not in sprayed
+    assert fm("P") not in model.interp[tm("x")]
 
 
 def test_spec_driven_rejects_unjustified_entries():
@@ -159,8 +168,7 @@ def test_trace_records_membership_contributions():
     *stages, close = trace.rows
     assert close.kind == "close"
     assert {via for _, _, via in close.added} == {"sum", "pair"}
-    assert {via for row in stages for _, _, via in row.added} <= \
-        {"body", "spray"}
+    assert {via for row in stages for _, _, via in row.added} == {"spray"}
     added = [(tm(t), fm(f)) for row in trace.rows for t, f, _ in row.added]
     members = [(t, f) for t, fs in model.interp.items() for f in fs]
     assert len(added) == len(set(added)) == len(members)
@@ -345,7 +353,7 @@ def test_random_builds_pass_their_audit_and_match_a_naive_fixpoint(params):
     staged = {t: set() for t in model.interp}
     for row in trace.rows:
         for t, f, via in row.added:
-            if via in ("body", "spray"):
+            if via == "spray":
                 staged[tm(t)].add(fm(f))
     expected = _naive_closure(staged, model.formula_universe,
                               params.profile.has_schema("pairing"))

@@ -246,6 +246,18 @@ def test_check_proof_rejects_a_hypothesis_index_that_is_not_a_number(
     assert "hyp_index" in err
 
 
+def test_check_proof_rejects_premises_that_are_not_integers(tmp_path,
+                                                           capsys):
+    doc = proof_to_dict(denial_replay_proof())
+    mp = next(line for line in doc["lines"] if line["kind"] == "mp")
+    mp["premises"] = [float(mp["premises"][0]) + 0.7,
+                      str(mp["premises"][1])]
+    code, _, err = run_cli(capsys, "check-proof",
+                           write_json(tmp_path / "proof.json", doc))
+    assert code == 2
+    assert "premise" in err
+
+
 # ---------------------------------------------------------------------------
 # eval / audit
 
@@ -281,6 +293,8 @@ def test_eval_rejects_bad_formulas(hand_model, capsys):
     ({"profile": "dl", "valuation": {"P": "false"}}, "'P'"),
     ({"profile": "dl", "interp": {"[a.b]": ["P"], "[a . b]": []}},
      "'[a . b]'"),
+    ({"profile": "dl", "interp": {"t": [True, "P"]}}, "'t'"),
+    ({"profile": "dl", "provenance": 7}, "'provenance'"),
 ])
 def test_eval_and_audit_reject_ambiguous_models(tmp_path, capsys, doc, named):
     path = write_json(tmp_path / "model.json", doc)

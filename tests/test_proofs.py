@@ -1,7 +1,11 @@
 """Proof checking, bounded forward chaining, internalization, and the
 nonderivability reports."""
 
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -138,14 +142,61 @@ def test_proof_json_round_trip():
     {"profile": "dl", "lines": [{"kind": "mp", "formula": "P"}]},
     {"profile": "dl", "lines": [{"kind": "zig", "formula": "P"}]},
     {"profile": "dl", "hypotheses": ["P ->"], "lines": []},
+    {"profile": "dl", "hypotheses": [False], "lines": []},
+    {"profile": "dl", "lines": [{"kind": "hyp", "formula": True}]},
+    {"profile": "dl", "hypotheses": ["P"],
+     "lines": [{"kind": "hyp", "formula": "P", "hyp_index": True}]},
+    {"profile": "dl", "hypotheses": ["P"],
+     "lines": [{"kind": "hyp", "formula": "P", "hyp_index": "0"}]},
+    {"profile": "dl", "lines": [{"kind": "mp", "formula": "Q",
+                                 "premises": [1.7, "0"]}]},
+    {"profile": "dl", "lines": [{"kind": "mp", "formula": "Q",
+                                 "premises": [1, False]}]},
+    {"profile": "dl", "lines": [{"kind": "axiom", "formula": "P -> P",
+                                 "schema": 7}]},
+    {"profile": "dl", "lines": [{"kind": "axiom", "formula": "P -> P",
+                                 "schema": "k", "binding": {
+                                     "formulas": {"A": True}}}]},
+    {"profile": "dl", "lines": [{"kind": "axiom", "formula": "P -> P",
+                                 "schema": "k", "binding": {
+                                     "terms": {"t": 0}}}]},
 ])
 def test_proof_format_errors(doc):
     with pytest.raises(ProofFormatError):
         proof_from_dict(doc)
 
 
+@pytest.mark.parametrize("line, field", [
+    ({"kind": "hyp", "formula": False}, "'formula'"),
+    ({"kind": "hyp", "formula": "P", "hyp_index": True}, "hyp_index"),
+    ({"kind": "mp", "formula": "P", "premises": [0, 1.7]}, "premise"),
+    ({"kind": "axiom", "formula": "P", "schema": None}, "'schema'"),
+])
+def test_proof_format_error_names_the_field(line, field):
+    doc = {"profile": "dl", "hypotheses": ["P"], "lines": [line]}
+    with pytest.raises(ProofFormatError, match=field):
+        proof_from_dict(doc)
+
+
+def test_proof_format_error_names_the_hypotheses():
+    with pytest.raises(ProofFormatError, match="'hypotheses'"):
+        proof_from_dict({"profile": "dl", "hypotheses": ["P", False],
+                         "lines": []})
+
+
 # ---------------------------------------------------------------------------
 # forward chaining
+
+
+def test_importing_dlk_leaves_the_search_engine_unloaded():
+    # derive_forward loads dlk.demand on its first call
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dlk; print('dlk.demand' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "False\n")
 
 
 def _template_metas(template):

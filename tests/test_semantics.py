@@ -246,9 +246,24 @@ def test_model_round_trip_signed_and_universe():
     {"profile": "dl", "valuation": {"P": "false"}},
     {"profile": "dl", "valuation": {"P": 1}},
     {"profile": "dl", "valuation": {"P": None}},
+    {"profile": "dl", "interp": {"t": [True]}},
+    {"profile": "dl", "interp": {"t": ["P", None]}},
+    {"profile": "dl", "formula_universe": [False]},
+    {"profile": "dl", "provenance": 7},
+    {"profile": "dl", "provenance": None},
 ])
 def test_model_format_errors(doc):
     with pytest.raises(ModelFormatError):
+        model_from_dict(doc)
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"interp": {"t": [True, "P"]}}, "'t'"),
+    ({"formula_universe": ["P", 0]}, "'formula_universe'"),
+    ({"provenance": 7}, "'provenance'"),
+])
+def test_model_format_error_names_the_field(doc, field):
+    with pytest.raises(ModelFormatError, match=field):
         model_from_dict(doc)
 
 

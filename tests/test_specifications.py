@@ -259,6 +259,11 @@ def test_blue_pill_transplants_a_denial_spec():
     assert fm("E") in result.ok
     for member in result.ok:
         assert evaluate(result.model, member)
+    # the note claims the closure the model search builds, no audit
+    assert "closed under application and sum" in result.note
+    report = audit(result.model)
+    assert report.condition("application-closure").ok
+    assert report.condition("sum-closure").ok
 
 
 def test_blue_pill_reports_a_complementary_extraction():
@@ -337,7 +342,20 @@ def test_bare_arrays_need_a_caller_profile():
     {"profile": "dl", "formulas": ["P ->"]},
     {"profile": "dl", "formulas": ["s+:E"]},
     {"formulas": ["a:A"]},
+    {"profile": "dl", "formulas": [True]},
+    {"profile": "dl", "formulas": ["a:A", None]},
+    {"profile": "dl", "formulas": ["a:A"], "closed": "false"},
+    {"profile": "dl", "formulas": ["a:A"], "closed": 0},
 ])
 def test_malformed_documents_are_rejected(doc):
     with pytest.raises(SpecFormatError):
         spec_from_dict(doc)
+
+
+def test_format_errors_name_the_field():
+    with pytest.raises(SpecFormatError, match="formula 1"):
+        spec_from_dict({"profile": "dl", "formulas": ["a:A", False]})
+    with pytest.raises(SpecFormatError, match="formula 0"):
+        spec_from_dict([None], default_profile=dl)
+    with pytest.raises(SpecFormatError, match="'closed'"):
+        spec_from_dict({"profile": "dl", "formulas": [], "closed": "false"})
