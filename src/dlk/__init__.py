@@ -23,10 +23,10 @@ from .logics import (
     translation_table,
 )
 from .proofs import (
-    CheckResult, DerivedSet, Internalization, MissingConstantError,
-    NonderivabilityReport, Proof, ProofFormatError, ProofLine, axiom_line,
-    check_nonderivability, check_proof, derive_forward, hyp_line,
-    internalize, mp_line, proof_from_dict, proof_to_dict,
+    CheckResult, DerivedSet, MissingConstantError, NonderivabilityReport,
+    Proof, ProofFormatError, ProofLine, axiom_line, check_nonderivability,
+    check_proof, derive_forward, hyp_line, internalize, mp_line,
+    proof_from_dict, proof_to_dict,
 )
 from .semantics import (
     AuditReport, ModelFormatError, ModularModel, audit, default_universe,

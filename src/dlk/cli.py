@@ -554,12 +554,12 @@ def _cmd_internalize(args) -> tuple[int, dict]:
         lifted = internalize(proof, spec.formulas)
     except (MissingConstantError, ValueError) as exc:
         raise _Fail(1, str(exc)) from None
-    doc = proof_to_dict(lifted.proof)
+    doc = proof_to_dict(lifted)
     if args.out:
         _write_json(args.out, doc)
-    return 0, {"term": print_term(lifted.term),
+    return 0, {"term": print_term(lifted.conclusion.term),
                "conclusion": print_formula(lifted.conclusion),
-               "lines": len(lifted.proof.lines),
+               "lines": len(lifted.lines),
                "proof": None if args.out else doc,
                "out": args.out}
 

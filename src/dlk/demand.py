@@ -311,7 +311,7 @@ class DemandSaturation:
                                         profile.term_ops):
             self.feed_term(t)
         for f in seeds:
-            self.feed_pool(f, _fits(f, self.size_bound))
+            self.feed_pool(f)
 
     # pools ---------------------------------------------------------------
 
@@ -320,18 +320,17 @@ class DemandSaturation:
             self.term_index[t] = len(self.terms)
             self.terms.append(t)
 
-    def feed_pool(self, f: Formula, fits: bool):
+    def feed_pool(self, f: Formula):
         """The exhaustive loop's ``feed_pool``, without measuring or
         hashing the parts too large for the pool, and walking each large
-        node object once (conclusions share their parts).  ``fits`` is
-        ``_fits(f, self.size_bound)``."""
+        node object once (conclusions share their parts)."""
         if id(f) in self.fed:
             return
-        if not fits:
+        if not _fits(f, self.size_bound):
             self.fed[id(f)] = f
             for kid in _parts(f):
                 if isinstance(kid, Formula) and id(kid) not in self.fed:
-                    self.feed_pool(kid, _fits(kid, self.size_bound))
+                    self.feed_pool(kid)
             return
         if f in self.pool_index:        # and so is every part of it
             return
@@ -403,7 +402,6 @@ class DemandSaturation:
         """Record an instance that a stored formula relies on."""
         if f not in self.out.provenance:
             self.out.provenance[f] = ("axiom", rule.sid, binding)
-            self.out.order.append(f)
 
     def extend(self, rule: _Rule, bound: Binding, round_no: int | None):
         """Queue entries, in key order, for the instances of ``rule`` whose
@@ -496,12 +494,10 @@ class DemandSaturation:
         merged = heapq.merge(*streams, key=itemgetter(0))
         self.queue.append(map(itemgetter(1), merged))
 
-    def add(self, f: Formula, prov: tuple, fits: bool):
-        """Add a hypothesis or modus ponens conclusion at key ``now``;
-        ``fits`` is ``_fits(f, self.size_bound)``."""
+    def add(self, f: Formula, prov: tuple):
+        """Add a hypothesis or modus ponens conclusion at key ``now``."""
         out = self.out
         out.provenance[f] = prov
-        out.order.append(f)
         if out.contradiction is None:
             body = f.body if isinstance(f, Not) else None
             if body is not None and body not in out.provenance \
@@ -536,7 +532,7 @@ class DemandSaturation:
                     for key, m in self.by_antecedent.get(f, ())]]
         matches = [(rule, Binding({rule.template.left.name: f}, {}))
                    for rule in self.book.bare] \
-            if fits else []
+            if _fits(f, self.size_bound) else []
         for rule in self.book.shaped[type(f)]:
             bound = logics.match_template(rule.template.left, f, self.signed)
             if bound is not None and all(_fits(v, self.size_bound)
@@ -636,7 +632,7 @@ class DemandSaturation:
         for i, h in enumerate(self.hyps):
             if h not in self.out.provenance:
                 self.now = (0, 0, i)
-                self.add(h, ("hyp", i), _fits(h, self.size_bound))
+                self.add(h, ("hyp", i))
             if self.done:
                 break
         for round_no in range(1, self.rounds + 1):
@@ -665,14 +661,13 @@ class DemandSaturation:
                     self.store(major.left, *left_route)
                 self.now = (round_no, 0, n)
                 n += 1
-                fits = _fits(major.right, self.size_bound)
-                self.add(major.right, ("mp", major, major.left), fits)
-                concluded.append((major.right, fits))
+                self.add(major.right, ("mp", major, major.left))
+                concluded.append(major.right)
             last = round_no == self.rounds
             if self.done or (last and not self.may_note()):
                 break
-            for f, fits in concluded:
-                self.feed_pool(f, fits)
+            for f in concluded:
+                self.feed_pool(f)
             if not self.snapshot(round_no):
                 break
             if not last:

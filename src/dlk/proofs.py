@@ -21,9 +21,8 @@ from .logics import (
 from .semantics import audit, evaluate
 from .syntax import (
     NEGATIVE, POSITIVE, UNSIGNED, App, Const, Formula, Implies, Just,
-    SignDisciplineError, Term, Var, enumerate_terms, formula_terms,
-    parse_formula, parse_term, print_formula, print_term, subterms,
-    term_sign,
+    SignDisciplineError, Var, enumerate_terms, parse_formula, parse_term,
+    print_formula, print_term, term_sign,
 )
 
 
@@ -158,7 +157,6 @@ class DerivedSet:
     profile: LogicProfile
     hypotheses: tuple[Formula, ...]
     provenance: dict[Formula, tuple] = field(default_factory=dict)
-    order: list[Formula] = field(default_factory=list)
     contradiction: tuple[Formula, Formula] | None = None
     rounds_used: int = 0
     hit_limit: bool = False
@@ -169,8 +167,12 @@ class DerivedSet:
     def __len__(self) -> int:
         return len(self.provenance)
 
+    @property
+    def order(self) -> list[Formula]:
+        return list(self.provenance)
+
     def justified(self) -> list[Just]:
-        return [f for f in self.order if isinstance(f, Just)]
+        return [f for f in self.provenance if isinstance(f, Just)]
 
     def proof_of(self, f: Formula) -> Proof:
         if f not in self.provenance:
@@ -245,18 +247,8 @@ def derive_forward(profile: LogicProfile, hypotheses, *,
 # internalization
 
 
-@dataclass(frozen=True)
-class Internalization:
-    proof: Proof
-    term: Term
-
-    @property
-    def conclusion(self) -> Formula | None:
-        return self.proof.conclusion
-
-
-def internalize(proof: Proof, entries) -> Internalization:
-    """Lift a checked proof of F to a proof of t:F.
+def internalize(proof: Proof, entries) -> Proof:
+    """Lift a checked proof of F to a proof whose conclusion is t:F.
 
     ``entries`` are justified formulas (a closed specification's
     entries); axiom and hypothesis lines each need an entry whose body is
@@ -279,7 +271,6 @@ def internalize(proof: Proof, entries) -> Internalization:
     hyps: list[Formula] = []
     hyp_pos: dict[Formula, int] = {}
     term_of: dict[int, int] = {}            # source line -> lifted line index
-    lifted_term: dict[int, Term] = {}
 
     def cite(entry: Just) -> int:
         if entry not in hyp_pos:
@@ -294,10 +285,9 @@ def internalize(proof: Proof, entries) -> Internalization:
             if entry is None:
                 raise MissingConstantError(line.formula)
             term_of[i] = cite(entry)
-            lifted_term[i] = entry.term
         else:
             major, minor = line.premises
-            a, b = lifted_term[major], lifted_term[minor]
+            a, b = (lines[term_of[j]].formula.term for j in (major, minor))
             minor_f, this_f = proof.lines[minor].formula, line.formula
             try:
                 compound = Just(App(a, b), this_f)
@@ -313,11 +303,8 @@ def internalize(proof: Proof, entries) -> Internalization:
             first_mp = len(lines) - 1
             lines.append(mp_line(first_mp, term_of[minor], compound))
             term_of[i] = len(lines) - 1
-            lifted_term[i] = compound.term
 
-    last = len(proof.lines) - 1
-    return Internalization(Proof(profile, tuple(lines), tuple(hyps)),
-                           lifted_term[last])
+    return Proof(profile, tuple(lines), tuple(hyps))
 
 
 # ---------------------------------------------------------------------------
@@ -423,19 +410,15 @@ def check_nonderivability(profile: LogicProfile, hypotheses, target: Formula, *,
                                 rounds=rounds, term_size_bound=tbound,
                                 goal_filter=hit, extra_pool=(target,),
                                 limit=limit)
-        found = next((f for f in direct.order if hit(f)), None)
+        found = next((f for f in direct.provenance if hit(f)), None)
         if found is not None:
             return NonderivabilityReport(
                 target, "derivable", exists_term=True, found=found,
                 note=f"derived {print_formula(found)!r} after all",
                 proof=direct.proof_of(found))
-        taken: set[str] = set()
-        for h in hyps + (target,):
-            for t in formula_terms(h):
-                for part in subterms(t):
-                    if isinstance(part, (Const, Var)):
-                        taken.add(part.name)
-        fresh = _fresh_var_name(taken)
+        alphabet = alphabet_from(hyps + (target,), profile)
+        fresh = _fresh_var_name(set(alphabet.term_vars
+                                    + alphabet.term_consts))
         assumptions = [Just(Var(fresh, s), target) for s in assumed_signs]
     else:
         # immediate hits skip the saturation sweep entirely

@@ -175,15 +175,18 @@ def probe_consistency(spec: ConstantSpec, *,
 class OKSet:
     """Formulas some term provably justifies, in witness order."""
 
-    members: tuple[Formula, ...]
     witnesses: dict[Formula, tuple[Term, Proof]]
     hit_limit: bool = False
 
+    @property
+    def members(self) -> tuple[Formula, ...]:
+        return tuple(self.witnesses)
+
     def __iter__(self):
-        return iter(self.members)
+        return iter(self.witnesses)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.witnesses)
 
     def __contains__(self, f: Formula) -> bool:
         return f in self.witnesses
@@ -207,13 +210,11 @@ def ok_extract(spec: ConstantSpec, *,
     derived: DerivedSet = derive_forward(
         spec.profile, spec.formulas, size_bound=size, rounds=depth,
         term_size_bound=term_size, limit=limit)
-    members: list[Formula] = []
     witnesses: dict[Formula, tuple[Term, Proof]] = {}
     for f in derived.justified():
         if f.body not in witnesses:
             witnesses[f.body] = (f.term, derived.proof_of(f))
-            members.append(f.body)
-    return OKSet(tuple(members), witnesses, hit_limit=derived.hit_limit)
+    return OKSet(witnesses, hit_limit=derived.hit_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +251,9 @@ def search_jl_model(targets,
     if len(names) > _MAX_VARS:
         return None
 
-    candidates: list[Just] = []
-    seen: set[Formula] = set()
-    for f in wanted:
-        for sub in subformulas(f):
-            if isinstance(sub, Just) and sub not in seen:
-                seen.add(sub)
-                candidates.append(sub)
-    candidates.sort(key=formula_sort_key)
-    candidates = candidates[:_MAX_CANDIDATES]
+    candidates = sorted({sub for f in wanted for sub in subformulas(f)
+                         if isinstance(sub, Just)},
+                        key=formula_sort_key)[:_MAX_CANDIDATES]
 
     for r in range(min(_MAX_COMBO, len(candidates)) + 1):
         for combo in combinations(candidates, r):

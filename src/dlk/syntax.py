@@ -23,10 +23,11 @@ Identity of terms and formulas is structural: ``P /\\ P`` is a different
 formula from ``P`` and ``t:P`` never coincides with ``t:(P /\\ P)``.
 Nodes are frozen dataclasses with slots and the generated structural
 ``==``.  Each computes its hash once, when it is built, and keeps it in
-a slot; the value is the one the generated dataclass hash would give,
-``hash`` of the tuple of the node's fields, so every set and dict of
-nodes iterates in the same order as with that hash.  There is no intern
-table: equal nodes built apart stay distinct objects.
+a slot: ``hash`` of the tuple of the node's fields, salted by its class,
+so that ``A /\\ B``, ``A \\/ B`` and ``A -> B`` hash apart.  Hashes
+change with ``PYTHONHASHSEED``, so no output follows the iteration order
+of a set or dict of nodes.  There is no intern table: equal nodes built
+apart stay distinct objects.
 
 The parser refuses input nested more than ``MAX_NESTING`` levels deep,
 counting each parenthesised group or ``->`` operand, each ``~``, each
@@ -287,16 +288,20 @@ _GET_PARTS = {kind: _getter(names) for kind, names in _PARTS.items()}
 
 # A node's hash is computed once, as the last step of its constructor,
 # and kept in the ``_hash`` slot that ``Term`` and ``Formula`` declare.
-# It is ``hash`` of the field tuple, the value the generated dataclass
-# hash gives, so sets and dicts of nodes iterate as they did.  Copies and
+# It is ``hash`` of the field tuple salted by the class, so that nodes of
+# different classes over the same fields (``A /\ B`` and ``A -> B``,
+# ``App``/``Sum``/``Pair`` of the same parts) hash apart.  Copies and
 # pickles call the constructor again, so a node never carries a hash
 # over from another process, where strings hash differently.
 _GET_FIELDS = {kind: _getter(tuple(f.name for f in fields(kind)))
                for kind in _PARTS}
+_SALT = {kind: hash(kind.__name__) for kind in _PARTS}
 
 
 def _seal(node) -> None:
-    object.__setattr__(node, "_hash", hash(_GET_FIELDS[type(node)](node)))
+    kind = type(node)
+    object.__setattr__(node, "_hash",
+                       hash(_GET_FIELDS[kind](node)) ^ _SALT[kind])
 
 
 def _hash(node) -> int:

@@ -14,7 +14,7 @@ return the same ``DerivedSet``: order, provenance, contradiction,
 from __future__ import annotations
 
 from dlk import logics
-from dlk.demand import DemandSaturation, _fits
+from dlk.demand import DemandSaturation
 from dlk.logics import InstantiationError
 from dlk.proofs import DerivedSet
 
@@ -25,7 +25,7 @@ class EagerRounds(DemandSaturation):
         for i, h in enumerate(self.hyps):
             if h not in self.out.provenance:
                 self.now = (0, 0, i)
-                self.add(h, ("hyp", i), _fits(h, self.size_bound))
+                self.add(h, ("hyp", i))
             if self.done:
                 break
         for round_no in range(1, self.rounds + 1):
@@ -53,9 +53,8 @@ class EagerRounds(DemandSaturation):
                     self.store(major.left, *left_route)
                 self.now = (round_no, 0, n)
                 n += 1
-                fits = _fits(major.right, self.size_bound)
-                self.add(major.right, ("mp", major, major.left), fits)
-                self.feed_pool(major.right, fits)
+                self.add(major.right, ("mp", major, major.left))
+                self.feed_pool(major.right)
             if self.done or not self.snapshot(round_no):
                 break
             self.queue_phase(round_no)

@@ -90,7 +90,6 @@ def derive_exhaustive(profile: LogicProfile, hypotheses, *,
         if f in out.provenance:
             return False
         out.provenance[f] = prov
-        out.order.append(f)
         if isinstance(f, Implies):
             by_antecedent.setdefault(f.left, []).append(f)
             if f.left in out.provenance:

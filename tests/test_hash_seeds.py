@@ -2,10 +2,12 @@
 
 Sets and dicts of strings, and so of nodes, iterate in an order that
 changes with ``PYTHONHASHSEED``; nothing printed may follow it.  One
-``derive_forward`` run (every formula in order, with its provenance) and
+``derive_forward`` run (every formula in order, with its provenance),
 one ``dlk audit --json`` on a model with violations and
-universe-not-closed warnings run in fresh interpreters under two seeds
-and must print the same bytes.
+universe-not-closed warnings, a ``dlk build-model --json`` whose pairing
+sweep runs, and ``dlk extract-ok --json`` and ``dlk blue-pill --json`` on
+a two-entry specification run in fresh interpreters under two seeds and
+must print the same bytes.
 """
 
 import json
@@ -34,6 +36,8 @@ MODEL = {
                "[x+y]": ["Q"], "[x & y]": []},
 }
 
+SPEC = {"profile": "dl", "formulas": ["a:A", "b:(A -> B)"]}
+
 
 def _run(seed: str, argv: list[str]) -> tuple[int, str]:
     env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
@@ -59,3 +63,24 @@ def test_audit_json_is_the_same_under_two_hash_seeds(tmp_path):
     report = json.loads(runs[0][1])
     assert runs[0][0] == 1 and report["warnings"]
     assert runs[0] == runs[1]
+
+
+def test_build_model_json_is_the_same_under_two_hash_seeds():
+    argv = ["-m", "dlk.cli", "build-model", "--logic", "dl",
+            "--functional", "const-one", "--vars", "P=1,Q=0", "--json"]
+    runs = [_run(seed, argv) for seed in ("1", "2")]
+    interp = json.loads(runs[0][1])["model"]["interp"]
+    assert runs[0][0] == 0 and any("&" in term for term in interp)
+    assert runs[0] == runs[1]
+
+
+def test_extraction_and_transplant_json_are_the_same_under_two_hash_seeds(
+        tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SPEC), encoding="utf-8")
+    for command in ("extract-ok", "blue-pill"):
+        argv = ["-m", "dlk.cli", command, str(spec), "--depth", "2",
+                "--json"]
+        runs = [_run(seed, argv) for seed in ("1", "2")]
+        assert runs[0][0] == 0 and len(json.loads(runs[0][1])["members"]) > 1
+        assert runs[0] == runs[1]

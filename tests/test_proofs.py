@@ -316,9 +316,9 @@ def test_internalize_single_axiom_line():
     ))
     entry = Just(Const("e", "+"), inst)
     lifted = internalize(proof, [entry])
-    assert lifted.term == Const("e", "+")
+    assert lifted.conclusion.term == Const("e", "+")
     assert lifted.conclusion == Just(Const("e", "+"), inst)
-    assert check_proof(lifted.proof).ok
+    assert check_proof(lifted).ok
 
 
 def test_internalize_mp_builds_application():
@@ -329,7 +329,7 @@ def test_internalize_mp_builds_application():
     entries = [Just(Const("a", "+"), h1), Just(Const("b", "+"), h2)]
     lifted = internalize(proof, entries)
     assert print_formula(lifted.conclusion) == "[a+.b+]:Q"
-    result = check_proof(lifted.proof)
+    result = check_proof(lifted)
     assert result.ok, result.describe()
 
 

@@ -315,10 +315,22 @@ def test_every_node_class_is_covered():
 
 @pytest.mark.parametrize("kind", list(NODES), ids=lambda k: k.__name__)
 def test_node_hash_is_the_generated_one(kind):
+    # the hash generated at construction: equal nodes hash equal, and a
+    # node of another class over the same fields hashes apart
     node, match_args = NODES[kind]
     assert type(node) is kind
-    assert hash(node) == hash(tuple(getattr(node, f.name)
-                                    for f in fields(node)))
+    names = [f.name for f in fields(node)]
+    values = [getattr(node, name) for name in names]
+    assert hash(kind(*values)) == hash(node)
+    for other in _PARTS:
+        if other is kind or [f.name for f in fields(other)] != names \
+                or issubclass(other, Formula) != isinstance(node, Formula):
+            continue
+        try:
+            twin = other(*values)
+        except SignDisciplineError:
+            continue
+        assert twin != node and hash(twin) != hash(node)
     assert not hasattr(node, "__dict__")
     assert kind.__match_args__ == match_args
     for name in [f.name for f in fields(node)] + ["other"]:
