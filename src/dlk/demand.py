@@ -19,6 +19,14 @@ schemas, and from pairs of schemas one of whose antecedent unifies with
 the other's template (``s`` over ``k`` and the like), in the manner of a
 given-clause loop with the schemas as rules.
 
+A formula is matched only against the schemas that ``_RuleBook``'s
+two-level index lets through: those whose antecedent, or whole template,
+agrees with the node kinds of the formula's top two levels, and whose
+size cap the formula does not exceed, the cap being the largest size of
+an instance whose values fit the size bounds.  One bounded size walk per
+formula answers every cap.  The index leaves out only matches that yield
+nothing, so instances and keys are those of matching every schema.
+
 Only a snapshot reads the pools, so a round's conclusions are fed to them
 just before its snapshot, in the order they were added, and not at all
 when the search stops within the round.  Nothing drains what the last
@@ -46,7 +54,7 @@ from .logics import SCHEMAS, Binding, InstantiationError
 from .proofs import DerivedSet
 from .syntax import (
     BOTTOM, Formula, FMeta, Implies, Not, SignDisciplineError, Term, TMeta,
-    _PARTS, _parts, formula_terms, subformulas, subterms,
+    _GET_PARTS, _parts, formula_terms, subformulas, subterms,
 )
 
 # Functions of other modules are called through their module, so that a
@@ -64,16 +72,51 @@ def _meta_names(template: Formula) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return tuple(fnames), tuple(tnames)
 
 
-def _fits(node, size: int) -> bool:
-    """``formula_size``/``term_size`` of the node is at most ``size``;
-    looks at no more than ``size + 1`` nodes."""
+def _size_upto(node, limit: int) -> int:
+    """``formula_size``/``term_size`` of the node, or ``limit + 1`` when
+    it is larger; looks at no more than ``limit + 1`` nodes."""
     stack = [node]
+    size = 0
     while stack:
-        size -= 1
-        if size < 0:
-            return False
-        stack.extend(_parts(stack.pop()))
-    return True
+        size += 1
+        if size > limit:
+            break
+        node = stack.pop()
+        stack.extend(_GET_PARTS[type(node)](node))
+    return size
+
+
+def _fits(node, size: int) -> bool:
+    """``formula_size``/``term_size`` of the node is at most ``size``."""
+    return _size_upto(node, size) <= size
+
+
+def _top(node) -> tuple:
+    """The node kinds of a node's top two levels: its own, then its
+    parts'."""
+    return (type(node), *map(type, _parts(node)))
+
+
+def _admits(pattern, top: tuple) -> bool:
+    """Whether a node whose top two levels have the kinds ``top`` can be
+    an instance of ``pattern``; a metavariable admits any kind."""
+    if isinstance(pattern, (FMeta, TMeta)):
+        return True
+    return type(pattern) is top[0] and all(
+        isinstance(part, (FMeta, TMeta)) or type(part) is kind
+        for part, kind in zip(_parts(pattern), top[1:]))
+
+
+def _cap(pattern, size_bound: int, term_bound: int) -> int:
+    """The size of the largest instance of ``pattern`` whose formula
+    values have at most ``size_bound`` nodes and term values at most
+    ``term_bound``."""
+    if isinstance(pattern, FMeta):
+        return size_bound
+    if isinstance(pattern, TMeta):
+        return term_bound
+    return 1 + sum(_cap(part, size_bound, term_bound)
+                   for part in _parts(pattern))
 
 
 # Schema pairs are joined over light patterns rather than syntax nodes:
@@ -166,13 +209,16 @@ def _bind(p, value, env: dict) -> bool:
 @dataclass(frozen=True)
 class _Rule:
     """A profile schema with its metavariables in the exhaustive loop's
-    order and those its antecedent leaves unbound."""
+    order, split into those its antecedent binds (a prefix of that order)
+    and those it leaves free."""
 
     pos: int
     sid: str
     template: Implies
     fnames: tuple[str, ...]
     tnames: tuple[str, ...]
+    bound_f: tuple[str, ...]
+    bound_t: tuple[str, ...]
     free_f: tuple[str, ...]
     free_t: tuple[str, ...]
 
@@ -211,13 +257,24 @@ def _plan(major: _Rule, minor: _Rule) -> _Plan | None:
     return _Plan(major, entries, slots)
 
 
-_FORMULA_KINDS = tuple(kind for kind in _PARTS
-                       if issubclass(kind, Formula) and kind is not FMeta)
-
-
 class _RuleBook:
-    """A profile's schemas indexed by the shape of antecedent and
-    consequent, and the pairs whose instances can feed each other."""
+    """A profile's schemas as rules, indexed for the formulas they can
+    match, and the pairs whose instances can feed each other.
+
+    A formula can instantiate a pattern only if the node kinds of its top
+    two levels agree with the pattern's, a metavariable admitting any
+    kind, so the rules are indexed by those kinds: for ``add``, by the
+    kinds of the formula matched against the antecedents, and for
+    ``instance``, by those of the implication's antecedent and consequent
+    matched against the whole templates.  At given size bounds each
+    pattern also has a size cap: 1 per node that is not a metavariable,
+    the formula size bound per formula metavariable occurrence and the
+    term bound per term metavariable occurrence.  A larger formula binds
+    some metavariable to a value larger than its bound, which never
+    enters the pools, so the instance never gets a key and the antecedent
+    match queues nothing.  The index only leaves out matches that could
+    yield nothing, so the engine makes the same instances, in the same
+    order, as it would by matching every rule."""
 
     def __init__(self, schema_ids: tuple[str, ...]):
         rules = []
@@ -225,29 +282,75 @@ class _RuleBook:
             template = SCHEMAS[sid].template
             fnames, tnames = _meta_names(template)
             bound_f, bound_t = _meta_names(template.left)
-            rule = _Rule(pos, sid, template, fnames, tnames,
-                         tuple(n for n in fnames if n not in bound_f),
-                         tuple(n for n in tnames if n not in bound_t))
+            rule = _Rule(pos, sid, template, fnames, tnames, bound_f,
+                         bound_t, fnames[len(bound_f):],
+                         tnames[len(bound_t):])
             if len(rule.free_f + rule.free_t) > 1:
                 # extend() relies on keys growing with the free value
                 raise ValueError(f"schema {sid!r} leaves more than one "
                                  f"metavariable free in its antecedent")
             rules.append(rule)
-
-        def fits(pattern, kind) -> bool:
-            return isinstance(pattern, FMeta) or type(pattern) is kind
-
-        # schemas whose antecedent is a bare metavariable, and the others
-        # by the kind of formula their antecedent matches
-        self.bare = [r for r in rules if isinstance(r.template.left, FMeta)]
-        self.shaped = {kind: [r for r in rules if type(r.template.left) is kind]
-                       for kind in _FORMULA_KINDS}
-        self.by_shape = {
-            (left, right): [r for r in rules if fits(r.template.left, left)
-                            and fits(r.template.right, right)]
-            for left in _FORMULA_KINDS for right in _FORMULA_KINDS}
+        self.rules = rules
+        # (size bound, term bound, the kinds of the formula's top two
+        # levels, or of each side's) -> an entry of ``capped``, filled on
+        # demand; a kind fixes how many part kinds follow it, so the flat
+        # key is unambiguous.  Antecedent candidates list the bare
+        # metavariables first.
+        self.by_antecedent: dict[tuple, tuple[int, list]] = {}
+        self.by_template: dict[tuple, tuple[int, list]] = {}
+        self.entries: dict[tuple, tuple[int, list]] = {}
         self.plans = [p for major in rules for minor in rules
                       if (p := _plan(major, minor)) is not None]
+
+    def antecedent_rules(self, f: Formula, size_bound: int,
+                         term_bound: int) -> list[_Rule]:
+        """The rules whose antecedent ``f`` may instantiate with every
+        value within the bounds, in the order ``add`` matches them."""
+        key = (size_bound, term_bound, *_top(f))
+        hit = self.by_antecedent.get(key)
+        if hit is None:
+            top = _top(f)
+            found = sorted((r for r in self.rules
+                            if _admits(r.template.left, top)),
+                           key=lambda r: (not isinstance(r.template.left,
+                                                         FMeta), r.pos))
+            hit = self.by_antecedent[key] = self.capped(
+                found, False, size_bound, term_bound)
+        limit, found = hit
+        size = _size_upto(f, limit)
+        return [r for r, cap in found if size <= cap]
+
+    def template_rules(self, f: Implies, size_bound: int,
+                       term_bound: int) -> list[_Rule]:
+        """The rules of which ``f`` may be an instance with every value
+        within the bounds, in schema order."""
+        key = (size_bound, term_bound, *_top(f.left), *_top(f.right))
+        hit = self.by_template.get(key)
+        if hit is None:
+            left, right = _top(f.left), _top(f.right)
+            hit = self.by_template[key] = self.capped(
+                [r for r in self.rules if _admits(r.template.left, left)
+                 and _admits(r.template.right, right)],
+                True, size_bound, term_bound)
+        limit, found = hit
+        if not found:
+            return []
+        size = _size_upto(f, limit)
+        return [r for r, cap in found if size <= cap]
+
+    def capped(self, rules: list[_Rule], whole: bool, size_bound: int,
+               term_bound: int) -> tuple[int, list]:
+        """(largest cap, [(rule, cap)]) for the rules' antecedents, or
+        whole templates, at these bounds; one object per distinct value,
+        which the kinds leading to the same rules share."""
+        key = (tuple(rules), whole, size_bound, term_bound)
+        hit = self.entries.get(key)
+        if hit is None:
+            found = [(r, _cap(r.template if whole else r.template.left,
+                              size_bound, term_bound)) for r in rules]
+            hit = self.entries[key] = (
+                max((cap for _, cap in found), default=0), found)
+        return hit
 
 
 @cache
@@ -264,11 +367,11 @@ class DemandSaturation:
         self.hyps = tuple(hypotheses)
         self.out = DerivedSet(profile, self.hyps)
         self.signed = profile.signed
-        self.book = _rule_book(profile.schema_ids)
         self.size_bound = size_bound
         self.rounds = rounds
         self.tbound = size_bound if term_size_bound is None \
             else term_size_bound
+        self.book = _rule_book(profile.schema_ids)
         self.goal, self.goal_filter = goal, goal_filter
         self.limit, self.watch = limit, watch_contradiction
         self.done = False
@@ -294,6 +397,8 @@ class DemandSaturation:
         # queue, of iterators of entries (see ``enqueue``)
         self.by_antecedent: dict[Formula, list[tuple[tuple, Implies]]] = {}
         self.queue: deque = deque()
+        # the bodies of the D members that are negations
+        self.negated: set[Formula] = set()
         # instance -> (key, rule, binding) of its first appearance
         self.first: dict[Formula, tuple] = {}
         # what later rounds must look for: schemas whose antecedent a D
@@ -384,7 +489,8 @@ class DemandSaturation:
         hit = self.first.get(f)
         if hit is not None or not isinstance(f, Implies):
             return hit
-        for rule in self.book.by_shape[type(f.left), type(f.right)]:
+        for rule in self.book.template_rules(f, self.size_bound,
+                                             self.tbound):
             binding = logics.match_template(rule.template, f, self.signed)
             if binding is None:
                 continue
@@ -411,32 +517,40 @@ class DemandSaturation:
         for the queue to drop."""
         fm, tm = bound.formulas, bound.terms
         newest = 1
-        for value in fm.values():
-            at = self.pool_index.get(value)
-            if at is None or at >= len(self.f_round):
-                return
-            newest = max(newest, self.f_round[at])
-        for value in tm.values():
-            at = self.term_index.get(value)
-            if at is None or at >= len(self.t_round):
-                return
-            newest = max(newest, self.t_round[at])
+        fidx, tidx = [], []
+        for names, values, index, rounds, idx in (
+                (rule.bound_f, fm, self.pool_index, self.f_round, fidx),
+                (rule.bound_t, tm, self.term_index, self.t_round, tidx)):
+            for name in names:
+                at = index.get(values[name])
+                if at is None or at >= len(rounds):
+                    return
+                newest = max(newest, rounds[at])
+                idx.append(at)
+        fidx, tidx = tuple(fidx), tuple(tidx)
         everything = round_no is None or newest == round_no
         if not (rule.free_f or rule.free_t):
             if everything:
-                yield ((self.key_of(rule, fm, tm), 0, ()),
+                yield (((newest, 1, rule.pos, fidx, tidx), 0, ()),
                        (None, (rule, bound), None))
             return
-        # one free metavariable: keys grow with its pool index
+        # one free metavariable, the last of its kind: keys grow with its
+        # pool index
         if rule.free_f:
-            name, items, marks = rule.free_f[0], self.pool, self.f_marks
+            name, items, rounds, marks = \
+                rule.free_f[0], self.pool, self.f_round, self.f_marks
         else:
-            name, items, marks = rule.free_t[0], self.terms, self.t_marks
+            name, items, rounds, marks = \
+                rule.free_t[0], self.terms, self.t_round, self.t_marks
         for at in range(0 if everything else marks[round_no - 1], marks[-1]):
-            fvals, tvals = dict(fm), dict(tm)
-            (fvals if rule.free_f else tvals)[name] = items[at]
-            yield ((self.key_of(rule, fvals, tvals), 0, ()),
-                   (None, (rule, Binding(fvals, tvals)), None))
+            key = (max(newest, rounds[at]), 1, rule.pos)
+            if rule.free_f:
+                key += (fidx + (at,), tidx)
+                binding = Binding({**fm, name: items[at]}, dict(tm))
+            else:
+                key += (fidx, tidx + (at,))
+                binding = Binding(dict(fm), {**tm, name: items[at]})
+            yield ((key, 0, ()), (None, (rule, binding), None))
 
     def solutions(self, plan: _Plan, round_no: int) -> list[tuple]:
         """Values of the plan's entries, each in the snapshot, the newest
@@ -488,24 +602,31 @@ class DemandSaturation:
     # iterators of entries, built lazily: a search that stops early never
     # builds the rest.
 
-    def enqueue(self, streams):
+    def enqueue(self, streams: list):
         """Queue the entries of streams of (sort key, entry), each stream
-        sorted, in merged order."""
-        merged = heapq.merge(*streams, key=itemgetter(0))
+        sorted, in merged order; callers leave out the empty lists."""
+        if len(streams) > 1:
+            merged = heapq.merge(*streams, key=itemgetter(0))
+        elif streams:
+            merged = streams[0]
+        else:
+            return
         self.queue.append(map(itemgetter(1), merged))
 
     def add(self, f: Formula, prov: tuple):
         """Add a hypothesis or modus ponens conclusion at key ``now``."""
         out = self.out
         out.provenance[f] = prov
+        body = f.body if isinstance(f, Not) else None
+        if body is not None:
+            self.negated.add(body)
         if out.contradiction is None:
-            body = f.body if isinstance(f, Not) else None
             if body is not None and body not in out.provenance \
                     and (hit := self.instance(body)) is not None:
                 self.store(body, *hit[1:])
             if body is not None and body in out.provenance:
                 out.contradiction = (body, f)
-            elif Not(f) in out.provenance:
+            elif f in self.negated:
                 out.contradiction = (f, Not(f))
             if out.contradiction is not None and self.watch:
                 self.done = True
@@ -528,17 +649,20 @@ class DemandSaturation:
         if isinstance(f, Not) and isinstance(f.body, Implies) \
                 and out.contradiction is None:
             self.neg_watch.setdefault(f.body, f)
-        streams = [[((key, 0, ()), (m, None, None))
-                    for key, m in self.by_antecedent.get(f, ())]]
-        matches = [(rule, Binding({rule.template.left.name: f}, {}))
-                   for rule in self.book.bare] \
-            if _fits(f, self.size_bound) else []
-        for rule in self.book.shaped[type(f)]:
-            bound = logics.match_template(rule.template.left, f, self.signed)
-            if bound is not None and all(_fits(v, self.size_bound)
-                                         for v in bound.formulas.values()):
-                matches.append((rule, bound))
-        for rule, bound in matches:
+        majors = self.by_antecedent.get(f)
+        streams = [[((key, 0, ()), (m, None, None)) for key, m in majors]] \
+            if majors else []
+        for rule in self.book.antecedent_rules(f, self.size_bound,
+                                               self.tbound):
+            left = rule.template.left
+            if isinstance(left, FMeta):
+                bound = Binding({left.name: f}, {})
+            else:
+                bound = logics.match_template(left, f, self.signed)
+                if bound is None or not all(
+                        _fits(v, self.size_bound)
+                        for v in bound.formulas.values()):
+                    continue
             self.ante_watch.append((rule, bound))
             streams.append(self.extend(rule, bound, None))
         self.enqueue(streams)
@@ -586,8 +710,9 @@ class DemandSaturation:
                     event(left[0], 1, own[0], entry)
 
         events.sort(key=itemgetter(0))
-        self.enqueue([events] + [self.extend(rule, bound, round_no)
-                                 for rule, bound in self.ante_watch])
+        self.enqueue(([events] if events else [])
+                     + [self.extend(rule, bound, round_no)
+                        for rule, bound in self.ante_watch])
 
     def may_note(self) -> bool:
         """Whether ``note_phase`` can store anything; ``instance`` finds

@@ -18,11 +18,11 @@ from .logics import (
     SCHEMAS, Binding, InstantiationError, LogicProfile, alphabet_from,
     check_in_profile, get_profile, instantiate, match_axiom,
 )
-from .semantics import audit, evaluate
+from .semantics import audit, closed_extension, evaluate
 from .syntax import (
     NEGATIVE, POSITIVE, UNSIGNED, App, Const, Formula, Implies, Just,
-    SignDisciplineError, Var, enumerate_terms, parse_formula, parse_term,
-    print_formula, print_term, term_sign,
+    SignDisciplineError, Var, enumerate_terms, formula_terms, parse_formula,
+    parse_term, print_formula, print_term, term_sign,
 )
 
 
@@ -348,7 +348,9 @@ def check_nonderivability(profile: LogicProfile, hypotheses, target: Formula, *,
     With ``exists_term`` the target is a body and the question is
     whether *any* term justifies it (``positive_only`` restricts the
     quantifier to positive terms in signed profiles).  A supplied
-    countermodel settles the matter semantically.  Otherwise a direct
+    countermodel settles the matter semantically, judged in its least
+    closed extension (``closed_extension``), where a term the model does
+    not interpret holds what its parts force.  Otherwise a direct
     bounded search may find a proof (defeating the claim); failing that,
     the target is assumed -- with a fresh term variable as justifier in
     the existential reading, so the refutation covers every term -- and
@@ -365,25 +367,29 @@ def check_nonderivability(profile: LogicProfile, hypotheses, target: Formula, *,
         assumed_signs = (POSITIVE, NEGATIVE)
 
     if countermodel is not None:
-        report = audit(countermodel)
-        false_hyp = next((h for h in hyps if not evaluate(countermodel, h)), None)
-        if not report.ok:
+        if not audit(countermodel).ok:
             return NonderivabilityReport(
                 target, "open", exists_term=exists_term,
                 note="countermodel fails its own audit")
+        sweep = []
+        if exists_term:
+            alphabet = alphabet_from(hyps + (target,), profile,
+                                     extra_term_vars=("x", "y"))
+            sweep = enumerate_terms(alphabet, tbound, profile.term_ops)
+        model = closed_extension(countermodel, [
+            *(t for f in hyps + (target,) for t in formula_terms(f)),
+            *sweep])
+        false_hyp = next((h for h in hyps if not evaluate(model, h)), None)
         if false_hyp is not None:
             return NonderivabilityReport(
                 target, "open", exists_term=exists_term,
                 note=f"countermodel falsifies hypothesis "
                      f"{print_formula(false_hyp)!r}")
         if exists_term:
-            alphabet = alphabet_from(hyps + (target,), profile,
-                                     extra_term_vars=("x", "y"))
-            sweep = enumerate_terms(alphabet, tbound, profile.term_ops)
             witness = next(
                 (t for t in sweep
                  if (not positive_only or term_sign(t) == POSITIVE)
-                 and evaluate(countermodel, Just(t, target))), None)
+                 and evaluate(model, Just(t, target))), None)
             if witness is not None:
                 return NonderivabilityReport(
                     target, "open", exists_term=True,
@@ -393,7 +399,7 @@ def check_nonderivability(profile: LogicProfile, hypotheses, target: Formula, *,
                     f"falsifies t:{print_formula(target)} for all "
                     f"{len(sweep)} enumerated terms up to size {tbound}")
         else:
-            if evaluate(countermodel, target):
+            if evaluate(model, target):
                 return NonderivabilityReport(
                     target, "open", note="countermodel satisfies the target")
             note = ("audited model satisfies every hypothesis and falsifies "

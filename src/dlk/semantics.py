@@ -17,7 +17,7 @@ mention is treated as having the empty set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 from .logics import LogicProfile, get_profile
@@ -112,6 +112,52 @@ def close_upward(members: dict[Term, dict[Formula, None]], terms,
                 have[f] = None
                 added.append((t, f, rule))
     return added
+
+
+def closed_extension(model: ModularModel, terms) -> ModularModel:
+    """The model with the evidence of ``terms`` and of their parts made
+    its least closure under the profile's term operations.
+
+    Each term keeps its interpretation and absorbs what the closure
+    rules give from its parts' closed evidence: a sum their union, an
+    application their ``set_product``, a pair, when the profile has
+    pairing, each conjunction of a member of the left part with one of
+    the right, and ``!t``, when the profile has introspection and admits
+    ``t``, ``t:F`` for each member ``F`` of ``t``.  A bounded model
+    leaves compounds outside its universe uninterpreted; judged here,
+    such a term holds what its parts force.
+    """
+    profile = model.profile
+    pairing = profile.has_schema("pairing")
+    introspection = profile.has_schema("introspection")
+    interp = dict(model.interp)
+    closed: set[Term] = set()
+
+    def close(t: Term) -> frozenset[Formula]:
+        if t not in closed:
+            closed.add(t)
+            parts = [close(part) for part in _parts(t)]
+            match t:
+                case Sum():
+                    new = parts[0] | parts[1]
+                case App():
+                    new = set_product(*parts)
+                case Pair() if pairing:
+                    new = frozenset(And(l, r) for l in parts[0]
+                                    for r in parts[1])
+                case Bang(inner) if introspection \
+                        and _sign_admits(profile, inner, POSITIVE):
+                    new = frozenset(Just(inner, f) for f in parts[0])
+                case _:
+                    new = EMPTY
+            have = model.evidence(t)
+            if not new <= have:
+                interp[t] = have | new
+        return interp.get(t, EMPTY)
+
+    for t in terms:
+        close(t)
+    return replace(model, interp=interp)
 
 
 def occurring_terms(model: ModularModel) -> list[Term]:

@@ -380,6 +380,34 @@ def test_countermodel_closes_the_question():
     assert "size 4" in report.note
 
 
+def test_a_countermodel_holds_a_sum_to_its_parts():
+    # the model leaves a+b uninterpreted, so by its interpretation alone
+    # it satisfies ~[a+b]:A; closed under sum, a+b holds A, as sum-left
+    # derives
+    model, _ = realize_spec(dl, [fm("a:A"), fm("~[a+b]:A")])
+    target = fm("[a+b]:A")
+    assert check_nonderivability(dl, [fm("a:A")], target).status \
+        == "derivable"
+    report = check_nonderivability(dl, [fm("a:A")], target,
+                                   countermodel=model)
+    assert report.status == "open"
+    assert report.note == "countermodel satisfies the target"
+
+
+def test_a_countermodel_holds_a_pair_to_its_parts():
+    # dl pairs a:A and b:B into [a & b]:(A /\ B), which a bounded model of
+    # the hypotheses does not interpret
+    hyps = [fm("a:A"), fm("b:B")]
+    model, _ = realize_spec(dl, hyps)
+    body = fm("A /\\ B")
+    assert check_nonderivability(dl, hyps, body, exists_term=True,
+                                 term_size_bound=3).status == "derivable"
+    report = check_nonderivability(dl, hyps, body, exists_term=True,
+                                   term_size_bound=3, countermodel=model)
+    assert report.status == "open"
+    assert report.note == "countermodel satisfies '[a & b]:(A /\\\\ B)'"
+
+
 def test_open_names_an_exhausted_budget():
     hyps = [fm("e1:R"), fm("~R")]
     capped = check_nonderivability(dl, hyps, fm("Z"), limit=200)

@@ -5,8 +5,9 @@ engine finds instances by matching; and on random small hypothesis
 sets it must reach the conclusions of the exhaustive loop.  On
 random syntax trees, printing must round-trip through the parser,
 instantiating a ground formula must rebuild it part for part, and the
-unsigning translation must be an injective homomorphism.  On random
-small specifications, what forward chaining derives must hold in the
+unsigning translation must be an injective homomorphism.  The engine's
+rule index must offer every rule a formula matches with values within
+the bounds.  On random small specifications, what forward chaining derives must hold in the
 audited model ``realize_spec`` builds, wherever its bounds reach.
 """
 
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from dlk.builder import RealizationError, realize_spec
+from dlk.demand import _meta_names, _rule_book
 from dlk.logics import (
     PROFILES, SCHEMAS, Binding, InstantiationError, check_in_profile,
     instantiate, match_template, translate,
@@ -24,8 +26,8 @@ from dlk.specifications import SpecClashError, close_spec
 from dlk.syntax import (
     BOTTOM, NEGATIVE, POSITIVE, UNSIGNED, Alphabet, And, App, Bang, Const,
     FMeta, Implies, Just, Not, Or, Pair, PropVar, Sum, TMeta, Var,
-    enumerate_formulas, enumerate_terms, formula_terms, parse_formula,
-    print_formula, subformulas,
+    enumerate_formulas, enumerate_terms, formula_size, formula_terms,
+    parse_formula, print_formula, subformulas, term_size,
 )
 
 from exhaustive import derive_exhaustive
@@ -96,7 +98,7 @@ def test_strategies_reach_the_same_conclusions(case):
 # random syntax trees, deeper than the enumerations of test_syntax.py
 
 
-def _terms(sign: str):
+def _terms(sign: str, max_leaves: int = 8):
     """Terms whose leaves all carry ``sign``; pairing joins negative
     terms, '!' positive ones, and unsigned terms take every operator."""
     leaves = st.builds(Const, st.sampled_from("ab"), st.just(sign)) \
@@ -110,12 +112,12 @@ def _terms(sign: str):
             ops.append(st.builds(Bang, kids))
         return st.one_of(ops)
 
-    return st.recursive(leaves, extend, max_leaves=8)
+    return st.recursive(leaves, extend, max_leaves=max_leaves)
 
 
-def _formulas(signed: bool):
-    terms = _terms(POSITIVE) | _terms(NEGATIVE) if signed \
-        else _terms(UNSIGNED)
+def _formulas(signed: bool, max_leaves: int = 24, term_leaves: int = 8):
+    terms = _terms(POSITIVE, term_leaves) | _terms(NEGATIVE, term_leaves) \
+        if signed else _terms(UNSIGNED, term_leaves)
     leaves = st.just(BOTTOM) | st.builds(PropVar, st.sampled_from("PQR"))
 
     def extend(kids):
@@ -123,7 +125,7 @@ def _formulas(signed: bool):
                 | st.builds(Or, kids, kids) | st.builds(Implies, kids, kids)
                 | st.builds(Just, terms, kids))
 
-    return st.recursive(leaves, extend, max_leaves=24)
+    return st.recursive(leaves, extend, max_leaves=max_leaves)
 
 
 SIGNED_AND_FORMULA = (st.tuples(st.just(False), _formulas(False))
@@ -159,6 +161,64 @@ def test_translate_is_an_injective_homomorphism(f, g, t):
     # distinct inputs, distinct images: over every subformula of both
     subs = set(subformulas(f)) | set(subformulas(g))
     assert len({translate(h) for h in subs}) == len(subs)
+
+
+# ---------------------------------------------------------------------------
+# the demand engine's rule index
+
+
+@st.composite
+def indexed_formulas(draw):
+    """A profile, bounds, and a formula to look up: a random one or an
+    instance of one of the profile's schemas or of its antecedent, whose
+    values may or may not fit the bounds."""
+    name = draw(st.sampled_from(sorted(PROFILES)))
+    profile = PROFILES[name]
+    size_bound, term_bound = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    values = _formulas(profile.signed, 3, 2)
+    terms = _terms(POSITIVE if profile.signed else UNSIGNED, 3)
+    if profile.signed:
+        terms |= _terms(NEGATIVE, 3)
+    if draw(st.booleans()):
+        f = draw(_formulas(profile.signed, 5, 2))
+    else:
+        template = SCHEMAS[draw(st.sampled_from(profile.schema_ids))].template
+        template = draw(st.sampled_from((template, template.left)))
+        fnames, tnames = _meta_names(template)
+        binding = Binding({n: draw(values) for n in fnames},
+                          {n: draw(terms) for n in tnames})
+        try:
+            f = instantiate(template, binding, profile.signed)
+        except InstantiationError:
+            assume(False)
+    return profile, size_bound, term_bound, f
+
+
+@given(indexed_formulas())
+@settings(max_examples=400, deadline=None)
+def test_the_rule_index_keeps_every_match_that_fits(case):
+    # a match the index leaves out must bind a value too large for the
+    # pools: the index may only drop what could yield nothing
+    profile, size_bound, term_bound, f = case
+    book = _rule_book(profile.schema_ids)
+
+    def fits(binding):
+        return all(formula_size(v) <= size_bound
+                   for v in binding.formulas.values()) \
+            and all(term_size(v) <= term_bound
+                    for v in binding.terms.values())
+
+    tried = book.antecedent_rules(f, size_bound, term_bound)
+    for rule in book.rules:
+        binding = match_template(rule.template.left, f, profile.signed)
+        if binding is not None and fits(binding):
+            assert rule in tried, rule.sid
+    if isinstance(f, Implies):
+        tried = book.template_rules(f, size_bound, term_bound)
+        for rule in book.rules:
+            binding = match_template(rule.template, f, profile.signed)
+            if binding is not None and fits(binding):
+                assert rule in tried, rule.sid
 
 
 # ---------------------------------------------------------------------------

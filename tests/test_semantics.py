@@ -6,8 +6,9 @@ import pytest
 
 from dlk.logics import get_profile
 from dlk.semantics import (
-    ModelFormatError, ModularModel, audit, close_upward, default_universe,
-    evaluate, model_from_dict, model_to_dict, occurring_terms, set_product,
+    ModelFormatError, ModularModel, audit, close_upward, closed_extension,
+    default_universe, evaluate, model_from_dict, model_to_dict,
+    occurring_terms, set_product,
 )
 from dlk.syntax import (
     And, App, Bang, Implies, Just, Not, Pair, PropVar, Sum, Var,
@@ -92,6 +93,24 @@ def test_close_upward_reaches_the_least_closure_in_one_pass():
     # without a universe's conjunctions, pairs are left alone
     members[pair] = {}
     assert close_upward(members, terms) == []
+
+
+def test_closed_extension_adds_what_the_parts_force():
+    lp = get_profile("lp")
+    interp = {s: frozenset({fm("P -> Q"), fm("P")}), t: frozenset({fm("P")})}
+    app, pair, bang = App(s, t), Pair(s, t), Bang(t)
+    outer = Sum(app, Var("u"))
+    for profile, forced in (
+            (dl, {app: {fm("Q")}, outer: {fm("Q")}, bang: set(),
+                  pair: {fm("(P -> Q) /\\ P"), fm("P /\\ P")}}),
+            (lp, {app: {fm("Q")}, outer: {fm("Q")}, bang: {fm("t:P")},
+                  pair: set()})):
+        model = ModularModel(profile, {}, dict(interp))
+        closed = closed_extension(model, [outer, pair, bang])
+        assert model.interp == interp
+        for term, members in forced.items():
+            assert closed.evidence(term) == members, print_term(term)
+        assert closed.evidence(s) == interp[s]
 
 
 # ---------------------------------------------------------------------------

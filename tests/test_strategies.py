@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from dlk import logics
 from dlk.logics import get_profile
 from dlk.proofs import check_proof, derive_forward
 from dlk.specifications import close_spec
@@ -93,7 +94,40 @@ def _corpus(seed=20):
     return cases
 
 
-@pytest.mark.parametrize("profile, hyps, mode, bounds", _corpus())
+# sets whose exhaustive runs stay quick at term size 3
+TERM_BOUND_SETS = [
+    (dl0, ["a:A"], True), (dl, ["P", "~P"], False), (jl, ["A"], False),
+    (jl, ["a:(A -> B)", "b:A"], False), (lp, ["a:A"], False),
+    (lp, ["x:(A -> B)", "x:A"], False), (fused, ["s-:E"], False),
+]
+
+
+def _term_bound_corpus(seed=31):
+    """(profile, hypotheses, mode, bounds) at size 2 and term sizes 1 and
+    3, on either side of ``_corpus``'s term size 2: every set at each
+    term size, the stopping regimes in turn from a seeded start, at
+    seeded rounds 1-2."""
+    rng = random.Random(seed)
+    modes = ("none", "goal", "goal_filter", "watch")
+    cases = []
+    for tbound in (1, 3):
+        start = rng.randrange(len(modes))
+        for i, (profile, texts, closed) in enumerate(TERM_BOUND_SETS):
+            hyps = hypotheses(profile, texts, closed)
+            mode = modes[(start + i) % len(modes)]
+            rounds = rng.choice((1, 2))
+            bounds = {"size_bound": 2, "rounds": rounds,
+                      "term_size_bound": tbound}
+            if mode == "watch":
+                bounds["watch_contradiction"] = True
+            name = (f"{profile.name}:{','.join(texts)}:{mode}:"
+                    f"r{rounds}t{tbound}")
+            cases.append(pytest.param(profile, hyps, mode, bounds, id=name))
+    return cases
+
+
+@pytest.mark.parametrize("profile, hyps, mode, bounds",
+                         _corpus() + _term_bound_corpus())
 def test_strategies_agree(profile, hyps, mode, bounds):
     if mode == "goal":
         # a goal in the middle of the exhaustive run's conclusions
@@ -189,3 +223,20 @@ def test_every_demand_conclusion_has_a_checking_proof():
     for f in lean.order:
         result = check_proof(lean.proof_of(f))
         assert result.ok and result.conclusion == f
+
+
+def test_the_engine_matches_and_instantiates_through_logics(monkeypatch):
+    # the benchmark's tracer wraps these module attributes; an engine
+    # that bound or cached the functions would hide its calls from it
+    calls = {"match_template": 0, "instantiate": 0}
+    for name in calls:
+        real = getattr(logics, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(logics, name, counted)
+    lean = derive_forward(jl, [fm("A")], size_bound=2, rounds=2)
+    assert len(lean) > 1
+    assert calls["match_template"] > 0 and calls["instantiate"] > 0
