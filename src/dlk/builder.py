@@ -31,11 +31,11 @@ import re
 from dataclasses import dataclass, field
 
 from .logics import PROFILES, LogicProfile, alphabet_from
-from .semantics import ModularModel, close_upward, evaluate
+from .semantics import ModularModel, close_upward, closed_extension, evaluate
 from .syntax import (
     Alphabet, And, Bottom, Formula, Implies, Just, Not, Or, Pair, PropVar,
     Sum, Term, enumerate_formulas, enumerate_terms, formula_size,
-    print_formula, print_term, term_size,
+    formula_terms, print_formula, print_term, term_size,
 )
 
 
@@ -322,6 +322,9 @@ def realize_spec(profile: LogicProfile, formulas, *,
     pin the seed valuation.  Conflicting demands on a variable, bounds
     that exclude a needed formula or term, and members that still come
     out wrong after the build all raise RealizationError/BoundsError.
+    Members are judged in the model's ``closed_extension`` over their
+    terms, where a term the model leaves uninterpreted, such as ``a+b``
+    beside ``a:A``, holds what its parts force.
     """
     wanted = list(formulas)
     entries = [f for f in wanted if isinstance(f, Just)]
@@ -370,7 +373,9 @@ def realize_spec(profile: LogicProfile, formulas, *,
                          seed=seed, trace=trace)
     model, stage_trace = build(params)
 
-    failures = [f for f in wanted if not evaluate(model, f)]
+    closed = closed_extension(
+        model, [t for f in wanted for t in formula_terms(f)])
+    failures = [f for f in wanted if not evaluate(closed, f)]
     if failures:
         raise RealizationError(
             "no built model satisfies "

@@ -23,9 +23,10 @@ A formula is matched only against the schemas that ``_RuleBook``'s
 two-level index lets through: those whose antecedent, or whole template,
 agrees with the node kinds of the formula's top two levels, and whose
 size cap the formula does not exceed, the cap being the largest size of
-an instance whose values fit the size bounds.  One bounded size walk per
-formula answers every cap.  The index leaves out only matches that yield
-nothing, so instances and keys are those of matching every schema.
+an instance whose values fit the size bounds.  Every node keeps its size
+in a slot, filled when it is built, so each cap, like each size bound of
+the pools, costs one comparison.  The index leaves out only matches that
+yield nothing, so instances and keys are those of matching every schema.
 
 Only a snapshot reads the pools, so a round's conclusions are fed to them
 just before its snapshot, in the order they were added, and not at all
@@ -54,7 +55,7 @@ from .logics import SCHEMAS, Binding, InstantiationError
 from .proofs import DerivedSet
 from .syntax import (
     BOTTOM, Formula, FMeta, Implies, Not, SignDisciplineError, Term, TMeta,
-    _GET_PARTS, _parts, formula_terms, subformulas, subterms,
+    _parts, formula_terms, subformulas, subterms,
 )
 
 # Functions of other modules are called through their module, so that a
@@ -70,25 +71,6 @@ def _meta_names(template: Formula) -> tuple[tuple[str, ...], tuple[str, ...]]:
     tnames = dict.fromkeys(t.name for t in formula_terms(template)
                            if isinstance(t, TMeta))
     return tuple(fnames), tuple(tnames)
-
-
-def _size_upto(node, limit: int) -> int:
-    """``formula_size``/``term_size`` of the node, or ``limit + 1`` when
-    it is larger; looks at no more than ``limit + 1`` nodes."""
-    stack = [node]
-    size = 0
-    while stack:
-        size += 1
-        if size > limit:
-            break
-        node = stack.pop()
-        stack.extend(_GET_PARTS[type(node)](node))
-    return size
-
-
-def _fits(node, size: int) -> bool:
-    """``formula_size``/``term_size`` of the node is at most ``size``."""
-    return _size_upto(node, size) <= size
 
 
 def _top(node) -> tuple:
@@ -272,9 +254,10 @@ class _RuleBook:
     term bound per term metavariable occurrence.  A larger formula binds
     some metavariable to a value larger than its bound, which never
     enters the pools, so the instance never gets a key and the antecedent
-    match queues nothing.  The index only leaves out matches that could
-    yield nothing, so the engine makes the same instances, in the same
-    order, as it would by matching every rule."""
+    match queues nothing.  A formula's size is its ``_size`` slot, so the
+    cap test is one comparison per rule.  The index only leaves out
+    matches that could yield nothing, so the engine makes the same
+    instances, in the same order, as it would by matching every rule."""
 
     def __init__(self, schema_ids: tuple[str, ...]):
         rules = []
@@ -296,9 +279,9 @@ class _RuleBook:
         # demand; a kind fixes how many part kinds follow it, so the flat
         # key is unambiguous.  Antecedent candidates list the bare
         # metavariables first.
-        self.by_antecedent: dict[tuple, tuple[int, list]] = {}
-        self.by_template: dict[tuple, tuple[int, list]] = {}
-        self.entries: dict[tuple, tuple[int, list]] = {}
+        self.by_antecedent: dict[tuple, list] = {}
+        self.by_template: dict[tuple, list] = {}
+        self.entries: dict[tuple, list] = {}
         self.plans = [p for major in rules for minor in rules
                       if (p := _plan(major, minor)) is not None]
 
@@ -316,9 +299,7 @@ class _RuleBook:
                                                          FMeta), r.pos))
             hit = self.by_antecedent[key] = self.capped(
                 found, False, size_bound, term_bound)
-        limit, found = hit
-        size = _size_upto(f, limit)
-        return [r for r, cap in found if size <= cap]
+        return [r for r, cap in hit if f._size <= cap]
 
     def template_rules(self, f: Implies, size_bound: int,
                        term_bound: int) -> list[_Rule]:
@@ -332,24 +313,19 @@ class _RuleBook:
                 [r for r in self.rules if _admits(r.template.left, left)
                  and _admits(r.template.right, right)],
                 True, size_bound, term_bound)
-        limit, found = hit
-        if not found:
-            return []
-        size = _size_upto(f, limit)
-        return [r for r, cap in found if size <= cap]
+        return [r for r, cap in hit if f._size <= cap]
 
     def capped(self, rules: list[_Rule], whole: bool, size_bound: int,
-               term_bound: int) -> tuple[int, list]:
-        """(largest cap, [(rule, cap)]) for the rules' antecedents, or
-        whole templates, at these bounds; one object per distinct value,
-        which the kinds leading to the same rules share."""
+               term_bound: int) -> list[tuple[_Rule, int]]:
+        """[(rule, cap)] for the rules' antecedents, or whole templates, at
+        these bounds; one list per distinct value, which the kinds leading
+        to the same rules share."""
         key = (tuple(rules), whole, size_bound, term_bound)
         hit = self.entries.get(key)
         if hit is None:
-            found = [(r, _cap(r.template if whole else r.template.left,
-                              size_bound, term_bound)) for r in rules]
-            hit = self.entries[key] = (
-                max((cap for _, cap in found), default=0), found)
+            hit = self.entries[key] = [
+                (r, _cap(r.template if whole else r.template.left,
+                         size_bound, term_bound)) for r in rules]
         return hit
 
 
@@ -426,12 +402,12 @@ class DemandSaturation:
             self.terms.append(t)
 
     def feed_pool(self, f: Formula):
-        """The exhaustive loop's ``feed_pool``, without measuring or
-        hashing the parts too large for the pool, and walking each large
-        node object once (conclusions share their parts)."""
+        """The exhaustive loop's ``feed_pool``, without hashing the parts
+        too large for the pool, and walking each large node object once
+        (conclusions share their parts)."""
         if id(f) in self.fed:
             return
-        if not _fits(f, self.size_bound):
+        if f._size > self.size_bound:
             self.fed[id(f)] = f
             for kid in _parts(f):
                 if isinstance(kid, Formula) and id(kid) not in self.fed:
@@ -659,9 +635,12 @@ class DemandSaturation:
                 bound = Binding({left.name: f}, {})
             else:
                 bound = logics.match_template(left, f, self.signed)
-                if bound is None or not all(
-                        _fits(v, self.size_bound)
-                        for v in bound.formulas.values()):
+                # a value larger than its bound never enters the pools,
+                # so its instances never get a key
+                if bound is None or any(
+                        v._size > self.size_bound
+                        for v in bound.formulas.values()) or any(
+                        v._size > self.tbound for v in bound.terms.values()):
                     continue
             self.ante_watch.append((rule, bound))
             streams.append(self.extend(rule, bound, None))

@@ -22,12 +22,15 @@ application of signed leaves.
 Identity of terms and formulas is structural: ``P /\\ P`` is a different
 formula from ``P`` and ``t:P`` never coincides with ``t:(P /\\ P)``.
 Nodes are frozen dataclasses with slots and the generated structural
-``==``.  Each computes its hash once, when it is built, and keeps it in
-a slot: ``hash`` of the tuple of the node's fields, salted by its class,
-so that ``A /\\ B``, ``A \\/ B`` and ``A -> B`` hash apart.  Hashes
-change with ``PYTHONHASHSEED``, so no output follows the iteration order
-of a set or dict of nodes.  There is no intern table: equal nodes built
-apart stay distinct objects.
+``==``.  Each computes its hash and its size once, when it is built, and
+keeps them in two slots, ``_hash`` and ``_size``: ``hash`` of the tuple
+of the node's fields, salted by its class, so that ``A /\\ B``,
+``A \\/ B`` and ``A -> B`` hash apart, and one more than the sum of its
+parts' sizes.  ``term_size`` and ``formula_size`` read the slot, so
+testing a size bound walks nothing.  Hashes change with
+``PYTHONHASHSEED``, so no output follows the iteration order of a set or
+dict of nodes.  There is no intern table: equal nodes built apart stay
+distinct objects.
 
 The parser refuses input nested more than ``MAX_NESTING`` levels deep,
 counting each parenthesised group or ``->`` operand, each ``~``, each
@@ -38,15 +41,16 @@ Structural code walks terms and formulas through one table, ``_PARTS``:
 each node class maps to the attributes that hold its parts, in
 constructor order (``Not: ("body",)``, ``Just: ("term", "body")``,
 leaves ``()``), and its row order ranks head symbols for enumeration.
-Size, subterms and subformulas, sort keys and enumeration here, and
-substitution, matching and the unsigning translation in ``logics``, all
-read it, as does the pattern code of ``demand``.  ``_TERM_OPS``
-maps each term operation name of a profile to its constructor and
-symbol, and ``_FORMATS`` gives each compound its printed form.  A new
-node class is one row in ``_PARTS`` (plus one in ``_FORMATS``, and one in
-``_TERM_OPS`` for a term operator); only the grammar and the code that
-gives the node a meaning, such as ``term_sign`` or model evaluation,
-need a new case.
+The sealer that fills a node's slots, subterms and subformulas, sort
+keys and enumeration here, and substitution, matching and the unsigning
+translation in ``logics``, all read it, as does the pattern code of
+``demand``.  ``_TERM_OPS`` maps each term operation name of a profile
+to its constructor and symbol, and ``_FORMATS`` gives each compound its
+printed form.  A new node class is one row in ``_PARTS`` (plus one in
+``_FORMATS``, and one in ``_TERM_OPS`` for a term operator); only the
+grammar and the code that gives the node a meaning, such as
+``term_sign`` or model evaluation, need a new case.  A compound's parts
+are its fields, at most two, which the sealer checks.
 
 Enumeration order is ``_sort_key`` order: by size, then by the head
 symbol's rank, then by the parts' keys.  ``enumerate_terms`` and
@@ -99,11 +103,12 @@ class SignDisciplineError(ValueError):
 
 
 class Term:
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_size")
 
     def __post_init__(self):
-        # a class with a ``__post_init__`` of its own calls ``_seal`` last
-        _seal(self)
+        # a node class without a ``__post_init__`` of its own gets its
+        # sealer in this one's place; one of its own calls ``_seal`` last
+        self._seal()
 
 
 def _part_signs(what: str, left: Term, right: Term) -> tuple[str, str] | None:
@@ -134,7 +139,7 @@ class App(Term):
 
     def __post_init__(self):
         _part_signs("application", self.left, self.right)
-        _seal(self)
+        self._seal()
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,7 +149,7 @@ class Sum(Term):
 
     def __post_init__(self):
         _part_signs("sum", self.left, self.right)
-        _seal(self)
+        self._seal()
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,7 +161,7 @@ class Pair(Term):
         signs = _part_signs("pairing", self.left, self.right)
         if signs is not None and signs[0] == POSITIVE:
             raise SignDisciplineError("pairing takes negative terms")
-        _seal(self)
+        self._seal()
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,7 +171,7 @@ class Bang(Term):
     def __post_init__(self):
         if term_sign(self.inner) == NEGATIVE:
             raise SignDisciplineError("'!' takes a positive term")
-        _seal(self)
+        self._seal()
 
 
 @dataclass(frozen=True, slots=True)
@@ -200,10 +205,10 @@ def term_sign(t: Term) -> str | None:
 
 
 class Formula:
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_size")
 
     def __post_init__(self):
-        _seal(self)
+        self._seal()
 
 
 @dataclass(frozen=True, slots=True)
@@ -286,22 +291,47 @@ def _getter(names: tuple[str, ...]):
 
 _GET_PARTS = {kind: _getter(names) for kind, names in _PARTS.items()}
 
-# A node's hash is computed once, as the last step of its constructor,
-# and kept in the ``_hash`` slot that ``Term`` and ``Formula`` declare.
-# It is ``hash`` of the field tuple salted by the class, so that nodes of
-# different classes over the same fields (``A /\ B`` and ``A -> B``,
-# ``App``/``Sum``/``Pair`` of the same parts) hash apart.  Copies and
-# pickles call the constructor again, so a node never carries a hash
+# A node's hash and size are computed once, as the last step of its
+# constructor, and kept in the ``_hash`` and ``_size`` slots that ``Term``
+# and ``Formula`` declare.  The hash is ``hash`` of the field tuple salted
+# by the class, so that nodes of different classes over the same fields
+# (``A /\ B`` and ``A -> B``, ``App``/``Sum``/``Pair`` of the same parts)
+# hash apart.  The size is 1 for a leaf and one more than the sum of its
+# parts' sizes for a compound, whose parts are exactly its fields.  Copies
+# and pickles call the constructor again, so a node never carries a hash
 # over from another process, where strings hash differently.
 _GET_FIELDS = {kind: _getter(tuple(f.name for f in fields(kind)))
                for kind in _PARTS}
 _SALT = {kind: hash(kind.__name__) for kind in _PARTS}
 
 
-def _seal(node) -> None:
-    kind = type(node)
-    object.__setattr__(node, "_hash",
-                       hash(_GET_FIELDS[kind](node)) ^ _SALT[kind])
+def _sealer(kind):
+    """The function filling both slots of a new node of class ``kind``,
+    one per class, so that building a node looks nothing up; it sets the
+    slots through their descriptors, the cheapest way to write them."""
+    get, salt = _GET_FIELDS[kind], _SALT[kind]
+    base = Term if issubclass(kind, Term) else Formula
+    set_hash, set_size = (vars(base)[slot].__set__ for slot in base.__slots__)
+    arity = len(_PARTS[kind])
+    names = tuple(f.name for f in fields(kind)) if arity else ()
+    if arity > 2 or names != _PARTS[kind]:
+        raise TypeError(f"{kind.__name__} needs fields that are its parts, "
+                        f"at most two")
+    if arity == 0:
+        def seal(node):
+            set_hash(node, hash(get(node)) ^ salt)
+            set_size(node, 1)
+    elif arity == 1:
+        def seal(node):
+            parts = get(node)
+            set_hash(node, hash(parts) ^ salt)
+            set_size(node, 1 + parts[0]._size)
+    else:
+        def seal(node):
+            parts = get(node)
+            set_hash(node, hash(parts) ^ salt)
+            set_size(node, 1 + parts[0]._size + parts[1]._size)
+    return seal
 
 
 def _hash(node) -> int:
@@ -323,6 +353,9 @@ def _delattr(node, name):
 
 
 for _kind in _PARTS:
+    _kind._seal = _sealer(_kind)
+    if "__post_init__" not in vars(_kind):
+        _kind.__post_init__ = _kind._seal
     _kind.__hash__ = _hash
     _kind.__reduce__ = _reduce
     _kind.__setattr__ = _setattr
@@ -344,7 +377,7 @@ def _label(leaf) -> tuple[str, ...]:
 
 
 def _size(node) -> int:
-    return 1 + sum(map(_size, _parts(node)))
+    return node._size
 
 
 term_size = formula_size = _size

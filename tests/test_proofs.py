@@ -9,13 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from dlk.builder import realize_spec
+from dlk.builder import RealizationError, realize_spec
 from dlk.logics import Binding, SCHEMAS, get_profile, instantiate
 from dlk.proofs import (
     MissingConstantError, Proof, ProofFormatError, axiom_line,
     check_nonderivability, check_proof, derive_forward, hyp_line,
     internalize, mp_line, proof_from_dict, proof_to_dict,
 )
+from dlk.semantics import ModularModel
 from dlk.syntax import (
     Alphabet, Bottom, Const, FMeta, Implies, Just, Not, Var,
     enumerate_terms, formula_terms, parse_formula, parse_term,
@@ -384,7 +385,9 @@ def test_a_countermodel_holds_a_sum_to_its_parts():
     # the model leaves a+b uninterpreted, so by its interpretation alone
     # it satisfies ~[a+b]:A; closed under sum, a+b holds A, as sum-left
     # derives
-    model, _ = realize_spec(dl, [fm("a:A"), fm("~[a+b]:A")])
+    a, b = parse_term("a"), parse_term("b")
+    model = ModularModel(dl, {"A": False}, {a: frozenset({fm("A")}),
+                                            b: frozenset()})
     target = fm("[a+b]:A")
     assert check_nonderivability(dl, [fm("a:A")], target).status \
         == "derivable"
@@ -392,6 +395,13 @@ def test_a_countermodel_holds_a_sum_to_its_parts():
                                    countermodel=model)
     assert report.status == "open"
     assert report.note == "countermodel satisfies the target"
+
+
+def test_no_model_is_realized_for_a_sum_its_parts_contradict():
+    # sum-left derives [a+b]:A from a:A, so the spec is DL-inconsistent
+    with pytest.raises(RealizationError,
+                       match=r"no built model satisfies ~\[a\+b\]:A"):
+        realize_spec(dl, [fm("a:A"), fm("~[a+b]:A")])
 
 
 def test_a_countermodel_holds_a_pair_to_its_parts():
