@@ -10,6 +10,11 @@ command's text view prints the same document as a human-readable report,
 so the text never says what the document does not.  Warnings and errors
 go to stderr either way, with no document.
 
+Model, proof and specification files are JSON; the formula file of
+``translate`` is a JSON array of strings if it decodes as one, else text,
+one formula per line.  A file that cannot be read or decoded (not UTF-8,
+or not JSON where JSON is due) ends the command with exit 2.
+
 The environment variable ``DLK_MAX_BOUND`` caps every enumeration bound
 (formula/term sizes, search depth, limits are left alone) so a shared
 machine can keep runaway invocations in check.
@@ -71,13 +76,30 @@ def _profile(name: str | None):
     return get_profile(name or "dl")
 
 
-def _read_json(path: str):
+def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return fh.read()
     except OSError as exc:
         raise _Fail(2, f"cannot read {path}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise _Fail(2, f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _decode(text: str):
+    """The JSON document ``text`` holds; ``ValueError`` when it holds
+    none, or one nested too deeply or with an integer too long to read."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("nested too deeply to decode") from None
+
+
+def _read_json(path: str):
+    text = _read_text(path)
+    try:
+        return _decode(text)
+    except ValueError as exc:
         raise _Fail(2, f"{path} is not JSON: {exc}") from None
 
 
@@ -140,9 +162,7 @@ def _load_closed_spec(args):
 def _load_proof(path: str, logic: str | None,
                 spec=None) -> Proof:
     doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise _Fail(2, f"{path}: proof document must be an object")
-    if logic is not None:
+    if logic is not None and isinstance(doc, dict):
         doc = dict(doc, profile=logic)
     proof = proof_from_dict(doc)
     if spec is not None:
@@ -474,22 +494,19 @@ def _text_check_coherence(doc, args):
 
 
 def _read_formula_file(path: str):
-    """Formula files are JSON arrays of strings or plain text, one
-    formula per line; blank lines and #-comments pass through text."""
+    """A formula file is a JSON array of strings when it decodes as a
+    JSON array, and otherwise plain text, one formula per line; blank
+    lines and #-comments pass through text."""
+    text = _read_text(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise _Fail(2, f"cannot read {path}: {exc.strerror or exc}") from None
-    if raw.lstrip().startswith("["):
-        try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise _Fail(2, f"{path} is not JSON: {exc}") from None
-        if not all(isinstance(x, str) for x in doc):
-            raise _Fail(2, f"{path}: expected an array of formula strings")
-        return list(doc), "json"
-    return raw.splitlines(), "text"
+        doc = _decode(text)
+    except ValueError:
+        doc = None
+    if not isinstance(doc, list):
+        return text.splitlines(), "text"
+    if not all(isinstance(x, str) for x in doc):
+        raise _Fail(2, f"{path}: expected an array of formula strings")
+    return doc, "json"
 
 
 def _cmd_translate(args) -> tuple[int, dict]:

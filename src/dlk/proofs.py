@@ -22,7 +22,7 @@ from .semantics import audit, closed_extension, evaluate
 from .syntax import (
     NEGATIVE, POSITIVE, UNSIGNED, App, Const, Formula, Implies, Just,
     SignDisciplineError, Var, enumerate_terms, formula_terms, parse_formula,
-    parse_term, print_formula, print_term, term_sign,
+    parse_term, print_formula, print_term, read_formulas, term_sign,
 )
 
 
@@ -547,20 +547,13 @@ def proof_to_dict(proof: Proof) -> dict:
 def proof_from_dict(doc: dict) -> Proof:
     if not isinstance(doc, dict) or not isinstance(doc.get("lines"), list):
         raise ProofFormatError("proof document must be an object with 'lines'")
-    hyp_texts = doc.get("hypotheses", [])
-    if not (isinstance(hyp_texts, list)
-            and all(isinstance(h, str) for h in hyp_texts)):
-        raise ProofFormatError("'hypotheses' must be a list of formula "
-                               "strings")
     try:
         profile = get_profile(doc.get("profile", "dl"))
     except KeyError as exc:
         raise ProofFormatError(str(exc)) from None
     signed = profile.signed
-    try:
-        hyps = tuple(parse_formula(h, signed=signed) for h in hyp_texts)
-    except ValueError as exc:
-        raise ProofFormatError(f"bad hypothesis: {exc}") from None
+    hyps = tuple(read_formulas(doc.get("hypotheses", []), signed,
+                               "'hypotheses'", ProofFormatError))
     lines: list[ProofLine] = []
     for n, entry in enumerate(doc["lines"]):
         if not isinstance(entry, dict) or "formula" not in entry:

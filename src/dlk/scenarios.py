@@ -39,14 +39,13 @@ def available() -> list[str]:
 
 
 def load(name: str) -> dict:
-    path = resources.files("dlk") / "scenarios" / f"{name}.json"
-    try:
-        text = path.read_text()
-    except FileNotFoundError:
+    """The bundled scenario ``name``, one ``available()`` lists."""
+    if name not in available():
         raise ScenarioError(
             f"no scenario named {name!r}; available: "
             + ", ".join(available()))
-    return json.loads(text)
+    path = resources.files("dlk") / "scenarios" / f"{name}.json"
+    return json.loads(path.read_text())
 
 
 def _parse_all(texts, profile):

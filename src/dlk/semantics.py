@@ -25,7 +25,7 @@ from .syntax import (
     NEGATIVE, POSITIVE,
     And, App, Bang, Bottom, Formula, Implies, Just, Not, Or, Pair, PropVar,
     SignDisciplineError, Sum, Term, _FORMATS, _PARTS, _TERM_OPS, _parts,
-    formula_sort_key, parse_formula, parse_term, print_formula, print_term,
+    formula_sort_key, parse_term, print_formula, print_term, read_formulas,
     subterms, term_sign, term_sort_key,
 )
 
@@ -497,29 +497,14 @@ def model_from_dict(doc: dict) -> ModularModel:
             raise ModelFormatError(f"terms {spelled[term]!r} and "
                                    f"{term_text!r} are the same term")
         spelled[term] = term_text
-        if not (isinstance(formulas, list)
-                and all(isinstance(ftext, str) for ftext in formulas)):
-            raise ModelFormatError(f"evidence for {term_text!r} must be a "
-                                   f"list of formula strings")
-        parsed = []
-        for ftext in formulas:
-            try:
-                parsed.append(parse_formula(ftext, signed=profile.signed))
-            except ValueError as exc:
-                raise ModelFormatError(f"bad formula {ftext!r}: {exc}") from None
-        interp[term] = frozenset(parsed)
+        interp[term] = frozenset(read_formulas(
+            formulas, profile.signed, f"evidence for {term_text!r}",
+            ModelFormatError))
     universe = None
     if "formula_universe" in doc:
-        texts = doc["formula_universe"]
-        if not (isinstance(texts, list)
-                and all(isinstance(ftext, str) for ftext in texts)):
-            raise ModelFormatError("'formula_universe' must be a list of "
-                                   "formula strings")
-        try:
-            universe = frozenset(parse_formula(ftext, signed=profile.signed)
-                                 for ftext in texts)
-        except ValueError as exc:
-            raise ModelFormatError(f"bad universe formula: {exc}") from None
+        universe = frozenset(read_formulas(
+            doc["formula_universe"], profile.signed, "'formula_universe'",
+            ModelFormatError))
     provenance = doc.get("provenance", "hand")
     if not isinstance(provenance, str):
         raise ModelFormatError(f"'provenance' must be a string, "

@@ -30,7 +30,7 @@ from .proofs import DerivedSet, Proof, derive_forward
 from .semantics import ModularModel, close_upward, evaluate, occurring_terms
 from .syntax import (
     POSITIVE, Const, Formula, Just, Not, PropVar, Term, Var,
-    formula_sort_key, parse_formula, print_formula, print_term, subformulas,
+    formula_sort_key, print_formula, print_term, read_formulas, subformulas,
     term_sign,
 )
 
@@ -286,17 +286,15 @@ class BluePillResult:
         return self.status == "model"
 
 
-def blue_pill(spec: ConstantSpec, *,
-              depth: int = 3, size: int = 4,
-              term_size: int = 2,
-              limit: int | None = 50000) -> BluePillResult:
+def blue_pill(spec: ConstantSpec, **bounds) -> BluePillResult:
     """Transplant the extracted conclusions into a denial-free model.
 
-    Extracts the bounded OK set of the specification, then searches for
-    a plain justification-logic model satisfying every member.  The
-    evidence relation there carries no falsifying force, so success
-    means the agent's denial-backed knowledge is jointly tenable on
-    neutral ground.  Failure is a bounded report, not an error.
+    Extracts the bounded OK set of the specification (``bounds`` are
+    ``ok_extract``'s keywords and defaults), then searches for a plain
+    justification-logic model satisfying every member.  The evidence
+    relation there carries no falsifying force, so success means the
+    agent's denial-backed knowledge is jointly tenable on neutral
+    ground.  Failure is a bounded report, not an error.
     """
     if not spec.profile.has_schema("pairing"):
         names = sorted(p.name for p in PROFILES.values()
@@ -304,8 +302,7 @@ def blue_pill(spec: ConstantSpec, *,
         raise ValueError(f"the model transplant is defined for profiles "
                          f"{' and '.join(map(repr, names))}, not "
                          f"{spec.profile.name!r}")
-    ok = ok_extract(spec, depth=depth, size=size, term_size=term_size,
-                    limit=limit)
+    ok = ok_extract(spec, **bounds)
     have = set(ok.members)
     for f in ok.members:
         mate = f.body if isinstance(f, Not) else Not(f)
@@ -338,19 +335,16 @@ class CoherenceReport:
         return self.status == "coherent-within-bounds"
 
 
-def check_coherence(spec: ConstantSpec, *,
-                    depth: int = 3, size: int = 4,
-                    term_size: int = 2,
-                    limit: int | None = 50000) -> CoherenceReport:
+def check_coherence(spec: ConstantSpec, **bounds) -> CoherenceReport:
     """Each extracted formula must be satisfiable on its own.
 
-    Walks the bounded OK set member by member and reports the first one
-    no searched model satisfies.  An empty extraction is vacuously
-    coherent.  The report carries the OK set, so a verdict on a search
-    the budget cut short says so (``report.ok.hit_limit``).
+    Walks the bounded OK set (``bounds`` are ``ok_extract``'s keywords
+    and defaults) member by member and reports the first one no searched
+    model satisfies.  An empty extraction is vacuously coherent.  The
+    report carries the OK set, so a verdict on a search the budget cut
+    short says so (``report.ok.hit_limit``).
     """
-    ok = ok_extract(spec, depth=depth, size=size, term_size=term_size,
-                    limit=limit)
+    ok = ok_extract(spec, **bounds)
     model_profile = spec.profile if spec.profile.signed else get_profile("jl")
     for member in ok.members:
         if search_jl_model([member], model_profile) is None:
@@ -387,21 +381,12 @@ def spec_from_dict(doc, default_profile: LogicProfile | None = None,
             raise SpecFormatError("specification document names no profile")
         texts = doc.get("formulas")
         closed = doc.get("closed", False)
-        if not isinstance(texts, list):
-            raise SpecFormatError("'formulas' must be an array")
         if not isinstance(closed, bool):
             raise SpecFormatError(f"'closed' must be true or false, "
                                   f"not {closed!r}")
     else:
         raise SpecFormatError("specification document must be an object "
                               "or an array of formulas")
-    out: list[Formula] = []
-    for i, text in enumerate(texts):
-        if not isinstance(text, str):
-            raise SpecFormatError(f"formula {i} must be a string, "
-                                  f"not {text!r}")
-        try:
-            out.append(parse_formula(text, signed=profile.signed))
-        except ValueError as exc:
-            raise SpecFormatError(f"formula {i}: {exc}")
-    return ConstantSpec(profile, tuple(out), closed=closed)
+    formulas = read_formulas(texts, profile.signed, "'formulas'",
+                             SpecFormatError)
+    return ConstantSpec(profile, tuple(formulas), closed=closed)

@@ -669,6 +669,25 @@ def parse_term(text: str, signed: bool = False) -> Term:
     return t
 
 
+def read_formulas(texts, signed: bool, what: str,
+                  error: type[ValueError]) -> list[Formula]:
+    """Parse a document's list of formula strings.  ``error`` is raised,
+    naming ``what`` and the index of the item at fault, when ``texts`` is
+    not a list, an item is not a string or an item does not parse."""
+    if not isinstance(texts, list):
+        raise error(f"{what} must be a list of formula strings")
+    out = []
+    for i, text in enumerate(texts):
+        if not isinstance(text, str):
+            raise error(f"{what}: formula {i} must be a string, "
+                        f"not {text!r}")
+        try:
+            out.append(parse_formula(text, signed))
+        except ParseError as exc:
+            raise error(f"{what}: formula {i}: {exc}") from None
+    return out
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 

@@ -592,6 +592,25 @@ def test_translate_json_array_round_trips(tmp_path, capsys):
     assert doc["dictionary"] == {"X[s-:E]": "s-:E"}
 
 
+def test_translate_reads_a_bracket_led_text_file_as_text(tmp_path, capsys):
+    src = tmp_path / "formulas.txt"
+    src.write_text("[x+ + y+]:E\ns-:F\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "translate", str(src))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["formulas"] == ["[x++y+]:E", "X[s-:F]"]
+    assert doc["dictionary"] == {"X[s-:F]": "s-:F"}
+
+
+def test_translate_reads_a_malformed_json_array_as_text(tmp_path, capsys):
+    src = tmp_path / "formulas.json"
+    src.write_text('["s-:E",\n', encoding="utf-8")
+    code, out, err = run_cli(capsys, "translate", str(src))
+    assert code == 1
+    assert not out
+    assert err.startswith("error: non-fused input rejected: '[\"s-:E\",'")
+
+
 def test_translate_rejects_unsigned_input(tmp_path, capsys):
     src = tmp_path / "formulas.txt"
     src.write_text("s:E\n", encoding="utf-8")
@@ -681,6 +700,20 @@ def test_scenario_runs_fast_bundles(capsys):
 def test_scenario_rejects_unknown_names(capsys):
     code, _, err = run_cli(capsys, "scenario", "no-such-scenario")
     assert code == 2
+
+
+@pytest.mark.parametrize("doc", [{}, json.loads(
+    (Path(cli.__file__).parent / "scenarios" / "prop1.json").read_text())])
+def test_scenario_names_are_never_paths(tmp_path, capsys, doc):
+    # a scenario file, or any other JSON file, outside the bundle is
+    # refused by name, whatever the relative path reaches
+    write_json(tmp_path / "elsewhere.json", doc)
+    bundle = Path(cli.__file__).parent / "scenarios"
+    name = os.path.relpath(tmp_path / "elsewhere", bundle)
+    code, out, err = run_cli(capsys, "scenario", name)
+    assert code == 2
+    assert not out
+    assert err.startswith(f"error: no scenario named {name!r}")
 
 
 def test_the_parser_is_built_once(capsys):

@@ -1,11 +1,13 @@
-"""Random JSON documents through the command line: whatever a model,
-proof or specification document holds, every command that reads one
-(``audit``, ``eval``, ``build-model --spec``, ``check-proof``,
-``close-spec``, ``extract-ok``, ``blue-pill``, ``check-coherence`` and
-``internalize``) ends in a documented exit code (0 success, 1 a negative
-verdict, 2 bad input) and never in a traceback; with ``--json``, stdout
-holds one JSON document or, when the error went to stderr, nothing.  The
-searches run under small bounds and ``DLK_MAX_BOUND=3``."""
+"""Random documents through the command line: whatever a model, proof
+or specification document, or a formula file, holds, every command that
+reads one (``audit``, ``eval``, ``build-model --spec``, ``check-proof``,
+``close-spec``, ``extract-ok``, ``blue-pill``, ``check-coherence``,
+``internalize`` and ``translate``) ends in a documented exit code (0
+success, 1 a negative verdict, 2 bad input) and never in a traceback;
+with ``--json``, stdout holds one JSON document or, when the error went
+to stderr, nothing.  So do files no JSON decoder reads: nested too
+deeply, not UTF-8, an integer too long, empty.  The searches run under
+small bounds and ``DLK_MAX_BOUND=3``."""
 
 import contextlib
 import io
@@ -14,6 +16,7 @@ import os
 import tempfile
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,8 +77,9 @@ def model_documents(draw):
 
 
 def _exit_code(docs, *argv) -> int:
-    """Run ``dlk`` with ``docs`` (one document, or a tuple of them) written
-    to files whose paths replace the ``{}`` in ``argv``, in order; the
+    """Run ``dlk`` with ``docs`` (one document, or a tuple of them; bytes
+    are written as they are, anything else as JSON) written to files
+    whose paths replace the ``{}`` in ``argv``, in order; the
     command must end in a documented code, and with ``--json`` leave one
     JSON document or nothing on stdout."""
     docs = list(docs) if isinstance(docs, tuple) else [docs]
@@ -84,8 +88,10 @@ def _exit_code(docs, *argv) -> int:
         for a in argv:
             if a == "{}":
                 path = os.path.join(tmp, f"doc{len(args)}.json")
-                with open(path, "w", encoding="utf-8") as fh:
-                    json.dump(docs.pop(0), fh)
+                doc = docs.pop(0)
+                with open(path, "wb") as fh:
+                    fh.write(doc if isinstance(doc, bytes)
+                             else json.dumps(doc).encode())
                 a = path
             args.append(a)
         out, err = io.StringIO(), io.StringIO()
@@ -215,3 +221,58 @@ def lifting_cases(draw):
 def test_internalize_ends_in_a_documented_exit_code(docs, logic, flag):
     assert _exit_code(docs, "internalize", "{}", "--spec", "{}",
                       *logic, *flag) in (0, 1, 2)
+
+
+# formula files: JSON arrays (of anything) or text, one line a formula,
+# with comments, blank lines and bracket-led formulas among them
+_SIGNED = ("s-:E", "t+:(s-:E)", "[x+ + y+]:E", "[x- & y-]:(P /\\ Q)",
+           "!x+:P", "x:P", "# note", "", "[", "]", "[1]", '["P"]')
+formula_texts = st.lists(st.sampled_from(_SIGNED + _FORMULAS),
+                         max_size=5).map(lambda ls: "\n".join(ls).encode())
+
+
+@given(formula_lists | formula_texts | json_values, json_flag)
+@settings(max_examples=150, deadline=None)
+def test_translate_ends_in_a_documented_exit_code(doc, flag):
+    assert _exit_code(doc, "translate", "{}", *flag) in (0, 1, 2)
+
+
+# each file-reading command: the documents it reads, None where the raw
+# file goes, and its arguments
+_PROOF = {"profile": "lp", "hypotheses": ["P"],
+          "lines": [{"kind": "hyp", "formula": "P", "hyp_index": 0}]}
+_SPEC = {"profile": "lp", "formulas": ["a:P"]}
+READERS = {
+    "audit": ((None,), ("audit", "--model", "{}")),
+    "eval": ((None,), ("eval", "--model", "{}", "P")),
+    "check-proof": ((None,), ("check-proof", "{}")),
+    "check-proof --spec": ((_PROOF, None),
+                           ("check-proof", "{}", "--spec", "{}")),
+    "build-model --spec": ((None,), ("build-model", "--spec", "{}")),
+    "close-spec": ((None,), ("close-spec", "{}")),
+    "extract-ok": ((None,), ("extract-ok", "{}", *SMALL)),
+    "blue-pill": ((None,), ("blue-pill", "{}", *SMALL)),
+    "check-coherence": ((None,), ("check-coherence", "{}", *SMALL)),
+    "internalize": ((None, _SPEC), ("internalize", "{}", "--spec", "{}")),
+    "internalize --spec": ((_PROOF, None),
+                           ("internalize", "{}", "--spec", "{}")),
+    "translate": ((None,), ("translate", "{}")),
+}
+# raw file contents, the exit code of a command reading JSON, and that of
+# translate, which reads a file that is no JSON array as text: a long
+# integer in brackets is a line that does not parse, an empty file holds
+# no formulas
+RAW = {"deep": (b"[" * 200_000 + b"]" * 200_000, 2, 2),
+       "not-utf8": (b"\xff\xfe{}", 2, 2),
+       "long-int": (b"[" + b"1" * 5000 + b"]", 2, 1),
+       "empty": (b"", 2, 0)}
+
+
+@pytest.mark.parametrize("case", RAW)
+@pytest.mark.parametrize("reader", READERS)
+def test_raw_bytes_end_in_a_documented_exit_code(reader, case):
+    slots, argv = READERS[reader]
+    raw, json_code, text_code = RAW[case]
+    docs = tuple(raw if d is None else d for d in slots)
+    assert _exit_code(docs, *argv) == (
+        text_code if reader == "translate" else json_code)

@@ -13,7 +13,7 @@ from dlk.syntax import (
     _size,
     enumerate_formulas,
     enumerate_terms, formula_size, parse_formula, parse_term, print_formula,
-    print_term, subformulas, subterms, term_sign, term_size,
+    print_term, read_formulas, subformulas, subterms, term_sign, term_size,
 )
 
 P, Q, R = PropVar("P"), PropVar("Q"), PropVar("R")
@@ -100,6 +100,28 @@ def test_sign_homogeneity_enforced_at_construction():
     assert term_sign(Pair(tn, Var("u", "-"))) == "-"
     assert term_sign(Bang(sp)) == "+"
     assert term_sign(x) == ""
+
+
+class _DocError(ValueError):
+    pass
+
+
+@pytest.mark.parametrize("texts, message", [
+    ("P", "'fs' must be a list of formula strings"),
+    (["P", 7], "'fs': formula 1 must be a string, not 7"),
+    (["P", "Q", "s:E"], "'fs': formula 2: "),
+    (["~" * 3000 + "P"], "'fs': formula 0: input nested more than"),
+])
+def test_read_formulas_names_the_list_and_the_item(texts, message):
+    with pytest.raises(_DocError) as err:
+        read_formulas(texts, True, "'fs'", _DocError)
+    assert str(err.value).startswith(message)
+
+
+def test_read_formulas_parses_in_order():
+    assert read_formulas(["t+:P", "~Q"], True, "'fs'", _DocError) == [
+        Just(Var("t", "+"), P), Not(Q)]
+    assert read_formulas([], False, "'fs'", _DocError) == []
 
 
 def test_print_parse_round_trip():
