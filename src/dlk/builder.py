@@ -7,8 +7,10 @@ justified formula ``t:B`` counts as true when its body is staged false
 and ``B`` ends up in ``t`` (``_reaches``): the functional accepted it
 there when ``B`` was staged, or the closing pass below will carry it
 there.  So every staged value is the value in the finished model, and
-the functional is asked once per formula.  Contributions to the
-evidence interpretation happen as stages close:
+the functional is asked once per formula.  The loop tests each
+formula's class once, the most frequent kinds (the binary connectives)
+first.  Contributions to the evidence interpretation happen as stages
+close:
 
 * every staged-false formula is offered to all terms, landing wherever
   the functional accepts it (``spray``);
@@ -193,6 +195,11 @@ class StageTrace:
             for row in self.rows]}
 
 
+# the stage kind a trace row gives each formula class
+_KINDS = {Bottom: "bottom", PropVar: "atom", Not: "bool", And: "bool",
+          Or: "bool", Implies: "bool", Just: "just"}
+
+
 def _buildable(profile: LogicProfile) -> bool:
     """The staged construction covers the unsigned profiles with denial."""
     return not profile.signed and profile.has_schema("denial")
@@ -239,38 +246,39 @@ def build(params: BuildParams) -> tuple[ModularModel, StageTrace | None]:
     pairing = profile.has_schema("pairing")
     staged: dict[Formula, bool] = {}
     for index, f in enumerate(formulas):
-        match f:
-            case Bottom():
-                kind, value = "bottom", False
-            case PropVar(name):
-                kind, value = "atom", valuation.get(name, False)
-            case Not(b):
-                kind, value = "bool", not staged[b]
-            case And(l, r):
-                kind, value = "bool", staged[l] and staged[r]
-            case Or(l, r):
-                kind, value = "bool", staged[l] or staged[r]
-            case Implies(l, r):
-                kind, value = "bool", (not staged[l]) or staged[r]
-            case Just(t, b):
-                # b came first: if staged false, every term accepting it
-                # holds it already
-                kind, value = "just", (not staged[b]
-                                       and _reaches(members, t, b, pairing))
-            case _:
-                raise BuildError(f"unexpected formula {f!r}")
+        # one class test per formula, the most frequent kinds first
+        kind = type(f)
+        if kind is And:
+            value = staged[f.left] and staged[f.right]
+        elif kind is Or:
+            value = staged[f.left] or staged[f.right]
+        elif kind is Implies:
+            value = (not staged[f.left]) or staged[f.right]
+        elif kind is Not:
+            value = not staged[f.body]
+        elif kind is Just:
+            # the body came first: if staged false, every term accepting
+            # it holds it already
+            value = (not staged[f.body]
+                     and _reaches(members, f.term, f.body, pairing))
+        elif kind is PropVar:
+            value = valuation.get(f.name, False)
+        elif kind is Bottom:
+            value = False
+        else:
+            raise BuildError(f"unexpected formula {f!r}")
         staged[f] = value
         if not value:
             for term in functional.spray(f, members):
                 have = members[term]
-                if f not in have:
-                    have[f] = None
-                    if trace is not None:
-                        stage_added.append((print_term(term), print_formula(f),
-                                            "spray"))
+                held = len(have)
+                have[f] = None
+                if trace is not None and len(have) > held:
+                    stage_added.append((print_term(term), print_formula(f),
+                                        "spray"))
         if trace is not None:
-            trace.rows.append(StageRow(index, print_formula(f), kind, value,
-                                       tuple(stage_added)))
+            trace.rows.append(StageRow(index, print_formula(f), _KINDS[kind],
+                                       value, tuple(stage_added)))
             stage_added = []
 
     conjunctions = ([f for f in formulas if isinstance(f, And)]

@@ -274,58 +274,69 @@ class _RuleBook:
                                  f"metavariable free in its antecedent")
             rules.append(rule)
         self.rules = rules
-        # (size bound, term bound, the kinds of the formula's top two
-        # levels, or of each side's) -> an entry of ``capped``, filled on
-        # demand; a kind fixes how many part kinds follow it, so the flat
-        # key is unambiguous.  Antecedent candidates list the bare
-        # metavariables first.
+        self.plans = [p for major in rules for minor in rules
+                      if (p := _plan(major, minor)) is not None]
+        self.indexes: dict[tuple[int, int], _RuleIndex] = {}
+
+    def index(self, size_bound: int, term_bound: int) -> _RuleIndex:
+        """The book's tables at these bounds, made on the first call."""
+        hit = self.indexes.get((size_bound, term_bound))
+        if hit is None:
+            hit = self.indexes[size_bound, term_bound] = _RuleIndex(
+                self.rules, size_bound, term_bound)
+        return hit
+
+
+class _RuleIndex:
+    """A rule book's tables at one pair of size bounds, filled on demand
+    and keyed by node kinds alone: those of the formula's top two levels,
+    or of each side's; a kind fixes how many part kinds follow it, so a
+    flat key is unambiguous."""
+
+    def __init__(self, rules: list[_Rule], size_bound: int, term_bound: int):
+        self.rules = rules
+        self.size_bound, self.term_bound = size_bound, term_bound
         self.by_antecedent: dict[tuple, list] = {}
         self.by_template: dict[tuple, list] = {}
         self.entries: dict[tuple, list] = {}
-        self.plans = [p for major in rules for minor in rules
-                      if (p := _plan(major, minor)) is not None]
 
-    def antecedent_rules(self, f: Formula, size_bound: int,
-                         term_bound: int) -> list[_Rule]:
+    def antecedent_rules(self, f: Formula) -> list[_Rule]:
         """The rules whose antecedent ``f`` may instantiate with every
-        value within the bounds, in the order ``add`` matches them."""
-        key = (size_bound, term_bound, *_top(f))
-        hit = self.by_antecedent.get(key)
+        value within the bounds, in the order ``add`` matches them; the
+        bare metavariables come first."""
+        top = _top(f)
+        hit = self.by_antecedent.get(top)
         if hit is None:
-            top = _top(f)
             found = sorted((r for r in self.rules
                             if _admits(r.template.left, top)),
                            key=lambda r: (not isinstance(r.template.left,
                                                          FMeta), r.pos))
-            hit = self.by_antecedent[key] = self.capped(
-                found, False, size_bound, term_bound)
+            hit = self.by_antecedent[top] = self.capped(found, False)
         return [r for r, cap in hit if f._size <= cap]
 
-    def template_rules(self, f: Implies, size_bound: int,
-                       term_bound: int) -> list[_Rule]:
+    def template_rules(self, f: Implies) -> list[_Rule]:
         """The rules of which ``f`` may be an instance with every value
         within the bounds, in schema order."""
-        key = (size_bound, term_bound, *_top(f.left), *_top(f.right))
+        left, right = _top(f.left), _top(f.right)
+        key = left + right
         hit = self.by_template.get(key)
         if hit is None:
-            left, right = _top(f.left), _top(f.right)
             hit = self.by_template[key] = self.capped(
                 [r for r in self.rules if _admits(r.template.left, left)
-                 and _admits(r.template.right, right)],
-                True, size_bound, term_bound)
+                 and _admits(r.template.right, right)], True)
         return [r for r, cap in hit if f._size <= cap]
 
-    def capped(self, rules: list[_Rule], whole: bool, size_bound: int,
-               term_bound: int) -> list[tuple[_Rule, int]]:
-        """[(rule, cap)] for the rules' antecedents, or whole templates, at
-        these bounds; one list per distinct value, which the kinds leading
-        to the same rules share."""
-        key = (tuple(rules), whole, size_bound, term_bound)
+    def capped(self, rules: list[_Rule], whole: bool
+               ) -> list[tuple[_Rule, int]]:
+        """[(rule, cap)] for the rules' antecedents, or whole templates;
+        one list per distinct value, which the kinds leading to the same
+        rules share."""
+        key = (tuple(rules), whole)
         hit = self.entries.get(key)
         if hit is None:
             hit = self.entries[key] = [
                 (r, _cap(r.template if whole else r.template.left,
-                         size_bound, term_bound)) for r in rules]
+                         self.size_bound, self.term_bound)) for r in rules]
         return hit
 
 
@@ -348,6 +359,7 @@ class DemandSaturation:
         self.tbound = size_bound if term_size_bound is None \
             else term_size_bound
         self.book = _rule_book(profile.schema_ids)
+        self.index = self.book.index(size_bound, self.tbound)
         self.goal, self.goal_filter = goal, goal_filter
         self.limit, self.watch = limit, watch_contradiction
         self.done = False
@@ -465,8 +477,7 @@ class DemandSaturation:
         hit = self.first.get(f)
         if hit is not None or not isinstance(f, Implies):
             return hit
-        for rule in self.book.template_rules(f, self.size_bound,
-                                             self.tbound):
+        for rule in self.index.template_rules(f):
             binding = logics.match_template(rule.template, f, self.signed)
             if binding is None:
                 continue
@@ -628,8 +639,7 @@ class DemandSaturation:
         majors = self.by_antecedent.get(f)
         streams = [[((key, 0, ()), (m, None, None)) for key, m in majors]] \
             if majors else []
-        for rule in self.book.antecedent_rules(f, self.size_bound,
-                                               self.tbound):
+        for rule in self.index.antecedent_rules(f):
             left = rule.template.left
             if isinstance(left, FMeta):
                 bound = Binding({left.name: f}, {})

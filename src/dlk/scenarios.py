@@ -11,12 +11,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
+from inspect import signature
 
 from .builder import realize_spec
 from .logics import get_profile
 from .proofs import check_nonderivability, check_proof, proof_from_dict
 from .semantics import evaluate
-from .specifications import SpecClashError, blue_pill, close_spec
+from .specifications import (
+    SpecClashError, blue_pill, close_spec, ok_extract,
+)
 from .syntax import parse_formula, print_formula, print_term
 
 
@@ -152,16 +155,16 @@ def _step_nonderivability(step, profile, ctx):
 def _step_blue_pill(step, profile, ctx):
     formulas = _parse_all(step["formulas"], profile)
     spec = close_spec(formulas, profile)
-    bounds = step.get("bounds", {})
-    limit = int(bounds.get("limit", 50000))
-    result = blue_pill(spec,
-                       depth=int(bounds.get("depth", 3)),
-                       size=int(bounds.get("size", 4)),
-                       limit=limit)
+    # only the bounds the step sets; ``ok_extract`` keeps the defaults
+    bounds = {key: int(value) for key, value in step.get("bounds", {}).items()
+              if key in ("depth", "size", "limit")}
+    result = blue_pill(spec, **bounds)
     lines = [f"  extracted: "
              + ", ".join(print_formula(f) for f in result.ok.members[:8])
              + (", ..." if len(result.ok.members) > 8 else "")]
     if result.ok.hit_limit:
+        limit = bounds.get("limit", signature(ok_extract)
+                           .parameters["limit"].default)
         lines.append(f"  search budget of {limit} formulas exhausted")
     fragment = {"status": result.status, "hit_limit": result.ok.hit_limit}
     if not result.found:

@@ -22,12 +22,15 @@ application of signed leaves.
 Identity of terms and formulas is structural: ``P /\\ P`` is a different
 formula from ``P`` and ``t:P`` never coincides with ``t:(P /\\ P)``.
 Nodes are frozen dataclasses with slots and the generated structural
-``==``.  Each computes its hash and its size once, when it is built, and
-keeps them in two slots, ``_hash`` and ``_size``: ``hash`` of the tuple
-of the node's fields, salted by its class, so that ``A /\\ B``,
-``A \\/ B`` and ``A -> B`` hash apart, and one more than the sum of its
-parts' sizes.  ``term_size`` and ``formula_size`` read the slot, so
-testing a size bound walks nothing.  Hashes change with
+``==``, each with one constructor generated from ``_PARTS``: it writes
+the fields, runs the class's sign rule (``App``, ``Sum``, ``Pair`` and
+``Bang``) and computes the node's hash and size, which it keeps in two
+slots, ``_hash`` and ``_size``.  A leaf hashes its fields and a compound
+the tuple of its parts' hashes, either salted by the class, so that
+``A /\\ B``, ``A \\/ B`` and ``A -> B`` hash apart; the size is one more
+than the sum of the parts' sizes.  Building a node is one call that
+hashes no node again, and ``term_size`` and ``formula_size`` read the
+slot, so testing a size bound walks nothing.  Hashes change with
 ``PYTHONHASHSEED``, so no output follows the iteration order of a set or
 dict of nodes.  There is no intern table: equal nodes built apart stay
 distinct objects.
@@ -41,16 +44,16 @@ Structural code walks terms and formulas through one table, ``_PARTS``:
 each node class maps to the attributes that hold its parts, in
 constructor order (``Not: ("body",)``, ``Just: ("term", "body")``,
 leaves ``()``), and its row order ranks head symbols for enumeration.
-The sealer that fills a node's slots, subterms and subformulas, sort
-keys and enumeration here, and substitution, matching and the unsigning
-translation in ``logics``, all read it, as does the pattern code of
-``demand``.  ``_TERM_OPS`` maps each term operation name of a profile
-to its constructor and symbol, and ``_FORMATS`` gives each compound its
-printed form.  A new node class is one row in ``_PARTS`` (plus one in
+The constructors, subterms and subformulas, sort keys and enumeration
+here, and substitution, matching and the unsigning translation in
+``logics``, all read it, as does the pattern code of ``demand``.
+``_TERM_OPS`` maps each term operation name of a profile to its
+constructor and symbol, and ``_FORMATS`` gives each compound its printed
+form.  A new node class is one row in ``_PARTS`` (plus one in
 ``_FORMATS``, and one in ``_TERM_OPS`` for a term operator); only the
 grammar and the code that gives the node a meaning, such as
 ``term_sign`` or model evaluation, need a new case.  A compound's parts
-are its fields, at most two, which the sealer checks.
+are its fields, at most two, which the constructor generator checks.
 
 Enumeration order is ``_sort_key`` order: by size, then by the head
 symbol's rank, then by the parts' keys.  ``enumerate_terms`` and
@@ -66,7 +69,8 @@ violations and ``model_to_dict`` in ``semantics``, and the candidates of
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
+from functools import partial
 from itertools import product as _cartesian
 from operator import attrgetter
 
@@ -105,11 +109,6 @@ class SignDisciplineError(ValueError):
 class Term:
     __slots__ = ("_hash", "_size")
 
-    def __post_init__(self):
-        # a node class without a ``__post_init__`` of its own gets its
-        # sealer in this one's place; one of its own calls ``_seal`` last
-        self._seal()
-
 
 def _part_signs(what: str, left: Term, right: Term) -> tuple[str, str] | None:
     ls, rs = term_sign(left), term_sign(right)
@@ -120,61 +119,42 @@ def _part_signs(what: str, left: Term, right: Term) -> tuple[str, str] | None:
     return ls, rs
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Const(Term):
     name: str
     sign: str = UNSIGNED
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Var(Term):
     name: str
     sign: str = UNSIGNED
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class App(Term):
     left: Term
     right: Term
 
-    def __post_init__(self):
-        _part_signs("application", self.left, self.right)
-        self._seal()
 
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Sum(Term):
     left: Term
     right: Term
 
-    def __post_init__(self):
-        _part_signs("sum", self.left, self.right)
-        self._seal()
 
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Pair(Term):
     left: Term
     right: Term
 
-    def __post_init__(self):
-        signs = _part_signs("pairing", self.left, self.right)
-        if signs is not None and signs[0] == POSITIVE:
-            raise SignDisciplineError("pairing takes negative terms")
-        self._seal()
 
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Bang(Term):
     inner: Term
 
-    def __post_init__(self):
-        if term_sign(self.inner) == NEGATIVE:
-            raise SignDisciplineError("'!' takes a positive term")
-        self._seal()
 
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TMeta(Term):
     """Term metavariable for axiom schemas; polarity constrains bindings."""
 
@@ -200,6 +180,24 @@ def term_sign(t: Term) -> str | None:
     raise TypeError(f"not a term: {t!r}")
 
 
+def _pairing_signs(left: Term, right: Term):
+    signs = _part_signs("pairing", left, right)
+    if signs is not None and signs[0] == POSITIVE:
+        raise SignDisciplineError("pairing takes negative terms")
+
+
+def _bang_sign(inner: Term):
+    if term_sign(inner) == NEGATIVE:
+        raise SignDisciplineError("'!' takes a positive term")
+
+
+# the sign rule a compound term's constructor runs on its parts
+_SIGN_RULES = {
+    App: partial(_part_signs, "application"), Sum: partial(_part_signs, "sum"),
+    Pair: _pairing_signs, Bang: _bang_sign,
+}
+
+
 # ---------------------------------------------------------------------------
 # formulas
 
@@ -207,44 +205,41 @@ def term_sign(t: Term) -> str | None:
 class Formula:
     __slots__ = ("_hash", "_size")
 
-    def __post_init__(self):
-        self._seal()
 
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PropVar(Formula):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Just(Formula):
     """A justified formula ``t:F``."""
 
@@ -252,7 +247,7 @@ class Just(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FMeta(Formula):
     """Formula metavariable for axiom schemas."""
 
@@ -291,47 +286,57 @@ def _getter(names: tuple[str, ...]):
 
 _GET_PARTS = {kind: _getter(names) for kind, names in _PARTS.items()}
 
-# A node's hash and size are computed once, as the last step of its
-# constructor, and kept in the ``_hash`` and ``_size`` slots that ``Term``
-# and ``Formula`` declare.  The hash is ``hash`` of the field tuple salted
-# by the class, so that nodes of different classes over the same fields
-# (``A /\ B`` and ``A -> B``, ``App``/``Sum``/``Pair`` of the same parts)
-# hash apart.  The size is 1 for a leaf and one more than the sum of its
-# parts' sizes for a compound, whose parts are exactly its fields.  Copies
-# and pickles call the constructor again, so a node never carries a hash
-# over from another process, where strings hash differently.
+# A node's hash and size are computed once, by its constructor, and kept
+# in the ``_hash`` and ``_size`` slots that ``Term`` and ``Formula``
+# declare.  A leaf hashes its field tuple and a compound the tuple of its
+# parts' ``_hash`` ints, so building one calls no ``__hash__``; either is
+# salted by the class, so that nodes of different classes over the same
+# fields (``A /\ B`` and ``A -> B``, ``App``/``Sum``/``Pair`` of the same
+# parts) hash apart.  The size is 1 for a leaf and one more than the sum
+# of its parts' sizes for a compound, whose parts are exactly its fields.
+# Copies and pickles call the constructor again, so a node never carries
+# a hash over from another process, where strings hash differently.
 _GET_FIELDS = {kind: _getter(tuple(f.name for f in fields(kind)))
                for kind in _PARTS}
 _SALT = {kind: hash(kind.__name__) for kind in _PARTS}
 
 
-def _sealer(kind):
-    """The function filling both slots of a new node of class ``kind``,
-    one per class, so that building a node looks nothing up; it sets the
-    slots through their descriptors, the cheapest way to write them."""
-    get, salt = _GET_FIELDS[kind], _SALT[kind]
-    base = Term if issubclass(kind, Term) else Formula
-    set_hash, set_size = (vars(base)[slot].__set__ for slot in base.__slots__)
-    arity = len(_PARTS[kind])
-    names = tuple(f.name for f in fields(kind)) if arity else ()
-    if arity > 2 or names != _PARTS[kind]:
+def _constructor(kind):
+    """The ``__init__`` of node class ``kind``, generated so that building
+    a node is one call that looks nothing up: it writes the fields through
+    their slot descriptors, runs the class's sign rule, if it has one, and
+    fills ``_hash`` and ``_size``."""
+    names = tuple(f.name for f in fields(kind))
+    parts = _PARTS[kind]
+    if parts and names != parts or len(parts) > 2:
         raise TypeError(f"{kind.__name__} needs fields that are its parts, "
                         f"at most two")
-    if arity == 0:
-        def seal(node):
-            set_hash(node, hash(get(node)) ^ salt)
-            set_size(node, 1)
-    elif arity == 1:
-        def seal(node):
-            parts = get(node)
-            set_hash(node, hash(parts) ^ salt)
-            set_size(node, 1 + parts[0]._size)
-    else:
-        def seal(node):
-            parts = get(node)
-            set_hash(node, hash(parts) ^ salt)
-            set_size(node, 1 + parts[0]._size + parts[1]._size)
-    return seal
+    base = Term if issubclass(kind, Term) else Formula
+    env = {"_set_hash": vars(base)["_hash"].__set__,
+           "_set_size": vars(base)["_size"].__set__,
+           "_salt": _SALT[kind], "_rule": _SIGN_RULES.get(kind)}
+    params, body = ["self"], []
+    for f in fields(kind):
+        env[f"_set_{f.name}"] = vars(kind)[f.name].__set__
+        body.append(f"_set_{f.name}(self, {f.name})")
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            env[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+    if kind in _SIGN_RULES:
+        body.append(f"_rule({', '.join(parts)})")
+    hashed = [f"{part}._hash" for part in parts] if parts else names
+    body.append(f"_set_hash(self, hash(({''.join(h + ', ' for h in hashed)}))"
+                f" ^ _salt)")
+    body.append("_set_size(self, "
+                + " + ".join(["1"] + [f"{part}._size" for part in parts])
+                + ")")
+    exec(f"def __init__({', '.join(params)}):\n"
+         + "".join(f"    {line}\n" for line in body), env)
+    init = env["__init__"]
+    init.__qualname__ = f"{kind.__qualname__}.__init__"
+    return init
 
 
 def _hash(node) -> int:
@@ -353,9 +358,7 @@ def _delattr(node, name):
 
 
 for _kind in _PARTS:
-    _kind._seal = _sealer(_kind)
-    if "__post_init__" not in vars(_kind):
-        _kind.__post_init__ = _kind._seal
+    _kind.__init__ = _constructor(_kind)
     _kind.__hash__ = _hash
     _kind.__reduce__ = _reduce
     _kind.__setattr__ = _setattr

@@ -2,8 +2,8 @@
 
 The demand engine measured a formula or a bound value with ``size_upto``
 (``_size_upto`` in ``dlk.demand``, verbatim below) until every node kept
-its size in a slot, filled when it is built (``syntax._sealer``).  The
-slot must agree with the walk on every node, however it was built.
+its size in a slot, filled by its constructor (``syntax._constructor``).
+The slot must agree with the walk on every node, however it was built.
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@ changes with ``PYTHONHASHSEED``; nothing printed may follow it.  One
 ``derive_forward`` run (every formula in order, with its provenance),
 one ``dlk audit --json`` on a model with violations and
 universe-not-closed warnings, a ``dlk build-model --json`` whose pairing
-sweep runs, and ``dlk extract-ok --json`` and ``dlk blue-pill --json`` on
-a two-entry specification run in fresh interpreters under two seeds and
-must print the same bytes.
+sweep runs, with the stage trace it writes, and ``dlk extract-ok --json``
+and ``dlk blue-pill --json`` on a two-entry specification run in fresh
+interpreters under two seeds and must print (and write) the same bytes.
 """
 
 import json
@@ -65,13 +65,21 @@ def test_audit_json_is_the_same_under_two_hash_seeds(tmp_path):
     assert runs[0] == runs[1]
 
 
-def test_build_model_json_is_the_same_under_two_hash_seeds():
-    argv = ["-m", "dlk.cli", "build-model", "--logic", "dl",
-            "--functional", "const-one", "--vars", "P=1,Q=0", "--json"]
-    runs = [_run(seed, argv) for seed in ("1", "2")]
+def test_build_model_json_is_the_same_under_two_hash_seeds(tmp_path):
+    runs, traces = [], []
+    for seed in ("1", "2"):
+        trace = tmp_path / f"trace-{seed}.json"
+        argv = ["-m", "dlk.cli", "build-model", "--logic", "dl",
+                "--functional", "const-one", "--vars", "P=1,Q=0",
+                "--trace", str(trace), "--json"]
+        runs.append(_run(seed, argv))
+        traces.append(trace.read_bytes())
     interp = json.loads(runs[0][1])["model"]["interp"]
     assert runs[0][0] == 0 and any("&" in term for term in interp)
+    stages = json.loads(traces[0])["stages"]
+    assert len(stages) > 100 and any(stage["added"] for stage in stages)
     assert runs[0] == runs[1]
+    assert traces[0] == traces[1]
 
 
 def test_extraction_and_transplant_json_are_the_same_under_two_hash_seeds(

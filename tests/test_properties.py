@@ -201,6 +201,7 @@ def test_the_rule_index_keeps_every_match_that_fits(case):
     # pools: the index may only drop what could yield nothing
     profile, size_bound, term_bound, f = case
     book = _rule_book(profile.schema_ids)
+    index = book.index(size_bound, term_bound)
 
     def fits(binding):
         return all(formula_size(v) <= size_bound
@@ -208,13 +209,13 @@ def test_the_rule_index_keeps_every_match_that_fits(case):
             and all(term_size(v) <= term_bound
                     for v in binding.terms.values())
 
-    tried = book.antecedent_rules(f, size_bound, term_bound)
+    tried = index.antecedent_rules(f)
     for rule in book.rules:
         binding = match_template(rule.template.left, f, profile.signed)
         if binding is not None and fits(binding):
             assert rule in tried, rule.sid
     if isinstance(f, Implies):
-        tried = book.template_rules(f, size_bound, term_bound)
+        tried = index.template_rules(f)
         for rule in book.rules:
             binding = match_template(rule.template, f, profile.signed)
             if binding is not None and fits(binding):
