@@ -27,6 +27,7 @@ import json
 import os
 import sys
 from functools import cache
+from inspect import signature
 
 from .builder import (
     BoundsError, BuildError, BuildParams, FUNCTIONALS, build, inferred_bounds,
@@ -627,15 +628,23 @@ def _add_report(p: argparse.ArgumentParser, func, view) -> None:
     p.set_defaults(func=func, view=view)
 
 
+# the extraction options take their defaults from ``ok_extract``
+_EXTRACTION = {name: param.default
+               for name, param in signature(ok_extract).parameters.items()
+               if param.kind is param.KEYWORD_ONLY}
+
+
 def _add_extraction(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--depth", type=int, default=3,
-                   help="forward-chaining rounds (default 3)")
-    p.add_argument("--size", type=int, default=4,
-                   help="formula size bound (default 4)")
-    p.add_argument("--term-size", type=int, default=2, dest="term_size",
-                   help="term size bound for schema instances (default 2)")
-    p.add_argument("--limit", type=int, default=50000,
-                   help="derivation budget (default 50000)")
+    d = _EXTRACTION
+    p.add_argument("--depth", type=int, default=d["depth"],
+                   help="forward-chaining rounds (default %(default)s)")
+    p.add_argument("--size", type=int, default=d["size"],
+                   help="formula size bound (default %(default)s)")
+    p.add_argument("--term-size", type=int, default=d["term_size"],
+                   dest="term_size", help="term size bound for schema "
+                   "instances (default %(default)s)")
+    p.add_argument("--limit", type=int, default=d["limit"],
+                   help="derivation budget (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:

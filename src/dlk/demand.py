@@ -25,8 +25,17 @@ agrees with the node kinds of the formula's top two levels, and whose
 size cap the formula does not exceed, the cap being the largest size of
 an instance whose values fit the size bounds.  Every node keeps its size
 in a slot, filled when it is built, so each cap, like each size bound of
-the pools, costs one comparison.  The index leaves out only matches that
-yield nothing, so instances and keys are those of matching every schema.
+the pools, costs one comparison.  The kinds come from one function per
+node class, generated as the node constructors are.  The index leaves
+out only matches that yield nothing, so instances and keys are those of
+matching every schema.
+
+Likewise a round joins only the schema pairs whose compound entries all
+have a member of their head kind in the snapshot (``live_plans``): an
+entry's value must be a snapshot member of that kind, so a pair with an
+absent kind has no solution, and the join is never entered.
+``tests/all_plans.py`` keeps, as the oracle, the loop that joins every
+pair in every round.
 
 Only a snapshot reads the pools, so a round's conclusions are fed to them
 just before its snapshot, in the order they were added, and not at all
@@ -73,10 +82,21 @@ def _meta_names(template: Formula) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return tuple(fnames), tuple(tnames)
 
 
-def _top(node) -> tuple:
-    """The node kinds of a node's top two levels: its own, then its
-    parts'."""
-    return (type(node), *map(type, _parts(node)))
+def _kind_key(kind):
+    """The function giving a node of class ``kind`` the node kinds of its
+    top two levels: its own, then its parts'.  Generated, as the node
+    constructors are, so that a call reads the parts' classes and looks
+    nothing up; a leaf's key is one constant tuple."""
+    parts = syntax._PARTS[kind]
+    env = {"kind": kind, "key": (kind,)}
+    body = "key" if not parts else \
+        "(kind, " + "".join(f"type(node.{part}), " for part in parts) + ")"
+    exec(f"def top(node):\n    return {body}\n", env)
+    return env["top"]
+
+
+# node class -> the function giving a node of it its two-level kind key
+_TOP = {kind: _kind_key(kind) for kind in syntax._PARTS}
 
 
 def _admits(pattern, top: tuple) -> bool:
@@ -211,11 +231,15 @@ class _Plan:
     schema: one entry per distinct pattern the metavariables of both take
     under the most general unifier, bare variables last; each entry is
     (holds a term, pattern, its variables).  ``slots`` gives the entry of
-    each of the major's metavariables."""
+    each of the major's metavariables.  ``kinds`` is the set of (holds a
+    term, head kind) of the compound entries: a value of such an entry is
+    a snapshot member of that kind, so the plan's join finds nothing
+    while the snapshot lacks one of them."""
 
     major: _Rule
     entries: tuple[tuple[bool, object, tuple[str, ...]], ...]
     slots: dict
+    kinds: frozenset[tuple[bool, type]]
 
 
 def _plan(major: _Rule, minor: _Rule) -> _Plan | None:
@@ -236,7 +260,9 @@ def _plan(major: _Rule, minor: _Rule) -> _Plan | None:
     at = {p: i for i, p in enumerate(distinct)}
     slots = {name: at[patterns["1" + name]]
              for name in major.fnames + major.tnames}
-    return _Plan(major, entries, slots)
+    kinds = frozenset((is_term, p[0]) for is_term, p, _ in entries
+                      if isinstance(p, tuple))
+    return _Plan(major, entries, slots, kinds)
 
 
 class _RuleBook:
@@ -257,7 +283,12 @@ class _RuleBook:
     match queues nothing.  A formula's size is its ``_size`` slot, so the
     cap test is one comparison per rule.  The index only leaves out
     matches that could yield nothing, so the engine makes the same
-    instances, in the same order, as it would by matching every rule."""
+    instances, in the same order, as it would by matching every rule.
+
+    ``plans`` are the pairs in the order rounds join them; each records
+    the kinds its compound entries need, so that a round passes over the
+    pairs whose kinds its snapshot lacks, which can yield nothing
+    either."""
 
     def __init__(self, schema_ids: tuple[str, ...]):
         rules = []
@@ -304,7 +335,7 @@ class _RuleIndex:
         """The rules whose antecedent ``f`` may instantiate with every
         value within the bounds, in the order ``add`` matches them; the
         bare metavariables come first."""
-        top = _top(f)
+        top = _TOP[type(f)](f)
         hit = self.by_antecedent.get(top)
         if hit is None:
             found = sorted((r for r in self.rules
@@ -312,18 +343,23 @@ class _RuleIndex:
                            key=lambda r: (not isinstance(r.template.left,
                                                          FMeta), r.pos))
             hit = self.by_antecedent[top] = self.capped(found, False)
+        if not hit:
+            return []
         return [r for r, cap in hit if f._size <= cap]
 
     def template_rules(self, f: Implies) -> list[_Rule]:
         """The rules of which ``f`` may be an instance with every value
         within the bounds, in schema order."""
-        left, right = _top(f.left), _top(f.right)
+        a, c = f.left, f.right
+        left, right = _TOP[type(a)](a), _TOP[type(c)](c)
         key = left + right
         hit = self.by_template.get(key)
         if hit is None:
             hit = self.by_template[key] = self.capped(
                 [r for r in self.rules if _admits(r.template.left, left)
                  and _admits(r.template.right, right)], True)
+        if not hit:
+            return []
         return [r for r, cap in hit if f._size <= cap]
 
     def capped(self, rules: list[_Rule], whole: bool
@@ -577,6 +613,14 @@ class DemandSaturation:
         step(0, 1, {})
         return found
 
+    def live_plans(self) -> list[_Plan]:
+        """The book's plans, in order, that have a snapshot member of each
+        of their compound entries' kinds; the others' joins find nothing,
+        since ``*_shapes`` lists exactly the snapshot's members."""
+        have = {(False, kind) for kind in self.f_shapes}
+        have.update((True, kind) for kind in self.t_shapes)
+        return [plan for plan in self.book.plans if plan.kinds <= have]
+
     # additions -----------------------------------------------------------
     #
     # A queue entry is (major, route, left route): the major premise, or
@@ -678,7 +722,7 @@ class DemandSaturation:
                 for key, major in self.left_watch.pop(left):
                     event(hit[0], 1, key, (major, None, hit[1:]))
 
-        for plan in self.book.plans:
+        for plan in self.live_plans():
             fnames, tnames = plan.major.fnames, plan.major.tnames
             for vals in self.solutions(plan, round_no):
                 binding = Binding({n: vals[plan.slots[n]] for n in fnames},

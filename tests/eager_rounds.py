@@ -8,7 +8,9 @@ round, then the goal and complementary-pair notes.  ``DemandSaturation``
 feeds a round's conclusions just before its snapshot and, after the last
 round, takes the notes only, and only when one can fire.  Both must
 return the same ``DerivedSet``: order, provenance, contradiction,
-``rounds_used`` and ``hit_limit``.
+``rounds_used`` and ``hit_limit``.  ``EagerRounds`` inherits the rest of
+the engine, so its ``queue_phase`` also joins only the plans that
+``live_plans`` returns; ``all_plans.py`` is the oracle of that skip.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """End-to-end command coverage for the ``dlk`` entry point."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -18,6 +19,7 @@ from dlk import (
     hyp_line,
     model_to_dict,
     mp_line,
+    ok_extract,
     parse_formula,
     proof_from_dict,
     proof_to_dict,
@@ -497,6 +499,16 @@ def test_close_spec_rejects_compound_justifiers(tmp_path, capsys):
     code, _, err = run_cli(capsys, "close-spec", spath)
     assert code == 1
     assert err.startswith("rejected:")
+
+
+@pytest.mark.parametrize("command",
+                         ["extract-ok", "blue-pill", "check-coherence"])
+def test_extraction_defaults_are_ok_extracts(command):
+    # one copy of the bounds: the options default to the signature's
+    params = inspect.signature(ok_extract).parameters
+    args = cli.build_parser().parse_args([command, "spec.json"])
+    for name in ("depth", "size", "term_size", "limit"):
+        assert getattr(args, name) == params[name].default, name
 
 
 def test_extract_ok_lists_members_with_witnesses(tmp_path, capsys):
