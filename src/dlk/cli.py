@@ -27,7 +27,6 @@ import json
 import os
 import sys
 from functools import cache
-from inspect import signature
 
 from .builder import (
     BoundsError, BuildError, BuildParams, FUNCTIONALS, build, inferred_bounds,
@@ -47,9 +46,9 @@ from .semantics import (
     model_from_dict, model_to_dict, occurring_terms,
 )
 from .specifications import (
-    SpecClashError, SpecFormatError, SpecShapeError, blue_pill,
-    _check_shape, check_coherence, close_spec, ok_extract, probe_consistency,
-    spec_from_dict, spec_to_dict,
+    EXTRACTION_DEFAULTS, SpecClashError, SpecFormatError, SpecShapeError,
+    blue_pill, _check_shape, check_coherence, close_spec, ok_extract,
+    probe_consistency, spec_from_dict, spec_to_dict,
 )
 from .syntax import (
     Alphabet, Const, NestingError, ParseError, SignViolation, Var,
@@ -628,14 +627,8 @@ def _add_report(p: argparse.ArgumentParser, func, view) -> None:
     p.set_defaults(func=func, view=view)
 
 
-# the extraction options take their defaults from ``ok_extract``
-_EXTRACTION = {name: param.default
-               for name, param in signature(ok_extract).parameters.items()
-               if param.kind is param.KEYWORD_ONLY}
-
-
 def _add_extraction(p: argparse.ArgumentParser) -> None:
-    d = _EXTRACTION
+    d = EXTRACTION_DEFAULTS     # the extraction options are ok_extract's
     p.add_argument("--depth", type=int, default=d["depth"],
                    help="forward-chaining rounds (default %(default)s)")
     p.add_argument("--size", type=int, default=d["size"],

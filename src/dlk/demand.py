@@ -384,9 +384,9 @@ def _rule_book(schema_ids: tuple[str, ...]) -> _RuleBook:
 class DemandSaturation:
     """One demand-driven saturation; ``run`` returns its ``DerivedSet``."""
 
-    def __init__(self, profile, hypotheses, size_bound, rounds,
-                 term_size_bound, goal, goal_filter, extra_pool, limit,
-                 watch_contradiction):
+    def __init__(self, profile, hypotheses, *, size_bound, rounds,
+                 term_size_bound, limit, goal=None, goal_filter=None,
+                 extra_pool=(), watch_contradiction=False):
         self.hyps = tuple(hypotheses)
         self.out = DerivedSet(profile, self.hyps)
         self.signed = profile.signed

@@ -13,6 +13,7 @@ specification and gluing steps with the application schema.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .logics import (
     SCHEMAS, Binding, InstantiationError, LogicProfile, alphabet_from,
@@ -238,9 +239,11 @@ def derive_forward(profile: LogicProfile, hypotheses, *,
     only.
     """
     from .demand import DemandSaturation    # loaded on first call
-    return DemandSaturation(profile, hypotheses, size_bound, rounds,
-                            term_size_bound, goal, goal_filter, extra_pool,
-                            limit, watch_contradiction).run()
+    return DemandSaturation(
+        profile, hypotheses, size_bound=size_bound, rounds=rounds,
+        term_size_bound=term_size_bound, limit=limit, goal=goal,
+        goal_filter=goal_filter, extra_pool=extra_pool,
+        watch_contradiction=watch_contradiction).run()
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +362,8 @@ def check_nonderivability(profile: LogicProfile, hypotheses, target: Formula, *,
     """
     hyps = tuple(hypotheses)
     tbound = size_bound if term_size_bound is None else term_size_bound
+    search = partial(derive_forward, profile, size_bound=size_bound,
+                     rounds=rounds, term_size_bound=tbound, limit=limit)
     if not profile.signed:
         assumed_signs = (UNSIGNED,)
     elif positive_only:
@@ -412,10 +417,7 @@ def check_nonderivability(profile: LogicProfile, hypotheses, target: Formula, *,
             return (isinstance(f, Just) and f.body == target
                     and (not positive_only or term_sign(f.term) == POSITIVE))
 
-        direct = derive_forward(profile, hyps, size_bound=size_bound,
-                                rounds=rounds, term_size_bound=tbound,
-                                goal_filter=hit, extra_pool=(target,),
-                                limit=limit)
+        direct = search(hyps, goal_filter=hit, extra_pool=(target,))
         found = next((f for f in direct.provenance if hit(f)), None)
         if found is not None:
             return NonderivabilityReport(
@@ -441,9 +443,7 @@ def check_nonderivability(profile: LogicProfile, hypotheses, target: Formula, *,
             return NonderivabilityReport(
                 target, "derivable",
                 note=f"the target instantiates {sid!r}", proof=quick)
-        direct = derive_forward(profile, hyps, size_bound=size_bound,
-                                rounds=rounds, term_size_bound=tbound,
-                                goal=target, limit=limit)
+        direct = search(hyps, goal=target)
         if target in direct:
             return NonderivabilityReport(
                 target, "derivable", note="the target is derivable after all",
@@ -455,10 +455,7 @@ def check_nonderivability(profile: LogicProfile, hypotheses, target: Formula, *,
     first_proofs: tuple[Proof, Proof] | None = None
     cut = direct.hit_limit
     for assumption in assumptions:
-        assumed = derive_forward(profile, hyps + (assumption,),
-                                 size_bound=size_bound, rounds=rounds,
-                                 term_size_bound=tbound, limit=limit,
-                                 watch_contradiction=True)
+        assumed = search(hyps + (assumption,), watch_contradiction=True)
         cut = cut or assumed.hit_limit
         if assumed.contradiction is None:
             first_pair = None
@@ -478,15 +475,11 @@ def check_nonderivability(profile: LogicProfile, hypotheses, target: Formula, *,
             contradiction=first_pair,
             refutation_proofs=first_proofs)
 
-    if cut:
-        return NonderivabilityReport(
-            target, "open", exists_term=exists_term,
-            note=f"no proof and no refutation before the search budget of "
-                 f"{limit} formulas ran out, within size {size_bound}, "
-                 f"{rounds} round(s)")
+    budget = (f" before the search budget of {limit} formulas ran out,"
+              if cut else "")
     return NonderivabilityReport(
         target, "open", exists_term=exists_term,
-        note=f"no proof and no refutation within size {size_bound}, "
+        note=f"no proof and no refutation{budget} within size {size_bound}, "
              f"{rounds} round(s)")
 
 

@@ -11,14 +11,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-from inspect import signature
 
 from .builder import realize_spec
 from .logics import get_profile
 from .proofs import check_nonderivability, check_proof, proof_from_dict
 from .semantics import evaluate
 from .specifications import (
-    SpecClashError, blue_pill, close_spec, ok_extract,
+    EXTRACTION_DEFAULTS, SpecClashError, blue_pill, close_spec,
 )
 from .syntax import parse_formula, print_formula, print_term
 
@@ -121,24 +120,27 @@ def _step_realize(step, profile, ctx):
     return ok, lines, {"respects": ok}
 
 
+# a step's bounds go by ``ok_extract``'s names, as the CLI flags do; a
+# nonderivability step hands them on under ``check_nonderivability``'s
+_SEARCH_NAMES = {"size": "size_bound", "depth": "rounds",
+                 "term_size": "term_size_bound", "limit": "limit"}
+
+
 def _step_nonderivability(step, profile, ctx):
     if step.get("hypotheses_from") == "closed":
         hyps = list(ctx["spec"].formulas)
     else:
         hyps = _parse_all(step["hypotheses"], profile)
     body = parse_formula(step["body"], signed=profile.signed)
-    bounds = step.get("bounds", {})
+    bounds = {_SEARCH_NAMES[key]: value
+              for key, value in step.get("bounds", {}).items()}
     countermodel = ctx.get("model") if step.get("countermodel") == "realized" \
         else None
     report = check_nonderivability(
         profile, hyps, body,
         exists_term=bool(step.get("exists", False)),
         positive_only=bool(step.get("positive_only", False)),
-        size_bound=int(bounds.get("size", 4)),
-        rounds=int(bounds.get("depth", 3)),
-        term_size_bound=bounds.get("term_size"),
-        limit=bounds.get("limit"),
-        countermodel=countermodel)
+        countermodel=countermodel, **bounds)
     lines = []
     if step.get("exists") and report.status != "derivable":
         sign = "positive " if step.get("positive_only") else ""
@@ -155,16 +157,13 @@ def _step_nonderivability(step, profile, ctx):
 def _step_blue_pill(step, profile, ctx):
     formulas = _parse_all(step["formulas"], profile)
     spec = close_spec(formulas, profile)
-    # only the bounds the step sets; ``ok_extract`` keeps the defaults
-    bounds = {key: int(value) for key, value in step.get("bounds", {}).items()
-              if key in ("depth", "size", "limit")}
+    bounds = step.get("bounds", {})
     result = blue_pill(spec, **bounds)
     lines = [f"  extracted: "
              + ", ".join(print_formula(f) for f in result.ok.members[:8])
              + (", ..." if len(result.ok.members) > 8 else "")]
     if result.ok.hit_limit:
-        limit = bounds.get("limit", signature(ok_extract)
-                           .parameters["limit"].default)
+        limit = bounds.get("limit", EXTRACTION_DEFAULTS["limit"])
         lines.append(f"  search budget of {limit} formulas exhausted")
     fragment = {"status": result.status, "hit_limit": result.ok.hit_limit}
     if not result.found:

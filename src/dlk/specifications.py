@@ -217,6 +217,11 @@ def ok_extract(spec: ConstantSpec, *,
     return OKSet(witnesses, hit_limit=derived.hit_limit)
 
 
+# ``ok_extract``'s bounds and their defaults, by the names the CLI flags
+# and the scenario steps use too
+EXTRACTION_DEFAULTS = dict(ok_extract.__kwdefaults__)
+
+
 # ---------------------------------------------------------------------------
 # model search
 

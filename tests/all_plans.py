@@ -23,10 +23,8 @@ class AllPlans(DemandSaturation):
 
 def derive_all_plans(profile, hypotheses, *, size_bound: int = 4,
                      rounds: int = 3, term_size_bound: int | None = None,
-                     goal=None, goal_filter=None, extra_pool=(),
-                     limit: int | None = None,
-                     watch_contradiction: bool = False) -> DerivedSet:
+                     limit: int | None = None, **stops) -> DerivedSet:
     """``proofs.derive_forward`` joining every plan in every round."""
-    return AllPlans(profile, hypotheses, size_bound, rounds,
-                    term_size_bound, goal, goal_filter, extra_pool, limit,
-                    watch_contradiction).run()
+    return AllPlans(profile, hypotheses, size_bound=size_bound,
+                    rounds=rounds, term_size_bound=term_size_bound,
+                    limit=limit, **stops).run()

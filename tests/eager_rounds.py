@@ -66,10 +66,8 @@ class EagerRounds(DemandSaturation):
 
 def derive_eager(profile, hypotheses, *, size_bound: int = 4,
                  rounds: int = 3, term_size_bound: int | None = None,
-                 goal=None, goal_filter=None, extra_pool=(),
-                 limit: int | None = None,
-                 watch_contradiction: bool = False) -> DerivedSet:
+                 limit: int | None = None, **stops) -> DerivedSet:
     """``proofs.derive_forward`` over the eager round loop."""
-    return EagerRounds(profile, hypotheses, size_bound, rounds,
-                       term_size_bound, goal, goal_filter, extra_pool,
-                       limit, watch_contradiction).run()
+    return EagerRounds(profile, hypotheses, size_bound=size_bound,
+                       rounds=rounds, term_size_bound=term_size_bound,
+                       limit=limit, **stops).run()

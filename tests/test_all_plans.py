@@ -105,7 +105,8 @@ def _joins(engine, monkeypatch) -> tuple[dict, dict]:
 
     monkeypatch.setattr(DemandSaturation, "solutions", counted)
     hyps = hypotheses(dl, ["a:A", "b:B"], True)
-    derived = engine(dl, hyps, 2, 3, 2, None, None, (), None, False).run()
+    derived = engine(dl, hyps, size_bound=2, rounds=3, term_size_bound=2,
+                     limit=None).run()
     assert len(derived) == 700
     return dict(joins), dict(found)
 
@@ -113,8 +114,9 @@ def _joins(engine, monkeypatch) -> tuple[dict, dict]:
 def test_the_engine_joins_only_the_plans_the_snapshot_can_feed(monkeypatch):
     # 99 plans in dl; the snapshots hold members of the kinds of 4 of them
     # (no implication fits in size 2), and those 4 find every binding
-    assert len(DemandSaturation(dl, (), 2, 1, 2, None, None, (), None,
-                                False).book.plans) == 99
+    assert len(DemandSaturation(dl, (), size_bound=2, rounds=1,
+                                term_size_bound=2,
+                                limit=None).book.plans) == 99
     bindings = {1: 53, 2: 23}
     assert _joins(AllPlans, monkeypatch) == ({1: 99, 2: 99}, bindings)
     assert _joins(DemandSaturation, monkeypatch) == ({1: 4, 2: 4}, bindings)

@@ -108,8 +108,8 @@ def test_random_runs_agree_with_the_eager_loop(case):
 class _Recording(DemandSaturation):
     """Records the rounds whose snapshot is taken."""
 
-    def __init__(self, *args):
-        super().__init__(*args)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self.snapshots = []
 
     def snapshot(self, round_no):
@@ -118,8 +118,9 @@ class _Recording(DemandSaturation):
 
 
 def _snapshots(profile, hyps, size, rounds, goal=None, watch=False):
-    run = _Recording(profile, hyps, size, rounds, 2, goal, None, (), None,
-                     watch)
+    run = _Recording(profile, hyps, size_bound=size, rounds=rounds,
+                     term_size_bound=2, limit=None, goal=goal,
+                     watch_contradiction=watch)
     run.run()
     return run.snapshots
 

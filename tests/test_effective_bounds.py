@@ -12,6 +12,7 @@ import inspect
 import pytest
 
 from dlk import proofs, scenarios, specifications
+from dlk.logics import get_profile
 from dlk.scenarios import available, run
 
 # a row: (step number, callee, (size, rounds, term size, limit))
@@ -83,3 +84,10 @@ def test_the_table_covers_every_bundle():
 def test_each_step_hands_on_its_bounds(name, recorded):
     assert run(name).ok
     assert recorded == EXPECTED[name]
+
+
+def test_a_blue_pill_step_hands_on_every_bound(recorded):
+    step = {"kind": "blue-pill", "formulas": ["s:E"],
+            "bounds": {"size": 2, "depth": 1, "term_size": 3, "limit": 900}}
+    scenarios._STEPS["blue-pill"](step, get_profile("dl"), {})
+    assert recorded == [(1, "blue_pill", (2, 1, 3, 900))]
