@@ -5,16 +5,22 @@ asked for, and builds one report document.  It exits 0 when the verdict
 is positive (parsed, accepted, clean, built, coherent), 1 when the tools
 produce a negative verdict (rejected input or proof, clashing
 specification, failed audit, refutation), and 2 on usage or I/O
-problems.  ``--json`` prints that document on stdout; without it the
-command's text view prints the same document as a human-readable report,
-so the text never says what the document does not.  Warnings and errors
-go to stderr either way, with no document.
+problems and on any error no verdict accounts for.  ``--json`` prints
+that document on stdout; without it the command's text view prints the
+same document as a human-readable report, so the text never says what
+the document does not.  Warnings and errors go to stderr either way,
+with no document.
 
 Model, proof and specification files are JSON; the formula file of
 ``translate`` is a JSON array of strings if it decodes as one, else text,
 one formula per line.  A file that cannot be read or decoded (not UTF-8,
 or not JSON where JSON is due) ends the command with exit 2.
 
+The search bounds of ``extract-ok``, ``blue-pill`` and
+``check-coherence`` (``--size``, ``--depth``, ``--term-size``,
+``--limit``) are ``ok_extract``'s keywords, with its defaults; a
+scenario step's ``bounds`` use the same names.  A bound flag below 1,
+these or ``build-model``'s sizes, ends the command with exit 2.
 The environment variable ``DLK_MAX_BOUND`` caps every enumeration bound
 (formula/term sizes, search depth, limits are left alone) so a shared
 machine can keep runaway invocations in check.
@@ -47,8 +53,8 @@ from .semantics import (
 )
 from .specifications import (
     EXTRACTION_DEFAULTS, SpecClashError, SpecFormatError, SpecShapeError,
-    blue_pill, _check_shape, check_coherence, close_spec, ok_extract,
-    probe_consistency, spec_from_dict, spec_to_dict,
+    blue_pill, _check_shape, _transplant_refusal, check_coherence,
+    close_spec, ok_extract, probe_consistency, spec_from_dict, spec_to_dict,
 )
 from .syntax import (
     Alphabet, Const, NestingError, ParseError, SignViolation, Var,
@@ -138,7 +144,14 @@ def _bound_cap() -> int | None:
         return None
 
 
+def _at_least_one(value: int | None, what: str) -> int | None:
+    if value is not None and value < 1:
+        raise _Fail(2, f"{what} must be at least 1, got {value}")
+    return value
+
+
 def _clamp(value: int | None, what: str) -> int | None:
+    value = _at_least_one(value, what)
     cap = _bound_cap()
     if value is not None and cap is not None and value > cap:
         print(f"warning: {what} {value} clamped to DLK_MAX_BOUND={cap}",
@@ -409,7 +422,7 @@ def _extraction_bounds(args):
     return {"depth": _clamp(args.depth, "--depth"),
             "size": _clamp(args.size, "--size"),
             "term_size": _clamp(args.term_size, "--term-size"),
-            "limit": args.limit}
+            "limit": _at_least_one(args.limit, "--limit")}
 
 
 def _budget_note(doc) -> str:
@@ -417,8 +430,9 @@ def _budget_note(doc) -> str:
 
 
 def _cmd_extract_ok(args) -> tuple[int, dict]:
+    bounds = _extraction_bounds(args)
     spec = _load_closed_spec(args)
-    ok = ok_extract(spec, **_extraction_bounds(args))
+    ok = ok_extract(spec, **bounds)
     rows = []
     for f in ok.members:
         term, proof = ok.witnesses[f]
@@ -446,8 +460,12 @@ def _text_extract_ok(doc, args):
 
 
 def _cmd_blue_pill(args) -> tuple[int, dict]:
+    bounds = _extraction_bounds(args)
     spec = _load_closed_spec(args)
-    result = blue_pill(spec, **_extraction_bounds(args))
+    refusal = _transplant_refusal(spec.profile)
+    if refusal is not None:
+        raise _Fail(1, refusal)
+    result = blue_pill(spec, **bounds)
     head = {"status": result.status,
             "members": [print_formula(f) for f in result.ok.members],
             "hit_limit": result.ok.hit_limit}
@@ -474,8 +492,9 @@ def _text_blue_pill(doc, args):
 
 
 def _cmd_check_coherence(args) -> tuple[int, dict]:
+    bounds = _extraction_bounds(args)
     spec = _load_closed_spec(args)
-    report = check_coherence(spec, **_extraction_bounds(args))
+    report = check_coherence(spec, **bounds)
     return (0 if report.coherent else 1), {
         "status": report.status,
         "members": [print_formula(f) for f in report.ok.members],
@@ -776,8 +795,9 @@ def main(argv=None) -> int:
         print(f"build failed: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
+        # no handler above names it: a fault, never a verdict
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
     try:
         if args.json:
             print(_dumps(doc))

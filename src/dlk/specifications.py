@@ -291,6 +291,17 @@ class BluePillResult:
         return self.status == "model"
 
 
+def _transplant_refusal(profile: LogicProfile) -> str | None:
+    """Why ``blue_pill`` refuses a specification in ``profile``: the
+    transplant needs the pairing schema.  None when it does not."""
+    if profile.has_schema("pairing"):
+        return None
+    names = sorted(p.name for p in PROFILES.values()
+                   if p.has_schema("pairing"))
+    return (f"the model transplant is defined for profiles "
+            f"{' and '.join(map(repr, names))}, not {profile.name!r}")
+
+
 def blue_pill(spec: ConstantSpec, **bounds) -> BluePillResult:
     """Transplant the extracted conclusions into a denial-free model.
 
@@ -301,12 +312,9 @@ def blue_pill(spec: ConstantSpec, **bounds) -> BluePillResult:
     agent's denial-backed knowledge is jointly tenable on neutral
     ground.  Failure is a bounded report, not an error.
     """
-    if not spec.profile.has_schema("pairing"):
-        names = sorted(p.name for p in PROFILES.values()
-                       if p.has_schema("pairing"))
-        raise ValueError(f"the model transplant is defined for profiles "
-                         f"{' and '.join(map(repr, names))}, not "
-                         f"{spec.profile.name!r}")
+    refusal = _transplant_refusal(spec.profile)
+    if refusal is not None:
+        raise ValueError(refusal)
     ok = ok_extract(spec, **bounds)
     have = set(ok.members)
     for f in ok.members:

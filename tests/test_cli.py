@@ -511,6 +511,63 @@ def test_extraction_defaults_are_ok_extracts(command):
         assert getattr(args, name) == params[name].default, name
 
 
+# each command's bound flags, with arguments that would otherwise succeed
+BOUND_FLAGS = [
+    *((command, flag) for command in ("extract-ok", "blue-pill",
+                                      "check-coherence")
+      for flag in ("--depth", "--size", "--term-size", "--limit")),
+    ("build-model", "--fm-size"), ("build-model", "--tm-size")]
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command, flag", BOUND_FLAGS)
+def test_a_bound_below_one_exits_2(tmp_path, capsys, command, flag, value):
+    if command == "build-model":
+        argv = ["build-model", "--functional", "const-zero", "--vars", "P",
+                "--terms", "x"]
+    else:
+        argv = [command, write_json(tmp_path / "spec.json",
+                                    {"profile": "dl", "formulas": ["s:E"]}),
+                "--size", "3"]
+    code, out, err = run_cli(capsys, *argv, flag, value, "--json")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be at least 1, got {value}\n"
+
+
+def test_a_bound_of_one_is_searched(tmp_path, capsys):
+    spath = write_json(tmp_path / "spec.json",
+                       {"profile": "dl", "formulas": ["s:E"]})
+    code, out, _ = run_cli(capsys, "extract-ok", spath, "--depth", "1",
+                           "--size", "1", "--term-size", "1", "--limit", "1",
+                           "--json")
+    assert code == 0
+    assert json.loads(out)["hit_limit"] is True
+
+
+def test_blue_pill_refuses_a_profile_without_pairing(tmp_path, capsys):
+    spath = write_json(tmp_path / "spec.json",
+                       {"profile": "dl", "formulas": ["s:E"]})
+    code, out, err = run_cli(capsys, "blue-pill", spath, "--logic", "jl",
+                             "--json")
+    assert (code, out) == (1, "")
+    assert err == ("error: the model transplant is defined for profiles "
+                   "'dl' and 'fused', not 'jl'\n")
+
+
+def test_a_stray_value_error_is_a_fault_not_a_verdict(tmp_path, capsys,
+                                                       monkeypatch):
+    def broken(path):
+        raise ValueError("no handler names this")
+
+    monkeypatch.setattr(cli, "_read_json", broken)
+    spath = write_json(tmp_path / "spec.json",
+                       {"profile": "dl", "formulas": ["s:E"]})
+    code, out, err = run_cli(capsys, "extract-ok", spath, "--json")
+    assert (code, out) == (2, "")
+    assert err == "error: no handler names this\n"
+
+
 def test_extract_ok_lists_members_with_witnesses(tmp_path, capsys):
     spath = write_json(tmp_path / "spec.json",
                        {"profile": "dl", "formulas": ["a:A"]})

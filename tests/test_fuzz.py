@@ -5,7 +5,7 @@ reads one (``audit``, ``eval``, ``build-model --spec``, ``check-proof``,
 ``internalize`` and ``translate``) ends in a documented exit code (0
 success, 1 a negative verdict, 2 bad input) and never in a traceback;
 with ``--json``, stdout holds one JSON document or, when the error went
-to stderr, nothing.  So do files no JSON decoder reads: nested too
+to stderr, nothing.  A bound flag below 1 ends in exit 2.  So do files no JSON decoder reads: nested too
 deeply, not UTF-8, an integer too long, empty.  The searches run under
 small bounds and ``DLK_MAX_BOUND=3``."""
 
@@ -164,13 +164,33 @@ any_specs = plain_specs | spec_documents | json_values
 logic_options = st.sampled_from(((), ("--logic", "dl"), ("--logic", "fused")))
 
 
-@given(any_specs, logic_options, st.sampled_from(((), ("--fm-size", "4"))),
+@st.composite
+def bound_flags(draw, highs):
+    """Each flag ``highs`` names, with a value from 1 to its high; in
+    about half the draws one of them is 0 or below instead."""
+    low = draw(st.sampled_from([None] * len(highs) + list(highs)))
+    return [(flag, draw(st.integers(-2, 0) if flag == low
+                        else st.integers(1, high)))
+            for flag, high in highs.items()]
+
+
+def _expected_codes(bounds) -> tuple[int, ...]:
+    """Exit 2 if a drawn bound is below 1, else any documented code."""
+    return (2,) if any(value < 1 for _, value in bounds) else (0, 1, 2)
+
+
+def _argv(bounds) -> list[str]:
+    return [str(a) for pair in bounds for a in pair]
+
+
+@given(any_specs, logic_options,
+       st.just([]) | bound_flags({"--fm-size": 4, "--tm-size": 2}),
        json_flag)
 @settings(max_examples=100, deadline=None)
 def test_build_model_from_a_spec_ends_in_a_documented_exit_code(doc, logic,
                                                                  sizes, flag):
     assert _exit_code(doc, "build-model", "--spec", "{}", *logic,
-                      *sizes, *flag) in (0, 1, 2)
+                      *_argv(sizes), *flag) in _expected_codes(sizes)
 
 
 SMALL = ("--size", "2", "--depth", "1", "--term-size", "1", "--limit", "200")
@@ -178,12 +198,15 @@ SMALL = ("--size", "2", "--depth", "1", "--term-size", "1", "--limit", "200")
 
 @given(any_specs, logic_options,
        st.sampled_from(("extract-ok", "blue-pill", "check-coherence")),
+       bound_flags({"--size": 2, "--depth": 1, "--term-size": 1,
+                    "--limit": 200}),
        json_flag)
 @settings(max_examples=150, deadline=None)
 def test_extraction_commands_end_in_a_documented_exit_code(doc, logic,
-                                                           command, flag):
-    assert _exit_code(doc, command, "{}", *logic, *SMALL,
-                      *flag) in (0, 1, 2)
+                                                           command, bounds,
+                                                           flag):
+    assert _exit_code(doc, command, "{}", *logic, *_argv(bounds),
+                      *flag) in _expected_codes(bounds)
 
 
 _TERM_FREE = ("P", "Q", "_|_", "~P", "P /\\ Q", "P -> Q", "~~~~P")
