@@ -316,6 +316,11 @@ def _seed_from_vars(raw: str | None) -> dict[str, bool]:
     return seed
 
 
+# build-model's formula and term size bounds when neither a flag nor
+# --spec gives them
+_BUILD_SIZES = (4, 3)
+
+
 def _cmd_build_model(args) -> tuple[int, dict]:
     profile = _profile(args.logic)
     fm_size = _clamp(args.fm_size, "--fm-size")
@@ -325,17 +330,21 @@ def _cmd_build_model(args) -> tuple[int, dict]:
 
     if args.spec:
         spec = _load_spec(args.spec, args.logic)
-        need_fm, need_tm = inferred_bounds(spec.formulas)
-        if fm_size is None:
-            fm_size = _clamp(need_fm, "inferred --fm-size")
-        if tm_size is None:
-            tm_size = _clamp(need_tm, "inferred --tm-size")
+        sizes, how = inferred_bounds(spec.formulas), "inferred"
+    elif not args.functional:
+        raise _Fail(2, "one of --functional or --spec is required")
+    else:
+        sizes, how = _BUILD_SIZES, "default"
+    # a size the flags leave open is capped like a given one
+    if fm_size is None:
+        fm_size = _clamp(sizes[0], f"{how} --fm-size")
+    if tm_size is None:
+        tm_size = _clamp(sizes[1], f"{how} --tm-size")
+    if args.spec:
         model, trace = realize_spec(
             spec.profile, spec.formulas, fm_size=fm_size, tm_size=tm_size,
             trace=args.trace is not None)
     else:
-        if not args.functional:
-            raise _Fail(2, "one of --functional or --spec is required")
         seed = _seed_from_vars(args.vars)
         term_vars: list[str] = []
         consts: list[str] = []
@@ -352,7 +361,7 @@ def _cmd_build_model(args) -> tuple[int, dict]:
                 raise _Fail(2, f"--terms entries must be leaves, got {name!r}")
         alphabet = Alphabet(tuple(sorted(seed)), tuple(sorted(term_vars)),
                             tuple(sorted(consts)), signed=profile.signed)
-        params = BuildParams(profile, alphabet, fm_size or 4, tm_size or 3,
+        params = BuildParams(profile, alphabet, fm_size, tm_size,
                              FUNCTIONALS[args.functional](), seed=seed,
                              trace=args.trace is not None)
         model, trace = build(params)
@@ -704,10 +713,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vars", help="seed valuation, e.g. P=0,Q=1")
     p.add_argument("--terms", help="term alphabet leaves, e.g. x,y,a "
                    "(default x,y)")
+    # the flags default to None, so that --spec can infer the sizes
     p.add_argument("--fm-size", type=int, default=None, dest="fm_size",
-                   help="formula size bound (default 4; --spec infers)")
+                   help=f"formula size bound (default {_BUILD_SIZES[0]}; "
+                   f"--spec infers)")
     p.add_argument("--tm-size", type=int, default=None, dest="tm_size",
-                   help="term size bound (default 3; --spec infers)")
+                   help=f"term size bound (default {_BUILD_SIZES[1]}; "
+                   f"--spec infers)")
     p.add_argument("--out", help="write the model here (default stdout)")
     p.add_argument("--trace", help="write the stage trace here")
     _add_logic(p)

@@ -414,8 +414,8 @@ class DemandSaturation:
         self.t_round: list[int] = []
         self.t_marks = [0]
         self.t_shapes: dict[type, list[int]] = {}
-        # large nodes already fed, by id (holding them keeps ids unique)
-        self.fed: dict[int, Formula] = {}
+        # nodes too large for the pool whose parts were already fed
+        self.fed: set[Formula] = set()
 
         # D implications by antecedent, with their keys; the modus ponens
         # queue, of iterators of entries (see ``enqueue``)
@@ -450,15 +450,14 @@ class DemandSaturation:
             self.terms.append(t)
 
     def feed_pool(self, f: Formula):
-        """The exhaustive loop's ``feed_pool``, without hashing the parts
-        too large for the pool, and walking each large node object once
-        (conclusions share their parts)."""
-        if id(f) in self.fed:
+        """The exhaustive loop's ``feed_pool``, walking each node too
+        large for the pool once (conclusions share their parts)."""
+        if f in self.fed:
             return
         if f._size > self.size_bound:
-            self.fed[id(f)] = f
+            self.fed.add(f)
             for kid in _parts(f):
-                if isinstance(kid, Formula) and id(kid) not in self.fed:
+                if isinstance(kid, Formula) and kid not in self.fed:
                     self.feed_pool(kid)
             return
         if f in self.pool_index:        # and so is every part of it

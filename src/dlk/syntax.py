@@ -21,19 +21,21 @@ application of signed leaves.
 
 Identity of terms and formulas is structural: ``P /\\ P`` is a different
 formula from ``P`` and ``t:P`` never coincides with ``t:(P /\\ P)``.
-Nodes are frozen dataclasses with slots and the generated structural
-``==``, each with one constructor generated from ``_PARTS``: it writes
-the fields, runs the class's sign rule (``App``, ``Sum``, ``Pair`` and
-``Bang``) and computes the node's hash and size, which it keeps in two
-slots, ``_hash`` and ``_size``.  A leaf hashes its fields and a compound
-the tuple of its parts' hashes, either salted by the class, so that
-``A /\\ B``, ``A \\/ B`` and ``A -> B`` hash apart; the size is one more
-than the sum of the parts' sizes.  Building a node is one call that
-hashes no node again, and ``term_size`` and ``formula_size`` read the
-slot, so testing a size bound walks nothing.  Hashes change with
-``PYTHONHASHSEED``, so no output follows the iteration order of a set or
-dict of nodes.  There is no intern table: equal nodes built apart stay
-distinct objects.
+Nodes are hash-consed, so structural identity is object identity: each
+node class is a frozen dataclass with slots whose one constructor,
+generated from ``_PARTS``, runs the class's sign rule (``App``, ``Sum``,
+``Pair`` and ``Bang``) and then looks the fields up in the class's
+intern table.  On a hit it returns the node already built; on a miss it
+writes the fields, fills the ``_size`` slot, one more than the sum of
+the parts' sizes, and records the node.  Equal structure is then one
+object, and nodes compare and hash as ``object`` does, by identity, in
+C: a dict or set of nodes calls no Python code, and ``term_size`` and
+``formula_size`` read the slot, so testing a size bound walks nothing.
+The table holds its nodes weakly and forgets a node once nothing else
+holds it.  Copies, pickles and ``dataclasses.replace`` go through the
+constructor and return the interned node.  Hashes follow memory
+addresses, and strings hash by ``PYTHONHASHSEED``, so no output follows
+the iteration order of a set or dict of nodes.
 
 The parser refuses input nested more than ``MAX_NESTING`` levels deep,
 counting each parenthesised group or ``->`` operand, each ``~``, each
@@ -69,6 +71,7 @@ violations and ``model_to_dict`` in ``semantics``, and the candidates of
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from functools import partial
 from itertools import product as _cartesian
@@ -107,7 +110,7 @@ class SignDisciplineError(ValueError):
 
 
 class Term:
-    __slots__ = ("_hash", "_size")
+    __slots__ = ("_size", "__weakref__")
 
 
 def _part_signs(what: str, left: Term, right: Term) -> tuple[str, str] | None:
@@ -119,42 +122,42 @@ def _part_signs(what: str, left: Term, right: Term) -> tuple[str, str] | None:
     return ls, rs
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Const(Term):
     name: str
     sign: str = UNSIGNED
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Var(Term):
     name: str
     sign: str = UNSIGNED
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class App(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Sum(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Pair(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Bang(Term):
     inner: Term
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class TMeta(Term):
     """Term metavariable for axiom schemas; polarity constrains bindings."""
 
@@ -203,43 +206,43 @@ _SIGN_RULES = {
 
 
 class Formula:
-    __slots__ = ("_hash", "_size")
+    __slots__ = ("_size", "__weakref__")
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class PropVar(Formula):
     name: str
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Just(Formula):
     """A justified formula ``t:F``."""
 
@@ -247,7 +250,7 @@ class Just(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class FMeta(Formula):
     """Formula metavariable for axiom schemas."""
 
@@ -286,61 +289,81 @@ def _getter(names: tuple[str, ...]):
 
 _GET_PARTS = {kind: _getter(names) for kind, names in _PARTS.items()}
 
-# A node's hash and size are computed once, by its constructor, and kept
-# in the ``_hash`` and ``_size`` slots that ``Term`` and ``Formula``
-# declare.  A leaf hashes its field tuple and a compound the tuple of its
-# parts' ``_hash`` ints, so building one calls no ``__hash__``; either is
-# salted by the class, so that nodes of different classes over the same
-# fields (``A /\ B`` and ``A -> B``, ``App``/``Sum``/``Pair`` of the same
-# parts) hash apart.  The size is 1 for a leaf and one more than the sum
-# of its parts' sizes for a compound, whose parts are exactly its fields.
-# Copies and pickles call the constructor again, so a node never carries
-# a hash over from another process, where strings hash differently.
+# a node's fields, which ``_reduce`` hands back to the constructor
 _GET_FIELDS = {kind: _getter(tuple(f.name for f in fields(kind)))
                for kind in _PARTS}
-_SALT = {kind: hash(kind.__name__) for kind in _PARTS}
+
+# The intern tables, one per node class (see the module docstring).  A
+# table is keyed by the field itself for a one-field class and by the
+# field tuple otherwise; a compound's key is the tuple of its parts,
+# which are interned already.  It holds each node by an ``_Entry``, a
+# weak reference whose callback drops the entry when the node dies,
+# unless a new node of the same fields has taken the key since.  The
+# tables are not locked: ``dlk`` builds nodes from one thread.
+_INTERNED: dict[type, dict] = {kind: {} for kind in _PARTS}
+
+
+class _Entry(weakref.ref):
+    """A weak reference to an interned node that knows its table key."""
+
+    __slots__ = ("key",)
+
+
+# a dead reference, the intern lookup's default: calling it gives None
+_MISSING = weakref.ref(set())
+
+
+def _forgetter(table: dict):
+    """The callback that drops a dead node's entry from ``table``."""
+    def forget(entry):
+        if table.get(entry.key) is entry:
+            del table[entry.key]
+    return forget
 
 
 def _constructor(kind):
-    """The ``__init__`` of node class ``kind``, generated so that building
-    a node is one call that looks nothing up: it writes the fields through
-    their slot descriptors, runs the class's sign rule, if it has one, and
-    fills ``_hash`` and ``_size``."""
+    """The ``__new__`` of node class ``kind``, generated so that building
+    a node is one call that looks nothing up but its table entry.  It
+    runs the class's sign rule, if it has one, on every call, so that a
+    refused node is refused however often it was built before and the
+    rule's calls do not depend on what the table holds.  A hit returns
+    the interned node; a miss writes the fields through their slot
+    descriptors, fills ``_size`` and interns the new node."""
     names = tuple(f.name for f in fields(kind))
     parts = _PARTS[kind]
     if parts and names != parts or len(parts) > 2:
         raise TypeError(f"{kind.__name__} needs fields that are its parts, "
                         f"at most two")
     base = Term if issubclass(kind, Term) else Formula
-    env = {"_set_hash": vars(base)["_hash"].__set__,
-           "_set_size": vars(base)["_size"].__set__,
-           "_salt": _SALT[kind], "_rule": _SIGN_RULES.get(kind)}
-    params, body = ["self"], []
+    table = _INTERNED[kind]
+    env = {"_set_size": vars(base)["_size"].__set__, "_new": object.__new__,
+           "_rule": _SIGN_RULES.get(kind), "_table": table,
+           "_get": table.get, "_missing": _MISSING, "_entry": _Entry,
+           "_forget": _forgetter(table)}
+    params, body = ["cls"], []
+    if kind in _SIGN_RULES:
+        body.append(f"_rule({', '.join(parts)})")
+    key = names[0] if len(names) == 1 else \
+        "(" + "".join(f"{name}, " for name in names) + ")"
+    body += [f"key = {key}", "node = _get(key, _missing)()",
+             "if node is not None:", "    return node", "node = _new(cls)"]
     for f in fields(kind):
         env[f"_set_{f.name}"] = vars(kind)[f.name].__set__
-        body.append(f"_set_{f.name}(self, {f.name})")
+        body.append(f"_set_{f.name}(node, {f.name})")
         if f.default is MISSING:
             params.append(f.name)
         else:
             env[f"_default_{f.name}"] = f.default
             params.append(f"{f.name}=_default_{f.name}")
-    if kind in _SIGN_RULES:
-        body.append(f"_rule({', '.join(parts)})")
-    hashed = [f"{part}._hash" for part in parts] if parts else names
-    body.append(f"_set_hash(self, hash(({''.join(h + ', ' for h in hashed)}))"
-                f" ^ _salt)")
-    body.append("_set_size(self, "
-                + " + ".join(["1"] + [f"{part}._size" for part in parts])
-                + ")")
-    exec(f"def __init__({', '.join(params)}):\n"
+    body += ["_set_size(node, "
+             + " + ".join(["1"] + [f"{part}._size" for part in parts]) + ")",
+             "entry = _table[key] = _entry(node, _forget)", "entry.key = key",
+             "return node"]
+    exec(f"def __new__({', '.join(params)}):\n"
          + "".join(f"    {line}\n" for line in body), env)
-    init = env["__init__"]
-    init.__qualname__ = f"{kind.__qualname__}.__init__"
-    return init
-
-
-def _hash(node) -> int:
-    return node._hash
+    new = env["__new__"]
+    new.__qualname__ = f"{kind.__qualname__}.__new__"
+    return staticmethod(new)
 
 
 def _reduce(node):
@@ -358,8 +381,7 @@ def _delattr(node, name):
 
 
 for _kind in _PARTS:
-    _kind.__init__ = _constructor(_kind)
-    _kind.__hash__ = _hash
+    _kind.__new__ = _constructor(_kind)
     _kind.__reduce__ = _reduce
     _kind.__setattr__ = _setattr
     _kind.__delattr__ = _delattr

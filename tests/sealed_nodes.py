@@ -5,14 +5,14 @@ Each node class was a ``@dataclass(frozen=True, slots=True)``.  Its
 generated ``__init__`` wrote the fields with ``object.__setattr__`` and
 called ``__post_init__``: there ``App``, ``Sum``, ``Pair`` and ``Bang``
 checked the sign discipline, and every class then ran its sealer
-(``_sealer``), which filled ``_hash`` with ``hash`` of the field tuple
-salted by the class, and ``_size``.  ``build_sealed`` makes a node of
-the real class that way, with the sign checks and the sealer verbatim.
+(``_sealer``), which filled ``_size`` (and a salted hash, in a slot that
+interning has since removed).  ``build_sealed`` makes a node of the real
+class that way, with the sign checks and the size sealer verbatim.
 
-A node built so equals the constructor's node and has its size, but not
-its hash: the constructor hashes a compound's parts' ``_hash`` ints, not
-the parts.  So nodes of the two routes are compared, never put in one
-set.
+A node built so is not interned: it is a distinct object from the
+constructor's node of the same structure, so under identity equality
+the two never compare equal.  Nodes of the two routes are compared
+structurally, never with ``==`` nor put in one set.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from inspect import Parameter, Signature
 
 from dlk.syntax import (
     NEGATIVE, POSITIVE, App, Bang, Formula, Pair, SignDisciplineError, Sum,
-    Term, _GET_FIELDS, _PARTS, _SALT, term_sign,
+    Term, _GET_FIELDS, _PARTS, term_sign,
 )
 
 
@@ -61,12 +61,12 @@ _SIGN_CHECKS = {App: _app_post_init, Sum: _sum_post_init,
 
 
 def _sealer(kind):
-    """The function filling both slots of a new node of class ``kind``,
-    one per class, so that building a node looks nothing up; it sets the
-    slots through their descriptors, the cheapest way to write them."""
-    get, salt = _GET_FIELDS[kind], _SALT[kind]
+    """The function filling the size slot of a new node of class
+    ``kind``, one per class, so that building a node looks nothing up; it
+    sets the slot through its descriptor, the cheapest way to write it."""
+    get = _GET_FIELDS[kind]
     base = Term if issubclass(kind, Term) else Formula
-    set_hash, set_size = (vars(base)[slot].__set__ for slot in base.__slots__)
+    set_size = vars(base)["_size"].__set__
     arity = len(_PARTS[kind])
     names = tuple(f.name for f in fields(kind)) if arity else ()
     if arity > 2 or names != _PARTS[kind]:
@@ -74,17 +74,13 @@ def _sealer(kind):
                         f"at most two")
     if arity == 0:
         def seal(node):
-            set_hash(node, hash(get(node)) ^ salt)
             set_size(node, 1)
     elif arity == 1:
         def seal(node):
-            parts = get(node)
-            set_hash(node, hash(parts) ^ salt)
-            set_size(node, 1 + parts[0]._size)
+            set_size(node, 1 + get(node)[0]._size)
     else:
         def seal(node):
             parts = get(node)
-            set_hash(node, hash(parts) ^ salt)
             set_size(node, 1 + parts[0]._size + parts[1]._size)
     return seal
 
@@ -114,3 +110,4 @@ def build_sealed(kind, *args, **kwargs):
         check(node)
     _SEALS[kind](node)
     return node
+

@@ -449,6 +449,31 @@ def test_max_bound_clamps_sizes(tmp_path, monkeypatch, capsys):
     assert "exceeds the formula bound 3" in err
 
 
+def test_max_bound_clamps_the_default_build_sizes(monkeypatch, capsys):
+    # build-model's own sizes are capped as given ones are: the defaults
+    # under a cap of 2 build what --fm-size 2 --tm-size 2 builds
+    argv = ["build-model", "--logic", "dl", "--functional", "const-one",
+            "--vars", "P=0", "--terms", "x", "--json"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert json.loads(out)["formulas_staged"] == 62
+    monkeypatch.setenv("DLK_MAX_BOUND", "2")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err.splitlines() == [
+        "warning: default --fm-size 4 clamped to DLK_MAX_BOUND=2",
+        "warning: default --tm-size 3 clamped to DLK_MAX_BOUND=2"]
+    monkeypatch.delenv("DLK_MAX_BOUND")
+    explicit = run_cli(capsys, *argv, "--fm-size", "2", "--tm-size", "2")
+    assert explicit == (0, out, "")
+    assert json.loads(out)["formulas_staged"] == 4
+    with pytest.raises(SystemExit):
+        main(["build-model", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "formula size bound (default 4; --spec infers)" in help_text
+    assert "term size bound (default 3; --spec infers)" in help_text
+
+
 # ---------------------------------------------------------------------------
 # close-spec / extract-ok / blue-pill / check-coherence
 

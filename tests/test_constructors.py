@@ -2,15 +2,19 @@
 oracle (``sealed_nodes.py``).
 
 Random trees of all fifteen node classes, with leaves of every sign and
-metavariables of every polarity, are built both ways: the nodes must be
-equal and have the same size at every level, and each sign violation
-must raise the same ``SignDisciplineError`` text.  Equal nodes must also
-hash equal however they came about: built, parsed, enumerated,
+metavariables of every polarity, are built both ways: the nodes must
+have the same class, fields and size at every level, and each sign
+violation must raise the same ``SignDisciplineError`` text.  The sealed
+nodes are not interned, so the two are compared structurally.  Nodes are
+hash-consed, so a node of one structure must be the identical object
+however it came about: built by position or keyword, parsed, enumerated,
 instantiated from a schema, rebuilt from a pattern by the demand
-engine's ``_fill``, copied, deep-copied or pickled.
+engine's ``_fill``, copied, deep-copied, pickled or remade by
+``dataclasses.replace``.
 """
 
 import copy
+import dataclasses
 import pickle
 from dataclasses import fields
 
@@ -23,7 +27,8 @@ from dlk.logics import Binding, instantiate
 from dlk.syntax import (
     BOTTOM, NEGATIVE, POSITIVE, UNSIGNED, Alphabet, And, App, Bang, Bottom,
     Const, FMeta, Formula, Implies, Just, Not, Or, Pair, PropVar,
-    SignDisciplineError, Sum, TMeta, Var, _PARTS, _parts, enumerate_formulas,
+    SignDisciplineError, Sum, Term, TMeta, Var, _PARTS, _parts,
+    enumerate_formulas,
     enumerate_terms, parse_formula, parse_term, print_formula, print_term,
 )
 
@@ -92,15 +97,19 @@ def _construct(kind, *args, **kwargs):
     return kind(*args, **kwargs)
 
 
-def assert_same_nodes(node, sealed):
-    """The two nodes are equal, of one class and of one size, level by
-    level."""
-    assert node == sealed
+def assert_same_structure(node, sealed):
+    """The two nodes are of one class and one size and have equal
+    fields, the parts compared so in turn, level by level."""
     stack = [(node, sealed)]
     while stack:
         a, b = stack.pop()
         assert type(a) is type(b) and a._size == b._size
-        stack.extend(zip(_parts(a), _parts(b)))
+        for f in fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(x, (Term, Formula)):
+                stack.append((x, y))
+            else:
+                assert x == y
 
 
 VIOLATIONS = [
@@ -133,7 +142,7 @@ def test_constructors_build_what_the_sealed_dataclasses_built(recipe,
     if isinstance(node, tuple) or isinstance(sealed, tuple):
         assert node == sealed
     else:
-        assert_same_nodes(node, sealed)
+        assert_same_structure(node, sealed)
 
 
 def _walk(node):
@@ -159,8 +168,9 @@ def _schematic(node, binding: Binding):
         if parts else node
 
 
-def assert_same_hash(twin, node):
-    assert twin == node and hash(twin) == hash(node)
+def assert_interned(twin, node):
+    """The twin is the interned node itself, so equal and equally hashed."""
+    assert twin is node and twin == node and hash(twin) == hash(node)
 
 
 @given(TERMS | FORMULAS)
@@ -169,14 +179,17 @@ def test_equal_nodes_hash_equal_by_every_route(recipe):
     node = make(recipe, _construct)
     if isinstance(node, tuple):
         return
-    assert_same_hash(make(recipe, _construct, keywords=True), node)
+    assert_interned(make(recipe, _construct, keywords=True), node)
     for twin in (copy.copy(node), copy.deepcopy(node),
-                 pickle.loads(pickle.dumps(node))):
-        assert_same_hash(twin, node)
+                 pickle.loads(pickle.dumps(node)), dataclasses.replace(node)):
+        assert_interned(twin, node)
+    for f in fields(node):
+        assert_interned(dataclasses.replace(
+            node, **{f.name: getattr(node, f.name)}), node)
     metas = [part for part in _walk(node) if isinstance(part, (FMeta, TMeta))]
     env = {"m" + meta.name: meta for meta in metas}
     if len(env) == len(set(metas)):     # patterns name metavariables only
-        assert_same_hash(_fill(_pattern(node, "m"), env), node)
+        assert_interned(_fill(_pattern(node, "m"), env), node)
     if metas:
         return
     formula = node if isinstance(node, Formula) else Just(node, BOTTOM)
@@ -186,10 +199,10 @@ def test_equal_nodes_hash_equal_by_every_route(recipe):
     if len(signs) > 1:      # signed and unsigned leaves: neither syntax
         return
     signed = True in signs
-    assert_same_hash(instantiate(template, binding, signed), formula)
+    assert_interned(instantiate(template, binding, signed), formula)
     text = (print_formula if isinstance(node, Formula) else print_term)(node)
     parse = parse_formula if isinstance(node, Formula) else parse_term
-    assert_same_hash(parse(text, signed), node)
+    assert_interned(parse(text, signed), node)
 
 
 @pytest.mark.parametrize("signed", (False, True))
@@ -200,10 +213,13 @@ def test_enumerated_nodes_hash_as_parsed_and_rebuilt_ones(signed):
     formulas = enumerate_formulas(alphabet, 4, terms[:8])
     assert {type(node) for node in terms + formulas} == \
         set(_PARTS) - {TMeta, FMeta}
+    again = enumerate_terms(alphabet, 3, ops)
+    again += enumerate_formulas(alphabet, 4, again[:8])
+    assert list(map(id, again)) == list(map(id, terms + formulas))
     for node in terms + formulas:
         parse, show = (parse_formula, print_formula) \
             if isinstance(node, Formula) else (parse_term, print_term)
-        assert_same_hash(parse(show(node), signed), node)
+        assert_interned(parse(show(node), signed), node)
         values = [getattr(node, f.name) for f in fields(node)]
-        assert_same_hash(type(node)(*values), node)
-        assert_same_nodes(node, build_sealed(type(node), *values))
+        assert_interned(type(node)(*values), node)
+        assert_same_structure(node, build_sealed(type(node), *values))

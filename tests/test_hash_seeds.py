@@ -1,13 +1,17 @@
-"""Outputs must not depend on the hash seed.
+"""Outputs must not depend on the hash seed nor on memory addresses.
 
-Sets and dicts of strings, and so of nodes, iterate in an order that
-changes with ``PYTHONHASHSEED``; nothing printed may follow it.  One
-``derive_forward`` run (every formula in order, with its provenance),
-one ``dlk audit --json`` on a model with violations and
+Sets and dicts of strings iterate in an order that changes with
+``PYTHONHASHSEED``, and sets and dicts of nodes, which hash by identity,
+in one that follows where the nodes were allocated; nothing printed may
+follow either.  One ``derive_forward`` run (every formula in order, with
+its provenance), one ``dlk audit --json`` on a model with violations and
 universe-not-closed warnings, a ``dlk build-model --json`` whose pairing
-sweep runs, with the stage trace it writes, and ``dlk extract-ok --json``
-and ``dlk blue-pill --json`` on a two-entry specification run in fresh
-interpreters under two seeds and must print (and write) the same bytes.
+sweep runs, with the stage trace it writes, ``dlk extract-ok --json``
+and ``dlk blue-pill --json`` on a two-entry specification and each
+bundled ``dlk scenario NAME --json`` run in fresh interpreters under two
+seeds, each once as is and once with the heap perturbed by some 50,000
+allocations made before ``dlk`` is imported, and must print (and write)
+the same bytes.
 """
 
 import json
@@ -15,6 +19,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from dlk.scenarios import available
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -39,47 +47,59 @@ MODEL = {
 SPEC = {"profile": "dl", "formulas": ["a:A", "b:(A -> B)"]}
 
 
-def _run(seed: str, argv: list[str]) -> tuple[int, str]:
+# (PYTHONHASHSEED, dummy allocations made before dlk is imported); the
+# dummies are lists of eight sizes, so that several of the allocator's
+# size classes, the nodes' among them, start out partly used
+RUNS = [(seed, junk) for seed in ("1", "2") for junk in (0, 50_000)]
+
+
+def _run(seed: str, junk: int, code: str) -> tuple[int, str]:
     env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
     env.pop("DLK_MAX_BOUND", None)
-    done = subprocess.run([sys.executable, *argv], env=env, text=True,
-                          capture_output=True, timeout=120)
+    program = f"_junk = [[i] * (i % 8) for i in range({junk})]\n{code}"
+    done = subprocess.run([sys.executable, "-c", program], env=env,
+                          text=True, capture_output=True, timeout=120)
     assert done.stderr == ""
     return done.returncode, done.stdout
 
 
+def _cli(seed: str, junk: int, args: list[str]) -> tuple[int, str]:
+    """``dlk ARGS`` in a fresh interpreter: exit code and stdout."""
+    return _run(seed, junk, f"import sys\nfrom dlk.cli import main\n"
+                            f"sys.exit(main({args!r}))")
+
+
 def test_derivation_order_is_the_same_under_two_hash_seeds():
-    runs = [_run(seed, ["-c", DERIVE]) for seed in ("1", "2")]
+    runs = [_run(seed, junk, DERIVE) for seed, junk in RUNS]
     assert runs[0][0] == 0 and len(runs[0][1].splitlines()) > 100
-    assert runs[0] == runs[1]
+    assert runs == [runs[0]] * len(RUNS)
 
 
 def test_audit_json_is_the_same_under_two_hash_seeds(tmp_path):
     model = tmp_path / "model.json"
     model.write_text(json.dumps(MODEL), encoding="utf-8")
-    argv = ["-m", "dlk.cli", "audit", "--model", str(model),
-            "--universe", "default", "--json"]
-    runs = [_run(seed, argv) for seed in ("1", "2")]
+    args = ["audit", "--model", str(model), "--universe", "default",
+            "--json"]
+    runs = [_cli(seed, junk, args) for seed, junk in RUNS]
     report = json.loads(runs[0][1])
     assert runs[0][0] == 1 and report["warnings"]
-    assert runs[0] == runs[1]
+    assert runs == [runs[0]] * len(RUNS)
 
 
 def test_build_model_json_is_the_same_under_two_hash_seeds(tmp_path):
     runs, traces = [], []
-    for seed in ("1", "2"):
-        trace = tmp_path / f"trace-{seed}.json"
-        argv = ["-m", "dlk.cli", "build-model", "--logic", "dl",
-                "--functional", "const-one", "--vars", "P=1,Q=0",
-                "--trace", str(trace), "--json"]
-        runs.append(_run(seed, argv))
+    for seed, junk in RUNS:
+        trace = tmp_path / f"trace-{seed}-{junk}.json"
+        args = ["build-model", "--logic", "dl", "--functional", "const-one",
+                "--vars", "P=1,Q=0", "--trace", str(trace), "--json"]
+        runs.append(_cli(seed, junk, args))
         traces.append(trace.read_bytes())
     interp = json.loads(runs[0][1])["model"]["interp"]
     assert runs[0][0] == 0 and any("&" in term for term in interp)
     stages = json.loads(traces[0])["stages"]
     assert len(stages) > 100 and any(stage["added"] for stage in stages)
-    assert runs[0] == runs[1]
-    assert traces[0] == traces[1]
+    assert runs == [runs[0]] * len(RUNS)
+    assert traces == [traces[0]] * len(RUNS)
 
 
 def test_extraction_and_transplant_json_are_the_same_under_two_hash_seeds(
@@ -87,8 +107,15 @@ def test_extraction_and_transplant_json_are_the_same_under_two_hash_seeds(
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(SPEC), encoding="utf-8")
     for command in ("extract-ok", "blue-pill"):
-        argv = ["-m", "dlk.cli", command, str(spec), "--depth", "2",
-                "--json"]
-        runs = [_run(seed, argv) for seed in ("1", "2")]
+        args = [command, str(spec), "--depth", "2", "--json"]
+        runs = [_cli(seed, junk, args) for seed, junk in RUNS]
         assert runs[0][0] == 0 and len(json.loads(runs[0][1])["members"]) > 1
-        assert runs[0] == runs[1]
+        assert runs == [runs[0]] * len(RUNS)
+
+
+@pytest.mark.parametrize("name", available())
+def test_scenario_json_is_the_same_under_two_hash_seeds(name):
+    runs = [_cli(seed, junk, ["scenario", name, "--json"])
+            for seed, junk in RUNS]
+    assert runs[0][0] == 0 and json.loads(runs[0][1])
+    assert runs == [runs[0]] * len(RUNS)

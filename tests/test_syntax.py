@@ -309,7 +309,7 @@ def test_enumeration_monotone_in_bound():
 
 
 # ---------------------------------------------------------------------------
-# the node classes: slotted, frozen, hashed once
+# the node classes: slotted, frozen, interned
 
 # one node of every class, and each class's match arguments
 NODES = {
@@ -337,13 +337,14 @@ def test_every_node_class_is_covered():
 
 @pytest.mark.parametrize("kind", list(NODES), ids=lambda k: k.__name__)
 def test_node_hash_is_the_generated_one(kind):
-    # the hash generated at construction: equal nodes hash equal, and a
-    # node of another class over the same fields hashes apart
+    # the identity hash of the interned node: the node built again is
+    # the same node, and a node of another class over the same fields is
+    # another node and hashes apart
     node, match_args = NODES[kind]
     assert type(node) is kind
     names = [f.name for f in fields(node)]
     values = [getattr(node, name) for name in names]
-    assert hash(kind(*values)) == hash(node)
+    assert kind(*values) is node and hash(kind(*values)) == hash(node)
     for other in _PARTS:
         if other is kind or [f.name for f in fields(other)] != names \
                 or issubclass(other, Formula) != isinstance(node, Formula):
@@ -367,8 +368,7 @@ def test_node_copies_and_pickles_equal(kind):
     node, _ = NODES[kind]
     for twin in (copy.copy(node), copy.deepcopy(node),
                  pickle.loads(pickle.dumps(node))):
-        assert twin == node and hash(twin) == hash(node)
-        assert type(twin) is kind
+        assert twin is node
 
 
 def test_constructors_keep_the_sign_discipline():
