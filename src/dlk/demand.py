@@ -24,11 +24,22 @@ two-level index lets through: those whose antecedent, or whole template,
 agrees with the node kinds of the formula's top two levels, and whose
 size cap the formula does not exceed, the cap being the largest size of
 an instance whose values fit the size bounds.  Every node keeps its size
-in a slot, filled when it is built, so each cap, like each size bound of
-the pools, costs one comparison.  The kinds come from one function per
-node class, generated as the node constructors are.  The index leaves
-out only matches that yield nothing, so instances and keys are those of
-matching every schema.
+in a slot, filled when it is built, and the index keeps each list of
+rules by the kinds and the size together, so a lookup is one dict hit.
+The kinds come from one function per node class, generated as the node
+constructors are.  The index leaves out only matches that yield nothing,
+so instances and keys are those of matching every schema.
+
+Each addition queues one generator of its entries in key order (see
+``entries``): round by round, the majors concluded by that round, then
+the instances first built in it whose antecedent is the added formula,
+rule by rule in schema order, the free metavariable ranging over the
+pool items new in that round in pool order.  A round's instance phase
+queues the merge of its plan events with one more such generator, over
+every antecedent match so far.  A generator builds an entry only when
+the queue draws it, so a search that stops early never builds the rest.
+``tests/merged_entries.py`` keeps, as the oracle, the merge of one
+stream per rule that the engine queued before.
 
 Likewise a round joins only the schema pairs whose compound entries all
 have a member of their head kind in the snapshot (``live_plans``): an
@@ -57,6 +68,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import cache
+from itertools import starmap
 from operator import itemgetter
 
 from . import logics, syntax
@@ -280,8 +292,9 @@ class _RuleBook:
     term bound per term metavariable occurrence.  A larger formula binds
     some metavariable to a value larger than its bound, which never
     enters the pools, so the instance never gets a key and the antecedent
-    match queues nothing.  A formula's size is its ``_size`` slot, so the
-    cap test is one comparison per rule.  The index only leaves out
+    match queues nothing.  A formula's size is its ``_size`` slot, and the
+    index keys its tables by size as well as kinds, so a lookup makes no
+    cap test at all once its key was seen.  The index only leaves out
     matches that could yield nothing, so the engine makes the same
     instances, in the same order, as it would by matching every rule.
 
@@ -299,10 +312,14 @@ class _RuleBook:
             rule = _Rule(pos, sid, template, fnames, tnames, bound_f,
                          bound_t, fnames[len(bound_f):],
                          tnames[len(bound_t):])
-            if len(rule.free_f + rule.free_t) > 1:
-                # extend() relies on keys growing with the free value
+            if len(rule.free_f + rule.free_t) > 1 \
+                    or rule.free_f and rule.tnames:
+                # entries() relies on the keys of one bound part's
+                # instances growing with the free value, and on no other
+                # bound part's keys falling between them
                 raise ValueError(f"schema {sid!r} leaves more than one "
-                                 f"metavariable free in its antecedent")
+                                 f"metavariable, or a formula one beside "
+                                 f"term ones, free in its antecedent")
             rules.append(rule)
         self.rules = rules
         self.plans = [p for major in rules for minor in rules
@@ -319,60 +336,46 @@ class _RuleBook:
 
 
 class _RuleIndex:
-    """A rule book's tables at one pair of size bounds, filled on demand
-    and keyed by node kinds alone: those of the formula's top two levels,
-    or of each side's; a kind fixes how many part kinds follow it, so a
-    flat key is unambiguous."""
+    """A rule book's tables at one pair of size bounds, filled on demand.
+    A lookup is one dict hit, keyed by the node kinds of the formula's
+    top two levels, or of each side's, and by its size: a kind fixes how
+    many part kinds follow it, so the kinds are unambiguous, and with the
+    size in the key each rule's cap is tested once per key, not once per
+    lookup.  The tables hold tuples, which every caller shares."""
 
     def __init__(self, rules: list[_Rule], size_bound: int, term_bound: int):
         self.rules = rules
-        self.size_bound, self.term_bound = size_bound, term_bound
-        self.by_antecedent: dict[tuple, list] = {}
-        self.by_template: dict[tuple, list] = {}
-        self.entries: dict[tuple, list] = {}
+        self.antecedent_caps = [_cap(r.template.left, size_bound, term_bound)
+                                for r in rules]
+        self.template_caps = [_cap(r.template, size_bound, term_bound)
+                              for r in rules]
+        self.by_antecedent: dict[tuple, tuple[_Rule, ...]] = {}
+        self.by_template: dict[tuple, tuple[_Rule, ...]] = {}
 
-    def antecedent_rules(self, f: Formula) -> list[_Rule]:
+    def antecedent_rules(self, f: Formula) -> tuple[_Rule, ...]:
         """The rules whose antecedent ``f`` may instantiate with every
-        value within the bounds, in the order ``add`` matches them; the
-        bare metavariables come first."""
-        top = _TOP[type(f)](f)
-        hit = self.by_antecedent.get(top)
+        value within the bounds, in schema order."""
+        key = (_TOP[type(f)](f), f._size)
+        hit = self.by_antecedent.get(key)
         if hit is None:
-            found = sorted((r for r in self.rules
-                            if _admits(r.template.left, top)),
-                           key=lambda r: (not isinstance(r.template.left,
-                                                         FMeta), r.pos))
-            hit = self.by_antecedent[top] = self.capped(found, False)
-        if not hit:
-            return []
-        return [r for r, cap in hit if f._size <= cap]
+            top, size = key
+            hit = self.by_antecedent[key] = tuple(
+                r for r, cap in zip(self.rules, self.antecedent_caps)
+                if size <= cap and _admits(r.template.left, top))
+        return hit
 
-    def template_rules(self, f: Implies) -> list[_Rule]:
+    def template_rules(self, f: Implies) -> tuple[_Rule, ...]:
         """The rules of which ``f`` may be an instance with every value
         within the bounds, in schema order."""
         a, c = f.left, f.right
-        left, right = _TOP[type(a)](a), _TOP[type(c)](c)
-        key = left + right
+        key = (_TOP[type(a)](a), _TOP[type(c)](c), f._size)
         hit = self.by_template.get(key)
         if hit is None:
-            hit = self.by_template[key] = self.capped(
-                [r for r in self.rules if _admits(r.template.left, left)
-                 and _admits(r.template.right, right)], True)
-        if not hit:
-            return []
-        return [r for r, cap in hit if f._size <= cap]
-
-    def capped(self, rules: list[_Rule], whole: bool
-               ) -> list[tuple[_Rule, int]]:
-        """[(rule, cap)] for the rules' antecedents, or whole templates;
-        one list per distinct value, which the kinds leading to the same
-        rules share."""
-        key = (tuple(rules), whole)
-        hit = self.entries.get(key)
-        if hit is None:
-            hit = self.entries[key] = [
-                (r, _cap(r.template if whole else r.template.left,
-                         self.size_bound, self.term_bound)) for r in rules]
+            left, right, size = key
+            hit = self.by_template[key] = tuple(
+                r for r, cap in zip(self.rules, self.template_caps)
+                if size <= cap and _admits(r.template.left, left)
+                and _admits(r.template.right, right))
         return hit
 
 
@@ -418,7 +421,7 @@ class DemandSaturation:
         self.fed: set[Formula] = set()
 
         # D implications by antecedent, with their keys; the modus ponens
-        # queue, of iterators of entries (see ``enqueue``)
+        # queue, of iterators of entries (see ``entries``)
         self.by_antecedent: dict[Formula, list[tuple[tuple, Implies]]] = {}
         self.queue: deque = deque()
         # the bodies of the D members that are negations
@@ -484,25 +487,49 @@ class DemandSaturation:
             marks.append(len(items))
         return True
 
+    def indices(self, fnames, tnames, fm: dict, tm: dict) -> tuple | None:
+        """(formula pool indices, term pool indices, newest round) of
+        these metavariables' values, or None when a value is outside the
+        snapshots taken so far."""
+        pool_index, f_round = self.pool_index, self.f_round
+        newest = 1
+        fidx = []
+        for name in fnames:
+            at = pool_index.get(fm[name])
+            if at is None or at >= len(f_round):
+                return None
+            if f_round[at] > newest:
+                newest = f_round[at]
+            fidx.append(at)
+        term_index, t_round = self.term_index, self.t_round
+        tidx = []
+        for name in tnames:
+            at = term_index.get(tm[name])
+            if at is None or at >= len(t_round):
+                return None
+            if t_round[at] > newest:
+                newest = t_round[at]
+            tidx.append(at)
+        return tuple(fidx), tuple(tidx), newest
+
     def key_of(self, rule: _Rule, fm: dict, tm: dict) -> tuple | None:
         """Key of the instance of ``rule`` with this binding, or None when
         a value is outside the snapshots taken so far."""
-        newest = 1
-        fidx = []
-        for name in rule.fnames:
-            at = self.pool_index.get(fm[name])
-            if at is None or at >= len(self.f_round):
-                return None
-            newest = max(newest, self.f_round[at])
-            fidx.append(at)
-        tidx = []
-        for name in rule.tnames:
-            at = self.term_index.get(tm[name])
-            if at is None or at >= len(self.t_round):
-                return None
-            newest = max(newest, self.t_round[at])
-            tidx.append(at)
-        return (newest, 1, rule.pos, tuple(fidx), tuple(tidx))
+        found = self.indices(rule.fnames, rule.tnames, fm, tm)
+        if found is None:
+            return None
+        fidx, tidx, newest = found
+        return (newest, 1, rule.pos, fidx, tidx)
+
+    def start(self, rule: _Rule, bound: Binding) -> tuple | None:
+        """Where ``entries`` starts the instances of ``rule`` whose
+        antecedent has the bound part: (schema position, bound formula
+        indices, bound term indices, newest round of a bound value, rule,
+        bound part), or None when a bound value is outside the snapshots
+        taken so far."""
+        found = self.indices(rule.bound_f, rule.bound_t, bound.formulas,
+                             bound.terms)
+        return None if found is None else (rule.pos, *found, rule, bound)
 
     # instances -----------------------------------------------------------
 
@@ -530,49 +557,6 @@ class DemandSaturation:
         """Record an instance that a stored formula relies on."""
         if f not in self.out.provenance:
             self.out.provenance[f] = ("axiom", rule.sid, binding)
-
-    def extend(self, rule: _Rule, bound: Binding, round_no: int | None):
-        """Queue entries, in key order, for the instances of ``rule`` whose
-        antecedent has the bound part, the free metavariables ranging over
-        the current snapshot: all of them (``round_no`` None) or those
-        first built in ``round_no``.  Bindings that break a sign are left
-        for the queue to drop."""
-        fm, tm = bound.formulas, bound.terms
-        newest = 1
-        fidx, tidx = [], []
-        for names, values, index, rounds, idx in (
-                (rule.bound_f, fm, self.pool_index, self.f_round, fidx),
-                (rule.bound_t, tm, self.term_index, self.t_round, tidx)):
-            for name in names:
-                at = index.get(values[name])
-                if at is None or at >= len(rounds):
-                    return
-                newest = max(newest, rounds[at])
-                idx.append(at)
-        fidx, tidx = tuple(fidx), tuple(tidx)
-        everything = round_no is None or newest == round_no
-        if not (rule.free_f or rule.free_t):
-            if everything:
-                yield (((newest, 1, rule.pos, fidx, tidx), 0, ()),
-                       (None, (rule, bound), None))
-            return
-        # one free metavariable, the last of its kind: keys grow with its
-        # pool index
-        if rule.free_f:
-            name, items, rounds, marks = \
-                rule.free_f[0], self.pool, self.f_round, self.f_marks
-        else:
-            name, items, rounds, marks = \
-                rule.free_t[0], self.terms, self.t_round, self.t_marks
-        for at in range(0 if everything else marks[round_no - 1], marks[-1]):
-            key = (max(newest, rounds[at]), 1, rule.pos)
-            if rule.free_f:
-                key += (fidx + (at,), tidx)
-                binding = Binding({**fm, name: items[at]}, dict(tm))
-            else:
-                key += (fidx, tidx + (at,))
-                binding = Binding(dict(fm), {**tm, name: items[at]})
-            yield ((key, 0, ()), (None, (rule, binding), None))
 
     def solutions(self, plan: _Plan, round_no: int) -> list[tuple]:
         """Values of the plan's entries, each in the snapshot, the newest
@@ -629,32 +613,84 @@ class DemandSaturation:
     # twice (a formula that instantiates two schemas, an instance that
     # reappears in a later round); the second copy comes later and finds
     # its conclusion present, so it changes nothing.  The queue holds
-    # iterators of entries, built lazily: a search that stops early never
-    # builds the rest.
+    # iterators of entries: one ``entries`` generator per addition, which
+    # yields the addition's entries in key order, and per instance phase
+    # the merge of that phase's plan events with one more such generator.
+    # A generator builds an entry only when the queue draws it, so a
+    # search that stops early never builds the rest.
 
-    def enqueue(self, streams: list):
-        """Queue the entries of streams of (sort key, entry), each stream
-        sorted, in merged order; callers leave out the empty lists."""
-        if len(streams) > 1:
-            merged = heapq.merge(*streams, key=itemgetter(0))
-        elif streams:
-            merged = streams[0]
-        else:
-            return
-        self.queue.append(map(itemgetter(1), merged))
+    def entries(self, majors, starts, first: int, keyed: bool = False):
+        """Queue entries in key order, each built when the queue draws it.
+
+        Round by round from ``first`` to the last snapshot's: the majors,
+        [(key, implication)] in key order, concluded by that round, then
+        the instances first built in it of each start's rule (see
+        ``start``) whose antecedent has the start's bound part, start by
+        start in sorted order, the free metavariable, if any, ranging over
+        the pool items new in that round (or all, in the bound part's own
+        round) in pool order.  Last come the majors of the round being
+        concluded.  With ``keyed`` each entry comes as (sort key, entry),
+        for ``heapq.merge``.  Bindings that break a sign are left for the
+        queue to drop."""
+        m = 0
+        for r in range(first, len(self.f_marks)):
+            while m < len(majors) and majors[m][0][0] <= r:
+                key, major = majors[m]
+                m += 1
+                entry = (major, None, None)
+                yield ((key, 0, ()), entry) if keyed else entry
+            for pos, fidx, tidx, newest, rule, bound in starts:
+                if newest > r:
+                    continue
+                fm, tm = bound.formulas, bound.terms
+                if rule.free_f:
+                    name, marks = rule.free_f[0], self.f_marks
+                    for at in range(0 if newest == r else marks[r - 1],
+                                    marks[r]):
+                        entry = (None, (rule, Binding(
+                            {**fm, name: self.pool[at]}, dict(tm))), None)
+                        yield (((r, 1, pos, fidx + (at,), tidx), 0, ()),
+                               entry) if keyed else entry
+                elif rule.free_t:
+                    name, marks = rule.free_t[0], self.t_marks
+                    for at in range(0 if newest == r else marks[r - 1],
+                                    marks[r]):
+                        entry = (None, (rule, Binding(
+                            dict(fm), {**tm, name: self.terms[at]})), None)
+                        yield (((r, 1, pos, fidx, tidx + (at,)), 0, ()),
+                               entry) if keyed else entry
+                elif newest == r:
+                    entry = (None, (rule, bound), None)
+                    yield (((r, 1, pos, fidx, tidx), 0, ()), entry) \
+                        if keyed else entry
+        for key, major in majors[m:]:
+            entry = (major, None, None)
+            yield ((key, 0, ()), entry) if keyed else entry
+
+    def fits(self, binding: Binding) -> bool:
+        """Whether every value is within its size bound; a larger one
+        never enters the pools, so its instances never get a key."""
+        for v in binding.formulas.values():
+            if v._size > self.size_bound:
+                return False
+        for v in binding.terms.values():
+            if v._size > self.tbound:
+                return False
+        return True
 
     def add(self, f: Formula, prov: tuple):
         """Add a hypothesis or modus ponens conclusion at key ``now``."""
         out = self.out
-        out.provenance[f] = prov
+        provenance = out.provenance
+        provenance[f] = prov
         body = f.body if isinstance(f, Not) else None
         if body is not None:
             self.negated.add(body)
         if out.contradiction is None:
-            if body is not None and body not in out.provenance \
+            if body is not None and body not in provenance \
                     and (hit := self.instance(body)) is not None:
                 self.store(body, *hit[1:])
-            if body is not None and body in out.provenance:
+            if body is not None and body in provenance:
                 out.contradiction = (body, f)
             elif f in self.negated:
                 out.contradiction = (f, Not(f))
@@ -664,13 +700,15 @@ class DemandSaturation:
             self.done = True
         if self.goal_filter is not None and self.goal_filter(f):
             self.done = True
-        self.check_limit()
+        if self.limit is not None and len(provenance) >= self.limit:
+            out.hit_limit = True
+            self.done = True
         if self.done:
             return
 
         if isinstance(f, Implies):
             self.by_antecedent.setdefault(f.left, []).append((self.now, f))
-            if f.left in out.provenance:
+            if f.left in provenance:
                 self.queue.append(iter([(f, None, None)]))
             elif (hit := self.instance(f.left)) is not None:
                 self.queue.append(iter([(f, None, hit[1:])]))
@@ -680,24 +718,22 @@ class DemandSaturation:
                 and out.contradiction is None:
             self.neg_watch.setdefault(f.body, f)
         majors = self.by_antecedent.get(f)
-        streams = [[((key, 0, ()), (m, None, None)) for key, m in majors]] \
-            if majors else []
+        starts = []
         for rule in self.index.antecedent_rules(f):
             left = rule.template.left
             if isinstance(left, FMeta):
                 bound = Binding({left.name: f}, {})
             else:
                 bound = logics.match_template(left, f, self.signed)
-                # a value larger than its bound never enters the pools,
-                # so its instances never get a key
-                if bound is None or any(
-                        v._size > self.size_bound
-                        for v in bound.formulas.values()) or any(
-                        v._size > self.tbound for v in bound.terms.values()):
+                if bound is None or not self.fits(bound):
                     continue
             self.ante_watch.append((rule, bound))
-            streams.append(self.extend(rule, bound, None))
-        self.enqueue(streams)
+            start = self.start(rule, bound)
+            if start is not None:
+                starts.append(start)
+        if majors or starts:
+            # the rules come in schema order, so the starts are sorted
+            self.queue.append(self.entries(tuple(majors or ()), starts, 0))
 
     def check_limit(self):
         if self.limit is not None and len(self.out.provenance) >= self.limit:
@@ -742,9 +778,11 @@ class DemandSaturation:
                     event(left[0], 1, own[0], entry)
 
         events.sort(key=itemgetter(0))
-        self.enqueue(([events] if events else [])
-                     + [self.extend(rule, bound, round_no)
-                        for rule, bound in self.ante_watch])
+        starts = sorted(filter(None, starmap(self.start, self.ante_watch)),
+                        key=itemgetter(0, 1, 2))
+        self.queue.append(map(itemgetter(1), heapq.merge(
+            events, self.entries((), starts, round_no, keyed=True),
+            key=itemgetter(0))))
 
     def may_note(self) -> bool:
         """Whether ``note_phase`` can store anything; ``instance`` finds
@@ -786,8 +824,9 @@ class DemandSaturation:
                 stop = key
 
     def run(self) -> DerivedSet:
+        provenance = self.out.provenance
         for i, h in enumerate(self.hyps):
-            if h not in self.out.provenance:
+            if h not in provenance:
                 self.now = (0, 0, i)
                 self.add(h, ("hyp", i))
             if self.done:
@@ -810,16 +849,20 @@ class DemandSaturation:
                             route[0].template, route[1], self.signed)
                     except InstantiationError:
                         continue
-                if self.present(major.right):
+                right = major.right
+                if right in provenance or self.instance(right) is not None:
                     continue
-                if route is not None:
-                    self.store(major, *route)
-                if left_route is not None:
-                    self.store(major.left, *left_route)
+                # the premises that are instances, as ``store`` records them
+                if route is not None and major not in provenance:
+                    provenance[major] = ("axiom", route[0].sid, route[1])
+                left = major.left
+                if left_route is not None and left not in provenance:
+                    provenance[left] = ("axiom", left_route[0].sid,
+                                        left_route[1])
                 self.now = (round_no, 0, n)
                 n += 1
-                self.add(major.right, ("mp", major, major.left))
-                concluded.append(major.right)
+                self.add(right, ("mp", major, left))
+                concluded.append(right)
             last = round_no == self.rounds
             if self.done or (last and not self.may_note()):
                 break

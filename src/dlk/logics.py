@@ -149,9 +149,14 @@ def get_profile(name: str) -> LogicProfile:
 # instantiation and matching
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Binding:
-    """Assignment of metavariables for one schema instance."""
+    """Assignment of metavariables for one schema instance.
+
+    Slotted and not frozen, so that building one, which the engine does
+    for every instance it queues, costs a plain ``__init__``; nothing
+    assigns to a binding once built, and the hash reads the values by
+    metavariable name."""
 
     formulas: dict[str, Formula] = field(default_factory=dict)
     terms: dict[str, Term] = field(default_factory=dict)

@@ -60,11 +60,9 @@ def test_the_corpus_covers_every_profile():
     assert {profile.name for profile, _, _ in SETS} == set(PROFILES)
 
 
-@pytest.mark.parametrize("profile, texts, closed, mode, size, rounds, limit",
-                         _corpus())
-def test_live_plans_agree_with_every_plan(profile, texts, closed, mode,
-                                          size, rounds, limit):
-    hyps = hypotheses(profile, texts, closed)
+def corpus_bounds(profile, hyps, mode, size, rounds, limit) -> dict:
+    """The keywords of one ``_corpus`` case: its bounds and the stopping
+    rule its mode names."""
     bounds = {"size_bound": size, "rounds": rounds, "term_size_bound": 2,
               "limit": limit}
     if mode == "goal":
@@ -79,7 +77,16 @@ def test_live_plans_agree_with_every_plan(profile, texts, closed, mode,
                                  and f.body not in bodies)
     elif mode == "watch":
         bounds["watch_contradiction"] = True
-    assert_same(profile, hyps, **bounds)
+    return bounds
+
+
+@pytest.mark.parametrize("profile, texts, closed, mode, size, rounds, limit",
+                         _corpus())
+def test_live_plans_agree_with_every_plan(profile, texts, closed, mode,
+                                          size, rounds, limit):
+    hyps = hypotheses(profile, texts, closed)
+    assert_same(profile, hyps, **corpus_bounds(profile, hyps, mode, size,
+                                               rounds, limit))
 
 
 @given(small_runs())

@@ -1,11 +1,15 @@
 """Axiom schemas, profiles, matching, and the signed translation."""
 
+import copy
+import pickle
+
 import pytest
 
 from dlk.logics import (
     Binding, SCHEMAS, check_in_profile, get_profile, instantiate,
     match_axiom, match_template, translate, translation_table,
 )
+from dlk.proofs import Proof, axiom_line, proof_to_dict
 from dlk.syntax import (
     Alphabet, And, Implies, Just, Not, Or, PropVar, Var,
     enumerate_formulas, enumerate_terms, parse_formula, parse_term,
@@ -184,3 +188,34 @@ def test_translate_injective_on_a_small_fragment():
         assert key not in images, (
             f"{print_formula(f)} and {print_formula(images[key])} collide")
         images[key] = f
+
+
+def test_binding_contract():
+    # a slotted, not frozen, dataclass: equal by value, hashed by the
+    # values under sorted names, copied and pickled whole, and written to
+    # a proof document by name
+    P, Q = parse_formula("A -> B"), parse_formula("~A")
+    t = parse_term("[x+y]")
+    one = Binding({"P": P, "Q": Q}, {"t": t})
+    other = Binding({"Q": Q, "P": P}, {"t": t})
+    assert one == other and hash(one) == hash(other)
+    assert one != Binding({"P": P}, {"t": t}) != Binding({"P": P}, {})
+    assert Binding() == Binding({}, {}) and hash(Binding()) == hash(
+        Binding({}, {}))
+    assert not hasattr(one, "__dict__")
+    assert repr(one) == (f"Binding(formulas={{'P': {P!r}, 'Q': {Q!r}}}, "
+                         f"terms={{'t': {t!r}}})")
+    for twin in (copy.copy(one), copy.deepcopy(one),
+                 pickle.loads(pickle.dumps(one))):
+        assert type(twin) is Binding and twin == one
+        assert hash(twin) == hash(one)
+    assert copy.deepcopy(one).formulas["P"] is P    # nodes are interned
+    binding = Binding({"P": parse_formula("Q")}, {"t": t})
+    line = axiom_line("denial", binding,
+                      instantiate(SCHEMAS["denial"].template, binding))
+    doc = proof_to_dict(Proof(get_profile("dl"), (line,)))
+    assert doc["lines"] == [{"kind": "axiom",
+                             "formula": "[x+y]:Q -> ~Q",
+                             "schema": "denial",
+                             "binding": {"formulas": {"P": "Q"},
+                                         "terms": {"t": "[x+y]"}}}]

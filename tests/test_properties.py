@@ -7,15 +7,19 @@ random syntax trees, printing must round-trip through the parser,
 instantiating a ground formula must rebuild it part for part, and the
 unsigning translation must be an injective homomorphism.  The engine's
 rule index must offer every rule a formula matches with values within
-the bounds.  On random small specifications, what forward chaining derives must hold in the
-audited model ``realize_spec`` builds, wherever its bounds reach.
+the bounds, and its memoized rule lists must be the cap filter over the
+rules of the formula's kinds.  On random small specifications, what
+forward chaining derives must hold in the audited model ``realize_spec``
+builds, wherever its bounds reach.
 """
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from dlk.builder import RealizationError, realize_spec
-from dlk.demand import _meta_names, _rule_book
+from dlk.demand import (
+    _TOP, _RuleIndex, _admits, _cap, _meta_names, _rule_book,
+)
 from dlk.logics import (
     PROFILES, SCHEMAS, Binding, InstantiationError, check_in_profile,
     instantiate, match_template, translate,
@@ -25,8 +29,8 @@ from dlk.semantics import audit, evaluate
 from dlk.specifications import SpecClashError, close_spec
 from dlk.syntax import (
     BOTTOM, NEGATIVE, POSITIVE, UNSIGNED, Alphabet, And, App, Bang, Const,
-    FMeta, Implies, Just, Not, Or, Pair, PropVar, Sum, TMeta, Var,
-    enumerate_formulas, enumerate_terms, formula_size, formula_terms,
+    FMeta, Formula, Implies, Just, Not, Or, Pair, PropVar, Sum, TMeta, Var,
+    _parts, enumerate_formulas, enumerate_terms, formula_size, formula_terms,
     parse_formula, print_formula, subformulas, term_size,
 )
 
@@ -167,30 +171,35 @@ def test_translate_is_an_injective_homomorphism(f, g, t):
 # the demand engine's rule index
 
 
-@st.composite
-def indexed_formulas(draw):
-    """A profile, bounds, and a formula to look up: a random one or an
-    instance of one of the profile's schemas or of its antecedent, whose
-    values may or may not fit the bounds."""
-    name = draw(st.sampled_from(sorted(PROFILES)))
-    profile = PROFILES[name]
-    size_bound, term_bound = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+def _lookup(draw, profile):
+    """A formula to look up: a random one or an instance of one of the
+    profile's schemas or of its antecedent, whose values may or may not
+    fit the bounds; None when the drawn values break a sign."""
     values = _formulas(profile.signed, 3, 2)
     terms = _terms(POSITIVE if profile.signed else UNSIGNED, 3)
     if profile.signed:
         terms |= _terms(NEGATIVE, 3)
     if draw(st.booleans()):
-        f = draw(_formulas(profile.signed, 5, 2))
-    else:
-        template = SCHEMAS[draw(st.sampled_from(profile.schema_ids))].template
-        template = draw(st.sampled_from((template, template.left)))
-        fnames, tnames = _meta_names(template)
-        binding = Binding({n: draw(values) for n in fnames},
-                          {n: draw(terms) for n in tnames})
-        try:
-            f = instantiate(template, binding, profile.signed)
-        except InstantiationError:
-            assume(False)
+        return draw(_formulas(profile.signed, 5, 2))
+    template = SCHEMAS[draw(st.sampled_from(profile.schema_ids))].template
+    template = draw(st.sampled_from((template, template.left)))
+    fnames, tnames = _meta_names(template)
+    binding = Binding({n: draw(values) for n in fnames},
+                      {n: draw(terms) for n in tnames})
+    try:
+        return instantiate(template, binding, profile.signed)
+    except InstantiationError:
+        return None
+
+
+@st.composite
+def indexed_formulas(draw):
+    """A profile, bounds, and a formula to look up (see ``_lookup``)."""
+    name = draw(st.sampled_from(sorted(PROFILES)))
+    profile = PROFILES[name]
+    size_bound, term_bound = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    f = _lookup(draw, profile)
+    assume(f is not None)
     return profile, size_bound, term_bound, f
 
 
@@ -220,6 +229,66 @@ def test_the_rule_index_keeps_every_match_that_fits(case):
             binding = match_template(rule.template, f, profile.signed)
             if binding is not None and fits(binding):
                 assert rule in tried, rule.sid
+
+
+def _deeper(f):
+    """``f`` with each formula two levels down negated: the same kinds at
+    the top two levels, and a larger size if it has such a formula."""
+    def negated_parts(node):
+        parts = _parts(node) if isinstance(node, Formula) else ()
+        return type(node)(*(Not(q) if isinstance(q, Formula) else q
+                            for q in parts)) if parts else node
+
+    parts = _parts(f)
+    return type(f)(*map(negated_parts, parts)) if parts else f
+
+
+@st.composite
+def index_lookups(draw):
+    """A profile, bounds, and formulas to look up in turn in one index:
+    each drawn formula (see ``_lookup``), then two of the same kinds and
+    larger sizes."""
+    profile = PROFILES[draw(st.sampled_from(sorted(PROFILES)))]
+    size_bound, term_bound = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    found = []
+    for _ in range(draw(st.integers(1, 3))):
+        f = _lookup(draw, profile)
+        if f is not None:
+            found += [f, _deeper(f), _deeper(_deeper(f))]
+    return profile, size_bound, term_bound, found
+
+
+@given(index_lookups())
+@settings(max_examples=100, deadline=None)
+def test_the_rule_lists_are_the_cap_filter_on_a_first_call_and_a_hit(case):
+    # a fresh index, so that the first lookup of a key fills its table
+    profile, size_bound, term_bound, formulas = case
+    rules = _rule_book(profile.schema_ids).rules
+    index = _RuleIndex(rules, size_bound, term_bound)
+
+    def capped(f, whole):
+        """The rules admitting the kinds of ``f``'s top two levels, or of
+        each side's, in schema order, less those whose cap ``f``
+        exceeds."""
+        if not whole:
+            return tuple(r for r in rules
+                         if _admits(r.template.left, _TOP[type(f)](f))
+                         and f._size <= _cap(r.template.left, size_bound,
+                                             term_bound))
+        return tuple(r for r in rules
+                     if _admits(r.template.left, _TOP[type(f.left)](f.left))
+                     and _admits(r.template.right,
+                                 _TOP[type(f.right)](f.right))
+                     and f._size <= _cap(r.template, size_bound, term_bound))
+
+    for f in formulas + formulas:
+        got = index.antecedent_rules(f)
+        assert got == capped(f, False) and type(got) is tuple
+        assert index.antecedent_rules(f) is got
+        if isinstance(f, Implies):
+            got = index.template_rules(f)
+            assert got == capped(f, True) and type(got) is tuple
+            assert index.template_rules(f) is got
 
 
 # ---------------------------------------------------------------------------
