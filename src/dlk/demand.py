@@ -19,16 +19,16 @@ schemas, and from pairs of schemas one of whose antecedent unifies with
 the other's template (``s`` over ``k`` and the like), in the manner of a
 given-clause loop with the schemas as rules.
 
-A formula is matched only against the schemas that ``_RuleBook``'s
-two-level index lets through: those whose antecedent, or whole template,
-agrees with the node kinds of the formula's top two levels, and whose
-size cap the formula does not exceed, the cap being the largest size of
-an instance whose values fit the size bounds.  Every node keeps its size
-in a slot, filled when it is built, and the index keeps each list of
-rules by the kinds and the size together, so a lookup is one dict hit.
-The kinds come from one function per node class, generated as the node
-constructors are.  The index leaves out only matches that yield nothing,
-so instances and keys are those of matching every schema.
+A formula is matched only against the schemas that the two-level rule
+index (``_rule_index``) lets through: those whose antecedent, or whole
+template, agrees with the node kinds of the formula's top two levels, and
+whose size cap the formula does not exceed, the cap being the largest
+size of an instance whose values fit the size bounds.  Every node keeps
+its size in a slot, filled when it is built, and the index keeps each
+list of rules by the kinds and the size together, so a lookup is one
+dict hit.  The kinds come from one function per node class, generated as
+the node constructors are.  The index leaves out only matches that yield
+nothing, so instances and keys are those of matching every schema.
 
 Each addition queues one generator of its entries in key order (see
 ``entries``): round by round, the majors concluded by that round, then
@@ -135,7 +135,12 @@ def _cap(pattern, size_bound: int, term_bound: int) -> int:
 
 # Schema pairs are joined over light patterns rather than syntax nodes:
 # a metavariable is its name (a str), a compound is (constructor, *parts),
-# and a leaf is itself.  Building them calls no syntax constructor.
+# and a leaf is itself.  Building them calls no syntax constructor, and
+# that is why they are tuples: a constructor runs its class's sign rule,
+# which calls ``syntax.term_sign``, and the rule book is built on the
+# first search of a profile.  Plans over renamed nodes would add those
+# calls to the first search only, so a process's traced ``term_sign``
+# count would depend on what it searched before.
 
 def _pattern(node, tag: str):
     if isinstance(node, (FMeta, TMeta)):
@@ -278,8 +283,9 @@ def _plan(major: _Rule, minor: _Rule) -> _Plan | None:
 
 
 class _RuleBook:
-    """A profile's schemas as rules, indexed for the formulas they can
-    match, and the pairs whose instances can feed each other.
+    """A profile's schemas as rules, which ``_rule_index`` indexes for the
+    formulas they can match, and the pairs whose instances can feed each
+    other.
 
     A formula can instantiate a pattern only if the node kinds of its top
     two levels agree with the pattern's, a metavariable admitting any
@@ -324,15 +330,6 @@ class _RuleBook:
         self.rules = rules
         self.plans = [p for major in rules for minor in rules
                       if (p := _plan(major, minor)) is not None]
-        self.indexes: dict[tuple[int, int], _RuleIndex] = {}
-
-    def index(self, size_bound: int, term_bound: int) -> _RuleIndex:
-        """The book's tables at these bounds, made on the first call."""
-        hit = self.indexes.get((size_bound, term_bound))
-        if hit is None:
-            hit = self.indexes[size_bound, term_bound] = _RuleIndex(
-                self.rules, size_bound, term_bound)
-        return hit
 
 
 class _RuleIndex:
@@ -384,6 +381,13 @@ def _rule_book(schema_ids: tuple[str, ...]) -> _RuleBook:
     return _RuleBook(schema_ids)
 
 
+@cache
+def _rule_index(schema_ids: tuple[str, ...], size_bound: int,
+                term_bound: int) -> _RuleIndex:
+    """The rule book's tables at these bounds, made on the first call."""
+    return _RuleIndex(_rule_book(schema_ids).rules, size_bound, term_bound)
+
+
 class DemandSaturation:
     """One demand-driven saturation; ``run`` returns its ``DerivedSet``."""
 
@@ -398,7 +402,7 @@ class DemandSaturation:
         self.tbound = size_bound if term_size_bound is None \
             else term_size_bound
         self.book = _rule_book(profile.schema_ids)
-        self.index = self.book.index(size_bound, self.tbound)
+        self.index = _rule_index(profile.schema_ids, size_bound, self.tbound)
         self.goal, self.goal_filter = goal, goal_filter
         self.limit, self.watch = limit, watch_contradiction
         self.done = False

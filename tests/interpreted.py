@@ -1,5 +1,4 @@
-"""The recursive matcher and filler, kept as the oracle of the compiled
-ones in ``dlk.logics``.
+"""The recursive walks that generated code replaced, kept as its oracles.
 
 ``match_template`` and ``instantiate`` here walk the template through
 ``syntax._PARTS`` on every call, as ``dlk.logics`` did before it compiled
@@ -8,6 +7,16 @@ must return the same binding, with its keys in the same order, or None,
 and the same instance or an ``InstantiationError`` with the same
 message.  ``_polarity_ok``, ``_subst`` and ``_match`` are the old code,
 verbatim.
+
+The demand engine measured a formula or a bound value with ``size_upto``
+(``_size_upto`` in ``dlk.demand``, verbatim below) until every node kept
+its size in a slot, filled by its constructor (``syntax._constructor``).
+The rule index keyed its tables with ``top`` (``_top`` in
+``dlk.demand``, verbatim below), which reads a node's parts through
+``syntax._parts`` on every lookup, until each node class got a generated
+function that reads the parts' classes directly (``demand._kind_key``).
+Every node's slot must be the walk's size and its generated key the
+walk's key, however the node was built.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from __future__ import annotations
 from dlk.logics import Binding, InstantiationError
 from dlk.syntax import (
     NEGATIVE, POSITIVE, FMeta, Formula, SignDisciplineError, Term, TMeta,
-    _parts, print_term, term_sign,
+    _GET_PARTS, _parts, print_term, term_sign,
 )
 
 
@@ -88,3 +97,23 @@ def match_template(template: Formula, formula: Formula,
     if _match(template, formula, fm, tm, signed):
         return Binding(fm, tm)
     return None
+
+
+def size_upto(node, limit: int) -> int:
+    """``formula_size``/``term_size`` of the node, or ``limit + 1`` when
+    it is larger; looks at no more than ``limit + 1`` nodes."""
+    stack = [node]
+    size = 0
+    while stack:
+        size += 1
+        if size > limit:
+            break
+        node = stack.pop()
+        stack.extend(_GET_PARTS[type(node)](node))
+    return size
+
+
+def top(node) -> tuple:
+    """The node kinds of a node's top two levels: its own, then its
+    parts'."""
+    return (type(node), *map(type, _parts(node)))

@@ -4,97 +4,22 @@
 of a kind the snapshot lacks; ``AllPlans`` (``all_plans.py``) joins every
 one of them.  The two must store the same formulas in the same order
 with the same provenance, axioms included, and agree on the
-contradiction, ``rounds_used`` and ``hit_limit``.  A work counter pins
-the joins of one fixed case, so that losing the skip fails here even
-though no result changes.
+contradiction, ``rounds_used`` and ``hit_limit``, which
+``test_engine_oracles.py`` checks on the seeded corpus and on random
+runs.  A work counter pins the joins of one fixed case, so that losing
+the skip fails here even though no result changes.  Building the plans
+runs no sign rule, so a search's traced ``term_sign`` count does not
+depend on whether it was the first to build its profile's rule book.
 """
 
-import random
 from collections import Counter
 
-import pytest
-from hypothesis import HealthCheck, given, settings
-
-from dlk.demand import DemandSaturation
+from dlk import syntax
+from dlk.demand import DemandSaturation, _RuleBook
 from dlk.logics import PROFILES
-from dlk.proofs import derive_forward
-from dlk.syntax import Just
 
-from all_plans import AllPlans, derive_all_plans
-from test_eager_rounds import small_runs
-from test_strategies import SETS, d_part, hypotheses
-
-dl = PROFILES["dl"]
-
-
-def assert_same(profile, hyps, **bounds):
-    every = derive_all_plans(profile, hyps, **bounds)
-    live = derive_forward(profile, hyps, **bounds)
-    assert list(live.provenance.items()) == list(every.provenance.items())
-    assert live.contradiction == every.contradiction
-    assert live.rounds_used == every.rounds_used
-    assert live.hit_limit == every.hit_limit
-
-
-MODES = ("none", "goal", "goal_filter", "watch", "limit")
-
-
-def _corpus(seed=20):
-    """Every set in every stopping regime at rounds 1-3, term size 2:
-    formula size 3 up to two rounds and under a seeded limit, size 2
-    otherwise."""
-    rng = random.Random(seed)
-    cases = []
-    for profile, texts, closed in SETS:
-        for mode in MODES:
-            for rounds in (1, 2, 3):
-                size = 3 if rounds < 3 or mode == "limit" else 2
-                limit = rng.randrange(10, 300) if mode == "limit" else None
-                name = f"{profile.name}:{','.join(texts)}:{mode}:r{rounds}"
-                cases.append(pytest.param(profile, texts, closed, mode,
-                                          size, rounds, limit, id=name))
-    return cases
-
-
-def test_the_corpus_covers_every_profile():
-    assert {profile.name for profile, _, _ in SETS} == set(PROFILES)
-
-
-def corpus_bounds(profile, hyps, mode, size, rounds, limit) -> dict:
-    """The keywords of one ``_corpus`` case: its bounds and the stopping
-    rule its mode names."""
-    bounds = {"size_bound": size, "rounds": rounds, "term_size_bound": 2,
-              "limit": limit}
-    if mode == "goal":
-        # a conclusion in the middle of the unstopped run
-        reached = [f for f, _ in d_part(derive_all_plans(profile, hyps,
-                                                         **bounds))]
-        if reached:
-            bounds["goal"] = reached[len(reached) // 2]
-    elif mode == "goal_filter":
-        bodies = {h.body for h in hyps if isinstance(h, Just)}
-        bounds["goal_filter"] = (lambda f: isinstance(f, Just)
-                                 and f.body not in bodies)
-    elif mode == "watch":
-        bounds["watch_contradiction"] = True
-    return bounds
-
-
-@pytest.mark.parametrize("profile, texts, closed, mode, size, rounds, limit",
-                         _corpus())
-def test_live_plans_agree_with_every_plan(profile, texts, closed, mode,
-                                          size, rounds, limit):
-    hyps = hypotheses(profile, texts, closed)
-    assert_same(profile, hyps, **corpus_bounds(profile, hyps, mode, size,
-                                               rounds, limit))
-
-
-@given(small_runs())
-@settings(max_examples=100, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-def test_random_runs_agree_with_every_plan(case):
-    profile, hyps, bounds = case
-    assert_same(profile, hyps, **bounds)
+from all_plans import AllPlans
+from engine_cases import dl, hypotheses
 
 
 def _joins(engine, monkeypatch) -> tuple[dict, dict]:
@@ -127,3 +52,19 @@ def test_the_engine_joins_only_the_plans_the_snapshot_can_feed(monkeypatch):
     bindings = {1: 53, 2: 23}
     assert _joins(AllPlans, monkeypatch) == ({1: 99, 2: 99}, bindings)
     assert _joins(DemandSaturation, monkeypatch) == ({1: 4, 2: 4}, bindings)
+
+
+def test_building_a_rule_book_calls_no_sign_rule(monkeypatch):
+    # plans over syntax nodes would run the sign rules, which call the
+    # traced term_sign, on the first search of a profile only
+    calls = []
+    term_sign = syntax.term_sign
+
+    def counted(t):
+        calls.append(t)
+        return term_sign(t)
+
+    monkeypatch.setattr(syntax, "term_sign", counted)
+    for profile in PROFILES.values():
+        assert _RuleBook(profile.schema_ids).plans
+    assert calls == []

@@ -24,7 +24,7 @@ from dlk.syntax import (
     parse_term, print_formula, print_term,
 )
 
-from test_builder import random_builds
+from builds import random_builds
 
 
 # ---------------------------------------------------------------------------

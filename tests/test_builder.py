@@ -29,7 +29,8 @@ from dlk import (
     parse_term,
     realize_spec,
 )
-from dlk.builder import FUNCTIONALS
+
+from builds import random_builds
 
 dl = get_profile("dl")
 dl0 = get_profile("dl0")
@@ -303,26 +304,6 @@ def test_an_alphabet_without_terms_cannot_build():
 
 # ---------------------------------------------------------------------------
 # random builds against a naive fixpoint
-
-_TERM_PATTERNS = ("*", "x", "y", "[*", "*+*", "*.*", "*&*")
-_FORMULA_PATTERNS = ("*", "P", "Q", "_|_", "~*", "*/\\*", "*->*", "*:*")
-
-
-@st.composite
-def random_builds(draw, max_fm=4):
-    profile = draw(st.sampled_from((dl, dl0)))
-    atoms = ("P", "Q")[:draw(st.integers(1, 2))]
-    leaves = ("x", "y")[:draw(st.integers(1, 2))]
-    seed = {a: draw(st.booleans()) for a in atoms}
-    stock = st.sampled_from(sorted(FUNCTIONALS)).map(lambda n: FUNCTIONALS[n]())
-    rules = st.lists(st.tuples(st.sampled_from(_TERM_PATTERNS),
-                               st.sampled_from(_FORMULA_PATTERNS),
-                               st.booleans()),
-                     min_size=1, max_size=3).map(RuleTable)
-    return BuildParams(profile, Alphabet(atoms, leaves, ()),
-                       draw(st.integers(1, max_fm)), draw(st.integers(1, 3)),
-                       draw(st.one_of(stock, rules)), seed=seed, trace=True)
-
 
 def _naive_closure(staged, universe, pairing):
     """Repeat until nothing changes: sums take their parts' members, pairs

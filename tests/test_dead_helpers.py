@@ -1,4 +1,6 @@
-"""Every module-level function and class of ``dlk`` has a reader.
+"""Every module-level function and class of ``dlk``, and of each helper
+module of ``tests/`` (every module not named ``test_*.py``: the oracles,
+the shared corpora and populations), has a reader.
 
 A name counts as read when it appears outside its own definition in
 ``src/``, ``bench/`` or ``tests/``: as a name, an attribute, an imported
@@ -14,7 +16,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = ROOT / "src" / "dlk"
+MODULES = sorted(ROOT.glob("src/dlk/*.py")) + sorted(
+    p for p in ROOT.glob("tests/*.py") if not p.name.startswith("test_"))
 SOURCES = sorted(p for top in ("src", "bench", "tests")
                  for p in (ROOT / top).rglob("*.py"))
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -87,7 +90,6 @@ def names() -> set[str]:
     return read_by([p.read_text(encoding="utf-8") for p in SOURCES])
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
-                         ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_every_helper_is_read(path, names):
     assert unread(path.stem, path.read_text(encoding="utf-8"), names) == []

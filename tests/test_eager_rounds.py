@@ -6,103 +6,25 @@ pools as it is added and runs the whole instance phase after every round;
 the last round, looks only for the goal and the first complementary pair,
 and only when one of them can be found.  The two must store the same
 formulas in the same order with the same provenance, axioms included,
-and agree on the contradiction, ``rounds_used`` and ``hit_limit``.
+and agree on the contradiction, ``rounds_used`` and ``hit_limit``.  The
+seeded corpus and the random runs are compared in
+``test_engine_oracles.py``; the cases here single out the last round.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from dlk.demand import DemandSaturation
-from dlk.logics import PROFILES
 from dlk.proofs import check_proof, derive_forward
-from dlk.syntax import Implies, Just
+from dlk.syntax import Implies
 
 from eager_rounds import derive_eager
-from test_properties import POOLS
-from test_strategies import SETS, d_part, fm, hypotheses
-
-jl, dl = PROFILES["jl"], PROFILES["dl"]
+from engine_cases import assert_same, dl, fm, hypotheses, jl
 
 
-def assert_same(profile, hyps, **bounds):
-    eager = derive_eager(profile, hyps, **bounds)
+def both(profile, hyps, **bounds):
     lean = derive_forward(profile, hyps, **bounds)
-    assert lean.order == eager.order
-    assert list(lean.provenance.items()) == list(eager.provenance.items())
-    assert lean.contradiction == eager.contradiction
-    assert lean.rounds_used == eager.rounds_used
-    assert lean.hit_limit == eager.hit_limit
+    assert_same(lean, derive_eager(profile, hyps, **bounds))
     return lean
-
-
-MODES = ("none", "goal", "goal_filter", "watch", "limit40", "limit150")
-
-
-def _corpus():
-    """Every set in every stopping regime at rounds 1-3: formula size 3 up
-    to two rounds, size 2 at three, term size 2."""
-    cases = []
-    for profile, texts, closed in SETS:
-        for mode in MODES:
-            for rounds in (1, 2, 3):
-                size = 3 if rounds < 3 else 2
-                name = f"{profile.name}:{','.join(texts)}:{mode}:r{rounds}"
-                cases.append(pytest.param(profile, texts, closed, mode,
-                                          size, rounds, id=name))
-    return cases
-
-
-@pytest.mark.parametrize("profile, texts, closed, mode, size, rounds",
-                         _corpus())
-def test_rounds_agree_with_the_eager_loop(profile, texts, closed, mode,
-                                          size, rounds):
-    hyps = hypotheses(profile, texts, closed)
-    bounds = {"size_bound": size, "rounds": rounds, "term_size_bound": 2}
-    if mode == "goal":
-        # a conclusion in the middle of the unstopped run
-        reached = [f for f, _ in d_part(derive_eager(profile, hyps,
-                                                     **bounds))]
-        if reached:
-            bounds["goal"] = reached[len(reached) // 2]
-    elif mode == "goal_filter":
-        bodies = {h.body for h in hyps if isinstance(h, Just)}
-        bounds["goal_filter"] = (lambda f: isinstance(f, Just)
-                                 and f.body not in bodies)
-    elif mode == "watch":
-        bounds["watch_contradiction"] = True
-    elif mode.startswith("limit"):
-        bounds["limit"] = int(mode[len("limit"):])
-    assert_same(profile, hyps, **bounds)
-
-
-@st.composite
-def small_runs(draw):
-    name = draw(st.sampled_from(sorted(PROFILES)))
-    formulas, _ = POOLS[name]
-    hyps = draw(st.lists(st.sampled_from(formulas), min_size=1, max_size=3))
-    bounds = {"size_bound": 2, "rounds": draw(st.integers(1, 3)),
-              "term_size_bound": 2}
-    stop = draw(st.sampled_from(("none", "goal", "watch", "limit")))
-    if stop == "goal":
-        bounds["goal"] = draw(st.sampled_from(formulas))
-    elif stop == "watch":
-        bounds["watch_contradiction"] = True
-    elif stop == "limit":
-        bounds["limit"] = draw(st.integers(1, 200))
-    return PROFILES[name], hyps, bounds
-
-
-@given(small_runs())
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-def test_random_runs_agree_with_the_eager_loop(case):
-    profile, hyps, bounds = case
-    assert_same(profile, hyps, **bounds)
-
-
-# ---------------------------------------------------------------------------
-# the last round
 
 
 class _Recording(DemandSaturation):
@@ -130,7 +52,7 @@ def test_implication_goal_found_by_the_last_rounds_snapshot():
     # its snapshot makes the goal an instance; A -> B is concluded in it
     hyps = [fm("A", jl), fm("A -> B", jl)]
     goal = fm("B -> (A -> B)", jl)
-    lean = assert_same(jl, hyps, size_bound=3, rounds=1, goal=goal)
+    lean = both(jl, hyps, size_bound=3, rounds=1, goal=goal)
     assert lean.provenance[goal][:2] == ("axiom", "k")
     assert lean.rounds_used == 1 and fm("B", jl) in lean
     assert _snapshots(jl, hyps, 3, 1, goal) == [1]
@@ -141,8 +63,8 @@ def test_non_implication_goal_skips_the_last_phase():
     # modus ponens phase: no pool feeding, no snapshot, no notes
     hyps = hypotheses(dl, ["a:A", "b:B"], True)
     goal = fm("C")
-    lean = assert_same(dl, hyps, size_bound=2, rounds=3,
-                       term_size_bound=2, goal=goal)
+    lean = both(dl, hyps, size_bound=2, rounds=3,
+                term_size_bound=2, goal=goal)
     assert goal not in lean and lean.rounds_used == 3
     assert _snapshots(dl, hyps, 2, 3, goal) == [1, 2]
     # an implication goal keeps the last snapshot
@@ -153,10 +75,10 @@ def test_limit_hit_in_the_last_modus_ponens_phase():
     hyps = [fm("s:E"), fm("~E")]
     bounds = {"size_bound": 3, "rounds": 2, "term_size_bound": 2}
     one_round = derive_forward(dl, hyps, **dict(bounds, rounds=1))
-    uncapped = assert_same(dl, hyps, **bounds)
+    uncapped = both(dl, hyps, **bounds)
     limit = (len(one_round) + len(uncapped)) // 2
     assert len(one_round) < limit < len(uncapped)
-    lean = assert_same(dl, hyps, limit=limit, **bounds)
+    lean = both(dl, hyps, limit=limit, **bounds)
     assert lean.hit_limit and lean.rounds_used == 2 and len(lean) >= limit
     assert lean.order == uncapped.order[:len(lean)]
 
@@ -169,13 +91,13 @@ def test_a_single_round(watch):
     denied = fm("~(A -> (B -> A))", jl)
     hyps = [fm("A", jl), fm("A -> B", jl), denied]
     bounds = {"size_bound": 3, "rounds": 1, "watch_contradiction": watch}
-    lean = assert_same(jl, hyps, **bounds)
+    lean = both(jl, hyps, **bounds)
     assert lean.contradiction == (denied.body, denied)
     goal = fm("B -> (A -> B)", jl)
-    lean = assert_same(jl, hyps, goal=goal, **bounds)
+    lean = both(jl, hyps, goal=goal, **bounds)
     assert lean.contradiction == (denied.body, denied)
     assert (goal in lean) == (not watch)
-    lean = assert_same(jl, hyps, goal=fm("B", jl), **bounds)
+    lean = both(jl, hyps, goal=fm("B", jl), **bounds)
     assert lean.order[-1] == fm("B", jl) and lean.contradiction is None
     assert _snapshots(jl, hyps, 3, 1, fm("B", jl), watch) == []
 
@@ -187,7 +109,7 @@ def test_negation_note_without_watch_sets_the_pair_and_goes_on():
     g = fm("Q -> (P -> Q)", jl)
     hyps = [fm("P", jl), Implies(fm("P", jl), fm("~(Q -> (P -> Q))", jl)),
             Implies(g, fm("R", jl))]
-    lean = assert_same(jl, hyps, size_bound=3, rounds=2)
+    lean = both(jl, hyps, size_bound=3, rounds=2)
     assert lean.contradiction == (g, fm("~(Q -> (P -> Q))", jl))
     assert lean.provenance[g][:2] == ("axiom", "k")
     assert lean.provenance[fm("R", jl)] == ("mp", hyps[2], g)

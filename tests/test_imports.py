@@ -1,8 +1,10 @@
-"""No module of ``dlk`` imports a name it never uses.
+"""No module of ``dlk`` imports a name it never uses, and no test module
+imports another.
 
 ``__init__`` re-exports what it imports and is left out.  A name counts
 as used when it appears anywhere in the module's syntax tree outside
-the import itself, annotations included.
+the import itself, annotations included.  What several test modules
+share lives in the helper modules of ``tests/``.
 """
 
 import ast
@@ -10,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dlk"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "dlk"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -39,3 +42,15 @@ def test_the_check_sees_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_no_test_module_imports_another():
+    found = []
+    for path in sorted(TESTS.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [node.module or ""] if isinstance(node, ast.ImportFrom) \
+                else [a.name for a in node.names] \
+                if isinstance(node, ast.Import) else []
+            found += [f"{path.stem} imports {name}" for name in names
+                      if name.split(".")[0].startswith("test_")]
+    assert found == []

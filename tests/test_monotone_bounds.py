@@ -2,7 +2,7 @@
 
 Raising the formula size, the rounds or the term size of a search only
 adds schema instances and modus ponens steps, so on every hypothesis
-set of ``test_strategies.SETS``, at a base ``b`` and at ``b`` with one
+set of ``engine_cases.SETS``, at a base ``b`` and at ``b`` with one
 bound raised by one:
 
 - every formula stored at ``b`` is derivable at ``b + 1``: stored there,
@@ -24,7 +24,7 @@ from dlk.proofs import check_nonderivability, derive_forward
 from dlk.specifications import close_spec, ok_extract
 from dlk.syntax import Not, PropVar, subformulas
 
-from test_strategies import SETS, fm, hypotheses, lp
+from engine_cases import SETS, fm, hypotheses, lp
 
 LIMIT = 20000
 BASE = {"size_bound": 2, "rounds": 2, "term_size_bound": 2}

@@ -1,11 +1,11 @@
 """Property-based checks with ``hypothesis``.
 
 Matching must invert instantiation for every schema, since the demand
-engine finds instances by matching; and on random small hypothesis
-sets it must reach the conclusions of the exhaustive loop.  On
-random syntax trees, printing must round-trip through the parser,
-instantiating a ground formula must rebuild it part for part, and the
-unsigning translation must be an injective homomorphism.  The engine's
+engine finds instances by matching (the engine's own oracles run in
+``test_engine_oracles.py``).  On random syntax trees, printing must
+round-trip through the parser, instantiating a ground formula must
+rebuild it part for part, and the unsigning translation must be an
+injective homomorphism.  The engine's
 rule index must offer every rule a formula matches with values within
 the bounds, and its memoized rule lists must be the cap filter over the
 rules of the formula's kinds.  On random small specifications, what
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from dlk.builder import RealizationError, realize_spec
 from dlk.demand import (
-    _TOP, _RuleIndex, _admits, _cap, _meta_names, _rule_book,
+    _TOP, _RuleIndex, _admits, _cap, _meta_names, _rule_book, _rule_index,
 )
 from dlk.logics import (
     PROFILES, SCHEMAS, Binding, InstantiationError, check_in_profile,
@@ -28,22 +28,13 @@ from dlk.proofs import derive_forward
 from dlk.semantics import audit, evaluate
 from dlk.specifications import SpecClashError, close_spec
 from dlk.syntax import (
-    BOTTOM, NEGATIVE, POSITIVE, UNSIGNED, Alphabet, And, App, Bang, Const,
-    FMeta, Formula, Implies, Just, Not, Or, Pair, PropVar, Sum, TMeta, Var,
-    _parts, enumerate_formulas, enumerate_terms, formula_size, formula_terms,
+    NEGATIVE, POSITIVE, UNSIGNED, And, Const, FMeta, Formula, Implies, Just,
+    Not, Or, PropVar, TMeta, _parts, formula_size, formula_terms,
     parse_formula, print_formula, subformulas, term_size,
 )
 
-from exhaustive import derive_exhaustive
-
-
-def _pools(signed: bool, ops):
-    alphabet = Alphabet(("P", "Q"), ("x",), ("a",), signed=signed)
-    terms = enumerate_terms(alphabet, 2, ops)
-    return enumerate_formulas(alphabet, 3, terms=terms[:6]), terms
-
-
-POOLS = {name: _pools(p.signed, p.term_ops) for name, p in PROFILES.items()}
+from engine_cases import POOLS
+from nodes import ground_formulas, ground_terms
 
 
 @st.composite
@@ -73,67 +64,12 @@ def test_matching_inverts_instantiation(case):
     assert match_template(template, instance, profile.signed) == binding
 
 
-@st.composite
-def small_hypothesis_sets(draw):
-    name = draw(st.sampled_from(sorted(PROFILES)))
-    formulas, _ = POOLS[name]
-    hyps = draw(st.lists(st.sampled_from(formulas), min_size=1, max_size=3))
-    return PROFILES[name], hyps, draw(st.integers(1, 2))
-
-
-def _d_part(derived):
-    return [(f, derived.provenance[f]) for f in derived.order
-            if derived.provenance[f][0] != "axiom"]
-
-
-@given(small_hypothesis_sets())
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-def test_strategies_reach_the_same_conclusions(case):
-    profile, hyps, rounds = case
-    bounds = {"size_bound": 2, "rounds": rounds, "term_size_bound": 2}
-    full = derive_exhaustive(profile, hyps, **bounds)
-    lean = derive_forward(profile, hyps, **bounds)
-    assert _d_part(lean) == _d_part(full)
-    assert lean.contradiction == full.contradiction
-
-
 # ---------------------------------------------------------------------------
 # random syntax trees, deeper than the enumerations of test_syntax.py
 
 
-def _terms(sign: str, max_leaves: int = 8):
-    """Terms whose leaves all carry ``sign``; pairing joins negative
-    terms, '!' positive ones, and unsigned terms take every operator."""
-    leaves = st.builds(Const, st.sampled_from("ab"), st.just(sign)) \
-        | st.builds(Var, st.sampled_from("xy"), st.just(sign))
-
-    def extend(kids):
-        ops = [st.builds(App, kids, kids), st.builds(Sum, kids, kids)]
-        if sign != POSITIVE:
-            ops.append(st.builds(Pair, kids, kids))
-        if sign != NEGATIVE:
-            ops.append(st.builds(Bang, kids))
-        return st.one_of(ops)
-
-    return st.recursive(leaves, extend, max_leaves=max_leaves)
-
-
-def _formulas(signed: bool, max_leaves: int = 24, term_leaves: int = 8):
-    terms = _terms(POSITIVE, term_leaves) | _terms(NEGATIVE, term_leaves) \
-        if signed else _terms(UNSIGNED, term_leaves)
-    leaves = st.just(BOTTOM) | st.builds(PropVar, st.sampled_from("PQR"))
-
-    def extend(kids):
-        return (st.builds(Not, kids) | st.builds(And, kids, kids)
-                | st.builds(Or, kids, kids) | st.builds(Implies, kids, kids)
-                | st.builds(Just, terms, kids))
-
-    return st.recursive(leaves, extend, max_leaves=max_leaves)
-
-
-SIGNED_AND_FORMULA = (st.tuples(st.just(False), _formulas(False))
-                      | st.tuples(st.just(True), _formulas(True)))
+SIGNED_AND_FORMULA = (st.tuples(st.just(False), ground_formulas(False))
+                      | st.tuples(st.just(True), ground_formulas(True)))
 
 
 @given(SIGNED_AND_FORMULA)
@@ -150,11 +86,11 @@ def test_instantiating_a_ground_formula_rebuilds_it(case):
     assert instantiate(f, Binding({}, {}), signed) == f
 
 
-FUSED_FORMULAS = _formulas(True).filter(
+FUSED_FORMULAS = ground_formulas(True).filter(
     lambda f: not check_in_profile(f, PROFILES["fused"]))
 
 
-@given(FUSED_FORMULAS, FUSED_FORMULAS, _terms(POSITIVE))
+@given(FUSED_FORMULAS, FUSED_FORMULAS, ground_terms(POSITIVE))
 @settings(max_examples=200, deadline=None)
 def test_translate_is_an_injective_homomorphism(f, g, t):
     tf, tg = translate(f), translate(g)
@@ -175,12 +111,12 @@ def _lookup(draw, profile):
     """A formula to look up: a random one or an instance of one of the
     profile's schemas or of its antecedent, whose values may or may not
     fit the bounds; None when the drawn values break a sign."""
-    values = _formulas(profile.signed, 3, 2)
-    terms = _terms(POSITIVE if profile.signed else UNSIGNED, 3)
+    values = ground_formulas(profile.signed, 3, 2)
+    terms = ground_terms(POSITIVE if profile.signed else UNSIGNED, 3)
     if profile.signed:
-        terms |= _terms(NEGATIVE, 3)
+        terms |= ground_terms(NEGATIVE, 3)
     if draw(st.booleans()):
-        return draw(_formulas(profile.signed, 5, 2))
+        return draw(ground_formulas(profile.signed, 5, 2))
     template = SCHEMAS[draw(st.sampled_from(profile.schema_ids))].template
     template = draw(st.sampled_from((template, template.left)))
     fnames, tnames = _meta_names(template)
@@ -209,8 +145,8 @@ def test_the_rule_index_keeps_every_match_that_fits(case):
     # a match the index leaves out must bind a value too large for the
     # pools: the index may only drop what could yield nothing
     profile, size_bound, term_bound, f = case
-    book = _rule_book(profile.schema_ids)
-    index = book.index(size_bound, term_bound)
+    rules = _rule_book(profile.schema_ids).rules
+    index = _rule_index(profile.schema_ids, size_bound, term_bound)
 
     def fits(binding):
         return all(formula_size(v) <= size_bound
@@ -219,13 +155,13 @@ def test_the_rule_index_keeps_every_match_that_fits(case):
                     for v in binding.terms.values())
 
     tried = index.antecedent_rules(f)
-    for rule in book.rules:
+    for rule in rules:
         binding = match_template(rule.template.left, f, profile.signed)
         if binding is not None and fits(binding):
             assert rule in tried, rule.sid
     if isinstance(f, Implies):
         tried = index.template_rules(f)
-        for rule in book.rules:
+        for rule in rules:
             binding = match_template(rule.template, f, profile.signed)
             if binding is not None and fits(binding):
                 assert rule in tried, rule.sid
