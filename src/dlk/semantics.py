@@ -50,21 +50,22 @@ class ModularModel:
 
 
 def evaluate(model: ModularModel, f: Formula) -> bool:
-    match f:
-        case Bottom():
-            return False
-        case PropVar(name):
-            return model.valuation.get(name, False)
-        case Not(b):
-            return not evaluate(model, b)
-        case And(l, r):
-            return evaluate(model, l) and evaluate(model, r)
-        case Or(l, r):
-            return evaluate(model, l) or evaluate(model, r)
-        case Implies(l, r):
-            return (not evaluate(model, l)) or evaluate(model, r)
-        case Just(t, b):
-            return b in model.evidence(t)
+    # one class test per node, the most frequent kinds first
+    kind = type(f)
+    if kind is PropVar:
+        return model.valuation.get(f.name, False)
+    if kind is Bottom:
+        return False
+    if kind is And:
+        return evaluate(model, f.left) and evaluate(model, f.right)
+    if kind is Not:
+        return not evaluate(model, f.body)
+    if kind is Or:
+        return evaluate(model, f.left) or evaluate(model, f.right)
+    if kind is Implies:
+        return (not evaluate(model, f.left)) or evaluate(model, f.right)
+    if kind is Just:
+        return f.body in model.evidence(f.term)
     raise TypeError(f"cannot evaluate {f!r}")
 
 
@@ -278,19 +279,17 @@ def audit(model: ModularModel,
     equal evidence sets share one numbered row, holding the set and its
     cut to the formula universe.  What a check requires of a pair of
     rows is computed once, by the rules ``close_upward`` builds with:
-    application requires ``set_product`` of the two sets, pairing inside
-    a formula universe ``_paired`` over its conjunctions.  A compound is
-    looked up by its constructor and parts among the universe's
-    compounds, never built except in a signed model to test the sign
-    discipline, and printed from its parts' prints only for a warning.
-    The conditions, the ``checked`` counts and the order of violations
-    and warnings are those of a check of every ordered pair of universe
-    terms.
+    ``set_product`` for application, ``_paired`` over a formula
+    universe's conjunctions for pairing.  One pair loop makes the checks
+    with no call per check: a compound is looked up by its constructor
+    and parts' numbers, built only in a signed model to test the sign
+    discipline, and a missing one's warning joined from its parts'
+    prints.  The conditions, ``checked`` counts and order of violations
+    and warnings are those of a check of every ordered pair of terms.
     """
     profile = model.profile
     universe = model.formula_universe
     terms = term_universe if term_universe is not None else occurring_terms(model)
-    warnings: list[str] = []
 
     # conditions applicable to this profile
     do_app = "app" in profile.term_ops
@@ -351,27 +350,11 @@ def audit(model: ModularModel,
     signed = profile.signed or any(map(term_sign, terms))
     needs: dict[tuple, frozenset[Formula]] = {}
     gaps: dict[tuple, list[str]] = {}
-    not_closed: set[tuple] = set()
+    missing: dict[tuple, str] = {}  # the warnings, one per missing compound
 
-    def require(name: str, key: tuple, parts: tuple[int, ...],
-                need: tuple, required: frozenset[Formula]) -> None:
-        """``required`` (inside the universe) ⊆ the evidence of the
-        compound ``key`` names, reported at the terms numbered ``parts``;
-        ``need`` names ``required`` for the memo of what a row misses of
-        it."""
-        rep = reports[name]
-        rep.checked += 1
-        if not required:
-            return
-        hit = compounds.get(key)
-        if hit is None:
-            if key not in not_closed:
-                not_closed.add(key)
-                # term formats never parenthesise a part
-                text = _FORMATS[key[0]][0].format(*map(shown, key[1:]))
-                warnings.append(f"universe not closed: {text} is missing "
-                                f"({name} has members to check there)")
-            return
+    def violated(need: tuple, hit: tuple[int, int], parts: tuple[int, ...],
+                 required: frozenset[Formula]) -> None:
+        """Report at ``parts`` what ``hit`` misses of ``required``, as ``need[0]``."""
         nc, k = hit
         gap = gaps.get((need, k))
         if gap is None:
@@ -379,8 +362,21 @@ def audit(model: ModularModel,
                 required - sets[k], key=formula_sort_key)]
         if gap:
             where = (*map(shown, parts), shown(nc))
-            rep.violations.extend(Violation(name, where, text) for text in gap)
+            reports[need[0]].violations.extend(
+                Violation(need[0], where, text) for text in gap)
 
+    def pieces(ctor, name: str) -> list[str]:
+        """A missing compound's warning, split around its parts' prints
+        (a term format never parenthesises a part)."""
+        head, *rest = _FORMATS[ctor][0].split("{}")
+        rest[-1] += f" is missing ({name} has members to check there)"
+        return ["universe not closed: " + head, *rest]
+
+    # each check is counted in a local and its compound looked up inline
+    app0, app1, app2 = pieces(App, "application-closure")
+    sum0, sum1, sum2 = pieces(Sum, "sum-closure")
+    pair0, pair1, pair2 = pieces(Pair, "pairing-closure")
+    apps = sums = pairs = intros = 0
     for s, ns, ks in term_rows:
         es = sets[ks]
         for t, nt, kt in term_rows:
@@ -388,26 +384,39 @@ def audit(model: ModularModel,
             if not (es or et):
                 continue
             if do_app and (not signed or _compound(App, s, t) is not None):
+                apps += 1
                 need = ("application-closure", ks, kt)
                 needed = needs.get(need)
                 if needed is None:
                     needed = needs[need] = inside(set_product(es, et))
-                require(need[0], (App, ns, nt), (ns, nt), need, needed)
+                hit = compounds.get((App, ns, nt))
+                if needed and hit is not None:
+                    violated(need, hit, (ns, nt), needed)
+                elif needed and (App, ns, nt) not in missing:
+                    missing[App, ns, nt] = app0 + shown(ns) + app1 + shown(nt) + app2
             if do_sum and (not signed or _compound(Sum, s, t) is not None):
-                # each part is reported on its own
-                require("sum-closure", (Sum, ns, nt), (ns,),
-                        ("sum-closure", ks), cut[ks])
-                require("sum-closure", (Sum, ns, nt), (nt,),
-                        ("sum-closure", kt), cut[kt])
+                sums += 2
+                hit = compounds.get((Sum, ns, nt))
+                if hit is not None:
+                    # each part is reported on its own
+                    violated(("sum-closure", ks), hit, (ns,), cut[ks])
+                    violated(("sum-closure", kt), hit, (nt,), cut[kt])
+                elif (cut[ks] or cut[kt]) and (Sum, ns, nt) not in missing:
+                    missing[Sum, ns, nt] = sum0 + shown(ns) + sum1 + shown(nt) + sum2
             if (do_pair and es and et
                     and (not signed or _compound(Pair, s, t) is not None)):
+                pairs += 1
                 need = ("pairing-closure", ks, kt)
                 needed = needs.get(need)
                 if needed is None:
                     needed = needs[need] = frozenset(
                         _paired(conjunctions, es, et) if universe is not None
                         else (And(l, r) for l in es for r in et))
-                require(need[0], (Pair, ns, nt), (ns, nt), need, needed)
+                hit = compounds.get((Pair, ns, nt))
+                if needed and hit is not None:
+                    violated(need, hit, (ns, nt), needed)
+                elif needed and (Pair, ns, nt) not in missing:
+                    missing[Pair, ns, nt] = pair0 + shown(ns) + pair1 + shown(nt) + pair2
 
     truth: dict[Formula, bool] = {}
     offending: dict[tuple[int, bool], list[str]] = {}
@@ -432,6 +441,7 @@ def audit(model: ModularModel,
             rep.violations.extend(Violation(name, where, text, note)
                                   for text in bad)
 
+    bang0, bang1 = pieces(Bang, "introspection-closure")
     for t, n, k in term_rows:
         if do_denial and _sign_admits(profile, t, NEGATIVE):
             offenders("denial-falsity", n, k, True, "member evaluates true")
@@ -439,11 +449,20 @@ def audit(model: ModularModel,
             offenders("factivity-truth", n, k, False, "member evaluates false")
         if (do_intro and sets[k] and _sign_admits(profile, t, POSITIVE)
                 and (not signed or _compound(Bang, t) is not None)):
-            require("introspection-closure", (Bang, n), (n,),
-                    ("introspection-closure", n),
-                    inside(frozenset(Just(t, f) for f in sets[k])))
+            intros += 1
+            needed = inside(frozenset(Just(t, f) for f in sets[k]))
+            hit = compounds.get((Bang, n))
+            if needed and hit is not None:
+                violated(("introspection-closure", n), hit, (n,), needed)
+            elif needed and (Bang, n) not in missing:
+                missing[Bang, n] = bang0 + shown(n) + bang1
 
-    return AuditReport(profile.name, list(reports.values()), warnings)
+    for name, count in (("application-closure", apps), ("sum-closure", sums),
+                        ("pairing-closure", pairs), ("introspection-closure", intros)):
+        if count:
+            reports[name].checked = count
+    return AuditReport(profile.name, list(reports.values()),
+                       list(missing.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -167,19 +167,20 @@ class TMeta(Term):
 
 def term_sign(t: Term) -> str | None:
     """Sign of a term, computed from its leaves; None for schematic terms."""
-    match t:
-        case Const(_, s) | Var(_, s):
-            return s
-        case App(l, _) | Sum(l, _):
-            return term_sign(l)
-        case Pair(l, _):
-            s = term_sign(l)
-            return s if s is None else (NEGATIVE if s == NEGATIVE else UNSIGNED)
-        case Bang(i):
-            s = term_sign(i)
-            return s if s is None else (POSITIVE if s == POSITIVE else UNSIGNED)
-        case TMeta():
-            return None
+    # one class test per node, the most frequent kinds first
+    kind = type(t)
+    if kind is Var or kind is Const:
+        return t.sign
+    if kind is App or kind is Sum:
+        return term_sign(t.left)
+    if kind is Pair:
+        s = term_sign(t.left)
+        return s if s is None else (NEGATIVE if s == NEGATIVE else UNSIGNED)
+    if kind is Bang:
+        s = term_sign(t.inner)
+        return s if s is None else (POSITIVE if s == POSITIVE else UNSIGNED)
+    if kind is TMeta:
+        return None
     raise TypeError(f"not a term: {t!r}")
 
 

@@ -17,15 +17,61 @@ The rule index keyed its tables with ``top`` (``_top`` in
 function that reads the parts' classes directly (``demand._kind_key``).
 Every node's slot must be the walk's size and its generated key the
 walk's key, however the node was built.
+
+``term_sign`` (from ``dlk.syntax``) and ``evaluate`` (from
+``dlk.semantics``), verbatim below, dispatched on the node's class by a
+class-pattern ``match`` until each was written as one ``type(node) is``
+test per node.  Both must give the same sign, the same truth value or
+a ``TypeError`` with the same message, on every node; ``_polarity_ok``
+here reads this ``term_sign``.
 """
 
 from __future__ import annotations
 
 from dlk.logics import Binding, InstantiationError
+from dlk.semantics import ModularModel
 from dlk.syntax import (
-    NEGATIVE, POSITIVE, FMeta, Formula, SignDisciplineError, Term, TMeta,
-    _GET_PARTS, _parts, print_term, term_sign,
+    NEGATIVE, POSITIVE, UNSIGNED, And, App, Bang, Bottom, Const, FMeta,
+    Formula, Implies, Just, Not, Or, Pair, PropVar, SignDisciplineError, Sum,
+    Term, TMeta, Var, _GET_PARTS, _parts, print_term,
 )
+
+
+def term_sign(t: Term) -> str | None:
+    """Sign of a term, computed from its leaves; None for schematic terms."""
+    match t:
+        case Const(_, s) | Var(_, s):
+            return s
+        case App(l, _) | Sum(l, _):
+            return term_sign(l)
+        case Pair(l, _):
+            s = term_sign(l)
+            return s if s is None else (NEGATIVE if s == NEGATIVE else UNSIGNED)
+        case Bang(i):
+            s = term_sign(i)
+            return s if s is None else (POSITIVE if s == POSITIVE else UNSIGNED)
+        case TMeta():
+            return None
+    raise TypeError(f"not a term: {t!r}")
+
+
+def evaluate(model: ModularModel, f: Formula) -> bool:
+    match f:
+        case Bottom():
+            return False
+        case PropVar(name):
+            return model.valuation.get(name, False)
+        case Not(b):
+            return not evaluate(model, b)
+        case And(l, r):
+            return evaluate(model, l) and evaluate(model, r)
+        case Or(l, r):
+            return evaluate(model, l) or evaluate(model, r)
+        case Implies(l, r):
+            return (not evaluate(model, l)) or evaluate(model, r)
+        case Just(t, b):
+            return b in model.evidence(t)
+    raise TypeError(f"cannot evaluate {f!r}")
 
 
 def _polarity_ok(polarity: str, term: Term, signed: bool) -> bool:

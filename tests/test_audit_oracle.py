@@ -284,6 +284,22 @@ def test_terms_sharing_one_evidence_set_audit_as_the_reference_does():
             assert _same_report(_with_interp(model, interp), over) == want
 
 
+def test_a_universe_listing_terms_twice_audits_as_the_reference_does():
+    """A term universe may list a term twice, here its first five terms
+    again: each listing is checked, and a missing compound is still
+    named in one warning."""
+    rng = random.Random(20241020)
+    warnings = 0
+    for _ in range(60):
+        for name in sorted(PROFILES):
+            model = hand_model(rng, name)
+            terms = default_universe(model)
+            got = _same_report(model, terms + terms[:5])
+            assert len(set(got["warnings"])) == len(got["warnings"])
+            warnings += len(got["warnings"])
+    assert warnings
+
+
 def test_const_zero_model_with_a_universe_audits_as_the_reference_does():
     for name in ("dl", "dl0"):
         model, _ = build(BuildParams(

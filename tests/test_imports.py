@@ -1,5 +1,5 @@
-"""No module of ``dlk`` imports a name it never uses, and no test module
-imports another.
+"""No module of ``dlk`` or of ``tests/`` imports a name it never uses, and
+no test module imports another.
 
 ``__init__`` re-exports what it imports and is left out.  A name counts
 as used when it appears anywhere in the module's syntax tree outside
@@ -14,7 +14,8 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "dlk"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") \
+    + sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

@@ -18,7 +18,7 @@ from dlk.proofs import (
 )
 from dlk.semantics import ModularModel
 from dlk.syntax import (
-    Alphabet, Bottom, Const, FMeta, Implies, Just, Not, Var,
+    Alphabet, Bottom, Const, FMeta, Just, Not,
     enumerate_terms, formula_terms, parse_formula, parse_term,
     print_formula, subformulas,
 )

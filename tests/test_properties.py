@@ -13,7 +13,7 @@ forward chaining derives must hold in the audited model ``realize_spec``
 builds, wherever its bounds reach.
 """
 
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from dlk.builder import RealizationError, realize_spec
@@ -29,7 +29,7 @@ from dlk.semantics import audit, evaluate
 from dlk.specifications import SpecClashError, close_spec
 from dlk.syntax import (
     NEGATIVE, POSITIVE, UNSIGNED, And, Const, FMeta, Formula, Implies, Just,
-    Not, Or, PropVar, TMeta, _parts, formula_size, formula_terms,
+    Not, Or, PropVar, TMeta, Var, _parts, formula_size, formula_terms,
     parse_formula, print_formula, subformulas, term_size,
 )
 
@@ -92,6 +92,9 @@ FUSED_FORMULAS = ground_formulas(True).filter(
 
 @given(FUSED_FORMULAS, FUSED_FORMULAS, ground_terms(POSITIVE))
 @settings(max_examples=200, deadline=None)
+# two denials of one body: their atoms must differ
+@example(parse_formula("x-:P", signed=True), parse_formula("y-:P", signed=True),
+         Var("x", POSITIVE))
 def test_translate_is_an_injective_homomorphism(f, g, t):
     tf, tg = translate(f), translate(g)
     assert translate(Not(f)) == Not(tf)
@@ -196,6 +199,9 @@ def index_lookups(draw):
 
 @given(index_lookups())
 @settings(max_examples=100, deadline=None)
+# a conjunction instantiates the antecedents of and-elim (a conjunction)
+# and of and-intro (a bare metavariable), which comes later in schema order
+@example((PROFILES["dl"], 4, 2, [parse_formula("P /\\ Q")]))
 def test_the_rule_lists_are_the_cap_filter_on_a_first_call_and_a_hit(case):
     # a fresh index, so that the first lookup of a key fills its table
     profile, size_bound, term_bound, formulas = case

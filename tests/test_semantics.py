@@ -12,7 +12,7 @@ from dlk.semantics import (
 )
 from dlk.syntax import (
     And, App, Bang, Implies, Just, Not, Pair, PropVar, Sum, Var,
-    parse_formula, parse_term, print_formula, print_term, subformulas,
+    parse_formula, parse_term, print_formula, print_term,
 )
 
 dl = get_profile("dl")

@@ -13,7 +13,7 @@ from dlk.syntax import (
     _size,
     enumerate_formulas,
     enumerate_terms, formula_size, parse_formula, parse_term, print_formula,
-    print_term, read_formulas, subformulas, subterms, term_sign, term_size,
+    read_formulas, subformulas, subterms, term_sign, term_size,
 )
 
 P, Q, R = PropVar("P"), PropVar("Q"), PropVar("R")
