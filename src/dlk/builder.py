@@ -16,10 +16,10 @@ close:
   the functional accepts it (``spray``);
 * once every formula is staged, one pass of ``semantics.close_upward``
   closes the interpretation upward: sum terms absorb the union of their
-  parts, application terms the set product of their parts, and pairing
-  terms the conjunctions of their parts' members that lie in the
-  enumerated formula universe.  Staging never reads the interpretation,
-  so nothing is lost by closing last.
+  parts, application terms the set product of their parts, and, when
+  the profile has pairing, pairing terms the conjunctions of their
+  parts' members that lie in the enumerated formula universe.  Staging
+  never reads the interpretation, so nothing is lost by closing last.
 
 The resulting model records that universe, so audits judge it relative
 to the bound it was built under.  Only the unsigned profiles make sense
@@ -283,7 +283,7 @@ def build(params: BuildParams) -> tuple[ModularModel, StageTrace | None]:
 
     conjunctions = ([f for f in formulas if isinstance(f, And)]
                     if pairing else None)
-    closed = close_upward(members, terms, conjunctions)
+    closed = close_upward(members, terms, profile, conjunctions)
     if trace is not None and closed:
         trace.rows.append(StageRow(
             len(formulas), "", "close", False,

@@ -554,9 +554,6 @@ class DemandSaturation:
             self.first[f] = hit
         return hit
 
-    def present(self, f: Formula) -> bool:
-        return f in self.out.provenance or self.instance(f) is not None
-
     def store(self, f: Formula, rule: _Rule, binding: Binding):
         """Record an instance that a stored formula relies on."""
         if f not in self.out.provenance:
@@ -704,9 +701,7 @@ class DemandSaturation:
             self.done = True
         if self.goal_filter is not None and self.goal_filter(f):
             self.done = True
-        if self.limit is not None and len(provenance) >= self.limit:
-            out.hit_limit = True
-            self.done = True
+        self.check_limit()
         if self.done:
             return
 

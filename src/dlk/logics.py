@@ -1,7 +1,8 @@
 """Axiom schemas, logic profiles, schema matching, and the embedding
 translation that turns signed justified formulas into unsigned ones.
 
-A profile names a logic by its schema inventory and term operations:
+A profile names a logic by its schema inventory; its term operations
+are those whose constructors the schemas use:
 
 * ``jl``    -- application and sum only (the common core)
 * ``dl``    -- jl plus denial and evidence pairing
@@ -93,8 +94,10 @@ def _schemas() -> dict[str, AxiomSchema]:
 
 SCHEMAS: dict[str, AxiomSchema] = _schemas()
 
-_CLASSICAL_IDS = tuple(sid for sid, sch in SCHEMAS.items() if sch.kind == "classical")
-_CORE_MODAL = ("application", "sum-left", "sum-right")
+# jl, the core every profile holds: the classical schemas, application
+# and sum
+_CORE = (*(sid for sid, sch in SCHEMAS.items() if sch.kind == "classical"),
+         "application", "sum-left", "sum-right")
 
 
 @dataclass(frozen=True)
@@ -102,40 +105,27 @@ class LogicProfile:
     name: str
     signed: bool
     schema_ids: tuple[str, ...]
-    term_ops: frozenset[str]
-    description: str = ""
+    # the term operations whose constructors the schema templates use
+    term_ops: frozenset[str] = field(init=False)
 
-    def schemas(self) -> list[AxiomSchema]:
-        return [SCHEMAS[sid] for sid in self.schema_ids]
+    def __post_init__(self):
+        kinds = {type(t) for sid in self.schema_ids
+                 for t in formula_terms(SCHEMAS[sid].template)}
+        object.__setattr__(self, "term_ops", frozenset(
+            op for op, (ctor, _) in _TERM_OPS.items() if ctor in kinds))
 
     def has_schema(self, schema_id: str) -> bool:
         return schema_id in self.schema_ids
 
 
-PROFILES: dict[str, LogicProfile] = {
-    "jl": LogicProfile(
-        "jl", False, _CLASSICAL_IDS + _CORE_MODAL,
-        frozenset({"app", "sum"}),
-        "application and sum core"),
-    "dl": LogicProfile(
-        "dl", False, _CLASSICAL_IDS + _CORE_MODAL + ("denial", "pairing"),
-        frozenset({"app", "sum", "pair"}),
-        "denial with evidence pairing"),
-    "dl0": LogicProfile(
-        "dl0", False, _CLASSICAL_IDS + _CORE_MODAL + ("denial",),
-        frozenset({"app", "sum"}),
-        "denial without pairing"),
-    "lp": LogicProfile(
-        "lp", False, _CLASSICAL_IDS + _CORE_MODAL + ("factivity", "introspection"),
-        frozenset({"app", "sum", "bang"}),
-        "factive evidence with introspection"),
-    "fused": LogicProfile(
-        "fused", True,
-        _CLASSICAL_IDS + _CORE_MODAL + ("denial", "pairing", "factivity",
-                                        "introspection"),
-        frozenset({"app", "sum", "pair", "bang"}),
-        "signed terms; denial-side and factive-side evidence together"),
-}
+PROFILES: dict[str, LogicProfile] = {p.name: p for p in (
+    LogicProfile("jl", False, _CORE),
+    LogicProfile("dl", False, _CORE + ("denial", "pairing")),
+    LogicProfile("dl0", False, _CORE + ("denial",)),
+    LogicProfile("lp", False, _CORE + ("factivity", "introspection")),
+    LogicProfile("fused", True, _CORE + ("denial", "pairing", "factivity",
+                                         "introspection")),
+)}
 
 
 def get_profile(name: str) -> LogicProfile:

@@ -77,24 +77,38 @@ def set_product(xs: frozenset[Formula], ys: frozenset[Formula]) -> frozenset[For
 
 
 def _paired(conjunctions, xs, ys) -> list[And]:
-    """Pairing inside a formula universe: those of its conjunctions whose
-    left side lies in xs and right side in ys."""
+    """Pairing on evidence sets: the conjunctions of a member of xs with
+    one of ys; inside a formula universe, those of its ``conjunctions``."""
+    if conjunctions is None:
+        return [And(l, r) for l in xs for r in ys]
     return [c for c in conjunctions if c.left in xs and c.right in ys]
 
 
+def _sign_admits(profile: LogicProfile, term: Term, wanted: str) -> bool:
+    """In signed profiles a condition applies only to terms of its sign."""
+    if not profile.signed:
+        return True
+    return term_sign(term) == wanted
+
+
 def close_upward(members: dict[Term, dict[Formula, None]], terms,
+                 profile: LogicProfile,
                  conjunctions=None) -> list[tuple[Term, Formula, str]]:
-    """Close evidence sets upward under the compound term operations.
+    """Close evidence sets upward under the profile's term operations.
 
     ``members`` maps every term in ``terms`` to an insertion-ordered set
     of formulas (a dict with None values) and is extended in place: sums
     absorb the members of their parts, applications the ``set_product``
-    of their parts, and, when a universe's ``conjunctions`` are given,
-    pairs absorb those whose two sides lie in their parts.  ``terms``
-    must hold every part of each of its compounds and list it first
-    (ascending size does), so one pass reaches the least closure.
-    Returns the additions in order as (term, formula, rule) triples.
+    of their parts, pairs, when the profile has pairing, the ``_paired``
+    conjunctions of their parts (a universe's ``conjunctions`` when
+    given), and ``!t``, when the profile has introspection and admits
+    ``t``, ``t:F`` for each member ``F`` of ``t``.  ``terms`` must hold
+    every part of each of its compounds and list it first (ascending
+    size does), so one pass reaches the least closure.  Returns the
+    additions in order as (term, formula, rule) triples.
     """
+    pairing = profile.has_schema("pairing")
+    introspection = profile.has_schema("introspection")
     added: list[tuple[Term, Formula, str]] = []
     for t in terms:
         match t:
@@ -102,9 +116,12 @@ def close_upward(members: dict[Term, dict[Formula, None]], terms,
                 rule, new = "sum", [*members[left], *members[right]]
             case App(left, right):
                 rule, new = "app", set_product(members[left], members[right])
-            case Pair(left, right) if conjunctions is not None:
+            case Pair(left, right) if pairing:
                 rule, new = "pair", _paired(conjunctions, members[left],
                                             members[right])
+            case Bang(inner) if introspection \
+                    and _sign_admits(profile, inner, POSITIVE):
+                rule, new = "bang", [Just(inner, f) for f in members[inner]]
             case _:
                 continue
         have = members[t]
@@ -117,47 +134,20 @@ def close_upward(members: dict[Term, dict[Formula, None]], terms,
 
 def closed_extension(model: ModularModel, terms) -> ModularModel:
     """The model with the evidence of ``terms`` and of their parts made
-    its least closure under the profile's term operations.
+    its least closure under the profile's term operations
+    (``close_upward``).
 
-    Each term keeps its interpretation and absorbs what the closure
-    rules give from its parts' closed evidence: a sum their union, an
-    application their ``set_product``, a pair, when the profile has
-    pairing, each conjunction of a member of the left part with one of
-    the right, and ``!t``, when the profile has introspection and admits
-    ``t``, ``t:F`` for each member ``F`` of ``t``.  A bounded model
-    leaves compounds outside its universe uninterpreted; judged here,
-    such a term holds what its parts force.
+    A bounded model leaves compounds outside its universe uninterpreted;
+    judged here, such a term holds what its parts force.
     """
-    profile = model.profile
-    pairing = profile.has_schema("pairing")
-    introspection = profile.has_schema("introspection")
+    # each term's subterms, every part before the compounds it builds
+    order = list(dict.fromkeys(u for t in terms
+                               for u in reversed(list(subterms(t)))))
+    members = {t: dict.fromkeys(model.evidence(t)) for t in order}
+    added = close_upward(members, order, model.profile)
     interp = dict(model.interp)
-    closed: set[Term] = set()
-
-    def close(t: Term) -> frozenset[Formula]:
-        if t not in closed:
-            closed.add(t)
-            parts = [close(part) for part in _parts(t)]
-            match t:
-                case Sum():
-                    new = parts[0] | parts[1]
-                case App():
-                    new = set_product(*parts)
-                case Pair() if pairing:
-                    new = frozenset(And(l, r) for l in parts[0]
-                                    for r in parts[1])
-                case Bang(inner) if introspection \
-                        and _sign_admits(profile, inner, POSITIVE):
-                    new = frozenset(Just(inner, f) for f in parts[0])
-                case _:
-                    new = EMPTY
-            have = model.evidence(t)
-            if not new <= have:
-                interp[t] = have | new
-        return interp.get(t, EMPTY)
-
-    for t in terms:
-        close(t)
+    for t in dict.fromkeys(t for t, _, _ in added):
+        interp[t] = frozenset(members[t])
     return replace(model, interp=interp)
 
 
@@ -247,13 +237,6 @@ class AuditReport:
         }
 
 
-def _sign_admits(profile: LogicProfile, term: Term, wanted: str) -> bool:
-    """In signed profiles a condition applies only to terms of its sign."""
-    if not profile.signed:
-        return True
-    return term_sign(term) == wanted
-
-
 def _compound(ctor, *parts) -> Term | None:
     """The compound term, or None where the sign discipline forbids it."""
     try:
@@ -279,21 +262,19 @@ def audit(model: ModularModel,
     equal evidence sets share one numbered row, holding the set and its
     cut to the formula universe.  What a check requires of a pair of
     rows is computed once, by the rules ``close_upward`` builds with:
-    ``set_product`` for application, ``_paired`` over a formula
-    universe's conjunctions for pairing.  One pair loop makes the checks
-    with no call per check: a compound is looked up by its constructor
-    and parts' numbers, built only in a signed model to test the sign
-    discipline, and a missing one's warning joined from its parts'
-    prints.  The conditions, ``checked`` counts and order of violations
-    and warnings are those of a check of every ordered pair of terms.
+    ``set_product`` for application, ``_paired`` for pairing.  One pair
+    loop makes the checks with no call per check: a compound is looked
+    up by its constructor and parts' numbers, built only in a signed
+    model to test the sign discipline, and a missing one's warning
+    joined from its parts' prints.  The conditions, ``checked`` counts
+    and order of violations and warnings are those of a check of every
+    ordered pair of terms.
     """
     profile = model.profile
     universe = model.formula_universe
     terms = term_universe if term_universe is not None else occurring_terms(model)
 
-    # conditions applicable to this profile
-    do_app = "app" in profile.term_ops
-    do_sum = "sum" in profile.term_ops
+    # the conditions of this profile; each holds jl's application and sum
     do_pair = profile.has_schema("pairing")
     do_denial = profile.has_schema("denial")
     do_fact = profile.has_schema("factivity")
@@ -301,8 +282,8 @@ def audit(model: ModularModel,
                 and any(isinstance(t, Bang) for t in terms))
 
     reports = {name: ConditionReport(name)
-               for name, enabled in (("application-closure", do_app),
-                                     ("sum-closure", do_sum),
+               for name, enabled in (("application-closure", True),
+                                     ("sum-closure", True),
                                      ("pairing-closure", do_pair),
                                      ("denial-falsity", do_denial),
                                      ("factivity-truth", do_fact),
@@ -336,8 +317,8 @@ def audit(model: ModularModel,
             sets.append(members)
         term_rows.append((t, number[t], k))
     cut = [inside(members) for members in sets]
-    if do_pair and universe is not None:
-        conjunctions = [f for f in universe if isinstance(f, And)]
+    conjunctions = ([f for f in universe if isinstance(f, And)]
+                    if do_pair and universe is not None else None)
 
     # the universe's compounds over universe terms, by (constructor, the
     # parts' numbers), to their own number and row
@@ -383,7 +364,7 @@ def audit(model: ModularModel,
             et = sets[kt]
             if not (es or et):
                 continue
-            if do_app and (not signed or _compound(App, s, t) is not None):
+            if not signed or _compound(App, s, t) is not None:
                 apps += 1
                 need = ("application-closure", ks, kt)
                 needed = needs.get(need)
@@ -394,7 +375,7 @@ def audit(model: ModularModel,
                     violated(need, hit, (ns, nt), needed)
                 elif needed and (App, ns, nt) not in missing:
                     missing[App, ns, nt] = app0 + shown(ns) + app1 + shown(nt) + app2
-            if do_sum and (not signed or _compound(Sum, s, t) is not None):
+            if not signed or _compound(Sum, s, t) is not None:
                 sums += 2
                 hit = compounds.get((Sum, ns, nt))
                 if hit is not None:
@@ -410,8 +391,7 @@ def audit(model: ModularModel,
                 needed = needs.get(need)
                 if needed is None:
                     needed = needs[need] = frozenset(
-                        _paired(conjunctions, es, et) if universe is not None
-                        else (And(l, r) for l in es for r in et))
+                        _paired(conjunctions, es, et))
                 hit = compounds.get((Pair, ns, nt))
                 if needed and hit is not None:
                     violated(need, hit, (ns, nt), needed)

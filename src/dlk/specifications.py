@@ -27,7 +27,7 @@ from itertools import combinations, product
 from .builder import BoundsError, RealizationError, _buildable, realize_spec
 from .logics import PROFILES, LogicProfile, get_profile
 from .proofs import DerivedSet, Proof, derive_forward
-from .semantics import ModularModel, close_upward, evaluate, occurring_terms
+from .semantics import ModularModel, closed_extension, evaluate
 from .syntax import (
     POSITIVE, Const, Formula, Just, Not, PropVar, Term, Var,
     formula_sort_key, print_formula, print_term, read_formulas, subformulas,
@@ -241,13 +241,12 @@ def search_jl_model(targets,
     first: the empty one, then sets grown over the justified
     subformulas of the targets (the first 12 in formula order, at most 3
     at once, at most 2 members per term), each closed upward under
-    application and sum over its occurring terms
-    (``semantics.close_upward``).  Each interpretation is tried over
-    valuations in lexicographic order (all-false first, sorted variable
-    names), so a purely propositional win is found with the least
-    valuation.  The bounds are fixed.  Returns None when this space is
-    exhausted, or at once when the targets have more than 14
-    propositional variables.
+    application and sum (``semantics.closed_extension`` in ``jl``).
+    Each interpretation is tried over valuations in lexicographic order
+    (all-false first, sorted variable names), so a purely propositional
+    win is found with the least valuation.  The bounds are fixed.
+    Returns None when this space is exhausted, or at once when the
+    targets have more than 14 propositional variables.
     """
     wanted = list(targets)
     profile = profile or get_profile("jl")
@@ -262,17 +261,15 @@ def search_jl_model(targets,
 
     for r in range(min(_MAX_COMBO, len(candidates)) + 1):
         for combo in combinations(candidates, r):
-            interp: dict[Term, dict[Formula, None]] = {}
+            interp: dict[Term, frozenset[Formula]] = {}
             for j in combo:
-                interp.setdefault(j.term, {})[j.body] = None
+                interp[j.term] = interp.get(j.term, frozenset()) | {j.body}
             if any(len(v) > _MAX_PER_TERM for v in interp.values()):
                 continue
-            terms = occurring_terms(ModularModel(profile, {}, interp))
-            members = {t: interp.get(t, {}) for t in terms}
-            close_upward(members, terms)
-            frozen = {t: frozenset(v) for t, v in members.items() if v}
+            closed = closed_extension(
+                ModularModel(PROFILES["jl"], {}, interp), interp).interp
             for bits in product((False, True), repeat=len(names)):
-                model = ModularModel(profile, dict(zip(names, bits)), frozen,
+                model = ModularModel(profile, dict(zip(names, bits)), closed,
                                      provenance="search")
                 if all(evaluate(model, f) for f in wanted):
                     return model

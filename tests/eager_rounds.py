@@ -47,7 +47,8 @@ class EagerRounds(DemandSaturation):
                             route[0].template, route[1], self.signed)
                     except InstantiationError:
                         continue
-                if self.present(major.right):
+                if (major.right in self.out.provenance
+                        or self.instance(major.right) is not None):
                     continue
                 if route is not None:
                     self.store(major, *route)

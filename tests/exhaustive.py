@@ -23,7 +23,8 @@ from itertools import product as _cartesian
 
 from dlk.demand import _meta_names
 from dlk.logics import (
-    Binding, InstantiationError, LogicProfile, alphabet_from, instantiate,
+    SCHEMAS, Binding, InstantiationError, LogicProfile, alphabet_from,
+    instantiate,
 )
 from dlk.proofs import DerivedSet
 from dlk.syntax import (
@@ -118,7 +119,7 @@ def derive_exhaustive(profile: LogicProfile, hypotheses, *,
         if done:
             break
 
-    schemas = profile.schemas()
+    schemas = [SCHEMAS[sid] for sid in profile.schema_ids]
     metas = {sch.id: _meta_names(sch.template) for sch in schemas}
 
     for round_no in range(1, rounds + 1):

@@ -24,12 +24,19 @@ class-pattern ``match`` until each was written as one ``type(node) is``
 test per node.  Both must give the same sign, the same truth value or
 a ``TypeError`` with the same message, on every node; ``_polarity_ok``
 here reads this ``term_sign``.
+
+``closed_extension`` (from ``dlk.semantics``), verbatim below, closed
+each term by its own recursion until it became a wrapper over
+``close_upward``, the rules the builder closes with.  Both must give
+the same interpretation.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from dlk.logics import Binding, InstantiationError
-from dlk.semantics import ModularModel
+from dlk.semantics import EMPTY, ModularModel, _sign_admits, set_product
 from dlk.syntax import (
     NEGATIVE, POSITIVE, UNSIGNED, And, App, Bang, Bottom, Const, FMeta,
     Formula, Implies, Just, Not, Or, Pair, PropVar, SignDisciplineError, Sum,
@@ -163,3 +170,49 @@ def top(node) -> tuple:
     """The node kinds of a node's top two levels: its own, then its
     parts'."""
     return (type(node), *map(type, _parts(node)))
+
+
+def closed_extension(model: ModularModel, terms) -> ModularModel:
+    """The model with the evidence of ``terms`` and of their parts made
+    its least closure under the profile's term operations.
+
+    Each term keeps its interpretation and absorbs what the closure
+    rules give from its parts' closed evidence: a sum their union, an
+    application their ``set_product``, a pair, when the profile has
+    pairing, each conjunction of a member of the left part with one of
+    the right, and ``!t``, when the profile has introspection and admits
+    ``t``, ``t:F`` for each member ``F`` of ``t``.  A bounded model
+    leaves compounds outside its universe uninterpreted; judged here,
+    such a term holds what its parts force.
+    """
+    profile = model.profile
+    pairing = profile.has_schema("pairing")
+    introspection = profile.has_schema("introspection")
+    interp = dict(model.interp)
+    closed: set[Term] = set()
+
+    def close(t: Term) -> frozenset[Formula]:
+        if t not in closed:
+            closed.add(t)
+            parts = [close(part) for part in _parts(t)]
+            match t:
+                case Sum():
+                    new = parts[0] | parts[1]
+                case App():
+                    new = set_product(*parts)
+                case Pair() if pairing:
+                    new = frozenset(And(l, r) for l in parts[0]
+                                    for r in parts[1])
+                case Bang(inner) if introspection \
+                        and _sign_admits(profile, inner, POSITIVE):
+                    new = frozenset(Just(inner, f) for f in parts[0])
+                case _:
+                    new = EMPTY
+            have = model.evidence(t)
+            if not new <= have:
+                interp[t] = have | new
+        return interp.get(t, EMPTY)
+
+    for t in terms:
+        close(t)
+    return replace(model, interp=interp)

@@ -80,7 +80,7 @@ def match_build(params: BuildParams) -> tuple[ModularModel, StageTrace | None]:
 
     conjunctions = ([f for f in formulas if isinstance(f, And)]
                     if pairing else None)
-    closed = close_upward(members, terms, conjunctions)
+    closed = close_upward(members, terms, profile, conjunctions)
     if trace is not None and closed:
         trace.rows.append(StageRow(
             len(formulas), "", "close", False,

@@ -2,7 +2,8 @@
 replaced, kept here verbatim as a naive reference: both must give the
 same report, condition by condition, violation by violation and warning
 by warning, on seeded random hand-written models in every profile and
-on random built models."""
+on random built models.  The same hand-written models close as the
+recursive ``closed_extension`` in ``interpreted`` closed them."""
 
 import copy
 import random
@@ -14,8 +15,8 @@ from dlk.builder import FUNCTIONALS, BuildParams, build
 from dlk.logics import PROFILES, LogicProfile
 from dlk.semantics import (
     AuditReport, ConditionReport, ModularModel, Violation, _paired,
-    _sign_admits, audit, close_upward, default_universe, evaluate,
-    occurring_terms, set_product,
+    _sign_admits, audit, close_upward, closed_extension, default_universe,
+    evaluate, occurring_terms, set_product,
 )
 from dlk.syntax import (
     NEGATIVE, POSITIVE, Alphabet, And, App, Bang, Const, Just, Pair,
@@ -24,6 +25,7 @@ from dlk.syntax import (
     parse_term, print_formula, print_term,
 )
 
+import interpreted
 from builds import random_builds
 
 
@@ -210,7 +212,9 @@ def hand_model(rng: random.Random, name: str) -> ModularModel:
         conjunctions = None
         if universe is not None and profile.has_schema("pairing"):
             conjunctions = [f for f in universe if isinstance(f, And)]
-        close_upward(members, over, conjunctions)
+        close_upward(members, over,
+                     PROFILES["jl" if conjunctions is None else "dl"],
+                     conjunctions)
         interp = {t: frozenset(fs) for t, fs in members.items()}
     valuation = {"P": rng.random() < 0.5, "Q": rng.random() < 0.5}
     return ModularModel(profile, valuation, interp,
@@ -364,3 +368,28 @@ def test_warnings_print_nested_compounds_as_print_term_does():
             if any(not isinstance(p, (Const, Var)) for p in _parts(compound)):
                 seen.add(type(compound))
     assert seen == {App, Sum, Pair, Bang}
+
+
+# ---------------------------------------------------------------------------
+# closed extensions
+
+
+def test_closed_extensions_close_as_the_recursive_reference_does():
+    """Hand models of every profile, closed over their default universe
+    and a sample of the pool's terms up to size 3, get the
+    interpretation the recursive ``closed_extension`` gives them, and
+    every rule adds members somewhere."""
+    rng = random.Random(20261020)
+    grown = set()
+    for _ in range(40):
+        for name in sorted(PROFILES):
+            model = hand_model(rng, name)
+            pool = POOLS[name][0]
+            terms = (default_universe(model)
+                     + rng.sample(pool, min(20, len(pool))))
+            got = closed_extension(model, terms)
+            assert (got.interp
+                    == interpreted.closed_extension(model, terms).interp)
+            grown |= {type(t) for t, fs in got.interp.items()
+                      if fs != model.evidence(t)}
+    assert grown == {App, Sum, Pair, Bang}

@@ -86,13 +86,18 @@ def test_close_upward_reaches_the_least_closure_in_one_pass():
     members = {s: dict.fromkeys([fm("P -> Q"), fm("P")]),
                t: dict.fromkeys([fm("P")]), app: {}, pair: {}, outer: {}}
     terms = [s, t, app, pair, outer]
-    added = close_upward(members, terms, [fm("P /\\ P"), fm("Q /\\ P")])
+    added = close_upward(members, terms, dl,
+                         [fm("P /\\ P"), fm("Q /\\ P")])
     assert added == [(app, fm("Q"), "app"), (pair, fm("P /\\ P"), "pair"),
                      (outer, fm("Q"), "sum"), (outer, fm("P /\\ P"), "sum")]
-    assert close_upward(members, terms, [fm("P /\\ P")]) == []
-    # without a universe's conjunctions, pairs are left alone
+    assert close_upward(members, terms, dl, [fm("P /\\ P")]) == []
+    # in jl pairs are left alone; in dl without a universe's
+    # conjunctions, a pair takes every conjunction of its parts' members
     members[pair] = {}
-    assert close_upward(members, terms) == []
+    assert close_upward(members, terms, get_profile("jl")) == []
+    assert close_upward(members, terms, dl) == [
+        (pair, fm("(P -> Q) /\\ P"), "pair"), (pair, fm("P /\\ P"), "pair"),
+        (outer, fm("(P -> Q) /\\ P"), "sum")]
 
 
 def test_closed_extension_adds_what_the_parts_force():
