@@ -57,9 +57,9 @@ from .specifications import (
     close_spec, ok_extract, probe_consistency, spec_from_dict, spec_to_dict,
 )
 from .syntax import (
-    Alphabet, Const, NestingError, ParseError, SignViolation, Var,
+    Alphabet, Const, NestingError, ParseError, PropVar, SignViolation, Var,
     formula_size, formula_terms, parse_formula, parse_term, print_formula,
-    print_term, term_size,
+    print_term, subformulas, term_size,
 )
 
 PROFILE_NAMES = tuple(PROFILES)
@@ -160,11 +160,17 @@ def _clamp(value: int | None, what: str) -> int | None:
     return value
 
 
-def _load_spec(path: str, logic: str | None):
+def _read_document(path: str, logic: str | None):
+    """A spec or proof document, its profile overridden by ``--logic``."""
     doc = _read_json(path)
     if logic is not None and isinstance(doc, dict):
         doc = dict(doc, profile=logic)
-    return spec_from_dict(doc, default_profile=_profile(logic))
+    return doc
+
+
+def _load_spec(path: str, logic: str | None):
+    return spec_from_dict(_read_document(path, logic),
+                          default_profile=_profile(logic))
 
 
 def _load_closed_spec(args):
@@ -174,10 +180,7 @@ def _load_closed_spec(args):
 
 def _load_proof(path: str, logic: str | None,
                 spec=None) -> Proof:
-    doc = _read_json(path)
-    if logic is not None and isinstance(doc, dict):
-        doc = dict(doc, profile=logic)
-    proof = proof_from_dict(doc)
+    proof = proof_from_dict(_read_document(path, logic))
     if spec is not None:
         proof = Proof(proof.profile, proof.lines, tuple(spec.formulas))
     return proof
@@ -303,15 +306,23 @@ def _split_csv(raw: str | None) -> list[str]:
     return [part.strip() for part in (raw or "").split(",") if part.strip()]
 
 
-def _seed_from_vars(raw: str | None) -> dict[str, bool]:
+def _seed_from_vars(raw: str | None, signed: bool) -> dict[str, bool]:
+    """The seed valuation: each name a propositional variable, given once,
+    and false unless given as =1."""
     seed: dict[str, bool] = {}
     for part in _split_csv(raw):
         name, eq, value = part.partition("=")
-        if not eq:
-            seed[name] = False
-            continue
-        if value not in ("0", "1"):
+        if eq and value not in ("0", "1"):
             raise _Fail(2, f"--vars entries look like P=0 or Q=1, got {part!r}")
+        try:
+            atom = parse_formula(name, signed)
+        except ParseError as exc:
+            raise _Fail(2, f"bad --vars entry {part!r}: {exc}") from None
+        if not isinstance(atom, PropVar) or atom.name != name:
+            raise _Fail(2, f"--vars entries must be propositional variables, "
+                           f"got {part!r}")
+        if name in seed:
+            raise _Fail(2, f"--vars gives {name!r} more than once")
         seed[name] = value == "1"
     return seed
 
@@ -345,7 +356,7 @@ def _cmd_build_model(args) -> tuple[int, dict]:
             spec.profile, spec.formulas, fm_size=fm_size, tm_size=tm_size,
             trace=args.trace is not None)
     else:
-        seed = _seed_from_vars(args.vars)
+        seed = _seed_from_vars(args.vars, profile.signed)
         term_vars: list[str] = []
         consts: list[str] = []
         for name in _split_csv(args.terms) or ["x", "y"]:
@@ -543,6 +554,7 @@ def _cmd_translate(args) -> tuple[int, dict]:
     out_lines: list[str] = []
     images: list[str] = []
     dictionary: dict[str, str] = {}
+    variables: set[str] = set()
     for entry in entries:
         text = entry.strip()
         if shape == "text" and (not text or text.startswith("#")):
@@ -559,11 +571,22 @@ def _cmd_translate(args) -> tuple[int, dict]:
         if problems:
             raise _Fail(1, f"non-fused input rejected: {text!r}: "
                         + "; ".join(problems))
-        image = print_formula(translate_formula(f))
+        try:
+            image = print_formula(translate_formula(f))
+        except ValueError as exc:
+            raise _Fail(1, f"input rejected: {exc}") from None
         images.append(image)
         out_lines.append(image)
         for original, fresh in translation_table(f).items():
             dictionary[fresh] = original
+        variables.update(sub.name for sub in subformulas(f)
+                         if isinstance(sub, PropVar))
+    # the dictionary covers every line, so an atom is fresh only if no
+    # line has a variable of its name
+    taken = sorted(variables.intersection(dictionary))
+    if taken:
+        raise _Fail(1, f"input rejected: the translation would mint "
+                       f"{taken[0]}, a variable of the file")
 
     doc = {"formulas": images,
            "dictionary": {k: dictionary[k] for k in sorted(dictionary)}}

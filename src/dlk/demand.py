@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import starmap
 from operator import itemgetter
@@ -228,18 +228,15 @@ def _bind(p, value, env: dict) -> bool:
 @dataclass(frozen=True)
 class _Rule:
     """A profile schema with its metavariables in the exhaustive loop's
-    order, split into those its antecedent binds (a prefix of that order)
-    and those it leaves free."""
+    order, as (formula names, term names): all, and those its antecedent
+    binds (a prefix of each); ``free`` is (is a term, name) or None."""
 
     pos: int
     sid: str
     template: Implies
-    fnames: tuple[str, ...]
-    tnames: tuple[str, ...]
-    bound_f: tuple[str, ...]
-    bound_t: tuple[str, ...]
-    free_f: tuple[str, ...]
-    free_t: tuple[str, ...]
+    names: tuple[tuple[str, ...], tuple[str, ...]]
+    bound: tuple[tuple[str, ...], tuple[str, ...]]
+    free: tuple[bool, str] | None
 
 
 @dataclass(frozen=True)
@@ -266,8 +263,8 @@ def _plan(major: _Rule, minor: _Rule) -> _Plan | None:
         return None
     is_term = {}
     for tag, rule in (("1", major), ("2", minor)):
-        is_term.update({tag + n: False for n in rule.fnames})
-        is_term.update({tag + n: True for n in rule.tnames})
+        for term in (False, True):
+            is_term.update({tag + n: term for n in rule.names[term]})
     patterns = {name: _resolve(name, subst) for name in is_term}
     terms = {p for name, p in patterns.items() if is_term[name]}
     distinct = sorted(dict.fromkeys(patterns.values()),
@@ -276,7 +273,7 @@ def _plan(major: _Rule, minor: _Rule) -> _Plan | None:
                     for p in distinct)
     at = {p: i for i, p in enumerate(distinct)}
     slots = {name: at[patterns["1" + name]]
-             for name in major.fnames + major.tnames}
+             for name in major.names[0] + major.names[1]}
     kinds = frozenset((is_term, p[0]) for is_term, p, _ in entries
                       if isinstance(p, tuple))
     return _Plan(major, entries, slots, kinds)
@@ -313,20 +310,19 @@ class _RuleBook:
         rules = []
         for pos, sid in enumerate(schema_ids):
             template = SCHEMAS[sid].template
-            fnames, tnames = _meta_names(template)
-            bound_f, bound_t = _meta_names(template.left)
-            rule = _Rule(pos, sid, template, fnames, tnames, bound_f,
-                         bound_t, fnames[len(bound_f):],
-                         tnames[len(bound_t):])
-            if len(rule.free_f + rule.free_t) > 1 \
-                    or rule.free_f and rule.tnames:
+            names = _meta_names(template)
+            bound = _meta_names(template.left)
+            free = [(term, name) for term in (False, True)
+                    for name in names[term][len(bound[term]):]]
+            if len(free) > 1 or free and not free[0][0] and names[1]:
                 # entries() relies on the keys of one bound part's
                 # instances growing with the free value, and on no other
                 # bound part's keys falling between them
                 raise ValueError(f"schema {sid!r} leaves more than one "
                                  f"metavariable, or a formula one beside "
                                  f"term ones, free in its antecedent")
-            rules.append(rule)
+            rules.append(_Rule(pos, sid, template, names, bound,
+                               free[0] if free else None))
         self.rules = rules
         self.plans = [p for major in rules for minor in rules
                       if (p := _plan(major, minor)) is not None]
@@ -388,6 +384,27 @@ def _rule_index(schema_ids: tuple[str, ...], size_bound: int,
     return _RuleIndex(_rule_book(schema_ids).rules, size_bound, term_bound)
 
 
+@dataclass(slots=True)
+class _Pool:
+    """The candidate formulas, or terms, in the exhaustive loop's order,
+    none larger than ``bound``.  ``index`` gives each item's position,
+    ``round[i]`` the first round whose snapshot holds item i, ``marks[r]``
+    the pool size at round r's snapshot and ``shapes`` the snapshot's
+    positions by kind."""
+
+    bound: int
+    items: list = field(default_factory=list)
+    index: dict = field(default_factory=dict)
+    round: list[int] = field(default_factory=list)
+    marks: list[int] = field(default_factory=lambda: [0])
+    shapes: dict[type, list[int]] = field(default_factory=dict)
+
+    def add(self, item):
+        """Append an item that is not in the pool."""
+        self.index[item] = len(self.items)
+        self.items.append(item)
+
+
 class DemandSaturation:
     """One demand-driven saturation; ``run`` returns its ``DerivedSet``."""
 
@@ -397,30 +414,19 @@ class DemandSaturation:
         self.hyps = tuple(hypotheses)
         self.out = DerivedSet(profile, self.hyps)
         self.signed = profile.signed
-        self.size_bound = size_bound
         self.rounds = rounds
-        self.tbound = size_bound if term_size_bound is None \
-            else term_size_bound
+        tbound = size_bound if term_size_bound is None else term_size_bound
         self.book = _rule_book(profile.schema_ids)
-        self.index = _rule_index(profile.schema_ids, size_bound, self.tbound)
+        self.index = _rule_index(profile.schema_ids, size_bound, tbound)
         self.goal, self.goal_filter = goal, goal_filter
         self.limit, self.watch = limit, watch_contradiction
         self.done = False
         self.now = (0, 0, 0)            # key of the addition being made
 
-        # candidate pools in the exhaustive loop's order; *_round[i] is
-        # the first round whose snapshot holds item i, *_marks[r] the
-        # pool size at round r's snapshot, *_shapes the snapshot by kind
-        self.pool: list[Formula] = []
-        self.pool_index: dict[Formula, int] = {}
-        self.f_round: list[int] = []
-        self.f_marks = [0]
-        self.f_shapes: dict[type, list[int]] = {}
-        self.terms: list[Term] = []
-        self.term_index: dict[Term, int] = {}
-        self.t_round: list[int] = []
-        self.t_marks = [0]
-        self.t_shapes: dict[type, list[int]] = {}
+        # the candidate pools, indexed by "is a term"
+        self.formulas = _Pool(size_bound)
+        self.terms = _Pool(tbound)
+        self.pools = (self.formulas, self.terms)
         # nodes too large for the pool whose parts were already fed
         self.fed: set[Formula] = set()
 
@@ -443,7 +449,7 @@ class DemandSaturation:
         seeds += [BOTTOM] + list(extra_pool)
         alphabet = logics.alphabet_from(seeds, profile,
                                         extra_term_vars=("x", "y"))
-        for t in syntax.enumerate_terms(alphabet, self.tbound,
+        for t in syntax.enumerate_terms(alphabet, tbound,
                                         profile.term_ops):
             self.feed_term(t)
         for f in seeds:
@@ -452,78 +458,70 @@ class DemandSaturation:
     # pools ---------------------------------------------------------------
 
     def feed_term(self, t: Term):
-        if t not in self.term_index and syntax.term_size(t) <= self.tbound:
-            self.term_index[t] = len(self.terms)
-            self.terms.append(t)
+        terms = self.terms
+        if t not in terms.index and syntax.term_size(t) <= terms.bound:
+            terms.add(t)
 
     def feed_pool(self, f: Formula):
         """The exhaustive loop's ``feed_pool``, walking each node too
         large for the pool once (conclusions share their parts)."""
         if f in self.fed:
             return
-        if f._size > self.size_bound:
+        formulas = self.formulas
+        if f._size > formulas.bound:
             self.fed.add(f)
             for kid in _parts(f):
                 if isinstance(kid, Formula) and kid not in self.fed:
                     self.feed_pool(kid)
             return
-        if f in self.pool_index:        # and so is every part of it
+        if f in formulas.index:         # and so is every part of it
             return
         for sub in subformulas(f):
-            if sub not in self.pool_index:
-                self.pool_index[sub] = len(self.pool)
-                self.pool.append(sub)
+            if sub not in formulas.index:
+                formulas.add(sub)
                 for t in formula_terms(sub):
                     for part in subterms(t):
                         self.feed_term(part)
 
     def snapshot(self, round_no: int) -> bool:
         """Take round ``round_no``'s snapshot; False when nothing is new."""
-        if len(self.pool) == len(self.f_round) \
-                and len(self.terms) == len(self.t_round) and round_no > 1:
+        if round_no > 1 and all(len(pool.items) == len(pool.round)
+                                for pool in self.pools):
             return False
-        for items, rounds, marks, shapes in (
-                (self.pool, self.f_round, self.f_marks, self.f_shapes),
-                (self.terms, self.t_round, self.t_marks, self.t_shapes)):
+        for pool in self.pools:
+            items, rounds, shapes = pool.items, pool.round, pool.shapes
             for i in range(len(rounds), len(items)):
                 rounds.append(round_no)
                 shapes.setdefault(type(items[i]), []).append(i)
-            marks.append(len(items))
+            pool.marks.append(len(items))
         return True
 
-    def indices(self, fnames, tnames, fm: dict, tm: dict) -> tuple | None:
-        """(formula pool indices, term pool indices, newest round) of
-        these metavariables' values, or None when a value is outside the
-        snapshots taken so far."""
-        pool_index, f_round = self.pool_index, self.f_round
+    def indices(self, names: tuple, binding: Binding) -> tuple | None:
+        """(formula pool indices, term pool indices, newest round) of the
+        values of these (formula names, term names), or None when one is
+        outside the snapshots so far.  A loop over ``pools`` ran 3% slower."""
+        fnames, tnames = names
+        fm, tm = binding.formulas, binding.terms
+        index, rounds = self.formulas.index, self.formulas.round
         newest = 1
         fidx = []
         for name in fnames:
-            at = pool_index.get(fm[name])
-            if at is None or at >= len(f_round):
+            at = index.get(fm[name])
+            if at is None or at >= len(rounds):
                 return None
-            if f_round[at] > newest:
-                newest = f_round[at]
+            if rounds[at] > newest:
+                newest = rounds[at]
             fidx.append(at)
-        term_index, t_round = self.term_index, self.t_round
+        index, rounds = self.terms.index, self.terms.round
         tidx = []
         for name in tnames:
-            at = term_index.get(tm[name])
-            if at is None or at >= len(t_round):
+            at = index.get(tm[name])
+            if at is None or at >= len(rounds):
                 return None
-            if t_round[at] > newest:
-                newest = t_round[at]
+            if rounds[at] > newest:
+                newest = rounds[at]
             tidx.append(at)
         return tuple(fidx), tuple(tidx), newest
-
-    def key_of(self, rule: _Rule, fm: dict, tm: dict) -> tuple | None:
-        """Key of the instance of ``rule`` with this binding, or None when
-        a value is outside the snapshots taken so far."""
-        found = self.indices(rule.fnames, rule.tnames, fm, tm)
-        if found is None:
-            return None
-        fidx, tidx, newest = found
-        return (newest, 1, rule.pos, fidx, tidx)
 
     def start(self, rule: _Rule, bound: Binding) -> tuple | None:
         """Where ``entries`` starts the instances of ``rule`` whose
@@ -531,8 +529,7 @@ class DemandSaturation:
         indices, bound term indices, newest round of a bound value, rule,
         bound part), or None when a bound value is outside the snapshots
         taken so far."""
-        found = self.indices(rule.bound_f, rule.bound_t, bound.formulas,
-                             bound.terms)
+        found = self.indices(rule.bound, bound)
         return None if found is None else (rule.pos, *found, rule, bound)
 
     # instances -----------------------------------------------------------
@@ -547,8 +544,12 @@ class DemandSaturation:
             binding = logics.match_template(rule.template, f, self.signed)
             if binding is None:
                 continue
-            key = self.key_of(rule, binding.formulas, binding.terms)
-            if key is not None and (hit is None or key < hit[0]):
+            found = self.indices(rule.names, binding)
+            if found is None:
+                continue
+            fidx, tidx, newest = found
+            key = (newest, 1, rule.pos, fidx, tidx)
+            if hit is None or key < hit[0]:
                 hit = (key, rule, binding)
         if hit is not None:
             self.first[f] = hit
@@ -572,10 +573,8 @@ class DemandSaturation:
                     found.append(tuple(vals))
                 return
             is_term, pattern, names = entries[i]
-            items, index, rounds, shapes = (
-                (self.terms, self.term_index, self.t_round, self.t_shapes)
-                if is_term else
-                (self.pool, self.pool_index, self.f_round, self.f_shapes))
+            pool = self.pools[is_term]
+            items, index, rounds = pool.items, pool.index, pool.round
             if all(name in env for name in names):
                 try:
                     value = _fill(pattern, env)
@@ -587,7 +586,7 @@ class DemandSaturation:
                     step(i + 1, max(newest, rounds[at]), env)
                 return
             candidates = range(len(rounds)) if isinstance(pattern, str) \
-                else shapes.get(pattern[0], ())
+                else pool.shapes.get(pattern[0], ())
             for at in candidates:
                 trial = dict(env)
                 if _bind(pattern, items[at], trial):
@@ -600,9 +599,9 @@ class DemandSaturation:
     def live_plans(self) -> list[_Plan]:
         """The book's plans, in order, that have a snapshot member of each
         of their compound entries' kinds; the others' joins find nothing,
-        since ``*_shapes`` lists exactly the snapshot's members."""
-        have = {(False, kind) for kind in self.f_shapes}
-        have.update((True, kind) for kind in self.t_shapes)
+        since a pool's ``shapes`` lists exactly the snapshot's members."""
+        have = {(is_term, kind) for is_term in (False, True)
+                for kind in self.pools[is_term].shapes}
         return [plan for plan in self.book.plans if plan.kinds <= have]
 
     # additions -----------------------------------------------------------
@@ -620,8 +619,9 @@ class DemandSaturation:
     # A generator builds an entry only when the queue draws it, so a
     # search that stops early never builds the rest.
 
-    def entries(self, majors, starts, first: int, keyed: bool = False):
-        """Queue entries in key order, each built when the queue draws it.
+    def entries(self, majors, starts, first: int):
+        """Queue entries in key order, each as (sort key, entry), for
+        ``heapq.merge``, and built when the queue draws it.
 
         Round by round from ``first`` to the last snapshot's: the majors,
         [(key, implication)] in key order, concluded by that round, then
@@ -630,52 +630,45 @@ class DemandSaturation:
         start in sorted order, the free metavariable, if any, ranging over
         the pool items new in that round (or all, in the bound part's own
         round) in pool order.  Last come the majors of the round being
-        concluded.  With ``keyed`` each entry comes as (sort key, entry),
-        for ``heapq.merge``.  Bindings that break a sign are left for the
-        queue to drop."""
+        concluded.  Bindings that break a sign are left for the queue to
+        drop."""
         m = 0
-        for r in range(first, len(self.f_marks)):
+        for r in range(first, len(self.formulas.marks)):
             while m < len(majors) and majors[m][0][0] <= r:
                 key, major = majors[m]
                 m += 1
-                entry = (major, None, None)
-                yield ((key, 0, ()), entry) if keyed else entry
+                yield (key, 0, ()), (major, None, None)
             for pos, fidx, tidx, newest, rule, bound in starts:
                 if newest > r:
                     continue
-                fm, tm = bound.formulas, bound.terms
-                if rule.free_f:
-                    name, marks = rule.free_f[0], self.f_marks
-                    for at in range(0 if newest == r else marks[r - 1],
-                                    marks[r]):
-                        entry = (None, (rule, Binding(
-                            {**fm, name: self.pool[at]}, dict(tm))), None)
-                        yield (((r, 1, pos, fidx + (at,), tidx), 0, ()),
-                               entry) if keyed else entry
-                elif rule.free_t:
-                    name, marks = rule.free_t[0], self.t_marks
-                    for at in range(0 if newest == r else marks[r - 1],
-                                    marks[r]):
-                        entry = (None, (rule, Binding(
-                            dict(fm), {**tm, name: self.terms[at]})), None)
-                        yield (((r, 1, pos, fidx, tidx + (at,)), 0, ()),
-                               entry) if keyed else entry
-                elif newest == r:
-                    entry = (None, (rule, bound), None)
-                    yield (((r, 1, pos, fidx, tidx), 0, ()), entry) \
-                        if keyed else entry
+                if rule.free is None:
+                    if newest == r:
+                        yield (((r, 1, pos, fidx, tidx), 0, ()),
+                               (None, (rule, bound), None))
+                    continue
+                is_term, name = rule.free
+                pool = self.pools[is_term]
+                for at in range(0 if newest == r else pool.marks[r - 1],
+                                pool.marks[r]):
+                    values = [dict(bound.formulas), dict(bound.terms)]
+                    values[is_term][name] = pool.items[at]
+                    idx = [fidx, tidx]
+                    idx[is_term] += (at,)
+                    yield (((r, 1, pos, *idx), 0, ()),
+                           (None, (rule, Binding(*values)), None))
         for key, major in majors[m:]:
-            entry = (major, None, None)
-            yield ((key, 0, ()), entry) if keyed else entry
+            yield (key, 0, ()), (major, None, None)
 
     def fits(self, binding: Binding) -> bool:
         """Whether every value is within its size bound; a larger one
         never enters the pools, so its instances never get a key."""
+        bound = self.formulas.bound
         for v in binding.formulas.values():
-            if v._size > self.size_bound:
+            if v._size > bound:
                 return False
+        bound = self.terms.bound
         for v in binding.terms.values():
-            if v._size > self.tbound:
+            if v._size > bound:
                 return False
         return True
 
@@ -732,7 +725,8 @@ class DemandSaturation:
                 starts.append(start)
         if majors or starts:
             # the rules come in schema order, so the starts are sorted
-            self.queue.append(self.entries(tuple(majors or ()), starts, 0))
+            self.queue.append(map(itemgetter(1), self.entries(
+                tuple(majors or ()), starts, 0)))
 
     def check_limit(self):
         if self.limit is not None and len(self.out.provenance) >= self.limit:
@@ -757,7 +751,7 @@ class DemandSaturation:
                     event(hit[0], 1, key, (major, None, hit[1:]))
 
         for plan in self.live_plans():
-            fnames, tnames = plan.major.fnames, plan.major.tnames
+            fnames, tnames = plan.major.names
             for vals in self.solutions(plan, round_no):
                 binding = Binding({n: vals[plan.slots[n]] for n in fnames},
                                   {n: vals[plan.slots[n]] for n in tnames})
@@ -780,7 +774,7 @@ class DemandSaturation:
         starts = sorted(filter(None, starmap(self.start, self.ante_watch)),
                         key=itemgetter(0, 1, 2))
         self.queue.append(map(itemgetter(1), heapq.merge(
-            events, self.entries((), starts, round_no, keyed=True),
+            events, self.entries((), starts, round_no),
             key=itemgetter(0))))
 
     def may_note(self) -> bool:

@@ -369,17 +369,34 @@ def translate(f: Formula) -> Formula:
     translated) original, so distinct denials stay distinct and repeated
     ones collapse to the same atom.  The image uses only positive terms
     and is a formula of the factive profile once signs are dropped.
+    An atom is fresh only if the input has no variable of its name, so
+    input holding one (``X[s-:E] /\\ s-:E``) raises a ``ValueError``
+    naming it.
     """
+    minted: set[PropVar] = set()
+    image = _unsign(f, minted)
+    if taken := minted.intersection(subformulas(f)):
+        raise ValueError(
+            f"cannot translate {print_formula(f)!r}: it would mint "
+            f"{min(atom.name for atom in taken)}, one of its own variables")
+    return image
+
+
+def _unsign(f: Formula, minted: set[PropVar]) -> Formula:
+    """``translate``'s image of ``f``, its atoms added to ``minted``."""
     if isinstance(f, Just):
         sign = term_sign(f.term)
         if sign == POSITIVE:
-            return Just(f.term, translate(f.body))
+            return Just(f.term, _unsign(f.body, minted))
         if sign == NEGATIVE:
-            return _fresh_atom(Just(f.term, translate(f.body)))
+            atom = _fresh_atom(Just(f.term, _unsign(f.body, minted)))
+            minted.add(atom)
+            return atom
         raise ValueError(
             f"cannot translate {print_formula(f)!r}: term has no sign")
     parts = _parts(f)
-    return type(f)(*map(translate, parts)) if parts else f
+    return type(f)(*(_unsign(part, minted) for part in parts)) \
+        if parts else f
 
 
 def translation_table(f: Formula) -> dict[str, str]:

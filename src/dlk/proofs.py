@@ -319,7 +319,6 @@ class NonderivabilityReport:
     target: Formula
     status: str                 # derivable | refuted | countermodeled | open
     note: str = ""
-    exists_term: bool = False
     proof: Proof | None = None
     found: Formula | None = None
     contradiction: tuple[Formula, Formula] | None = None
@@ -364,18 +363,11 @@ def check_nonderivability(profile: LogicProfile, hypotheses, target: Formula, *,
     tbound = size_bound if term_size_bound is None else term_size_bound
     search = partial(derive_forward, profile, size_bound=size_bound,
                      rounds=rounds, term_size_bound=tbound, limit=limit)
-    if not profile.signed:
-        assumed_signs = (UNSIGNED,)
-    elif positive_only:
-        assumed_signs = (POSITIVE,)
-    else:
-        assumed_signs = (POSITIVE, NEGATIVE)
+    report = partial(NonderivabilityReport, target)
 
     if countermodel is not None:
         if not audit(countermodel).ok:
-            return NonderivabilityReport(
-                target, "open", exists_term=exists_term,
-                note="countermodel fails its own audit")
+            return report("open", "countermodel fails its own audit")
         sweep = []
         if exists_term:
             alphabet = alphabet_from(hyps + (target,), profile,
@@ -386,31 +378,24 @@ def check_nonderivability(profile: LogicProfile, hypotheses, target: Formula, *,
             *sweep])
         false_hyp = next((h for h in hyps if not evaluate(model, h)), None)
         if false_hyp is not None:
-            return NonderivabilityReport(
-                target, "open", exists_term=exists_term,
-                note=f"countermodel falsifies hypothesis "
-                     f"{print_formula(false_hyp)!r}")
+            return report("open", f"countermodel falsifies hypothesis "
+                                  f"{print_formula(false_hyp)!r}")
         if exists_term:
             witness = next(
                 (t for t in sweep
                  if (not positive_only or term_sign(t) == POSITIVE)
                  and evaluate(model, Just(t, target))), None)
             if witness is not None:
-                return NonderivabilityReport(
-                    target, "open", exists_term=True,
-                    note=f"countermodel satisfies "
-                         f"{print_formula(Just(witness, target))!r}")
-            note = (f"audited model satisfies every hypothesis and "
-                    f"falsifies t:{print_formula(target)} for all "
-                    f"{len(sweep)} enumerated terms up to size {tbound}")
-        else:
-            if evaluate(model, target):
-                return NonderivabilityReport(
-                    target, "open", note="countermodel satisfies the target")
-            note = ("audited model satisfies every hypothesis and falsifies "
-                    "the target")
-        return NonderivabilityReport(target, "countermodeled",
-                                     exists_term=exists_term, note=note)
+                return report("open", "countermodel satisfies "
+                              f"{print_formula(Just(witness, target))!r}")
+            return report("countermodeled",
+                          f"audited model satisfies every hypothesis and "
+                          f"falsifies t:{print_formula(target)} for all "
+                          f"{len(sweep)} enumerated terms up to size {tbound}")
+        if evaluate(model, target):
+            return report("open", "countermodel satisfies the target")
+        return report("countermodeled", "audited model satisfies every "
+                                        "hypothesis and falsifies the target")
 
     if exists_term:
         def hit(f: Formula) -> bool:
@@ -420,67 +405,63 @@ def check_nonderivability(profile: LogicProfile, hypotheses, target: Formula, *,
         direct = search(hyps, goal_filter=hit, extra_pool=(target,))
         found = next((f for f in direct.provenance if hit(f)), None)
         if found is not None:
-            return NonderivabilityReport(
-                target, "derivable", exists_term=True, found=found,
-                note=f"derived {print_formula(found)!r} after all",
-                proof=direct.proof_of(found))
+            return report("derivable",
+                          f"derived {print_formula(found)!r} after all",
+                          found=found, proof=direct.proof_of(found))
         alphabet = alphabet_from(hyps + (target,), profile)
         fresh = _fresh_var_name(set(alphabet.term_vars
                                     + alphabet.term_consts))
-        assumptions = [Just(Var(fresh, s), target) for s in assumed_signs]
+        if not profile.signed:
+            signs = (UNSIGNED,)
+        elif positive_only:
+            signs = (POSITIVE,)
+        else:
+            signs = (POSITIVE, NEGATIVE)
+        assumptions = [Just(Var(fresh, s), target) for s in signs]
     else:
         # immediate hits skip the saturation sweep entirely
         if target in hyps:
             quick = Proof(profile, (hyp_line(target, hyps.index(target)),),
                           hyps)
-            return NonderivabilityReport(
-                target, "derivable", note="the target is a hypothesis",
-                proof=quick)
+            return report("derivable", "the target is a hypothesis",
+                          proof=quick)
         hits = match_axiom(target, profile)
         if hits:
             sid, binding = hits[0]
             quick = Proof(profile, (axiom_line(sid, binding, target),), hyps)
-            return NonderivabilityReport(
-                target, "derivable",
-                note=f"the target instantiates {sid!r}", proof=quick)
+            return report("derivable", f"the target instantiates {sid!r}",
+                          proof=quick)
         direct = search(hyps, goal=target)
         if target in direct:
-            return NonderivabilityReport(
-                target, "derivable", note="the target is derivable after all",
-                proof=direct.proof_of(target))
+            return report("derivable", "the target is derivable after all",
+                          proof=direct.proof_of(target))
         assumptions = [target]
 
     # the claim is refuted only if every assumption shape clashes
-    first_pair: tuple[Formula, Formula] | None = None
-    first_proofs: tuple[Proof, Proof] | None = None
+    refutation = None
     cut = direct.hit_limit
     for assumption in assumptions:
         assumed = search(hyps + (assumption,), watch_contradiction=True)
         cut = cut or assumed.hit_limit
         if assumed.contradiction is None:
-            first_pair = None
+            refutation = None
             break
-        if first_pair is None:
-            pos, neg = assumed.contradiction
-            first_pair = (pos, neg)
-            first_proofs = (assumed.proof_of(pos), assumed.proof_of(neg))
+        if refutation is None:
+            pair = assumed.contradiction
+            refutation = {"contradiction": pair, "refutation_proofs": tuple(
+                map(assumed.proof_of, pair))}
 
-    if first_pair is not None:
+    if refutation is not None:
         what = (f"assuming a justifier (fresh term variable {fresh!r}) "
                 f"for the body" if exists_term else "assuming the target")
-        return NonderivabilityReport(
-            target, "refuted", exists_term=exists_term,
-            note=f"{what} derives a complementary pair, so no consistent "
-                 f"hypothesis set can prove it",
-            contradiction=first_pair,
-            refutation_proofs=first_proofs)
+        return report("refuted",
+                      f"{what} derives a complementary pair, so no "
+                      f"consistent hypothesis set can prove it", **refutation)
 
     budget = (f" before the search budget of {limit} formulas ran out,"
               if cut else "")
-    return NonderivabilityReport(
-        target, "open", exists_term=exists_term,
-        note=f"no proof and no refutation{budget} within size {size_bound}, "
-             f"{rounds} round(s)")
+    return report("open", f"no proof and no refutation{budget} within size "
+                          f"{size_bound}, {rounds} round(s)")
 
 
 # ---------------------------------------------------------------------------

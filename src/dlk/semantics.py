@@ -167,14 +167,12 @@ def default_universe(model: ModularModel) -> list[Term]:
     mention.  Bounded constructions audit over their own key set instead.
     """
     base = occurring_terms(model)
-    out: set[Term] = set(base)
+    out: set[Term | None] = set(base)
     for op in model.profile.term_ops:
         ctor, _ = _TERM_OPS[op]
-        for parts in product(base, repeat=len(_PARTS[ctor])):
-            try:
-                out.add(ctor(*parts))
-            except SignDisciplineError:
-                pass
+        out.update(_compound(ctor, *parts)
+                   for parts in product(base, repeat=len(_PARTS[ctor])))
+    out.discard(None)
     return sorted(out, key=term_sort_key)
 
 

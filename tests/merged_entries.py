@@ -4,10 +4,10 @@ kept as the oracle of ``DemandSaturation.entries``.
 The engine once queued, for each addition, ``heapq.merge`` over the
 addition's majors and one ``extend`` generator per matching rule, and for
 each instance phase the merge of the plan events with one ``extend`` per
-watched antecedent match.  ``MergedEntries`` keeps those ``extend`` and
-``enqueue`` as they were and checks, at every addition and every
-instance phase, that the generator the engine queues yields the same
-entries, entry for entry, keys included where the phase merges by them.
+watched antecedent match.  ``MergedEntries`` keeps ``extend`` as it was
+and checks, at every addition and every instance phase, that the
+generator the engine queues yields the same entries, entry for entry,
+sort keys included.
 The generator is run to the end when it is made; the pools do not change
 before the queue would have drawn it, so nothing else changes.
 """
@@ -29,8 +29,8 @@ class MergedEntries(DemandSaturation):
         self.made: list[list] = []      # what each entries() call yielded
         self.checked = 0                # additions and phases compared
 
-    def entries(self, majors, starts, first, keyed=False):
-        made = list(super().entries(majors, starts, first, keyed))
+    def entries(self, majors, starts, first):
+        made = list(super().entries(majors, starts, first))
         self.made.append(made)
         return iter(made)
 
@@ -43,57 +43,35 @@ class MergedEntries(DemandSaturation):
         fm, tm = bound.formulas, bound.terms
         newest = 1
         fidx, tidx = [], []
-        for names, values, index, rounds, idx in (
-                (rule.bound_f, fm, self.pool_index, self.f_round, fidx),
-                (rule.bound_t, tm, self.term_index, self.t_round, tidx)):
+        for names, values, pool, idx in zip(rule.bound, (fm, tm), self.pools,
+                                            (fidx, tidx)):
             for name in names:
-                at = index.get(values[name])
-                if at is None or at >= len(rounds):
+                at = pool.index.get(values[name])
+                if at is None or at >= len(pool.round):
                     return
-                newest = max(newest, rounds[at])
+                newest = max(newest, pool.round[at])
                 idx.append(at)
         fidx, tidx = tuple(fidx), tuple(tidx)
         everything = round_no is None or newest == round_no
-        if not (rule.free_f or rule.free_t):
+        if rule.free is None:
             if everything:
                 yield (((newest, 1, rule.pos, fidx, tidx), 0, ()),
                        (None, (rule, bound), None))
             return
         # one free metavariable, the last of its kind: keys grow with its
         # pool index
-        if rule.free_f:
-            name, items, rounds, marks = \
-                rule.free_f[0], self.pool, self.f_round, self.f_marks
-        else:
-            name, items, rounds, marks = \
-                rule.free_t[0], self.terms, self.t_round, self.t_marks
+        term, name = rule.free
+        pool = self.pools[term]
+        items, rounds, marks = pool.items, pool.round, pool.marks
         for at in range(0 if everything else marks[round_no - 1], marks[-1]):
             key = (max(newest, rounds[at]), 1, rule.pos)
-            if rule.free_f:
+            if not term:
                 key += (fidx + (at,), tidx)
                 binding = Binding({**fm, name: items[at]}, dict(tm))
             else:
                 key += (fidx, tidx + (at,))
                 binding = Binding(dict(fm), {**tm, name: items[at]})
             yield ((key, 0, ()), (None, (rule, binding), None))
-
-    def enqueue(self, streams: list):
-        """Queue the entries of streams of (sort key, entry), each stream
-        sorted, in merged order; callers leave out the empty lists."""
-        if len(streams) > 1:
-            merged = heapq.merge(*streams, key=itemgetter(0))
-        elif streams:
-            merged = streams[0]
-        else:
-            return
-        self.queue.append(map(itemgetter(1), merged))
-
-    def merged(self, streams: list) -> list:
-        """What ``enqueue`` queues for these streams, taken back off the
-        queue."""
-        queued = len(self.queue)
-        self.enqueue(streams)
-        return list(self.queue.pop()) if len(self.queue) > queued else []
 
     def add(self, f, prov):
         majors = self.by_antecedent.get(f)
@@ -109,7 +87,8 @@ class MergedEntries(DemandSaturation):
             assert not got and len(self.ante_watch) == watched
             return
         assert len(got) <= 1
-        assert (got[0] if got else []) == self.merged(streams), f
+        assert (got[0] if got else []) == list(heapq.merge(
+            *streams, key=itemgetter(0))), f
         self.checked += 1
 
     def queue_phase(self, round_no):

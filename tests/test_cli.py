@@ -413,6 +413,28 @@ def test_build_model_argument_errors(tmp_path, capsys):
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("vars_, named", [
+    ("p=1", "'p=1'"), ("_|_=1", "'_|_=1'"), ("=1", "'=1'"),
+    ("(P)=1", "'(P)=1'"), ("P=1,P=0", "'P' more than once")])
+def test_build_model_refuses_a_vars_name_that_is_no_variable(vars_, named,
+                                                             capsys):
+    # a name must read back as itself: 'p' reads as a term, '_|_' as
+    # falsum, '' as nothing, and a name given twice drops one value
+    code, out, err = run_cli(capsys, "build-model", "--functional",
+                             "const-zero", "--vars", vars_)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and named in err
+
+
+def test_build_model_seeds_plain_and_bracketed_variables(capsys):
+    code, out, _ = run_cli(capsys, "build-model", "--functional",
+                           "const-zero", "--vars", "P,Q=0,X[a]=1",
+                           "--terms", "x", "--fm-size", "2", "--tm-size", "1")
+    assert code == 0
+    assert json.loads(out)["valuation"] == {"P": False, "Q": False,
+                                            "X[a]": True}
+
+
 def test_build_model_fails_cleanly_on_unrealizable_specs(tmp_path, capsys):
     spath = write_json(tmp_path / "spec.json",
                        {"profile": "dl", "formulas": ["A", "~A"]})
@@ -711,6 +733,20 @@ def test_translate_rejects_unsigned_input(tmp_path, capsys):
     code, _, err = run_cli(capsys, "translate", str(src))
     assert code == 1
     assert "non-fused input rejected" in err
+
+
+@pytest.mark.parametrize("lines", [
+    "X[s-:E] /\\ s-:E\n~X[s-:E] /\\ s-:E\n",
+    # the dictionary covers every line: one line's variable is another's
+    # atom
+    "X[s-:E]\ns-:E\n"])
+def test_translate_refuses_a_file_holding_an_atom_it_mints(lines, tmp_path,
+                                                           capsys):
+    src = tmp_path / "formulas.txt"
+    src.write_text(lines, encoding="utf-8")
+    code, out, err = run_cli(capsys, "translate", str(src), "--json")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: input rejected:") and "X[s-:E]" in err
 
 
 def test_translate_refuses_input_nested_too_deeply(tmp_path, capsys):

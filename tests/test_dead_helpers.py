@@ -7,9 +7,10 @@ aside: Python calls those).
 A name counts as read when it appears outside its own definition in
 ``src/``, ``bench/`` or ``tests/``: as a name, an attribute, an imported
 name, or a word of a string that is not a docstring (``logics`` compiles
-templates from source text that calls its helpers).  A field's own
-declaration does not read it.  A helper whose last caller went away, or
-a field nothing reads, fails here.
+templates from source text that calls its helpers).  A field counts as
+read only as an attribute: a local variable or keyword argument of its
+name does not read it, nor does its own declaration.  A helper whose
+last caller went away, or a field nothing reads, fails here.
 """
 
 import ast
@@ -43,19 +44,22 @@ def declared(member: ast.stmt) -> str | None:
     return None
 
 
-def members(tree: ast.Module) -> list[str]:
+def members(tree: ast.Module) -> list[tuple[str, str]]:
     """``Class.name`` for each member the classes a module defines at its
-    top level declare, dunders left out."""
-    return [f"{stmt.name}.{name}" for stmt in tree.body
-            if isinstance(stmt, ast.ClassDef)
-            for name in map(declared, stmt.body)
-            if name and not (name.startswith("__") and name.endswith("__"))]
+    top level declare, dunders left out, with the name that reads it: an
+    annotated field's is ``.name``, since only an attribute reads a field
+    (a local variable or a keyword argument of its name does not)."""
+    return [(f"{stmt.name}.{name}",
+             "." + name if isinstance(member, ast.AnnAssign) else name)
+            for stmt in tree.body if isinstance(stmt, ast.ClassDef)
+            for member in stmt.body if (name := declared(member))
+            and not (name.startswith("__") and name.endswith("__"))]
 
 
 def read(tree: ast.Module) -> set[str]:
     """The names a module reads, a top-level definition's own name
     inside it left out, and a class member's own name inside its
-    declaration."""
+    declaration; an attribute read also as ``.name``."""
     docstrings = {id(node.value) for node in ast.walk(tree)
                   if isinstance(node, ast.Expr)}
     found = set()
@@ -65,7 +69,7 @@ def read(tree: ast.Module) -> set[str]:
             if isinstance(sub, ast.Name):
                 names = {sub.id}
             elif isinstance(sub, ast.Attribute):
-                names = {sub.attr}
+                names = {sub.attr, "." + sub.attr}
             elif isinstance(sub, ast.alias):
                 names = {sub.name.split(".")[-1]}
             elif isinstance(sub, ast.Constant) and isinstance(
@@ -101,8 +105,9 @@ def unread(module: str, text: str, names: set[str]) -> list[str]:
 def unread_members(module: str, text: str, names: set[str]) -> list[str]:
     """``module.Class.name`` for each class member in the module's source
     text that is not among the names read."""
-    return [f"{module}.{member}" for member in members(ast.parse(text))
-            if member.rpartition(".")[2] not in names]
+    return [f"{module}.{member}"
+            for member, reader in members(ast.parse(text))
+            if reader not in names]
 
 
 def test_the_check_sees_a_dead_helper():
@@ -133,6 +138,7 @@ class Row:
     kept: int
     dead: str = ""
     told: int = 0
+    named: bool = False
 
     def __post_init__(self):
         pass
@@ -147,9 +153,11 @@ class Row:
     def shown(self):
         return str(self.kept)
 '''
-    other = 'print(Row(1).used(), Row(2).shown, Row(3, told=4))\n'
+    # a local variable of a field's name does not read the field
+    other = ('print(Row(1).used(), Row(2).shown, Row(3, told=4))\n'
+             'named = True\nprint(named)\n')
     assert unread_members("lib", lib, read_by([lib, other])) == [
-        "lib.Row.dead", "lib.Row.told", "lib.Row.recursive"]
+        "lib.Row.dead", "lib.Row.told", "lib.Row.named", "lib.Row.recursive"]
 
 
 @pytest.fixture(scope="module")

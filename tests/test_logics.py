@@ -157,6 +157,21 @@ def test_translate_is_identity_on_propositional():
         assert translation_table(f) == {}
 
 
+@pytest.mark.parametrize("text", ["X[s-:E] /\\ s-:E", "~X[s-:E] /\\ s-:E"])
+def test_translate_refuses_input_holding_an_atom_it_mints(text):
+    # the image X[s-:E] /\ X[s-:E] would make a satisfiable formula a
+    # contradiction, or a contradiction satisfiable
+    with pytest.raises(ValueError, match=r"mint X\[s-:E\]"):
+        translate(parse_formula(text, signed=True))
+
+
+def test_translate_translates_its_images_again():
+    f = parse_formula("t+:(s-:E) /\\ s-:E", signed=True)
+    image = translate(f)
+    assert print_formula(image) == "t+:X[s-:E] /\\ X[s-:E]"
+    assert translate(image) == image
+
+
 def test_translate_homomorphic_on_boolean_nodes():
     l = parse_formula("s-:E", signed=True)
     r = parse_formula("t+:P", signed=True)
