@@ -271,11 +271,10 @@ def build(params: BuildParams) -> tuple[ModularModel, StageTrace | None]:
         if not value:
             for term in functional.spray(f, members):
                 have = members[term]
-                held = len(have)
-                have[f] = None
-                if trace is not None and len(have) > held:
+                if trace is not None and f not in have:
                     stage_added.append((print_term(term), print_formula(f),
                                         "spray"))
+                have[f] = None
         if trace is not None:
             trace.rows.append(StageRow(index, print_formula(f), _KINDS[kind],
                                        value, tuple(stage_added)))

@@ -373,43 +373,42 @@ def translate(f: Formula) -> Formula:
     input holding one (``X[s-:E] /\\ s-:E``) raises a ``ValueError``
     naming it.
     """
-    minted: set[PropVar] = set()
+    return _translation(f)[0]
+
+
+def translation_table(f: Formula) -> dict[str, str]:
+    """Printed negative justified subformulas -> their fresh atom names,
+    in the order ``translate`` mints them.  Input ``translate`` refuses
+    raises its ``ValueError`` here too."""
+    return {print_formula(g): atom.name
+            for g, atom in _translation(f)[1].items()}
+
+
+def _translation(f: Formula) -> tuple[Formula, dict[Just, PropVar]]:
+    """``translate``'s image of ``f`` and the atom it mints for each
+    negative justified subformula."""
+    minted: dict[Just, PropVar] = {}
     image = _unsign(f, minted)
-    if taken := minted.intersection(subformulas(f)):
+    if taken := set(minted.values()).intersection(subformulas(f)):
         raise ValueError(
             f"cannot translate {print_formula(f)!r}: it would mint "
             f"{min(atom.name for atom in taken)}, one of its own variables")
-    return image
+    return image, minted
 
 
-def _unsign(f: Formula, minted: set[PropVar]) -> Formula:
-    """``translate``'s image of ``f``, its atoms added to ``minted``."""
+def _unsign(f: Formula, minted: dict[Just, PropVar]) -> Formula:
+    """``translate``'s image of ``f``, its atoms added to ``minted``
+    under the subformulas they stand for."""
     if isinstance(f, Just):
         sign = term_sign(f.term)
         if sign == POSITIVE:
             return Just(f.term, _unsign(f.body, minted))
         if sign == NEGATIVE:
-            atom = _fresh_atom(Just(f.term, _unsign(f.body, minted)))
-            minted.add(atom)
-            return atom
+            minted[f] = _fresh_atom(Just(f.term, _unsign(f.body, minted)))
+            return minted[f]
         raise ValueError(
             f"cannot translate {print_formula(f)!r}: term has no sign")
     parts = _parts(f)
     return type(f)(*(_unsign(part, minted) for part in parts)) \
         if parts else f
 
-
-def translation_table(f: Formula) -> dict[str, str]:
-    """Printed negative justified subformulas -> their fresh atom names."""
-    table: dict[str, str] = {}
-
-    def walk(g: Formula):
-        for part in _parts(g):
-            if isinstance(part, Formula):
-                walk(part)
-        if isinstance(g, Just) and term_sign(g.term) == NEGATIVE:
-            translated = Just(g.term, translate(g.body))
-            table[print_formula(g)] = _fresh_atom(translated).name
-
-    walk(f)
-    return table

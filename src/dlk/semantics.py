@@ -17,6 +17,7 @@ mention is treated as having the empty set.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from itertools import product
 
@@ -204,11 +205,26 @@ class ConditionReport:
         return not self.violations
 
 
-@dataclass
 class AuditReport:
-    profile: str
-    conditions: list[ConditionReport]
-    warnings: list[str] = field(default_factory=list)
+    """An audit's condition reports and universe-not-closed warnings.
+
+    ``warnings`` may be given as a list or as a function of no arguments
+    that gives the list; such a function is called once, on the first
+    read, so a caller that reads only ``ok`` and the conditions never
+    has the warnings formatted.
+    """
+
+    def __init__(self, profile: str, conditions: list[ConditionReport],
+                 warnings: list[str] | Callable[[], list[str]] = list):
+        self.profile = profile
+        self.conditions = conditions
+        self._warnings = warnings
+
+    @property
+    def warnings(self) -> list[str]:
+        if callable(self._warnings):
+            self._warnings = self._warnings()
+        return self._warnings
 
     @property
     def ok(self) -> bool:
@@ -243,6 +259,19 @@ def _compound(ctor, *parts) -> Term | None:
         return None
 
 
+def _missing(ctor, name: str) -> tuple[str, ...]:
+    """The warning on a missing compound, split around its parts' prints
+    (a term format never parenthesises a part)."""
+    head, *rest = _FORMATS[ctor][0].split("{}")
+    rest[-1] += f" is missing ({name} has members to check there)"
+    return ("universe not closed: " + head, *rest)
+
+
+_MISSING = {ctor: _missing(ctor, name) for ctor, name in (
+    (App, "application-closure"), (Sum, "sum-closure"),
+    (Pair, "pairing-closure"), (Bang, "introspection-closure"))}
+
+
 def audit(model: ModularModel,
           term_universe: list[Term] | None = None) -> AuditReport:
     """Check every closure condition of the model's profile over a
@@ -256,17 +285,27 @@ def audit(model: ModularModel,
     set, with the empty set as the default.  When the model carries a
     ``formula_universe``, required members outside it are ignored.
 
-    The work follows the distinct evidence, not the universe: terms with
-    equal evidence sets share one numbered row, holding the set and its
-    cut to the formula universe.  What a check requires of a pair of
-    rows is computed once, by the rules ``close_upward`` builds with:
-    ``set_product`` for application, ``_paired`` for pairing.  One pair
-    loop makes the checks with no call per check: a compound is looked
-    up by its constructor and parts' numbers, built only in a signed
-    model to test the sign discipline, and a missing one's warning
-    joined from its parts' prints.  The conditions, ``checked`` counts
-    and order of violations and warnings are those of a check of every
-    ordered pair of terms.
+    The work follows the universe's own compounds and distinct evidence,
+    not its term pairs.  Terms with equal evidence sets share one
+    numbered row, holding the set and its cut to the formula universe;
+    what a check requires of a pair of rows is computed once, by the
+    rules ``close_upward`` builds with: ``set_product`` for application,
+    ``_paired`` for pairing (over the universe's conjunctions, gathered
+    on the first pairing need).  The work splits three ways:
+
+    - violations come from one walk over the universe's compounds whose
+      parts are universe terms, keyed by constructor and the parts'
+      numbers, each at every listing of its parts in listing order;
+    - ``checked`` counts come from counting terms by class (sign, and
+      evidence empty or not), since the sign rule that decides whether
+      a compound exists reads only its parts' signs;
+    - warnings are formatted on the first read of the report's
+      ``warnings``, by a walk over the pairs of distinct universe terms
+      that reads only the rows, sets and prints the audit holds, never
+      the model.
+
+    The conditions, ``checked`` counts and order of violations and
+    warnings are those of a check of every ordered pair of terms.
     """
     profile = model.profile
     universe = model.formula_universe
@@ -315,8 +354,29 @@ def audit(model: ModularModel,
             sets.append(members)
         term_rows.append((t, number[t], k))
     cut = [inside(members) for members in sets]
-    conjunctions = ([f for f in universe if isinstance(f, And)]
-                    if do_pair and universe is not None else None)
+
+    # what application and pairing require of a pair of rows, by the
+    # rows' numbers, each computed once; the universe's conjunctions are
+    # gathered on the first pairing need
+    applied: dict[tuple[int, int], frozenset[Formula]] = {}
+    paired: dict[tuple[int, int], frozenset[Formula]] = {}
+    conjunctions: list[And] | None = None
+
+    def application(ks: int, kt: int) -> frozenset[Formula]:
+        needed = applied.get((ks, kt))
+        if needed is None:
+            needed = applied[ks, kt] = inside(set_product(sets[ks], sets[kt]))
+        return needed
+
+    def pairing(ks: int, kt: int) -> frozenset[Formula]:
+        nonlocal conjunctions
+        needed = paired.get((ks, kt))
+        if needed is None:
+            if conjunctions is None and universe is not None:
+                conjunctions = [f for f in universe if isinstance(f, And)]
+            needed = paired[ks, kt] = frozenset(
+                _paired(conjunctions, sets[ks], sets[kt]))
+        return needed
 
     # the universe's compounds over universe terms, by (constructor, the
     # parts' numbers), to their own number and row
@@ -325,11 +385,7 @@ def audit(model: ModularModel,
         parts = _parts(t)
         if parts and all(p in number for p in parts):
             compounds[(type(t), *(number[p] for p in parts))] = n, k
-    # only signed terms can break the sign discipline
-    signed = profile.signed or any(map(term_sign, terms))
-    needs: dict[tuple, frozenset[Formula]] = {}
     gaps: dict[tuple, list[str]] = {}
-    missing: dict[tuple, str] = {}  # the warnings, one per missing compound
 
     def violated(need: tuple, hit: tuple[int, int], parts: tuple[int, ...],
                  required: frozenset[Formula]) -> None:
@@ -344,57 +400,58 @@ def audit(model: ModularModel,
             reports[need[0]].violations.extend(
                 Violation(need[0], where, text) for text in gap)
 
-    def pieces(ctor, name: str) -> list[str]:
-        """A missing compound's warning, split around its parts' prints
-        (a term format never parenthesises a part)."""
-        head, *rest = _FORMATS[ctor][0].split("{}")
-        rest[-1] += f" is missing ({name} has members to check there)"
-        return ["universe not closed: " + head, *rest]
+    # violations: each two-part compound at every pair of its parts'
+    # listings, in the order of a walk over the ordered pairs of listings
+    listed: dict[int, list[int]] = {}
+    for i, (_, n, _) in enumerate(term_rows):
+        listed.setdefault(n, []).append(i)
+    walk = sorted(((i, j, key, hit) for key, hit in compounds.items()
+                   if len(key) == 3
+                   for i in listed[key[1]] for j in listed[key[2]]),
+                  key=lambda step: step[:2])
+    for _, _, (ctor, ns, nt), hit in walk:
+        ks, kt = term_rows[ns][2], term_rows[nt][2]
+        if not (sets[ks] or sets[kt]):
+            continue
+        if ctor is App:
+            if needed := application(ks, kt):
+                violated(("application-closure", ks, kt), hit, (ns, nt),
+                         needed)
+        elif ctor is Sum:
+            # each part is reported on its own
+            violated(("sum-closure", ks), hit, (ns,), cut[ks])
+            violated(("sum-closure", kt), hit, (nt,), cut[kt])
+        elif (do_pair and sets[ks] and sets[kt]
+                and (needed := pairing(ks, kt))):
+            violated(("pairing-closure", ks, kt), hit, (ns, nt), needed)
 
-    # each check is counted in a local and its compound looked up inline
-    app0, app1, app2 = pieces(App, "application-closure")
-    sum0, sum1, sum2 = pieces(Sum, "sum-closure")
-    pair0, pair1, pair2 = pieces(Pair, "pairing-closure")
+    # only signed terms can break the sign discipline, and whether one
+    # does reads only the parts' signs: the pair checks are counted over
+    # classes of (sign, evidence or none), one listed term standing for each
+    signed = profile.signed or any(map(term_sign, terms))
+    classes: dict[tuple, list] = {}
+    for t, _, k in term_rows:
+        cls = (signed and term_sign(t), bool(sets[k]))
+        if cls in classes:
+            classes[cls][1] += 1
+        else:
+            classes[cls] = [t, 1]
     apps = sums = pairs = intros = 0
-    for s, ns, ks in term_rows:
-        es = sets[ks]
-        for t, nt, kt in term_rows:
-            et = sets[kt]
-            if not (es or et):
+    for (_, full_s), (s, count_s) in classes.items():
+        for (_, full_t), (t, count_t) in classes.items():
+            if not (full_s or full_t):
                 continue
+            both = count_s * count_t
             if not signed or _compound(App, s, t) is not None:
-                apps += 1
-                need = ("application-closure", ks, kt)
-                needed = needs.get(need)
-                if needed is None:
-                    needed = needs[need] = inside(set_product(es, et))
-                hit = compounds.get((App, ns, nt))
-                if needed and hit is not None:
-                    violated(need, hit, (ns, nt), needed)
-                elif needed and (App, ns, nt) not in missing:
-                    missing[App, ns, nt] = app0 + shown(ns) + app1 + shown(nt) + app2
+                apps += both
             if not signed or _compound(Sum, s, t) is not None:
-                sums += 2
-                hit = compounds.get((Sum, ns, nt))
-                if hit is not None:
-                    # each part is reported on its own
-                    violated(("sum-closure", ks), hit, (ns,), cut[ks])
-                    violated(("sum-closure", kt), hit, (nt,), cut[kt])
-                elif (cut[ks] or cut[kt]) and (Sum, ns, nt) not in missing:
-                    missing[Sum, ns, nt] = sum0 + shown(ns) + sum1 + shown(nt) + sum2
-            if (do_pair and es and et
+                sums += 2 * both
+            if (do_pair and full_s and full_t
                     and (not signed or _compound(Pair, s, t) is not None)):
-                pairs += 1
-                need = ("pairing-closure", ks, kt)
-                needed = needs.get(need)
-                if needed is None:
-                    needed = needs[need] = frozenset(
-                        _paired(conjunctions, es, et))
-                hit = compounds.get((Pair, ns, nt))
-                if needed and hit is not None:
-                    violated(need, hit, (ns, nt), needed)
-                elif needed and (Pair, ns, nt) not in missing:
-                    missing[Pair, ns, nt] = pair0 + shown(ns) + pair1 + shown(nt) + pair2
+                pairs += both
+        if (do_intro and full_s and _sign_admits(profile, s, POSITIVE)
+                and (not signed or _compound(Bang, s) is not None)):
+            intros += count_s
 
     truth: dict[Formula, bool] = {}
     offending: dict[tuple[int, bool], list[str]] = {}
@@ -419,28 +476,62 @@ def audit(model: ModularModel,
             rep.violations.extend(Violation(name, where, text, note)
                                   for text in bad)
 
-    bang0, bang1 = pieces(Bang, "introspection-closure")
+    def introspected(t: Term, k: int) -> frozenset[Formula]:
+        return inside(frozenset(Just(t, f) for f in sets[k]))
+
     for t, n, k in term_rows:
         if do_denial and _sign_admits(profile, t, NEGATIVE):
             offenders("denial-falsity", n, k, True, "member evaluates true")
         if do_fact and _sign_admits(profile, t, POSITIVE):
             offenders("factivity-truth", n, k, False, "member evaluates false")
-        if (do_intro and sets[k] and _sign_admits(profile, t, POSITIVE)
-                and (not signed or _compound(Bang, t) is not None)):
-            intros += 1
-            needed = inside(frozenset(Just(t, f) for f in sets[k]))
-            hit = compounds.get((Bang, n))
-            if needed and hit is not None:
-                violated(("introspection-closure", n), hit, (n,), needed)
-            elif needed and (Bang, n) not in missing:
-                missing[Bang, n] = bang0 + shown(n) + bang1
+        if (do_intro and sets[k]
+                and (hit := compounds.get((Bang, n))) is not None
+                and _sign_admits(profile, t, POSITIVE)):
+            violated(("introspection-closure", n), hit, (n,),
+                     introspected(t, k))
 
     for name, count in (("application-closure", apps), ("sum-closure", sums),
                         ("pairing-closure", pairs), ("introspection-closure", intros)):
         if count:
             reports[name].checked = count
-    return AuditReport(profile.name, list(reports.values()),
-                       list(missing.values()))
+
+    def warnings() -> list[str]:
+        """One warning per compound outside the universe that a pair of
+        universe terms, or one term, requires members of.  A walk over
+        the distinct terms in order of first listing meets each where a
+        walk over every pair of listings first does."""
+        app0, app1, app2 = _MISSING[App]
+        sum0, sum1, sum2 = _MISSING[Sum]
+        pair0, pair1, pair2 = _MISSING[Pair]
+        bang0, bang1 = _MISSING[Bang]
+        distinct = list(dict.fromkeys(term_rows))
+        out: list[str] = []
+        for s, ns, ks in distinct:
+            es = sets[ks]
+            for t, nt, kt in distinct:
+                et = sets[kt]
+                if not (es or et):
+                    continue
+                if ((App, ns, nt) not in compounds
+                        and (not signed or _compound(App, s, t) is not None)
+                        and application(ks, kt)):
+                    out.append(app0 + shown(ns) + app1 + shown(nt) + app2)
+                if ((Sum, ns, nt) not in compounds and (cut[ks] or cut[kt])
+                        and (not signed or _compound(Sum, s, t) is not None)):
+                    out.append(sum0 + shown(ns) + sum1 + shown(nt) + sum2)
+                if (do_pair and es and et and (Pair, ns, nt) not in compounds
+                        and (not signed or _compound(Pair, s, t) is not None)
+                        and pairing(ks, kt)):
+                    out.append(pair0 + shown(ns) + pair1 + shown(nt) + pair2)
+        for t, n, k in distinct:
+            if (do_intro and sets[k] and (Bang, n) not in compounds
+                    and _sign_admits(profile, t, POSITIVE)
+                    and (not signed or _compound(Bang, t) is not None)
+                    and introspected(t, k)):
+                out.append(bang0 + shown(n) + bang1)
+        return out
+
+    return AuditReport(profile.name, list(reports.values()), warnings)
 
 
 # ---------------------------------------------------------------------------

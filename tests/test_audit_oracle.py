@@ -11,6 +11,7 @@ from itertools import product
 
 from hypothesis import given, settings
 
+from dlk import semantics
 from dlk.builder import FUNCTIONALS, BuildParams, build
 from dlk.logics import PROFILES, LogicProfile
 from dlk.semantics import (
@@ -302,6 +303,60 @@ def test_a_universe_listing_terms_twice_audits_as_the_reference_does():
             assert len(set(got["warnings"])) == len(got["warnings"])
             warnings += len(got["warnings"])
     assert warnings
+
+
+SIGNED_LEAVES = [parse_term(text, signed=True)
+                 for text in ("s+", "t+", "u-", "v-")]
+
+
+def test_shuffled_universes_with_repeats_audit_as_the_reference_does():
+    """Universes listed out of enumeration order, some terms twice, and
+    in every profile two signed leaves with evidence among the terms:
+    violations follow the listing positions of a compound's parts, not
+    the terms' order, and ``checked`` counts follow the terms' signs."""
+    rng = random.Random(20261021)
+    violations: dict[str, int] = {}
+    for _ in range(20):
+        for name in sorted(PROFILES):
+            model = hand_model(rng, name)
+            short = POOLS[name][1][:len(POOLS[name][1]) // 3]
+            interp = dict(model.interp)
+            for leaf in rng.sample(SIGNED_LEAVES, 2):
+                interp[leaf] = frozenset(rng.sample(short, rng.randint(1, 4)))
+            model = _with_interp(model, interp)
+            terms = default_universe(model)
+            terms += rng.sample(terms, min(6, len(terms)))
+            rng.shuffle(terms)
+            got = _same_report(model, terms)
+            for c in got["conditions"]:
+                violations[c["name"]] = (violations.get(c["name"], 0)
+                                         + len(c["violations"]))
+    assert all(violations.get(n) for n in (
+        "application-closure", "sum-closure", "pairing-closure",
+        "denial-falsity", "factivity-truth", "introspection-closure"))
+
+
+def test_warnings_are_formatted_on_first_read(monkeypatch):
+    """A built model's audit prints no term until its warnings are read;
+    they are formatted once, and both reads give the reference's list."""
+    model, _ = build(BuildParams(
+        PROFILES["dl"], Alphabet(("P",), ("x", "y"), ()), 5, 3,
+        FUNCTIONALS["const-one"](), seed={"P": True}))
+    printed = []
+
+    def counted(term):
+        printed.append(term)
+        return print_term(term)
+    monkeypatch.setattr(semantics, "print_term", counted)
+    report = audit(model)
+    assert report.ok and sum(c.checked for c in report.conditions)
+    assert not printed
+    first = report.warnings
+    assert first == naive_audit(model).warnings
+    formatted = len(printed)
+    assert formatted
+    assert report.warnings == first and report.as_dict()["warnings"] == first
+    assert len(printed) == formatted
 
 
 def test_const_zero_model_with_a_universe_audits_as_the_reference_does():

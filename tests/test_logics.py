@@ -165,6 +165,21 @@ def test_translate_refuses_input_holding_an_atom_it_mints(text):
         translate(parse_formula(text, signed=True))
 
 
+@pytest.mark.parametrize("text", ["X[s-:E] /\\ s-:E", "~X[s-:E] /\\ s-:E"])
+def test_translation_table_refuses_what_translate_refuses(text):
+    # a dictionary for an image translate does not give would map s-:E
+    # to an atom the input already uses
+    with pytest.raises(ValueError, match=r"mint X\[s-:E\]"):
+        translation_table(parse_formula(text, signed=True))
+
+
+def test_translation_table_lists_atoms_in_minting_order():
+    f = parse_formula("t-:(s-:E) /\\ (s-:E -> u+:(v-:F))", signed=True)
+    assert list(translation_table(f).items()) == [
+        ("s-:E", "X[s-:E]"), ("t-:s-:E", "X[t-:X[s-:E]]"),
+        ("v-:F", "X[v-:F]")]
+
+
 def test_translate_translates_its_images_again():
     f = parse_formula("t+:(s-:E) /\\ s-:E", signed=True)
     image = translate(f)
