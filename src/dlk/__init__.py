@@ -18,9 +18,9 @@ from .builder import (
     realize_spec,
 )
 from .logics import (
-    AxiomSchema, Binding, LogicProfile, alphabet_from, check_in_profile,
-    get_profile, instantiate, match_axiom, match_template, translate,
-    translation_table,
+    AxiomSchema, Binding, LogicProfile, RefusalError, alphabet_from,
+    check_in_profile, get_profile, instantiate, match_axiom, match_template,
+    translate, translation_table,
 )
 from .proofs import (
     CheckResult, DerivedSet, MissingConstantError, NonderivabilityReport,

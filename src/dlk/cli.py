@@ -4,12 +4,12 @@ Every command reads files (or argument text), writes any files it was
 asked for, and builds one report document.  It exits 0 when the verdict
 is positive (parsed, accepted, clean, built, coherent), 1 when the tools
 produce a negative verdict (rejected input or proof, clashing
-specification, failed audit, refutation), and 2 on usage or I/O
-problems and on any error no verdict accounts for.  ``--json`` prints
-that document on stdout; without it the command's text view prints the
-same document as a human-readable report, so the text never says what
-the document does not.  Warnings and errors go to stderr either way,
-with no document.
+specification, failed audit, refutation, a ``RefusalError``), and 2 on
+usage or I/O problems and on any error no verdict accounts for.
+``--json`` prints that document on stdout; without it the command's
+text view prints the same document as a human-readable report, so the
+text never says what the document does not.  Warnings and errors go
+to stderr either way, with no document.
 
 Model, proof and specification files are JSON; the formula file of
 ``translate`` is a JSON array of strings if it decodes as one, else text,
@@ -35,12 +35,11 @@ import sys
 from functools import cache
 
 from .builder import (
-    BoundsError, BuildError, BuildParams, FUNCTIONALS, build, inferred_bounds,
-    realize_spec,
+    BuildError, BuildParams, FUNCTIONALS, build, inferred_bounds, realize_spec,
 )
 from .logics import (
-    PROFILES, SCHEMAS, check_in_profile, get_profile,
-    translate as translate_formula, translation_table,
+    PROFILES, SCHEMAS, RefusalError, _translation, check_in_profile,
+    get_profile,
 )
 from .proofs import (
     MissingConstantError, Proof, ProofFormatError, check_proof, internalize,
@@ -53,13 +52,13 @@ from .semantics import (
 )
 from .specifications import (
     EXTRACTION_DEFAULTS, SpecClashError, SpecFormatError, SpecShapeError,
-    blue_pill, _check_shape, _transplant_refusal, check_coherence,
+    blue_pill, _check_shape, check_coherence,
     close_spec, ok_extract, probe_consistency, spec_from_dict, spec_to_dict,
 )
 from .syntax import (
-    Alphabet, Const, NestingError, ParseError, PropVar, SignViolation, Var,
-    formula_size, formula_terms, parse_formula, parse_term, print_formula,
-    print_term, subformulas, term_size,
+    Alphabet, Const, NestingError, ParseError, PropVar, Var, formula_size,
+    formula_terms, parse_formula, parse_term, print_formula, print_term,
+    term_size,
 )
 
 PROFILE_NAMES = tuple(PROFILES)
@@ -128,7 +127,7 @@ def _write_json(path: str, doc) -> None:
 def _parse_arg_formula(text: str, profile):
     try:
         return parse_formula(text, signed=profile.signed)
-    except (ParseError, SignViolation) as exc:
+    except ParseError as exc:
         raise _Fail(2, f"bad formula {text!r}: {exc}") from None
 
 
@@ -214,7 +213,7 @@ def _cmd_parse(args) -> tuple[int, dict]:
             args.text, signed=profile.signed)
     except NestingError as exc:
         raise _Fail(2, str(exc)) from None
-    except (ParseError, SignViolation) as exc:
+    except ParseError as exc:
         return 1, {"kind": kind, "rejected": str(exc)}
     if args.term:
         return 0, {"kind": kind, "canonical": print_term(node),
@@ -362,7 +361,7 @@ def _cmd_build_model(args) -> tuple[int, dict]:
         for name in _split_csv(args.terms) or ["x", "y"]:
             try:
                 leaf = parse_term(name, signed=profile.signed)
-            except (ParseError, SignViolation) as exc:
+            except ParseError as exc:
                 raise _Fail(2, f"bad --terms entry {name!r}: {exc}") from None
             if isinstance(leaf, Const):
                 consts.append(leaf.name)
@@ -406,7 +405,8 @@ def _cmd_close_spec(args) -> tuple[int, dict]:
     except SpecClashError as exc:
         return 1, {"closed": False,
                    "clash": [print_formula(f) for f in exc.pair]}
-    added = [f for f in closed.formulas if f not in set(raw.formulas)]
+    given = set(raw.formulas)
+    added = [f for f in closed.formulas if f not in given]
     doc = {"closed": True,
            "profile": closed.profile.name,
            "members": [print_formula(f) for f in closed.formulas],
@@ -482,9 +482,6 @@ def _text_extract_ok(doc, args):
 def _cmd_blue_pill(args) -> tuple[int, dict]:
     bounds = _extraction_bounds(args)
     spec = _load_closed_spec(args)
-    refusal = _transplant_refusal(spec.profile)
-    if refusal is not None:
-        raise _Fail(1, refusal)
     result = blue_pill(spec, **bounds)
     head = {"status": result.status,
             "members": [print_formula(f) for f in result.ok.members],
@@ -551,50 +548,37 @@ def _read_formula_file(path: str):
 def _cmd_translate(args) -> tuple[int, dict]:
     entries, shape = _read_formula_file(args.file)
     fused = get_profile("fused")
-    out_lines: list[str] = []
-    images: list[str] = []
-    dictionary: dict[str, str] = {}
-    variables: set[str] = set()
-    for entry in entries:
+    formulas = {}                   # entry index -> its formula
+    for i, entry in enumerate(entries):
         text = entry.strip()
         if shape == "text" and (not text or text.startswith("#")):
-            out_lines.append(entry)
             continue
         try:
             f = parse_formula(text, signed=True)
         except NestingError as exc:
             raise _Fail(2, str(exc)) from None
-        except (ParseError, SignViolation) as exc:
+        except ParseError as exc:
             raise _Fail(1, f"non-fused input rejected: {text!r}: {exc}") \
                 from None
         problems = check_in_profile(f, fused)
         if problems:
             raise _Fail(1, f"non-fused input rejected: {text!r}: "
                         + "; ".join(problems))
-        try:
-            image = print_formula(translate_formula(f))
-        except ValueError as exc:
-            raise _Fail(1, f"input rejected: {exc}") from None
-        images.append(image)
-        out_lines.append(image)
-        for original, fresh in translation_table(f).items():
-            dictionary[fresh] = original
-        variables.update(sub.name for sub in subformulas(f)
-                         if isinstance(sub, PropVar))
-    # the dictionary covers every line, so an atom is fresh only if no
-    # line has a variable of its name
-    taken = sorted(variables.intersection(dictionary))
-    if taken:
-        raise _Fail(1, f"input rejected: the translation would mint "
-                       f"{taken[0]}, a variable of the file")
-
-    doc = {"formulas": images,
-           "dictionary": {k: dictionary[k] for k in sorted(dictionary)}}
+        formulas[i] = f
+    try:
+        images, minted = _translation(formulas.values())
+    except RefusalError as exc:
+        raise _Fail(1, f"input rejected: {exc}") from None
+    printed = dict(zip(formulas, map(print_formula, images)))
+    dictionary = dict(sorted((atom.name, print_formula(g))
+                             for g, atom in minted.items()))
+    doc = {"formulas": list(printed.values()), "dictionary": dictionary}
     if args.out and shape == "json":
         _write_json(args.out, doc)
     elif args.out:
-        body = out_lines + ["", "# dictionary"] + [
-            f"# {k} = {dictionary[k]}" for k in sorted(dictionary)]
+        body = [printed.get(i, entry) for i, entry in enumerate(entries)]
+        body += ["", "# dictionary"] + [f"# {k} = {v}"
+                                        for k, v in dictionary.items()]
         _write(args.out, "\n".join(body) + "\n")
     return 0, doc
 
@@ -610,17 +594,11 @@ def _text_translate(doc, args):
 def _cmd_internalize(args) -> tuple[int, dict]:
     spec = _load_spec(args.spec, args.logic)
     proof = _load_proof(args.proof, args.logic)
-    if not proof.profile.has_schema("introspection"):
-        names = sorted(p.name for p in PROFILES.values()
-                       if p.has_schema("introspection"))
-        raise _Fail(1, f"internalization lifts proofs in the "
-                    f"{' or '.join(names)} profiles, not "
-                    f"{proof.profile.name!r}")
     for f in spec.formulas:
         _check_shape(f)
     try:
         lifted = internalize(proof, spec.formulas)
-    except (MissingConstantError, ValueError) as exc:
+    except MissingConstantError as exc:
         raise _Fail(1, str(exc)) from None
     doc = proof_to_dict(lifted)
     if args.out:
@@ -821,12 +799,15 @@ def main(argv=None) -> int:
     except SpecShapeError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 1
+    except RefusalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except SpecClashError as exc:
         a, b = exc.pair
         print(f"clash: {print_formula(a)} against {print_formula(b)}",
               file=sys.stderr)
         return 1
-    except (BoundsError, BuildError) as exc:
+    except BuildError as exc:
         print(f"build failed: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -39,6 +39,11 @@ class InstantiationError(ValueError):
     """A schema instance could not be formed from the given binding."""
 
 
+class RefusalError(ValueError):
+    """The call is not defined for this input (``internalize`` on a DL
+    proof, say); the command line reports it as a negative verdict."""
+
+
 @dataclass(frozen=True)
 class AxiomSchema:
     id: str
@@ -370,30 +375,33 @@ def translate(f: Formula) -> Formula:
     ones collapse to the same atom.  The image uses only positive terms
     and is a formula of the factive profile once signs are dropped.
     An atom is fresh only if the input has no variable of its name, so
-    input holding one (``X[s-:E] /\\ s-:E``) raises a ``ValueError``
-    naming it.
+    input holding one (``X[s-:E] /\\ s-:E``) raises a ``RefusalError``
+    naming it, as does a justified formula whose term has no sign.
     """
-    return _translation(f)[0]
+    return _translation([f])[0][0]
 
 
 def translation_table(f: Formula) -> dict[str, str]:
     """Printed negative justified subformulas -> their fresh atom names,
     in the order ``translate`` mints them.  Input ``translate`` refuses
-    raises its ``ValueError`` here too."""
+    raises its ``RefusalError`` here too."""
     return {print_formula(g): atom.name
-            for g, atom in _translation(f)[1].items()}
+            for g, atom in _translation([f])[1].items()}
 
 
-def _translation(f: Formula) -> tuple[Formula, dict[Just, PropVar]]:
-    """``translate``'s image of ``f`` and the atom it mints for each
-    negative justified subformula."""
+def _translation(formulas) -> tuple[list[Formula], dict[Just, PropVar]]:
+    """``translate``'s image of each formula and the atom it mints for
+    each negative justified subformula of any of them.  The atoms are
+    fresh across the whole input: one formula's variable is never
+    another's atom."""
     minted: dict[Just, PropVar] = {}
-    image = _unsign(f, minted)
-    if taken := set(minted.values()).intersection(subformulas(f)):
-        raise ValueError(
-            f"cannot translate {print_formula(f)!r}: it would mint "
-            f"{min(atom.name for atom in taken)}, one of its own variables")
-    return image, minted
+    images = [_unsign(f, minted) for f in formulas]
+    if taken := set(minted.values()).intersection(
+            sub for f in formulas for sub in subformulas(f)):
+        raise RefusalError(
+            f"the translation would mint {min(atom.name for atom in taken)}, "
+            f"a variable of the input")
+    return images, minted
 
 
 def _unsign(f: Formula, minted: dict[Just, PropVar]) -> Formula:
@@ -406,9 +414,8 @@ def _unsign(f: Formula, minted: dict[Just, PropVar]) -> Formula:
         if sign == NEGATIVE:
             minted[f] = _fresh_atom(Just(f.term, _unsign(f.body, minted)))
             return minted[f]
-        raise ValueError(
+        raise RefusalError(
             f"cannot translate {print_formula(f)!r}: term has no sign")
     parts = _parts(f)
     return type(f)(*(_unsign(part, minted) for part in parts)) \
         if parts else f
-

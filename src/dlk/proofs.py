@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .logics import (
-    SCHEMAS, Binding, InstantiationError, LogicProfile, alphabet_from,
-    check_in_profile, get_profile, instantiate, match_axiom,
+    PROFILES, SCHEMAS, Binding, InstantiationError, LogicProfile,
+    RefusalError, alphabet_from, check_in_profile, get_profile, instantiate,
+    match_axiom,
 )
 from .semantics import audit, closed_extension, evaluate
 from .syntax import (
@@ -105,7 +106,7 @@ def check_proof(proof: Proof) -> CheckResult:
             try:
                 instance = instantiate(SCHEMAS[line.schema].template,
                                        line.binding, profile.signed)
-            except (InstantiationError, SignDisciplineError) as exc:
+            except InstantiationError as exc:
                 problems.append((i, f"schema {line.schema!r}: {exc}"))
                 continue
             if instance != line.formula:
@@ -257,11 +258,23 @@ def internalize(proof: Proof, entries) -> Proof:
     entries); axiom and hypothesis lines each need an entry whose body is
     the line's formula, justified by a leaf term.  Modus ponens becomes
     an application-schema instance plus two modus ponens steps.
+
+    Internalization is inconsistent with DL, so a proof outside the
+    profiles with introspection (``lp``, ``fused``) raises
+    ``RefusalError``, as do a proof that does not check and a step whose
+    terms no application combines.
     """
+    profile = proof.profile
+    if not profile.has_schema("introspection"):
+        names = sorted(p.name for p in PROFILES.values()
+                       if p.has_schema("introspection"))
+        raise RefusalError(f"internalization lifts proofs in the "
+                           f"{' or '.join(names)} profiles, not "
+                           f"{profile.name!r}")
     result = check_proof(proof)
     if not result.ok:
-        raise ValueError("cannot internalize a proof that does not check: "
-                         + "; ".join(result.describe()))
+        raise RefusalError("cannot internalize a proof that does not check: "
+                           + "; ".join(result.describe()))
     by_body: dict[Formula, Just] = {}
     for entry in entries:
         if isinstance(entry, Just) and entry.body not in by_body:
@@ -269,7 +282,6 @@ def internalize(proof: Proof, entries) -> Proof:
         elif isinstance(entry, Just) and isinstance(entry.term, Const):
             by_body[entry.body] = entry     # constants win over variables
 
-    profile = proof.profile
     lines: list[ProofLine] = []
     hyps: list[Formula] = []
     hyp_pos: dict[Formula, int] = {}
@@ -295,8 +307,9 @@ def internalize(proof: Proof, entries) -> Proof:
             try:
                 compound = Just(App(a, b), this_f)
             except SignDisciplineError as exc:
-                raise ValueError(f"application cannot combine "
-                                 f"{print_term(a)} with {print_term(b)}: {exc}")
+                raise RefusalError(f"application cannot combine "
+                                   f"{print_term(a)} with {print_term(b)}: "
+                                   f"{exc}")
             binding = Binding({"P": minor_f, "Q": this_f}, {"s": a, "t": b})
             step = instantiate(SCHEMAS["application"].template, binding,
                                profile.signed)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .builder import BoundsError, RealizationError, _buildable, realize_spec
-from .logics import PROFILES, LogicProfile, get_profile
+from .logics import PROFILES, LogicProfile, RefusalError, get_profile
 from .proofs import DerivedSet, Proof, derive_forward
 from .semantics import ModularModel, closed_extension, evaluate
 from .syntax import (
@@ -288,17 +288,6 @@ class BluePillResult:
         return self.status == "model"
 
 
-def _transplant_refusal(profile: LogicProfile) -> str | None:
-    """Why ``blue_pill`` refuses a specification in ``profile``: the
-    transplant needs the pairing schema.  None when it does not."""
-    if profile.has_schema("pairing"):
-        return None
-    names = sorted(p.name for p in PROFILES.values()
-                   if p.has_schema("pairing"))
-    return (f"the model transplant is defined for profiles "
-            f"{' and '.join(map(repr, names))}, not {profile.name!r}")
-
-
 def blue_pill(spec: ConstantSpec, **bounds) -> BluePillResult:
     """Transplant the extracted conclusions into a denial-free model.
 
@@ -307,11 +296,16 @@ def blue_pill(spec: ConstantSpec, **bounds) -> BluePillResult:
     justification-logic model satisfying every member.  The evidence
     relation there carries no falsifying force, so success means the
     agent's denial-backed knowledge is jointly tenable on neutral
-    ground.  Failure is a bounded report, not an error.
+    ground.  Failure is a bounded report, not an error.  The transplant
+    needs the pairing schema: a specification in a profile without it
+    raises ``RefusalError`` before any extraction.
     """
-    refusal = _transplant_refusal(spec.profile)
-    if refusal is not None:
-        raise ValueError(refusal)
+    if not spec.profile.has_schema("pairing"):
+        names = sorted(p.name for p in PROFILES.values()
+                       if p.has_schema("pairing"))
+        raise RefusalError(f"the model transplant is defined for profiles "
+                           f"{' and '.join(map(repr, names))}, not "
+                           f"{spec.profile.name!r}")
     ok = ok_extract(spec, **bounds)
     have = set(ok.members)
     for f in ok.members:

@@ -14,6 +14,7 @@ from dlk import (
     Binding,
     ModularModel,
     Proof,
+    RefusalError,
     axiom_line,
     get_profile,
     hyp_line,
@@ -21,11 +22,12 @@ from dlk import (
     mp_line,
     ok_extract,
     parse_formula,
+    print_formula,
     proof_from_dict,
     proof_to_dict,
     spec_from_dict,
 )
-from dlk import cli
+from dlk import cli, logics
 from dlk.cli import main
 
 dl = get_profile("dl")
@@ -756,6 +758,62 @@ def test_translate_refuses_input_nested_too_deeply(tmp_path, capsys):
     assert code == 2
     assert not out
     assert err.startswith("error:") and "nested more than" in err
+
+
+def test_translate_walks_each_formula_once(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "formulas.txt"
+    src.write_text("# premises\ns-:E\nt+:(s-:E)\n\nc+:C /\\ r-:F\n",
+                   encoding="utf-8")
+    unsign, depth, top = logics._unsign, [0], []
+
+    def counting(f, minted):
+        if not depth[0]:
+            top.append(f)
+        depth[0] += 1
+        try:
+            return unsign(f, minted)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(logics, "_unsign", counting)
+    code, out, _ = run_cli(capsys, "translate", str(src), "--json")
+    assert code == 0
+    assert [print_formula(f) for f in top] == ["s-:E", "t+:s-:E",
+                                               "c+:C /\\ r-:F"]
+    assert json.loads(out)["dictionary"] == {"X[r-:F]": "r-:F",
+                                             "X[s-:E]": "s-:E"}
+
+
+@pytest.mark.parametrize("error, code", [
+    (ValueError("no handler names this"), 2),
+    (RefusalError("no handler names this"), 1)])
+def test_translate_reports_only_a_refusal_as_a_verdict(error, code, tmp_path,
+                                                       capsys, monkeypatch):
+    def refuse(formulas):
+        raise error
+
+    monkeypatch.setattr(cli, "_translation", refuse)
+    src = write_json(tmp_path / "formulas.json", ["s-:E"])
+    assert run_cli(capsys, "translate", src)[::2] == (
+        code, ("error: input rejected: " if code == 1 else "error: ")
+        + "no handler names this\n")
+
+
+@pytest.mark.parametrize("error, code", [
+    (ValueError("no handler names this"), 2),
+    (RefusalError("no handler names this"), 1)])
+def test_internalize_reports_only_a_refusal_as_a_verdict(
+        error, code, tmp_path, capsys, monkeypatch):
+    def refuse(proof, entries):
+        raise error
+
+    monkeypatch.setattr(cli, "internalize", refuse)
+    proof = Proof(fused, (hyp_line(fm("P"), 0),), (fm("P"),))
+    ppath = write_json(tmp_path / "proof.json", proof_to_dict(proof))
+    spath = write_json(tmp_path / "spec.json",
+                       {"profile": "fused", "formulas": ["a+:P"]})
+    assert run_cli(capsys, "internalize", ppath, "--spec", spath) == (
+        code, "", "error: no handler names this\n")
 
 
 def test_internalize_lifts_an_axiom(tmp_path, capsys):

@@ -6,8 +6,9 @@ import pickle
 import pytest
 
 from dlk.logics import (
-    Binding, SCHEMAS, check_in_profile, get_profile, instantiate,
-    match_axiom, match_template, translate, translation_table,
+    Binding, RefusalError, SCHEMAS, _translation, check_in_profile,
+    get_profile, instantiate, match_axiom, match_template, translate,
+    translation_table,
 )
 from dlk.proofs import Proof, axiom_line, proof_to_dict
 from dlk.syntax import (
@@ -171,6 +172,30 @@ def test_translation_table_refuses_what_translate_refuses(text):
     # to an atom the input already uses
     with pytest.raises(ValueError, match=r"mint X\[s-:E\]"):
         translation_table(parse_formula(text, signed=True))
+
+
+@pytest.mark.parametrize("texts", [["X[s-:E]", "s-:E"],
+                                   ["t+:s-:E", "~X[s-:E] -> P"]])
+def test_translation_refuses_one_formulas_atom_as_anothers_variable(texts):
+    formulas = [parse_formula(t, signed=True) for t in texts]
+    for f in formulas:          # each formula alone translates
+        translate(f)
+    with pytest.raises(RefusalError, match=r"mint X\[s-:E\]"):
+        _translation(formulas)
+
+
+def test_translation_of_several_formulas_is_each_ones_translation():
+    formulas = [parse_formula(t, signed=True)
+                for t in ["s-:E", "t+:(s-:E /\\ r-:F)", "P"]]
+    images, minted = _translation(formulas)
+    assert images == [translate(f) for f in formulas]
+    assert {print_formula(g): atom.name for g, atom in minted.items()} == {
+        "s-:E": "X[s-:E]", "r-:F": "X[r-:F]"}
+
+
+def test_translate_refuses_a_justified_formula_without_a_sign():
+    with pytest.raises(RefusalError, match="term has no sign"):
+        translate(parse_formula("s:E"))
 
 
 def test_translation_table_lists_atoms_in_minting_order():

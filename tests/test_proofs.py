@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from dlk.builder import RealizationError, realize_spec
-from dlk.logics import Binding, SCHEMAS, get_profile, instantiate
+from dlk.logics import (
+    Binding, RefusalError, SCHEMAS, get_profile, instantiate,
+)
 from dlk.proofs import (
     MissingConstantError, Proof, ProofFormatError, axiom_line,
     check_nonderivability, check_proof, derive_forward, hyp_line,
@@ -341,9 +343,28 @@ def test_internalize_reports_uncovered_line():
         internalize(proof, [])
 
 
+@pytest.mark.parametrize("name", ["jl", "dl", "dl0"])
+def test_internalize_refuses_profiles_without_introspection(name):
+    proof = Proof(get_profile(name), (hyp_line(fm("P"), 0),), (fm("P"),))
+    with pytest.raises(RefusalError) as caught:
+        internalize(proof, [fm("a:P")])
+    assert str(caught.value) == ("internalization lifts proofs in the fused "
+                                 f"or lp profiles, not {name!r}")
+
+
+@pytest.mark.parametrize("name", ["lp", "fused"])
+def test_internalize_lifts_in_the_introspective_profiles(name):
+    profile = get_profile(name)
+    p = fm("P")
+    entry = fm("a+:P" if profile.signed else "a:P", signed=profile.signed)
+    lifted = internalize(Proof(profile, (hyp_line(p, 0),), (p,)), [entry])
+    assert lifted.conclusion == entry
+    assert check_proof(lifted).ok
+
+
 def test_internalize_refuses_broken_proofs():
     proof = Proof(fused, (mp_line(0, 0, fm("P")),))
-    with pytest.raises(ValueError):
+    with pytest.raises(RefusalError, match="does not check"):
         internalize(proof, [])
 
 

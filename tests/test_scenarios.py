@@ -36,3 +36,16 @@ def test_envatted_brain_accepts_the_signed_chain():
     result = run("envatted-brain")
     assert result.ok
     assert any("~E" in line for line in result.lines)
+
+
+def test_the_realize_step_trusts_realize_spec():
+    # a+b is left uninterpreted: [a+b]:A holds in the closed extension,
+    # where realize_spec judges it, and not in the raw model
+    from dlk.logics import get_profile
+    from dlk.scenarios import _step_realize
+    ctx = {}
+    ok, lines, fragment = _step_realize(
+        {"formulas": ["a:A", "[a+b]:A /\\ ~A"]}, get_profile("dl"), ctx)
+    assert (ok, fragment) == (True, {"respects": True})
+    assert lines[-1] == "  model realizes every member"
+    assert "model" in ctx

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from dlk import (
     ConstantSpec,
+    RefusalError,
     SpecClashError,
     SpecFormatError,
     SpecShapeError,
@@ -276,7 +277,7 @@ def test_blue_pill_reports_a_complementary_extraction():
 
 def test_blue_pill_requires_a_denial_or_signed_profile():
     for profile in (jl, dl0, lp):
-        with pytest.raises(ValueError):
+        with pytest.raises(RefusalError, match="model transplant"):
             blue_pill(ConstantSpec(profile, (fm("a:A"),)))
 
 
