@@ -42,8 +42,8 @@ from .syntax import (
     Alphabet, And, App, Bang, Bottom, Const, Formula, Implies, Just, Not,
     Or, Pair, ParseError, PropVar, SignDisciplineError, SignViolation, Sum,
     Term, Var, enumerate_formulas, enumerate_terms, formula_size,
-    parse_formula, parse_term, print_formula, print_term, subformulas,
-    subterms, term_sign, term_size,
+    parse_formula, parse_term, parse_variable, print_formula, print_term,
+    subformulas, subterms, term_sign, term_size,
 )
 
 __version__ = "0.1.0"

@@ -7,13 +7,17 @@ justified formula ``t:B`` counts as true when its body is staged false
 and ``B`` ends up in ``t`` (``_reaches``): the functional accepted it
 there when ``B`` was staged, or the closing pass below will carry it
 there.  So every staged value is the value in the finished model, and
-the functional is asked once per formula.  The loop tests each
+each formula is offered to the functional once.  The functional is
+compiled once per build, over the enumerated terms, into a sprayer
+(``Functional.sprayer``) that maps a staged-false formula to the terms
+accepting it; what depends only on a term is worked out there, once
+per term, and not once per formula.  The loop tests each
 formula's class once, the most frequent kinds (the binary connectives)
 first.  Contributions to the evidence interpretation happen as stages
 close:
 
-* every staged-false formula is offered to all terms, landing wherever
-  the functional accepts it (``spray``);
+* every staged-false formula is passed to the sprayer and lands at
+  every term it returns (the trace says ``spray``);
 * once every formula is staged, one pass of ``semantics.close_upward``
   closes the interpretation upward: sum terms absorb the union of their
   parts, application terms the set product of their parts, and, when
@@ -60,48 +64,49 @@ class RealizationError(BuildError):
 class Functional:
     """Decides which formulas a term accepts as denial evidence.
 
-    A functional implements ``spray``, or ``fires`` behind the default
-    ``spray``."""
+    ``build`` asks a functional once per build for its ``sprayer`` over
+    the enumerated terms, and then calls that once per staged-false
+    formula.  A functional implements ``sprayer``, or ``fires`` behind
+    the default ``sprayer``, which asks every term."""
 
     def fires(self, formula: Formula, term: Term) -> bool:
         raise NotImplementedError
 
-    def spray(self, formula: Formula, terms):
-        """The terms, in order, that accept the staged-false formula."""
-        return [t for t in terms if self.fires(formula, t)]
+    def sprayer(self, terms):
+        """A function from a staged-false formula to the terms of
+        ``terms`` that accept it, in term order unless the functional
+        says otherwise."""
+        return lambda formula: [t for t in terms if self.fires(formula, t)]
 
 
 class ConstZero(Functional):
     """Never accepts; the built interpretation is empty everywhere."""
 
-    def spray(self, formula, terms):
-        return ()
+    def sprayer(self, terms):
+        return lambda formula: ()
 
 
 class ConstOne(Functional):
     """Always accepts; every term collects every false formula."""
 
-    def spray(self, formula, terms):
-        return terms
+    def sprayer(self, terms):
+        return lambda formula: terms
 
 
 class PlusSyntactic(Functional):
     """Accepts at sum terms only (the printed term contains a '+')."""
 
-    def __init__(self):
-        self._cache: dict[Term, bool] = {}
-
-    def fires(self, formula, term):
-        hit = self._cache.get(term)
-        if hit is None:
-            hit = self._cache[term] = "+" in print_term(term)
-        return hit
+    def sprayer(self, terms):
+        # the answer depends on the term alone: print each once
+        sums = [t for t in terms if "+" in print_term(t)]
+        return lambda formula: sums
 
 
 class SpecDriven(Functional):
     """Accepts exactly at the (body, term) positions of the given
     entries; ``suppressed`` positions never accept, whatever else says
-    so (they come from negated entries)."""
+    so (they come from negated entries).  A body's terms come in entry
+    order."""
 
     def __init__(self, entries, suppressed=()):
         self._targets: dict[Formula, tuple[Term, ...]] = {}
@@ -117,8 +122,11 @@ class SpecDriven(Functional):
             if entry.term not in terms:
                 self._targets[entry.body] = terms + (entry.term,)
 
-    def spray(self, formula, terms):
-        return [t for t in self._targets.get(formula, ()) if t in terms]
+    def sprayer(self, terms):
+        present = set(terms)
+        built = {body: [t for t in wanted if t in present]
+                 for body, wanted in self._targets.items()}
+        return lambda formula: built.get(formula, ())
 
 
 def _compile_star(pattern: str) -> re.Pattern:
@@ -135,20 +143,40 @@ class RuleTable(Functional):
         self.rules = [(str(tp), str(fp), bool(fire)) for tp, fp, fire in rules]
         self._compiled = [(_compile_star(tp), _compile_star(fp), fire)
                           for tp, fp, fire in self.rules]
-        self._tcache: dict[Term, str] = {}
-        self._fcache: dict[Formula, str] = {}
 
     def fires(self, formula, term):
-        ttext = self._tcache.get(term)
-        if ttext is None:
-            ttext = self._tcache[term] = print_term(term)
-        ftext = self._fcache.get(formula)
-        if ftext is None:
-            ftext = self._fcache[formula] = print_formula(formula)
+        ttext, ftext = print_term(term), print_formula(formula)
         for tpat, fpat, fire in self._compiled:
             if tpat.match(ttext) and fpat.match(ftext):
                 return fire
         return False
+
+    def sprayer(self, terms):
+        # a term's answer depends only on the rules whose term pattern
+        # matches it (its signature), a formula's only on the rules whose
+        # formula pattern matches it (its vector): each term is printed
+        # and matched once, each formula once, and the terms are decided
+        # once per vector
+        rules = self._compiled
+        signatures = [tuple(i for i, (tpat, _, _) in enumerate(rules)
+                            if tpat.match(text))
+                      for text in map(print_term, terms)]
+        distinct = set(signatures)
+        decided: dict[tuple[bool, ...], list[Term]] = {}
+
+        def spray(formula):
+            text = print_formula(formula)
+            vector = tuple(fpat.match(text) is not None
+                           for _, fpat, _ in rules)
+            accepting = decided.get(vector)
+            if accepting is None:
+                verdict = {sig: next((rules[i][2] for i in sig if vector[i]),
+                                     False)
+                           for sig in distinct}
+                accepting = decided[vector] = [
+                    t for t, sig in zip(terms, signatures) if verdict[sig]]
+            return accepting
+        return spray
 
 
 FUNCTIONALS = {
@@ -237,7 +265,7 @@ def build(params: BuildParams) -> tuple[ModularModel, StageTrace | None]:
     formulas = enumerate_formulas(params.alphabet, params.fm_size, terms)
     if not terms:
         raise BuildError("the alphabet has no term symbols")
-    functional = params.functional
+    spray = params.functional.sprayer(terms)
     valuation = dict(params.seed)
     trace = StageTrace() if params.trace else None
 
@@ -269,7 +297,7 @@ def build(params: BuildParams) -> tuple[ModularModel, StageTrace | None]:
             raise BuildError(f"unexpected formula {f!r}")
         staged[f] = value
         if not value:
-            for term in functional.spray(f, members):
+            for term in spray(f):
                 have = members[term]
                 if trace is not None and f not in have:
                     stage_added.append((print_term(term), print_formula(f),

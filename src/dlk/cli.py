@@ -56,9 +56,9 @@ from .specifications import (
     close_spec, ok_extract, probe_consistency, spec_from_dict, spec_to_dict,
 )
 from .syntax import (
-    Alphabet, Const, NestingError, ParseError, PropVar, Var, formula_size,
-    formula_terms, parse_formula, parse_term, print_formula, print_term,
-    term_size,
+    Alphabet, Const, NestingError, ParseError, Var, formula_size,
+    formula_terms, parse_formula, parse_term, parse_variable, print_formula,
+    print_term, term_size,
 )
 
 PROFILE_NAMES = tuple(PROFILES)
@@ -305,7 +305,7 @@ def _split_csv(raw: str | None) -> list[str]:
     return [part.strip() for part in (raw or "").split(",") if part.strip()]
 
 
-def _seed_from_vars(raw: str | None, signed: bool) -> dict[str, bool]:
+def _seed_from_vars(raw: str | None) -> dict[str, bool]:
     """The seed valuation: each name a propositional variable, given once,
     and false unless given as =1."""
     seed: dict[str, bool] = {}
@@ -314,12 +314,9 @@ def _seed_from_vars(raw: str | None, signed: bool) -> dict[str, bool]:
         if eq and value not in ("0", "1"):
             raise _Fail(2, f"--vars entries look like P=0 or Q=1, got {part!r}")
         try:
-            atom = parse_formula(name, signed)
+            parse_variable(name)
         except ParseError as exc:
             raise _Fail(2, f"bad --vars entry {part!r}: {exc}") from None
-        if not isinstance(atom, PropVar) or atom.name != name:
-            raise _Fail(2, f"--vars entries must be propositional variables, "
-                           f"got {part!r}")
         if name in seed:
             raise _Fail(2, f"--vars gives {name!r} more than once")
         seed[name] = value == "1"
@@ -355,7 +352,7 @@ def _cmd_build_model(args) -> tuple[int, dict]:
             spec.profile, spec.formulas, fm_size=fm_size, tm_size=tm_size,
             trace=args.trace is not None)
     else:
-        seed = _seed_from_vars(args.vars, profile.signed)
+        seed = _seed_from_vars(args.vars)
         term_vars: list[str] = []
         consts: list[str] = []
         for name in _split_csv(args.terms) or ["x", "y"]:

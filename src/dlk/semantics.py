@@ -25,9 +25,9 @@ from .logics import LogicProfile, get_profile
 from .syntax import (
     NEGATIVE, POSITIVE,
     And, App, Bang, Bottom, Formula, Implies, Just, Not, Or, Pair, PropVar,
-    SignDisciplineError, Sum, Term, _FORMATS, _PARTS, _TERM_OPS, _parts,
-    formula_sort_key, parse_term, print_formula, print_term, read_formulas,
-    subterms, term_sign, term_sort_key,
+    ParseError, SignDisciplineError, Sum, Term, _FORMATS, _PARTS, _TERM_OPS,
+    _parts, formula_sort_key, parse_term, parse_variable, print_formula,
+    print_term, read_formulas, subterms, term_sign, term_sort_key,
 )
 
 
@@ -567,6 +567,11 @@ def model_from_dict(doc: dict) -> ModularModel:
     if not isinstance(valuation_doc, dict):
         raise ModelFormatError("'valuation' must map variable names to booleans")
     for name, value in valuation_doc.items():
+        try:
+            parse_variable(name)
+        except ParseError:
+            raise ModelFormatError(f"valuation name {name!r} is not a "
+                                   f"propositional variable") from None
         if not isinstance(value, bool):
             raise ModelFormatError(f"value of variable {name!r} must be "
                                    f"true or false, not {value!r}")

@@ -695,6 +695,20 @@ def parse_term(text: str, signed: bool = False) -> Term:
     return t
 
 
+def parse_variable(name: str) -> PropVar:
+    """The propositional variable spelled exactly ``name``.  A name must
+    read back as itself, so ``p`` (a term), ``_|_`` (falsum), ``P /\\ Q``,
+    `` P`` and ``''`` raise ParseError; bracketed names such as
+    ``X[s-:E]`` are variables."""
+    try:
+        f = parse_formula(name)
+    except ParseError:
+        f = None
+    if type(f) is not PropVar or f.name != name:
+        raise ParseError(f"{name!r} is not a propositional variable", 0)
+    return f
+
+
 def read_formulas(texts, signed: bool, what: str,
                   error: type[ValueError]) -> list[Formula]:
     """Parse a document's list of formula strings.  ``error`` is raised,

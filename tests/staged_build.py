@@ -1,18 +1,23 @@
 """The staged loop of ``dlk.builder.build`` as it was before it tested each
-formula's class once, kept as the oracle of ``build``.
+formula's class once and compiled its functional once per build, kept as
+the oracle of ``build``.
 
 ``match_build`` stages every formula with a ``match`` over the node
-classes, and stores a sprayed member after testing that it is absent.
-``build`` tests ``type(f)`` once, takes the trace's kind from a class
-table and stores the member at once.  Both must give the same model
-(valuation, interpretation, universe) and the same ``StageTrace``.
+classes, asks the functional about each staged-false formula afresh
+(``spray``: each functional's former per-call decision, a rule table
+through ``fires`` for every term, the plus-syntactic one by printing
+every term), and stores a sprayed member after testing that it is
+absent.  ``build`` tests ``type(f)`` once, takes the trace's kind from
+a class table, asks the functional for one sprayer per build and
+stores the member at once.  Both must give the same model (valuation,
+interpretation, universe) and the same ``StageTrace``.
 """
 
 from __future__ import annotations
 
 from dlk.builder import (
-    BoundsError, BuildError, BuildParams, StageRow, StageTrace, _buildable,
-    _reaches,
+    BoundsError, BuildError, BuildParams, ConstOne, ConstZero, Functional,
+    PlusSyntactic, SpecDriven, StageRow, StageTrace, _buildable, _reaches,
 )
 from dlk.logics import PROFILES
 from dlk.semantics import ModularModel, close_upward
@@ -20,6 +25,21 @@ from dlk.syntax import (
     And, Bottom, Formula, Implies, Just, Not, Or, PropVar, Term,
     enumerate_formulas, enumerate_terms, print_formula, print_term,
 )
+
+
+def spray(functional: Functional, formula: Formula, terms):
+    """The terms, in order, that accept the staged-false formula, decided
+    per call and, unless the functional is constant or spec-driven, per
+    (formula, term)."""
+    if isinstance(functional, ConstZero):
+        return ()
+    if isinstance(functional, ConstOne):
+        return terms
+    if isinstance(functional, SpecDriven):
+        return [t for t in functional._targets.get(formula, ()) if t in terms]
+    if isinstance(functional, PlusSyntactic):
+        return [t for t in terms if "+" in print_term(t)]
+    return [t for t in terms if functional.fires(formula, t)]
 
 
 def match_build(params: BuildParams) -> tuple[ModularModel, StageTrace | None]:
@@ -66,7 +86,7 @@ def match_build(params: BuildParams) -> tuple[ModularModel, StageTrace | None]:
                 raise BuildError(f"unexpected formula {f!r}")
         staged[f] = value
         if not value:
-            for term in functional.spray(f, members):
+            for term in spray(functional, f, members):
                 have = members[term]
                 if f not in have:
                     have[f] = None

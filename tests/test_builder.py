@@ -27,10 +27,14 @@ from dlk import (
     get_profile,
     parse_formula,
     parse_term,
+    print_formula,
+    print_term,
     realize_spec,
 )
+from dlk.builder import Functional
 
 from builds import random_builds
+from staged_build import spray
 
 dl = get_profile("dl")
 dl0 = get_profile("dl0")
@@ -96,12 +100,11 @@ def test_spec_driven_fires_only_at_listed_positions():
     functional = SpecDriven(
         [fm("y:P"), fm("x:P"), fm("y:Q"), fm("[x+y]:P"), fm("y:P")],
         suppressed=[(fm("P"), tm("x")), (fm("R"), tm("y"))])
-    terms = {tm("x"): None, tm("y"): None, tm("[x+y]"): None}
-    assert functional.spray(fm("P"), terms) == [tm("y"), tm("[x+y]")]
-    assert functional.spray(fm("Q"), terms) == [tm("y")]
-    assert functional.spray(fm("P /\\ Q"), terms) == []
-    assert functional.spray(fm("P"), {tm("x"): None, tm("y"): None}) == \
-        [tm("y")]
+    spray = functional.sprayer([tm("x"), tm("y"), tm("[x+y]")])
+    assert list(spray(fm("P"))) == [tm("y"), tm("[x+y]")]
+    assert list(spray(fm("Q"))) == [tm("y")]
+    assert list(spray(fm("P /\\ Q"))) == []
+    assert list(functional.sprayer([tm("x"), tm("y")])(fm("P"))) == [tm("y")]
     model, trace = build(small_params(functional, trace=True))
     sprayed = {(t, f) for row in trace.rows for t, f, via in row.added
                if via == "spray"}
@@ -132,6 +135,139 @@ def test_rule_table_star_wildcards_match_printed_forms():
 
 def test_rule_table_defaults_to_rejection():
     assert not RuleTable([]).fires(fm("P"), tm("x"))
+
+
+# ---------------------------------------------------------------------------
+# sprayers: each functional compiled once per build
+
+_ALPHABET = Alphabet(("P", "Q"), ("x", "y"), ("a",))
+_TERMS = enumerate_terms(_ALPHABET, 3, dl.term_ops)
+_FORMULAS = enumerate_formulas(_ALPHABET, 3, terms=_TERMS[:5])
+_TEXTS = ([print_term(t) for t in _TERMS],
+          [print_formula(f) for f in _FORMULAS])
+
+
+@st.composite
+def _pattern(draw, texts):
+    """A printed term or formula with up to two stretches of it, possibly
+    empty, replaced by '*'."""
+    text = draw(st.sampled_from(texts))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, len(text)))
+        text = text[:i] + "*" + text[j:]
+    return text
+
+
+# the build's terms, in some order, and the staged-false formulas asked
+# about, with repeats, so that a sprayer's memo is read again
+_term_lists = st.lists(st.sampled_from(_TERMS), min_size=1, max_size=12,
+                       unique=True)
+_formula_runs = st.lists(st.sampled_from(_FORMULAS), min_size=1, max_size=30)
+
+
+@given(st.lists(st.tuples(_pattern(_TEXTS[0]), _pattern(_TEXTS[1]),
+                          st.booleans()), min_size=1, max_size=4),
+       _term_lists, _formula_runs)
+@settings(max_examples=300, deadline=None)
+def test_rule_table_sprayer_is_fires_over_every_term(rules, terms, formulas):
+    table = RuleTable(rules)
+    spray = table.sprayer(terms)
+    for f in formulas:
+        assert list(spray(f)) == [t for t in terms if table.fires(f, t)]
+
+
+@given(st.lists(st.tuples(st.sampled_from(_TERMS),
+                          st.sampled_from(_FORMULAS)), max_size=8),
+       st.lists(st.tuples(st.sampled_from(_FORMULAS),
+                          st.sampled_from(_TERMS)), max_size=4),
+       st.data(), _term_lists, _formula_runs)
+@settings(max_examples=200, deadline=None)
+def test_spec_driven_sprayer_is_the_per_call_decision(
+        entries, suppressed, data, terms, formulas):
+    # entries may name terms outside the build; some suppressed
+    # positions are entries' own
+    entries = [Just(t, b) for t, b in entries]
+    if entries:
+        suppressed = suppressed + data.draw(st.lists(st.sampled_from(
+            [(e.body, e.term) for e in entries]), max_size=3))
+        formulas = formulas + [e.body for e in entries]
+    functional = SpecDriven(entries, suppressed)
+    sprayer = functional.sprayer(terms)
+    for f in formulas:
+        assert list(sprayer(f)) == spray(functional, f, terms)
+
+
+class _Counting(PlusSyntactic):
+    """Counts the sprayers asked for and the formulas they are asked
+    about."""
+
+    def __init__(self):
+        self.sprayers = 0
+        self.asked = []
+
+    def sprayer(self, terms):
+        self.sprayers += 1
+        inner = super().sprayer(terms)
+
+        def counted(formula):
+            self.asked.append(formula)
+            return inner(formula)
+        return counted
+
+
+def test_build_asks_for_one_sprayer_and_calls_it_once_per_false_formula():
+    for trace in (False, True):
+        functional = _Counting()
+        params = small_params(functional, seed={"P": True}, tm_size=3,
+                              trace=trace)
+        model, _ = build(params)
+        assert functional.sprayers == 1
+        formulas = enumerate_formulas(
+            params.alphabet, params.fm_size,
+            terms=enumerate_terms(params.alphabet, params.tm_size,
+                                  dl.term_ops))
+        assert functional.asked == [f for f in formulas
+                                    if not evaluate(model, f)]
+
+
+class _PlusFires(Functional):
+    """The plus-syntactic functional stated one (formula, term) pair at a
+    time."""
+
+    def fires(self, formula, term):
+        return "+" in print_term(term)
+
+
+def test_a_functional_stated_by_fires_builds_what_its_sprayer_builds():
+    for profile in (dl, dl0):
+        for trace in (False, True):
+            built = [build(BuildParams(profile, Alphabet(("P", "Q"), ("x",),
+                                                         ("a",)),
+                                       4, 3, make(), seed={"P": True},
+                                       trace=trace))
+                     for make in (_PlusFires, PlusSyntactic)]
+            assert list(built[0][0].interp.items()) == \
+                list(built[1][0].interp.items())
+            assert built[0][1] == built[1][1]
+
+
+def test_a_functional_builds_the_same_way_twice():
+    # one instance over two alphabets gives what two fresh ones give
+    alphabets = (Alphabet(("P",), ("x", "y"), ()),
+                 Alphabet(("P", "Q"), ("x", "z"), ("a",)))
+    for make in (PlusSyntactic,
+                 lambda: RuleTable([("x", "*", False), ("*+*", "~*", True),
+                                    ("*", "P", True)])):
+        reused = make()
+        for alphabet in alphabets:
+            again = build(BuildParams(dl, alphabet, 3, 3, reused,
+                                      seed={"P": False}, trace=True))
+            fresh = build(BuildParams(dl, alphabet, 3, 3, make(),
+                                      seed={"P": False}, trace=True))
+            assert list(again[0].interp.items()) == \
+                list(fresh[0].interp.items())
+            assert again[1].rows == fresh[1].rows
 
 
 # ---------------------------------------------------------------------------

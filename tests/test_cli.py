@@ -309,6 +309,36 @@ def test_eval_and_audit_reject_ambiguous_models(tmp_path, capsys, doc, named):
         assert named in err
 
 
+@pytest.mark.parametrize("name", ["p", "P /\\ Q", ""])
+def test_eval_and_audit_reject_a_valuation_name_that_is_no_variable(
+        tmp_path, capsys, name):
+    # a term, a compound and nothing: no formula can mention them
+    path = write_json(tmp_path / "model.json",
+                      {"profile": "dl", "valuation": {"P": True, name: False}})
+    for argv in (("eval", "--model", path, "P"),
+                 ("audit", "--model", path)):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and repr(name) in err
+
+
+def test_written_models_load_again(tmp_path, capsys):
+    # a transplant model and a built one with a bracketed variable
+    spath = write_json(tmp_path / "spec.json",
+                       {"profile": "dl", "formulas": ["s:E"]})
+    pill, built = tmp_path / "pill.json", tmp_path / "built.json"
+    assert run_cli(capsys, "blue-pill", spath, "--size", "3",
+                   "--out", str(pill))[0] == 0
+    assert run_cli(capsys, "build-model", "--functional", "plus-syntactic",
+                   "--vars", "P=1,X[s-:E]=1", "--terms", "x,y",
+                   "--fm-size", "2", "--tm-size", "2",
+                   "--out", str(built))[0] == 0
+    for path, formula in ((pill, "E"), (built, "X[s-:E]")):
+        code, out, _ = run_cli(capsys, "eval", "--model", str(path), formula)
+        assert (code, out.strip()) == (0, "1")
+        assert run_cli(capsys, "audit", "--model", str(path))[0] == 0
+
+
 def test_audit_passes_a_clean_model(hand_model, capsys):
     code, out, _ = run_cli(capsys, "audit", "--model", hand_model,
                            "--universe", "occurring")

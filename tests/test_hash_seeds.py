@@ -6,7 +6,8 @@ in one that follows where the nodes were allocated; nothing printed may
 follow either.  One ``derive_forward`` run (every formula in order, with
 its provenance), one ``dlk audit --json`` on a model with violations and
 universe-not-closed warnings, a ``dlk build-model --json`` whose pairing
-sweep runs, with the stage trace it writes, ``dlk extract-ok --json``
+sweep runs and one with the plus-syntactic functional, each with the
+stage trace it writes, ``dlk extract-ok --json``
 and ``dlk blue-pill --json`` on a two-entry specification and each
 bundled ``dlk scenario NAME --json`` run in fresh interpreters under two
 seeds, each once as is and once with the heap perturbed by some 50,000
@@ -86,11 +87,13 @@ def test_audit_json_is_the_same_under_two_hash_seeds(tmp_path):
     assert runs == [runs[0]] * len(RUNS)
 
 
-def test_build_model_json_is_the_same_under_two_hash_seeds(tmp_path):
+@pytest.mark.parametrize("functional", ("const-one", "plus-syntactic"))
+def test_build_model_json_is_the_same_under_two_hash_seeds(tmp_path,
+                                                           functional):
     runs, traces = [], []
     for seed, junk in RUNS:
         trace = tmp_path / f"trace-{seed}-{junk}.json"
-        args = ["build-model", "--logic", "dl", "--functional", "const-one",
+        args = ["build-model", "--logic", "dl", "--functional", functional,
                 "--vars", "P=1,Q=0", "--trace", str(trace), "--json"]
         runs.append(_cli(seed, junk, args))
         traces.append(trace.read_bytes())
@@ -98,6 +101,16 @@ def test_build_model_json_is_the_same_under_two_hash_seeds(tmp_path):
     assert runs[0][0] == 0 and any("&" in term for term in interp)
     stages = json.loads(traces[0])["stages"]
     assert len(stages) > 100 and any(stage["added"] for stage in stages)
+    # each stage's sprayed terms come in the order the terms were built
+    # in, which is the order of the model document's terms
+    order = {term: i for i, term in enumerate(interp)}
+    for stage in stages:
+        sprayed = [order[added["term"]] for added in stage["added"]
+                   if added["via"] == "spray"]
+        assert sprayed == sorted(sprayed)
+    if functional == "plus-syntactic":
+        assert {added["term"] for stage in stages for added in stage["added"]
+                if added["via"] == "spray"} <= {t for t in interp if "+" in t}
     assert runs == [runs[0]] * len(RUNS)
     assert traces == [traces[0]] * len(RUNS)
 

@@ -1,6 +1,7 @@
 """Model evaluation, the closure audit, and the JSON round trip."""
 
 import itertools
+import re
 
 import pytest
 
@@ -289,6 +290,18 @@ def test_model_format_errors(doc):
 def test_model_format_error_names_the_field(doc, field):
     with pytest.raises(ModelFormatError, match=field):
         model_from_dict(doc)
+
+
+@pytest.mark.parametrize("name", ["p", "P /\\ Q", "", " P", "_|_", "x:P"])
+def test_model_valuation_names_must_be_variables(name):
+    with pytest.raises(ModelFormatError, match=re.escape(repr(name))):
+        model_from_dict({"valuation": {name: True}})
+
+
+def test_model_valuation_keeps_bracketed_names():
+    model = model_from_dict({"valuation": {"X[s-:E]": True, "P": False}})
+    assert model.valuation == {"X[s-:E]": True, "P": False}
+    assert evaluate(model, fm("X[s-:E]"))
 
 
 def test_model_format_error_names_the_variable():

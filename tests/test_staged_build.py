@@ -1,8 +1,9 @@
 """``builder.build`` against the ``match``-based staged loop, its oracle
 (``staged_build.py``).
 
-A seeded corpus covers every functional (the three presets, a rule table
-and a spec-driven one) in ``dl`` and ``dl0``, with the trace off and on:
+A seeded corpus covers every functional (the three presets, two rule
+tables, one of whose first matching rules rejects, and a spec-driven
+one) in ``dl`` and ``dl0``, with the trace off and on:
 alphabets of one or two atoms and one or two term leaves, formula sizes
 3-5, term sizes 1-3 and a random seed valuation.  Both loops must give
 the same valuation, interpretation (terms in the same order), universe
@@ -38,6 +39,12 @@ FUNCTIONALS = {
     "rule-table": lambda: RuleTable([("x", "A", True), ("*+*", "*", True),
                                      ("[* & *]", "~*", True),
                                      ("y", "*->*", True)]),
+    # the first matching rule rejects ahead of a catch-all, and '~(*'
+    # matches only a negation the printer parenthesises
+    "rule-table-rejecting": lambda: RuleTable([("x", "*", False),
+                                               ("y", "~(*", True),
+                                               ("*", "*->*", False),
+                                               ("*", "*", True)]),
     "spec-driven": _spec_driven,
 }
 
