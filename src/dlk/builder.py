@@ -1,23 +1,32 @@
 """Staged construction of evidence models over a bounded enumeration.
 
-The builder walks the formula enumeration once.  Every formula gets a
-staged truth value: variables from the seed valuation, falsum false,
-boolean compounds classically from their (earlier) parts, and a
-justified formula ``t:B`` counts as true when its body is staged false
-and ``B`` ends up in ``t`` (``_reaches``): the functional accepted it
-there when ``B`` was staged, or the closing pass below will carry it
-there.  So every staged value is the value in the finished model, and
-each formula is offered to the functional once.  The functional is
-compiled once per build, over the enumerated terms, into a sprayer
-(``Functional.sprayer``) that maps a staged-false formula to the terms
-accepting it; what depends only on a term is worked out there, once
-per term, and not once per formula.  The loop tests each
-formula's class once, the most frequent kinds (the binary connectives)
-first.  Contributions to the evidence interpretation happen as stages
-close:
+The builder enumerates the formulas itself and stages each one in the
+step that builds it, a size level at a time.  It is the second reader,
+after ``syntax.enumerate_formulas``, of the formula rows and the size
+splits (``syntax._formula_rows`` and ``_splits``), so it builds the
+formulas in enumeration order without a copy of that order.  Each
+(row, split) is one comprehension that yields (formula, value) pairs
+from the pairs of the smaller levels: variables take the seed
+valuation, falsum is false, connectives are valued classically from
+their parts' values, and a justified formula ``t:B`` counts as true
+when its body is staged false and ``B`` ends up in ``t``
+(``_reaches``): the functional accepted it there when ``B`` was staged,
+or the closing pass below will carry it there.  So every staged value
+is the value in the finished model, and each formula is offered to the
+functional once.  Nodes are made through each class's generated
+``__new__`` directly: calling the class would run ``type.__call__``
+too, which adds about 90 ns to every node, an interned one included.
+The functional is compiled once per build, over the enumerated terms,
+into a sprayer (``Functional.sprayer``) that maps a staged-false
+formula to the terms accepting it; what depends only on a term is
+worked out there, once per term, and not once per formula.
+Contributions to the evidence interpretation happen as stages close:
 
-* every staged-false formula is passed to the sprayer and lands at
-  every term it returns (the trace says ``spray``);
+* the staged-false formulas of each (row, split) are passed to the
+  sprayer, in order, and land at every term it returns (the trace says
+  ``spray``).  A level is sprayed before the next one is built, which
+  is all ``t:B`` needs: it reads only where the strictly smaller ``B``
+  landed;
 * once every formula is staged, one pass of ``semantics.close_upward``
   closes the interpretation upward: sum terms absorb the union of their
   parts, application terms the set product of their parts, and, when
@@ -39,8 +48,8 @@ from dataclasses import dataclass, field
 from .logics import PROFILES, LogicProfile, alphabet_from
 from .semantics import ModularModel, close_upward, closed_extension, evaluate
 from .syntax import (
-    Alphabet, And, Bottom, Formula, Implies, Just, Not, Or, Pair, PropVar,
-    Sum, Term, enumerate_formulas, enumerate_terms, formula_size,
+    Alphabet, And, Formula, Implies, Just, Not, Or, Pair, PropVar, Sum, Term,
+    _formula_rows, _formula_start, _splits, enumerate_terms, formula_size,
     formula_terms, print_formula, print_term, term_size,
 )
 
@@ -223,11 +232,6 @@ class StageTrace:
             for row in self.rows]}
 
 
-# the stage kind a trace row gives each formula class
-_KINDS = {Bottom: "bottom", PropVar: "atom", Not: "bool", And: "bool",
-          Or: "bool", Implies: "bool", Just: "just"}
-
-
 def _buildable(profile: LogicProfile) -> bool:
     """The staged construction covers the unsigned profiles with denial."""
     return not profile.signed and profile.has_schema("denial")
@@ -252,6 +256,35 @@ def _reaches(members: dict[Term, dict[Formula, None]], t: Term, b: Formula,
     return False
 
 
+# The stagers of the connectives.  Each builds its row's formulas from
+# its parts' pools of (formula, value) pairs, through the generated
+# constructor, and pairs each with its classical value.
+
+def _stage_not(bodies):
+    new = Not.__new__
+    return [(new(Not, b), not v) for b, v in bodies]
+
+
+def _stage_and(lefts, rights):
+    new = And.__new__
+    return [(new(And, f, g), v and w) for f, v in lefts for g, w in rights]
+
+
+def _stage_or(lefts, rights):
+    new = Or.__new__
+    return [(new(Or, f, g), v or w) for f, v in lefts for g, w in rights]
+
+
+def _stage_implies(lefts, rights):
+    new = Implies.__new__
+    return [(new(Implies, f, g), (not v) or w)
+            for f, v in lefts for g, w in rights]
+
+
+_CLASSICAL = {Not: _stage_not, And: _stage_and, Or: _stage_or,
+              Implies: _stage_implies}
+
+
 def build(params: BuildParams) -> tuple[ModularModel, StageTrace | None]:
     profile = params.profile
     if not _buildable(profile):
@@ -262,7 +295,6 @@ def build(params: BuildParams) -> tuple[ModularModel, StageTrace | None]:
         raise BoundsError("size bounds must be at least 1")
 
     terms = enumerate_terms(params.alphabet, params.tm_size, profile.term_ops)
-    formulas = enumerate_formulas(params.alphabet, params.fm_size, terms)
     if not terms:
         raise BuildError("the alphabet has no term symbols")
     spray = params.functional.sprayer(terms)
@@ -270,50 +302,64 @@ def build(params: BuildParams) -> tuple[ModularModel, StageTrace | None]:
     trace = StageTrace() if params.trace else None
 
     members: dict[Term, dict[Formula, None]] = {t: {} for t in terms}
-    stage_added: list[tuple[str, str, str]] = []
     pairing = profile.has_schema("pairing")
-    staged: dict[Formula, bool] = {}
-    for index, f in enumerate(formulas):
-        # one class test per formula, the most frequent kinds first
-        kind = type(f)
-        if kind is And:
-            value = staged[f.left] and staged[f.right]
-        elif kind is Or:
-            value = staged[f.left] or staged[f.right]
-        elif kind is Implies:
-            value = (not staged[f.left]) or staged[f.right]
-        elif kind is Not:
-            value = not staged[f.body]
-        elif kind is Just:
-            # the body came first: if staged false, every term accepting
-            # it holds it already
-            value = (not staged[f.body]
-                     and _reaches(members, f.term, f.body, pairing))
-        elif kind is PropVar:
-            value = valuation.get(f.name, False)
-        elif kind is Bottom:
-            value = False
-        else:
-            raise BuildError(f"unexpected formula {f!r}")
-        staged[f] = value
-        if not value:
-            for term in spray(f):
-                have = members[term]
-                if trace is not None and f not in have:
-                    stage_added.append((print_term(term), print_formula(f),
-                                        "spray"))
-                have[f] = None
-        if trace is not None:
-            trace.rows.append(StageRow(index, print_formula(f), _KINDS[kind],
-                                       value, tuple(stage_added)))
-            stage_added = []
+    conjunctions: list[And] = []
 
-    conjunctions = ([f for f in formulas if isinstance(f, And)]
-                    if pairing else None)
-    closed = close_upward(members, terms, profile, conjunctions)
+    def stage_just(ts, bodies):
+        # a body is smaller, so sprayed already: if it is staged false,
+        # every term accepting it holds it
+        new = Just.__new__
+        return [(new(Just, t, b), not v and _reaches(members, t, b, pairing))
+                for t in ts for b, v in bodies]
+
+    stagers = {**_CLASSICAL, Just: stage_just}
+
+    def land(pairs, kind):
+        """Spray the staged-false formulas of ``pairs``, in order, and
+        trace each formula as a stage of ``kind``."""
+        if trace is None:
+            for f, value in pairs:
+                if not value:
+                    for term in spray(f):
+                        members[term][f] = None
+            return
+        for f, value in pairs:
+            added = []
+            if not value:
+                for term in spray(f):
+                    have = members[term]
+                    if f not in have:
+                        added.append((print_term(term), print_formula(f),
+                                      "spray"))
+                    have[f] = None
+            trace.rows.append(StageRow(len(trace.rows), print_formula(f),
+                                       kind, value, tuple(added)))
+
+    leaves, terms_by_size = _formula_start(params.alphabet, terms)
+    # falsum ranks first among the leaves
+    bottom = [(leaves[0], False)]
+    atoms = [(a, valuation.get(a.name, False)) for a in leaves[1:]]
+    land(bottom, "bottom")
+    land(atoms, "atom")
+    levels = {1: bottom + atoms}
+    rows = _formula_rows(levels, terms_by_size)
+    for n in range(2, params.fm_size + 1):
+        level = levels[n] = []
+        for ctor, pools in rows:
+            for sizes in _splits(len(pools), n):
+                pairs = stagers[ctor](*(pool.get(k, ())
+                                        for pool, k in zip(pools, sizes)))
+                land(pairs, "just" if ctor is Just else "bool")
+                if ctor is And and pairing:
+                    conjunctions.extend(f for f, _ in pairs)
+                level += pairs
+
+    universe = [f for level in levels.values() for f, _ in level]
+    closed = close_upward(members, terms, profile,
+                          conjunctions if pairing else None)
     if trace is not None and closed:
         trace.rows.append(StageRow(
-            len(formulas), "", "close", False,
+            len(universe), "", "close", False,
             tuple((print_term(t), print_formula(g), via)
                   for t, g, via in closed)))
 
@@ -321,7 +367,7 @@ def build(params: BuildParams) -> tuple[ModularModel, StageTrace | None]:
         profile, valuation,
         {t: frozenset(members[t]) for t in terms},
         provenance="built",
-        formula_universe=frozenset(formulas))
+        formula_universe=frozenset(universe))
     return model, trace
 
 

@@ -539,20 +539,29 @@ def audit(model: ModularModel,
 
 
 def model_to_dict(model: ModularModel) -> dict:
+    """The model as a JSON document: members and universe in sort key
+    order.  Each distinct formula is keyed and printed once, and each
+    term's members are sorted by their rank among all of them."""
+    universe = model.formula_universe
+    named = set().union(*model.interp.values())
+    if universe is not None:
+        named |= universe
+    ranked = sorted(named, key=formula_sort_key)
+    rank = {f: i for i, f in enumerate(ranked)}
+    texts = [print_formula(f) for f in ranked]
     doc: dict = {
         "profile": model.profile.name,
         "valuation": {name: bool(v) for name, v in sorted(model.valuation.items())},
         "interp": {
-            print_term(t): [print_formula(f)
-                            for f in sorted(fs, key=formula_sort_key)]
+            print_term(t): [texts[i] for i in sorted(map(rank.__getitem__,
+                                                         model.interp[t]))]
             for t in sorted(model.interp, key=term_sort_key)
-            for fs in (model.interp[t],)
         },
         "provenance": model.provenance,
     }
-    if model.formula_universe is not None:
-        doc["formula_universe"] = [print_formula(f) for f in
-                                   sorted(model.formula_universe, key=formula_sort_key)]
+    if universe is not None:
+        doc["formula_universe"] = [text for f, text in zip(ranked, texts)
+                                   if f in universe]
     return doc
 
 

@@ -48,7 +48,8 @@ constructor order (``Not: ("body",)``, ``Just: ("term", "body")``,
 leaves ``()``), and its row order ranks head symbols for enumeration.
 The constructors, subterms and subformulas, sort keys and enumeration
 here, and substitution, matching and the unsigning translation in
-``logics``, all read it, as does the pattern code of ``demand``.
+``logics``, all read it, as do the pattern code of ``demand`` and the
+staging of ``builder.build``.
 ``_TERM_OPS`` maps each term operation name of a profile to its
 constructor and symbol, and ``_FORMATS`` gives each compound its printed
 form.  A new node class is one row in ``_PARTS`` (plus one in
@@ -63,7 +64,15 @@ symbol's rank, then by the parts' keys.  ``enumerate_terms`` and
 node: their rows run in ``_RANK`` order, the size splits of a binary
 node run by ascending size of the first part (the first field of its
 key), and ``itertools.product`` walks pools that are each sorted.  Only
-the leaves and the caller's term list are sorted.  ``_sort_key`` itself
+the leaves and the caller's term list are sorted.  ``builder.build`` is
+the second reader of the formula rows and their splits: it builds the
+same formulas, level by level, from ``_formula_start``,
+``_formula_rows`` and ``_splits``, and stages each in the step that
+builds it.  ``_compounds`` and ``build`` call a formula class's
+generated ``__new__`` directly, since calling the class runs
+``type.__call__`` too, about 90 ns more per node for the same interned
+node; rows with a sign rule (the term rows) still call the class node
+by node, to skip the nodes it refuses.  ``_sort_key`` itself
 orders sets for output: ``occurring_terms``, ``default_universe``, audit
 violations and ``model_to_dict`` in ``semantics``, and the candidates of
 ``search_jl_model``.
@@ -75,6 +84,7 @@ import weakref
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from functools import partial
 from itertools import product as _cartesian
+from itertools import starmap as _starmap
 from operator import attrgetter
 
 POSITIVE = "+"
@@ -495,28 +505,31 @@ _PUNCT = set("~:()[].+-&!")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The tokens of ``text``, each (kind, text, position), ending in
+    EOF.  A token is told by its first character: punctuation (``-``
+    opening ``->``), space, then ``_|_``, ``/\\``, ``\\/`` and names."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
         c = text[i]
-        if c.isspace():
+        if c in _PUNCT:
+            if c == "-" and text.startswith("->", i):
+                tokens.append(("ARROW", "->", i))
+                i += 2
+            else:
+                tokens.append((c, c, i))
+                i += 1
+        elif c.isspace():
             i += 1
-            continue
-        if text.startswith("_|_", i):
+        elif c == "_" and text.startswith("_|_", i):
             tokens.append(("BOT", "_|_", i))
             i += 3
-        elif text.startswith("/\\", i):
+        elif c == "/" and text.startswith("/\\", i):
             tokens.append(("AND", "/\\", i))
             i += 2
-        elif text.startswith("\\/", i):
+        elif c == "\\" and text.startswith("\\/", i):
             tokens.append(("OR", "\\/", i))
             i += 2
-        elif text.startswith("->", i):
-            tokens.append(("ARROW", "->", i))
-            i += 2
-        elif c in _PUNCT:
-            tokens.append((c, c, i))
-            i += 1
         elif c.isalpha():
             j = i + 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
@@ -752,6 +765,13 @@ class Alphabet:
         return out
 
 
+def _splits(arity: int, n: int) -> list[tuple[int, ...]]:
+    """The sizes of the parts of a node of size n with ``arity`` parts,
+    by ascending size of the first part."""
+    return [(n - 1,)] if arity == 1 else \
+        [(k, n - 1 - k) for k in range(1, n - 1)]
+
+
 def _compounds(rows, n: int) -> list:
     """Every node of size n that a row's constructor builds from parts
     drawn, by size, from the row's pools (dicts size -> nodes); those
@@ -762,14 +782,17 @@ def _compounds(rows, n: int) -> list:
     free of duplicates: the size splits run by ascending size of the
     first part, which is the first field of its key, and the product
     walks each part's sorted pool in turn, so the parts' keys ascend
-    lexicographically within a row."""
+    lexicographically within a row.  A row without a sign rule is built
+    in bulk through its generated ``__new__``, not ``type.__call__``."""
     items = []
     for ctor, pools in rows:
-        splits = [(n - 1,)] if len(pools) == 1 else \
-            [(k, n - 1 - k) for k in range(1, n - 1)]
-        for sizes in splits:
-            for parts in _cartesian(*(pool.get(k, ())
-                                      for pool, k in zip(pools, sizes))):
+        for sizes in _splits(len(pools), n):
+            products = _cartesian(*(pool.get(k, ())
+                                    for pool, k in zip(pools, sizes)))
+            if ctor not in _SIGN_RULES:
+                items += _starmap(partial(ctor.__new__, ctor), products)
+                continue
+            for parts in products:
                 try:
                     items.append(ctor(*parts))
                 except SignDisciplineError:
@@ -795,6 +818,30 @@ def enumerate_terms(alphabet: Alphabet, size_bound: int,
     return [t for n in range(1, size_bound + 1) for t in by_size.get(n, ())]
 
 
+def _formula_start(alphabet: Alphabet, terms: list[Term]):
+    """What a formula enumeration starts from: the formulas of size 1 in
+    ``_sort_key`` order, falsum first, and ``terms`` deduplicated,
+    grouped by size and each group sorted once."""
+    terms_by_size: dict[int, list[Term]] = {}
+    for t in dict.fromkeys(terms):
+        terms_by_size.setdefault(_size(t), []).append(t)
+    for group in terms_by_size.values():
+        group.sort(key=_sort_key)
+    base: list[Formula] = [BOTTOM] + [PropVar(v) for v in
+                                      dict.fromkeys(alphabet.prop_vars)]
+    return sorted(base, key=_sort_key), terms_by_size
+
+
+def _formula_rows(by_size: dict, terms_by_size: dict) -> list:
+    """The compound formula rows for ``_compounds``, in ``_RANK`` order:
+    each constructor with a pool per part, ``terms_by_size`` for the one
+    term part (Just's, named "term") and ``by_size`` for the others."""
+    return [(ctor, tuple(terms_by_size if name == "term" else by_size
+                         for name in names))
+            for ctor, names in _PARTS.items()
+            if names and issubclass(ctor, Formula)]
+
+
 def enumerate_formulas(alphabet: Alphabet, size_bound: int,
                        terms: list[Term]) -> list[Formula]:
     """All formulas of size <= size_bound, enumeration order.
@@ -804,20 +851,9 @@ def enumerate_formulas(alphabet: Alphabet, size_bound: int,
     they are deduplicated, grouped by size and each group sorted once,
     so that ``_compounds`` builds the formulas in ``_sort_key`` order.
     """
-    terms_by_size: dict[int, list[Term]] = {}
-    for t in dict.fromkeys(terms):
-        terms_by_size.setdefault(_size(t), []).append(t)
-    for group in terms_by_size.values():
-        group.sort(key=_sort_key)
-
-    base: list[Formula] = [BOTTOM] + [PropVar(v) for v in
-                                      dict.fromkeys(alphabet.prop_vars)]
-    by_size: dict[int, list[Formula]] = {1: sorted(base, key=_sort_key)}
-    # the one term part of a formula, Just's, is named "term"
-    rows = [(ctor, tuple(terms_by_size if name == "term" else by_size
-                         for name in names))
-            for ctor, names in _PARTS.items()
-            if names and issubclass(ctor, Formula)]
+    leaves, terms_by_size = _formula_start(alphabet, terms)
+    by_size: dict[int, list[Formula]] = {1: leaves}
+    rows = _formula_rows(by_size, terms_by_size)
     for n in range(2, size_bound + 1):
         by_size[n] = _compounds(rows, n)
     return [f for n in range(1, size_bound + 1) for f in by_size.get(n, ())]

@@ -13,21 +13,21 @@ from hypothesis import given, settings
 
 from dlk import semantics
 from dlk.builder import FUNCTIONALS, BuildParams, build
-from dlk.logics import PROFILES, LogicProfile
+from dlk.logics import PROFILES
 from dlk.semantics import (
     AuditReport, ConditionReport, ModularModel, Violation, _paired,
-    _sign_admits, audit, close_upward, closed_extension, default_universe,
-    evaluate, occurring_terms, set_product,
+    _sign_admits, audit, closed_extension, default_universe, evaluate,
+    occurring_terms, set_product,
 )
 from dlk.syntax import (
     NEGATIVE, POSITIVE, Alphabet, And, App, Bang, Const, Just, Pair,
     SignDisciplineError, Sum, Term, Var, _PARTS, _TERM_OPS, _parts,
-    enumerate_formulas, enumerate_terms, formula_sort_key, parse_formula,
-    parse_term, print_formula, print_term,
+    formula_sort_key, parse_formula, parse_term, print_formula, print_term,
 )
 
 import interpreted
 from builds import random_builds
+from hand_models import POOLS, hand_model
 
 
 # ---------------------------------------------------------------------------
@@ -181,45 +181,8 @@ def naive_audit(model: ModularModel,
 # seeded hand-written models
 
 
-def _pools(profile: LogicProfile):
-    alphabet = Alphabet(("P", "Q"), ("x", "y"), (), signed=profile.signed)
-    terms = enumerate_terms(alphabet, 3, profile.term_ops)
-    formulas = enumerate_formulas(alphabet, 4, terms=terms)
-    return terms, formulas
-
-
-POOLS = {name: _pools(p) for name, p in PROFILES.items()}
 UNIVERSES = {"occurring": occurring_terms, "default": default_universe,
              "implicit": lambda model: None}
-
-
-def hand_model(rng: random.Random, name: str) -> ModularModel:
-    """A few terms with small evidence sets drawn from short formulas (so
-    implications meet their antecedents and conjunctions their sides),
-    a random valuation, and no universe, the whole formula pool or a
-    random part of it.  Half the models are closed upward first, so
-    clean compounds sit beside violating ones."""
-    profile = PROFILES[name]
-    terms, formulas = POOLS[name]
-    short = formulas[:len(formulas) // 3]
-    interp = {t: frozenset(rng.sample(short, rng.randint(0, 6)))
-              for t in rng.sample(terms, rng.randint(1, 5))}
-    universe = rng.choice((None, frozenset(formulas),
-                           frozenset(rng.sample(formulas, 40))))
-    if rng.random() < 0.5:
-        model = ModularModel(profile, {}, interp)
-        over = occurring_terms(model)
-        members = {t: dict.fromkeys(interp.get(t, ())) for t in over}
-        conjunctions = None
-        if universe is not None and profile.has_schema("pairing"):
-            conjunctions = [f for f in universe if isinstance(f, And)]
-        close_upward(members, over,
-                     PROFILES["jl" if conjunctions is None else "dl"],
-                     conjunctions)
-        interp = {t: frozenset(fs) for t, fs in members.items()}
-    valuation = {"P": rng.random() < 0.5, "Q": rng.random() < 0.5}
-    return ModularModel(profile, valuation, interp,
-                        formula_universe=universe)
 
 
 def test_hand_written_models_audit_as_the_reference_does():

@@ -8,7 +8,10 @@ violation must raise the same ``SignDisciplineError`` text.  The sealed
 nodes are not interned, so the two are compared structurally, as are
 the enumerated nodes of ``nodes.py`` and their sealed rebuilds.  That
 every route to one structure gives the identical node is a node fact of
-``test_node_facts.py``.
+``test_node_facts.py``.  ``_compounds`` and ``builder.build`` call a
+class's generated ``__new__`` directly, skipping ``type.__call__``: that
+call must give the node the class call gives, on a hit and on a miss,
+and run the sign rule all the same.
 """
 
 from dataclasses import fields
@@ -18,8 +21,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dlk.syntax import (
-    NEGATIVE, POSITIVE, App, Bang, Bottom, Const, Formula, Just, Pair, Sum,
-    Term, Var,
+    NEGATIVE, POSITIVE, And, App, Bang, Bottom, Const, FMeta, Formula,
+    Implies, Just, Not, Or, Pair, PropVar, Sum, Term, TMeta, Var, _PARTS,
 )
 
 from nodes import FORMULAS, TERMS, construct, enumerated, make
@@ -79,3 +82,53 @@ def test_enumerated_nodes_are_what_the_sealed_dataclasses_build(signed):
     for node in sum(enumerated(signed), []):
         values = [getattr(node, f.name) for f in fields(node)]
         assert_same_structure(node, build_sealed(type(node), *values))
+
+
+def direct(kind, *args, **kwargs):
+    """``kind``'s node through its generated ``__new__``, not its call."""
+    return kind.__new__(kind, *args, **kwargs)
+
+
+@given(TERMS | FORMULAS, st.booleans(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_the_direct_constructor_gives_the_called_node(recipe, direct_first,
+                                                      keywords):
+    # the first build of a drawn tree mostly misses, the second hits
+    ways = (direct, construct) if direct_first else (construct, direct)
+    first, second = (make(recipe, way, keywords) for way in ways)
+    if isinstance(first, tuple):
+        assert first == second and first[0] == "refused"
+    else:
+        assert first is second
+
+
+# one recipe per node class, over names no other test uses, so that the
+# first build of each is a miss
+FRESH = [
+    (Const, "afresh", POSITIVE), (Var, "xfresh"), (TMeta, "sfresh", "neg"),
+    (App, (Var, "xfresh"), (Const, "afresh")),
+    (Sum, (Const, "afresh"), (Var, "xfresh")),
+    (Pair, (Var, "xfresh", NEGATIVE), (Var, "yfresh", NEGATIVE)),
+    (Bang, (Const, "bfresh", POSITIVE)),
+    (Bottom,), (PropVar, "Fresh"), (FMeta, "Fresh"),
+    (Not, (PropVar, "Fresh")), (And, (PropVar, "Fresh"), (Bottom,)),
+    (Or, (Bottom,), (PropVar, "Fresh")),
+    (Implies, (PropVar, "Fresh"), (FMeta, "Fresh")),
+    (Just, (Var, "xfresh"), (PropVar, "Fresh")),
+]
+
+
+@pytest.mark.parametrize("direct_first", (True, False))
+def test_every_node_class_gives_one_node_either_way(direct_first):
+    assert {recipe[0] for recipe in FRESH} == set(_PARTS)
+    for recipe in FRESH:
+        ways = (direct, construct) if direct_first else (construct, direct)
+        first, second = (make(recipe, way) for way in ways)
+        assert type(first) is recipe[0] and first is second
+
+
+@pytest.mark.parametrize("recipe", VIOLATIONS, ids=lambda r: r[0].__name__)
+def test_the_direct_constructor_runs_the_sign_rule(recipe):
+    refused = make(recipe, construct)
+    # built once already, and refused again through ``__new__``
+    assert make(recipe, direct) == refused
