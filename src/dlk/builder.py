@@ -317,23 +317,19 @@ def build(params: BuildParams) -> tuple[ModularModel, StageTrace | None]:
     def land(pairs, kind):
         """Spray the staged-false formulas of ``pairs``, in order, and
         trace each formula as a stage of ``kind``."""
-        if trace is None:
-            for f, value in pairs:
-                if not value:
-                    for term in spray(f):
-                        members[term][f] = None
-            return
+        added = []
         for f, value in pairs:
-            added = []
             if not value:
                 for term in spray(f):
                     have = members[term]
-                    if f not in have:
+                    if trace is not None and f not in have:
                         added.append((print_term(term), print_formula(f),
                                       "spray"))
                     have[f] = None
-            trace.rows.append(StageRow(len(trace.rows), print_formula(f),
-                                       kind, value, tuple(added)))
+            if trace is not None:
+                trace.rows.append(StageRow(len(trace.rows), print_formula(f),
+                                           kind, value, tuple(added)))
+                added.clear()
 
     leaves, terms_by_size = _formula_start(params.alphabet, terms)
     # falsum ranks first among the leaves

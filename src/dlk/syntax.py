@@ -68,11 +68,9 @@ the leaves and the caller's term list are sorted.  ``builder.build`` is
 the second reader of the formula rows and their splits: it builds the
 same formulas, level by level, from ``_formula_start``,
 ``_formula_rows`` and ``_splits``, and stages each in the step that
-builds it.  ``_compounds`` and ``build`` call a formula class's
-generated ``__new__`` directly, since calling the class runs
-``type.__call__`` too, about 90 ns more per node for the same interned
-node; rows with a sign rule (the term rows) still call the class node
-by node, to skip the nodes it refuses.  ``_sort_key`` itself
+builds it.  ``build`` calls a formula class's generated ``__new__``
+directly, since calling the class runs ``type.__call__`` too, about
+90 ns more per node for the same interned node.  ``_sort_key`` itself
 orders sets for output: ``occurring_terms``, ``default_universe``, audit
 violations and ``model_to_dict`` in ``semantics``, and the candidates of
 ``search_jl_model``.
@@ -84,7 +82,6 @@ import weakref
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from functools import partial
 from itertools import product as _cartesian
-from itertools import starmap as _starmap
 from operator import attrgetter
 
 POSITIVE = "+"
@@ -782,17 +779,12 @@ def _compounds(rows, n: int) -> list:
     free of duplicates: the size splits run by ascending size of the
     first part, which is the first field of its key, and the product
     walks each part's sorted pool in turn, so the parts' keys ascend
-    lexicographically within a row.  A row without a sign rule is built
-    in bulk through its generated ``__new__``, not ``type.__call__``."""
+    lexicographically within a row."""
     items = []
     for ctor, pools in rows:
         for sizes in _splits(len(pools), n):
-            products = _cartesian(*(pool.get(k, ())
-                                    for pool, k in zip(pools, sizes)))
-            if ctor not in _SIGN_RULES:
-                items += _starmap(partial(ctor.__new__, ctor), products)
-                continue
-            for parts in products:
+            for parts in _cartesian(*(pool.get(k, ())
+                                      for pool, k in zip(pools, sizes))):
                 try:
                     items.append(ctor(*parts))
                 except SignDisciplineError:

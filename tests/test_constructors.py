@@ -8,8 +8,8 @@ violation must raise the same ``SignDisciplineError`` text.  The sealed
 nodes are not interned, so the two are compared structurally, as are
 the enumerated nodes of ``nodes.py`` and their sealed rebuilds.  That
 every route to one structure gives the identical node is a node fact of
-``test_node_facts.py``.  ``_compounds`` and ``builder.build`` call a
-class's generated ``__new__`` directly, skipping ``type.__call__``: that
+``test_node_facts.py``.  ``builder.build`` calls a class's generated
+``__new__`` directly, skipping ``type.__call__``: that
 call must give the node the class call gives, on a hit and on a miss,
 and run the sign rule all the same.
 """

@@ -35,9 +35,9 @@ from builds import FORMULA_PATTERNS, SEEDED, TERM_PATTERNS, seeded_params
 from staged_build import match_build
 
 
-def _assert_agrees(make_params):
+def _assert_agrees(make_params, check=lambda built: None):
     """``build`` and the oracle agree on ``make_params(trace)``, with the
-    trace off and on."""
+    trace off and on; ``check`` is asserted on each built model."""
     for trace in (False, True):
         built, built_trace = build(make_params(trace))
         oracle, oracle_trace = match_build(make_params(trace))
@@ -49,17 +49,19 @@ def _assert_agrees(make_params):
             assert built_trace.rows == oracle_trace.rows
         else:
             assert built_trace is None and oracle_trace is None
-    return built
+        check(built)
 
 
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("functional", SEEDED)
 @pytest.mark.parametrize("profile", ("dl", "dl0"))
 def test_build_agrees_with_the_match_loop(profile, functional, seed):
-    built = _assert_agrees(lambda trace: seeded_params(
-        PROFILES[profile], functional, seed, trace))
-    if functional in ("const-zero", "const-one"):
-        assert any(built.interp.values()) == (functional == "const-one")
+    def check(built):
+        if functional in ("const-zero", "const-one"):
+            assert any(built.interp.values()) == (functional == "const-one")
+
+    _assert_agrees(lambda trace: seeded_params(
+        PROFILES[profile], functional, seed, trace), check)
 
 
 @pytest.mark.parametrize("bounds", [(1, 1), (2, 1), (1, 3), (2, 3), (4, 1)])
