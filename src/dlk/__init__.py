@@ -20,7 +20,7 @@ from .builder import (
 from .logics import (
     AxiomSchema, Binding, LogicProfile, RefusalError, alphabet_from,
     check_in_profile, get_profile, instantiate, match_axiom, match_template,
-    translate, translation_table,
+    translate,
 )
 from .proofs import (
     CheckResult, DerivedSet, MissingConstantError, NonderivabilityReport,

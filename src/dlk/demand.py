@@ -50,13 +50,27 @@ pair in every round.
 
 Only a snapshot reads the pools, so a round's conclusions are fed to them
 just before its snapshot, in the order they were added, and not at all
-when the search stops within the round.  Nothing drains what the last
-round's instances would queue, so it is not built: the last round is
-examined only for the goal and the first complementary pair, and only
-when an instance can reach one of them, i.e. the goal is an implication
-or a negated implication waits for its pair.  ``tests/eager_rounds.py``
-keeps, as the oracle, the loop that feeds each conclusion as it is added
-and runs the whole instance phase after every round.
+when the search stops within the round.  Each watched question is asked
+once, at the snapshot that settles it: whether a D implication's
+antecedent is an instance, at the first queue phase after it is added;
+whether the goal, or the body of a D negation, is one, at round 1's
+notes, or in ``add`` for a negation concluded later.  (a) A template's
+metavariables all occur in it, so a binding's values are subformulas
+and subterms of the instance.  (b) Every subformula within the bound of
+a formula added in round r is pooled by round r's snapshot (round 1's
+for the seeds: hypotheses and goal), and every term a binding can take
+is pooled from round 1 on, or never.  So a formula added in round r is
+an instance at round r's snapshot or at none.  (c) Every template is an
+implication whose negations wrap a formula metavariable.  So a negation
+``~g`` concluded in round r >= 2 lies inside a hypothesis, an earlier
+conclusion or a pooled value, or is ``Not(v)`` for a pooled value, and
+``g``'s values are in round r-1's snapshot when ``add`` asks; round 1's
+negations lie inside hypotheses, as only hypotheses are majors then.
+Nothing drains what the last round's instances would queue, so a last
+round after the first ends at its modus ponens phase.
+``tests/eager_rounds.py`` keeps, as the oracle, the loop that feeds each
+conclusion as it is added and runs the whole instance phase, notes
+included, after every round.
 
 ``proofs`` imports this module on the first call of ``derive_forward``,
 so importing ``dlk`` does not load it.
@@ -439,11 +453,10 @@ class DemandSaturation:
         # instance -> (key, rule, binding) of its first appearance
         self.first: dict[Formula, tuple] = {}
         # what later rounds must look for: schemas whose antecedent a D
-        # member matches, absent antecedents of D implications, absent
-        # implications whose negation is in D
+        # member matches, and, until the next queue phase, absent
+        # antecedents of D implications
         self.ante_watch: list[tuple[_Rule, Binding]] = []
         self.left_watch: dict[Formula, list[tuple[tuple, Implies]]] = {}
-        self.neg_watch: dict[Formula, Not] = {}
 
         seeds = list(self.hyps) + ([goal] if goal is not None else [])
         seeds += [BOTTOM] + list(extra_pool)
@@ -706,9 +719,6 @@ class DemandSaturation:
                 self.queue.append(iter([(f, None, hit[1:])]))
             else:
                 self.left_watch.setdefault(f.left, []).append((self.now, f))
-        if isinstance(f, Not) and isinstance(f.body, Implies) \
-                and out.contradiction is None:
-            self.neg_watch.setdefault(f.body, f)
         majors = self.by_antecedent.get(f)
         starts = []
         for rule in self.index.antecedent_rules(f):
@@ -735,20 +745,21 @@ class DemandSaturation:
 
     def queue_phase(self, round_no: int):
         """Queue, in key order, the entries round ``round_no``'s instances
-        make for the next round's modus ponens phase."""
+        make for the next round's modus ponens phase.  This snapshot
+        settles each antecedent in ``left_watch`` (see the module
+        docstring), so the watch is emptied."""
         events = []
 
         def event(key, sub, tie, what):
             events.append(((key, sub, tie), what))
 
-        for left in list(self.left_watch):
-            if left in self.out.provenance:
-                del self.left_watch[left]
-                continue
-            hit = self.instance(left)
-            if hit is not None:
-                for key, major in self.left_watch.pop(left):
+        provenance = self.out.provenance
+        for left, majors in self.left_watch.items():
+            if left not in provenance \
+                    and (hit := self.instance(left)) is not None:
+                for key, major in majors:
                     event(hit[0], 1, key, (major, None, hit[1:]))
+        self.left_watch.clear()
 
         for plan in self.live_plans():
             fnames, tnames = plan.major.names
@@ -777,44 +788,31 @@ class DemandSaturation:
             events, self.entries((), starts, round_no),
             key=itemgetter(0))))
 
-    def may_note(self) -> bool:
-        """Whether ``note_phase`` can store anything; ``instance`` finds
-        implications only."""
-        return isinstance(self.goal, Implies) \
-            or (self.out.contradiction is None and bool(self.neg_watch))
-
     def note_phase(self):
-        """Store the first instances, over the snapshots taken so far, that
-        reach the goal or complete the first complementary pair.
-
-        The goal, or a watched pair, stops the search at the first
-        instance reaching it; what the round queued after that is never
-        drained.  Runs after ``queue_phase``, whose ``left_watch`` loop
-        must not see the instances stored here."""
-        notes = []
-        if self.goal is not None and self.goal not in self.out.provenance:
-            hit = self.instance(self.goal)
-            if hit is not None:
-                notes.append(hit + (self.goal,))
+        """Store, in key order, the instances over round 1's snapshot that
+        are the goal or the body of a D negation, up to the first that
+        stops the search; what the round queued is then never drained.
+        Runs once, after round 1's ``queue_phase``, whose ``left_watch``
+        loop must not see them; later rounds find none (see the module
+        docstring)."""
+        provenance = self.out.provenance
+        wanted = [] if self.goal is None or self.goal in provenance \
+            else [self.goal]
         if self.out.contradiction is None:
-            for g in self.neg_watch:
-                hit = self.instance(g)
-                if hit is not None:
-                    notes.append(hit + (g,))
-        notes.sort(key=itemgetter(0))
-        stop = None
-        for key, rule, binding, f in notes:
-            if stop is not None and key != stop:
-                break
+            wanted += [f.body for f in provenance if isinstance(f, Not)]
+        notes = sorted((hit + (f,) for f in dict.fromkeys(wanted)
+                        if (hit := self.instance(f)) is not None),
+                       key=itemgetter(0))
+        for _, rule, binding, f in notes:
             self.store(f, rule, binding)
             if f == self.goal:
                 self.done = True
-            if f in self.neg_watch and self.out.contradiction is None:
-                self.out.contradiction = (f, self.neg_watch[f])
+            if f in self.negated and self.out.contradiction is None:
+                self.out.contradiction = (f, Not(f))
                 self.done = self.done or self.watch
             self.check_limit()
             if self.done:
-                stop = key
+                break
 
     def run(self) -> DerivedSet:
         provenance = self.out.provenance
@@ -857,7 +855,7 @@ class DemandSaturation:
                 self.add(right, ("mp", major, left))
                 concluded.append(right)
             last = round_no == self.rounds
-            if self.done or (last and not self.may_note()):
+            if self.done or last and round_no > 1:
                 break
             for f in concluded:
                 self.feed_pool(f)
@@ -865,5 +863,6 @@ class DemandSaturation:
                 break
             if not last:
                 self.queue_phase(round_no)
-            self.note_phase()
+            if round_no == 1:
+                self.note_phase()
         return self.out

@@ -381,14 +381,6 @@ def translate(f: Formula) -> Formula:
     return _translation([f])[0][0]
 
 
-def translation_table(f: Formula) -> dict[str, str]:
-    """Printed negative justified subformulas -> their fresh atom names,
-    in the order ``translate`` mints them.  Input ``translate`` refuses
-    raises its ``RefusalError`` here too."""
-    return {print_formula(g): atom.name
-            for g, atom in _translation([f])[1].items()}
-
-
 def _translation(formulas) -> tuple[list[Formula], dict[Just, PropVar]]:
     """``translate``'s image of each formula and the atom it mints for
     each negative justified subformula of any of them.  The atoms are

@@ -230,8 +230,9 @@ def derive_forward(profile: LogicProfile, hypotheses, *,
     instances modus ponens uses as a premise, the goal and a half of the
     first complementary pair, and finds them by matching schema
     antecedents against what is derived.  The pools are fed at each
-    round's snapshot, and the last round's instances are examined only
-    for the goal and the first complementary pair.  The hypotheses and
+    round's snapshot, the goal and the first complementary pair are
+    looked for once, at round 1's, and a last round after the first ends
+    at its modus ponens phase.  The hypotheses and
     modus ponens conclusions, their order and provenance, the
     contradiction, goal and ``rounds_used`` are those of building every
     instance of every round, which ``tests/exhaustive.py`` does as the

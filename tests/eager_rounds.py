@@ -5,10 +5,12 @@ kept as the oracle of ``DemandSaturation.run``.
 soon as it is added, and after every round, the last one included, takes
 the snapshot and runs the whole instance phase: the queue for the next
 round, then the goal and complementary-pair notes.  ``DemandSaturation``
-feeds a round's conclusions just before its snapshot and, after the last
-round, takes the notes only, and only when one can fire.  Both must
-return the same ``DerivedSet``: order, provenance, contradiction,
-``rounds_used`` and ``hit_limit``.  ``EagerRounds`` inherits the rest of
+feeds a round's conclusions just before its snapshot, takes the notes
+after round 1 only, and ends a last round after the first at its modus
+ponens phase, since by facts (a)-(c) of its module docstring no later
+snapshot settles anything round 1's left open.  Both must return the
+same ``DerivedSet``: order, provenance, contradiction, ``rounds_used``
+and ``hit_limit``.  ``EagerRounds`` inherits the rest of
 the engine, so its ``queue_phase`` also joins only the plans that
 ``live_plans`` returns; ``all_plans.py`` is the oracle of that skip.
 """

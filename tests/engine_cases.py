@@ -55,6 +55,14 @@ TERM_BOUND_SETS = [
 
 STOPS = ("none", "goal", "goal_filter", "watch")
 
+# (set, size, rounds) runs the exhaustive loop affords that single out a
+# watch: the antecedent of the last hypothesis, _|_ -> _|_, becomes an
+# instance at a queue phase, and round 2 concludes ~_|_ from it; Q and
+# P -> Q are never instances, so an engine that asked again would ask
+# about them after round 1
+WATCH_CASES = [((dl, ["P", "~P", "(_|_ -> _|_) -> ~_|_"], False), 3, 2),
+               ((dl, ["Q -> P", "~(P -> Q)"], False), 2, 3)]
+
 
 def hypotheses(profile, texts, closed):
     formulas = [fm(t, profile) for t in texts]
@@ -73,7 +81,7 @@ def _exhaustive_cases():
     each stopping regime at seeded sizes 2-3 and rounds 1-3 (one round
     at size 3); then the sets of ``TERM_BOUND_SETS`` at size 2 and term
     sizes 1 and 3, the stopping regimes in turn from a seeded start, at
-    seeded rounds 1-2."""
+    seeded rounds 1-2; then ``WATCH_CASES`` at term size 2, unstopped."""
     rng = random.Random(20)
     for profile, texts, closed in SETS:
         for stop in STOPS:
@@ -87,6 +95,8 @@ def _exhaustive_cases():
             stop = STOPS[(start + i) % len(STOPS)]
             rounds = rng.choice((1, 2))
             yield profile, tuple(texts), closed, stop, 2, rounds, tbound, None
+    for (profile, texts, closed), size, rounds in WATCH_CASES:
+        yield profile, tuple(texts), closed, "none", size, rounds, 2, None
 
 
 def _round_cases():

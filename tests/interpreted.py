@@ -25,10 +25,11 @@ test per node.  Both must give the same sign, the same truth value or
 a ``TypeError`` with the same message, on every node; ``_polarity_ok``
 here reads this ``term_sign``.
 
-``closed_extension`` (from ``dlk.semantics``), verbatim below, closed
-each term by its own recursion until it became a wrapper over
-``close_upward``, the rules the builder closes with.  Both must give
-the same interpretation.
+``closed_extension`` (from ``dlk.semantics``), below, closed each term
+by its own recursion until it became a wrapper over ``close_upward``,
+the rules the builder closes with.  It is kept verbatim but for the
+application and pairing rules, which it reads from ``evidence_rules.py``
+rather than from the library.  Both must give the same interpretation.
 """
 
 from __future__ import annotations
@@ -36,12 +37,14 @@ from __future__ import annotations
 from dataclasses import replace
 
 from dlk.logics import Binding, InstantiationError
-from dlk.semantics import EMPTY, ModularModel, _sign_admits, set_product
+from dlk.semantics import EMPTY, ModularModel, _sign_admits
 from dlk.syntax import (
     NEGATIVE, POSITIVE, UNSIGNED, And, App, Bang, Bottom, Const, FMeta,
     Formula, Implies, Just, Not, Or, Pair, PropVar, SignDisciplineError, Sum,
     Term, TMeta, Var, _GET_PARTS, _parts, print_term,
 )
+
+from evidence_rules import applied, paired
 
 
 def term_sign(t: Term) -> str | None:
@@ -178,10 +181,10 @@ def closed_extension(model: ModularModel, terms) -> ModularModel:
 
     Each term keeps its interpretation and absorbs what the closure
     rules give from its parts' closed evidence: a sum their union, an
-    application their ``set_product``, a pair, when the profile has
-    pairing, each conjunction of a member of the left part with one of
-    the right, and ``!t``, when the profile has introspection and admits
-    ``t``, ``t:F`` for each member ``F`` of ``t``.  A bounded model
+    application what ``evidence_rules.applied`` gives, a pair, when the
+    profile has pairing, what ``evidence_rules.paired`` gives, and
+    ``!t``, when the profile has introspection and admits ``t``, ``t:F``
+    for each member ``F`` of ``t``.  A bounded model
     leaves compounds outside its universe uninterpreted; judged here,
     such a term holds what its parts force.
     """
@@ -199,10 +202,9 @@ def closed_extension(model: ModularModel, terms) -> ModularModel:
                 case Sum():
                     new = parts[0] | parts[1]
                 case App():
-                    new = set_product(*parts)
+                    new = applied(*parts)
                 case Pair() if pairing:
-                    new = frozenset(And(l, r) for l in parts[0]
-                                    for r in parts[1])
+                    new = paired(*parts)
                 case Bang(inner) if introspection \
                         and _sign_admits(profile, inner, POSITIVE):
                     new = frozenset(Just(inner, f) for f in parts[0])

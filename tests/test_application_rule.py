@@ -1,9 +1,10 @@
-"""The application rule of evidence, stated here from its definition and
-not read from ``dlk.semantics``: for every ``A -> B`` in the evidence
-of ``s`` and ``A`` in that of ``t``, ``B`` is in the evidence of
-``s·t``.  ``set_product`` is the model layer's one statement of it, and
-the builder, the audit and their oracles all read it, so it is checked
-against this one.
+"""The application rule of evidence, stated in ``evidence_rules.py``
+from its definition and not read from ``dlk.semantics``: for every
+``A -> B`` in the evidence of ``s`` and ``A`` in that of ``t``, ``B`` is
+in the evidence of ``s·t``.  ``set_product`` is the model layer's one
+statement of it, which the builder and the audit read, so it is checked
+against that one; so is ``_paired``, the model layer's pairing, against
+the pairing stated there.
 
 The evidence sets are drawn from the population of ``nodes.py``:
 implications between ground formulas, whose antecedents may or may not
@@ -16,20 +17,11 @@ sides.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlk.semantics import set_product
-from dlk.syntax import Formula, Implies, _PARTS
+from dlk.semantics import _paired, set_product
+from dlk.syntax import And, Formula, Implies, _PARTS
 
+from evidence_rules import applied, paired
 from nodes import enumerated, ground_formulas
-
-
-def applied(xs, ys) -> set:
-    """Every conclusion of an implication in ``xs`` whose antecedent is
-    in ``ys``."""
-    out = set()
-    for x in xs:
-        if type(x) is Implies and x.left in ys:
-            out.add(x.right)
-    return out
 
 
 FORMULAS = ground_formulas(False, max_leaves=6, term_leaves=3)
@@ -61,3 +53,18 @@ def test_every_formula_kind_is_applied_on_either_side():
         assert set_product(xs - {Implies(held, held)}, ys) == \
             set(examples) - {held}
     assert set_product(xs, frozenset()) == frozenset()
+
+
+@given(st.lists(FORMULAS, max_size=4), st.lists(FORMULAS, max_size=4),
+       st.lists(st.tuples(FORMULAS, FORMULAS), max_size=6),
+       st.lists(FORMULAS, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_paired_pairs_every_member_with_every_member(xs, ys, pairs, others):
+    # the universe holds conjunctions of members and of non-members alike
+    xs, ys = frozenset(xs), frozenset(ys)
+    universe = frozenset([And(a, b) for a, b in pairs] + others
+                         + [And(x, y) for x in xs for y in ys][:3])
+    conjunctions = [f for f in universe if isinstance(f, And)]
+    assert frozenset(_paired(None, xs, ys)) == paired(xs, ys)
+    assert frozenset(_paired(conjunctions, xs, ys)) \
+        == paired(xs, ys, universe)

@@ -1,9 +1,11 @@
 """The id-based ``semantics.audit`` against the pair-loop audit it
-replaced, kept here verbatim as a naive reference: both must give the
-same report, condition by condition, violation by violation and warning
-by warning, on seeded random hand-written models in every profile and
-on random built models.  The same hand-written models close as the
-recursive ``closed_extension`` in ``interpreted`` closed them."""
+replaced, kept here as a naive reference that reads the application and
+pairing rules from ``evidence_rules.py``, not from ``dlk.semantics``:
+both must give the same report, condition by condition, violation by
+violation and warning by warning, on seeded random hand-written models
+in every profile and on random built models.  The same hand-written
+models close as the recursive ``closed_extension`` in ``interpreted``
+closed them."""
 
 import copy
 import random
@@ -15,28 +17,23 @@ from dlk import semantics
 from dlk.builder import FUNCTIONALS, BuildParams, build
 from dlk.logics import PROFILES
 from dlk.semantics import (
-    AuditReport, ConditionReport, ModularModel, Violation, _paired,
-    _sign_admits, audit, closed_extension, default_universe, evaluate,
-    occurring_terms, set_product,
+    AuditReport, ConditionReport, ModularModel, Violation, _sign_admits,
+    audit, closed_extension, default_universe, evaluate, occurring_terms,
 )
 from dlk.syntax import (
-    NEGATIVE, POSITIVE, Alphabet, And, App, Bang, Const, Just, Pair,
+    NEGATIVE, POSITIVE, Alphabet, App, Bang, Const, Just, Pair,
     SignDisciplineError, Sum, Term, Var, _PARTS, _TERM_OPS, _parts,
     formula_sort_key, parse_formula, parse_term, print_formula, print_term,
 )
 
 import interpreted
 from builds import random_builds
+from evidence_rules import applied, paired
 from hand_models import POOLS, hand_model
 
 
 # ---------------------------------------------------------------------------
 # the reference: the audit as it was before formula ids
-
-
-def set_pairing(xs, ys):
-    """Pairing on evidence sets: all conjunctions across the two sets."""
-    return frozenset(And(x, y) for x in xs for y in ys)
 
 
 def naive_audit(model: ModularModel,
@@ -59,9 +56,6 @@ def naive_audit(model: ModularModel,
     term_set = set(terms)
     warnings: list[str] = []
     not_closed: set[str] = set()
-    universe_conjunctions: list[And] | None = None
-    if bounded:
-        universe_conjunctions = [f for f in universe if isinstance(f, And)]
 
     reports: dict[str, ConditionReport] = {}
 
@@ -119,7 +113,7 @@ def naive_audit(model: ModularModel,
             if do_app and (es or et):
                 try:
                     require("application-closure", (s, t), App(s, t),
-                            set_product(es, et))
+                            applied(es, et))
                 except SignDisciplineError:
                     pass
             if do_sum and (es or et):
@@ -137,11 +131,8 @@ def naive_audit(model: ModularModel,
                 except SignDisciplineError:
                     pair = None
                 if pair is not None:
-                    if universe_conjunctions is not None:
-                        needed = _paired(universe_conjunctions, es, et)
-                    else:
-                        needed = set_pairing(es, et)
-                    require("pairing-closure", (s, t), pair, needed)
+                    require("pairing-closure", (s, t), pair,
+                            paired(es, et, universe))
 
     for t in terms:
         ev = model.evidence(t)

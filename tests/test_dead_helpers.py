@@ -11,6 +11,10 @@ templates from source text that calls its helpers).  A field counts as
 read only as an attribute: a local variable or keyword argument of its
 name does not read it, nor does its own declaration.  A helper whose
 last caller went away, or a field nothing reads, fails here.
+
+Every name ``dlk/__init__.py`` exports is read in ``src/dlk`` outside
+``__init__.py``, or in ``bench/``: a public name only tests read is not
+part of the workbench.
 """
 
 import ast
@@ -89,6 +93,12 @@ def read(tree: ast.Module) -> set[str]:
         for member in stmt.body:
             take(member, own | {declared(member)})
     return found
+
+
+def exported(text: str) -> list[str]:
+    """The names a package's ``__init__`` source text imports."""
+    return [alias.asname or alias.name for stmt in ast.parse(text).body
+            if isinstance(stmt, ast.ImportFrom) for alias in stmt.names]
 
 
 def read_by(sources: list[str]) -> set[str]:
@@ -175,3 +185,12 @@ def test_every_helper_is_read(path, names):
 def test_every_class_member_is_read(path, names):
     assert unread_members(path.stem, path.read_text(encoding="utf-8"),
                           names) == []
+
+
+def test_every_export_is_read():
+    init = ROOT / "src" / "dlk" / "__init__.py"
+    readers = [p for p in SOURCES if p != init and (
+        p.is_relative_to(init.parent) or p.is_relative_to(ROOT / "bench"))]
+    names = read_by([p.read_text(encoding="utf-8") for p in readers])
+    assert [name for name in exported(init.read_text(encoding="utf-8"))
+            if name not in names] == []

@@ -2,13 +2,15 @@
 
 ``derive_eager`` (``eager_rounds.py``) feeds every conclusion to the
 pools as it is added and runs the whole instance phase after every round;
-``derive_forward`` feeds a round's conclusions at its snapshot and, after
-the last round, looks only for the goal and the first complementary pair,
-and only when one of them can be found.  The two must store the same
-formulas in the same order with the same provenance, axioms included,
-and agree on the contradiction, ``rounds_used`` and ``hit_limit``.  The
-seeded corpus and the random runs are compared in
-``test_engine_oracles.py``; the cases here single out the last round.
+``derive_forward`` feeds a round's conclusions at its snapshot, looks for
+the goal and the first complementary pair after round 1 only, and ends a
+last round after the first at its modus ponens phase.  The two must
+store the same formulas in the same order with the same provenance,
+axioms included, and agree on the contradiction, ``rounds_used`` and
+``hit_limit``.  The seeded corpus and the random runs are compared in
+``test_engine_oracles.py``, and ``test_settled_watches.py`` checks that
+no question asked again finds anything; the cases here single out the
+first round and the last.
 """
 
 import pytest
@@ -58,17 +60,17 @@ def test_implication_goal_found_by_the_last_rounds_snapshot():
     assert _snapshots(jl, hyps, 3, 1, goal) == [1]
 
 
-def test_non_implication_goal_skips_the_last_phase():
-    # no instance is ever a bare atom, so the last round ends at its
-    # modus ponens phase: no pool feeding, no snapshot, no notes
+def test_a_last_round_after_the_first_skips_its_snapshot():
+    # a last round after the first ends at its modus ponens phase: no
+    # pool feeding, no snapshot, no notes, whatever the goal
     hyps = hypotheses(dl, ["a:A", "b:B"], True)
     goal = fm("C")
     lean = both(dl, hyps, size_bound=2, rounds=3,
                 term_size_bound=2, goal=goal)
     assert goal not in lean and lean.rounds_used == 3
     assert _snapshots(dl, hyps, 2, 3, goal) == [1, 2]
-    # an implication goal keeps the last snapshot
-    assert _snapshots(dl, hyps, 2, 3, fm("C -> D")) == [1, 2, 3]
+    # an implication goal is settled at round 1's snapshot
+    assert _snapshots(dl, hyps, 2, 3, fm("C -> D")) == [1, 2]
 
 
 def test_limit_hit_in_the_last_modus_ponens_phase():

@@ -8,7 +8,6 @@ import pytest
 from dlk.logics import (
     Binding, RefusalError, SCHEMAS, _translation, check_in_profile,
     get_profile, instantiate, match_axiom, match_template, translate,
-    translation_table,
 )
 from dlk.proofs import Proof, axiom_line, proof_to_dict
 from dlk.syntax import (
@@ -139,11 +138,18 @@ def test_check_in_profile():
 # the signed translation
 
 
+def minted_names(f) -> dict[str, str]:
+    """Printed negative justified subformulas -> their fresh atom names,
+    in the order ``_translation`` mints them."""
+    return {print_formula(g): atom.name
+            for g, atom in _translation([f])[1].items()}
+
+
 def test_translate_replaces_negative_subjects():
     f = parse_formula("s-:E", signed=True)
     image = translate(f)
     assert print_formula(image) == "X[s-:E]"
-    assert translation_table(f) == {"s-:E": "X[s-:E]"}
+    assert minted_names(f) == {"s-:E": "X[s-:E]"}
 
 
 def test_translate_keeps_positive_wrapper():
@@ -155,7 +161,7 @@ def test_translate_is_identity_on_propositional():
     for text in ("P", "~P", "P -> Q \\/ ~R", "_|_"):
         f = parse_formula(text, signed=True)
         assert translate(f) == f
-        assert translation_table(f) == {}
+        assert minted_names(f) == {}
 
 
 @pytest.mark.parametrize("text", ["X[s-:E] /\\ s-:E", "~X[s-:E] /\\ s-:E"])
@@ -167,11 +173,11 @@ def test_translate_refuses_input_holding_an_atom_it_mints(text):
 
 
 @pytest.mark.parametrize("text", ["X[s-:E] /\\ s-:E", "~X[s-:E] /\\ s-:E"])
-def test_translation_table_refuses_what_translate_refuses(text):
+def test_the_translation_dictionary_refuses_what_translate_refuses(text):
     # a dictionary for an image translate does not give would map s-:E
     # to an atom the input already uses
     with pytest.raises(ValueError, match=r"mint X\[s-:E\]"):
-        translation_table(parse_formula(text, signed=True))
+        minted_names(parse_formula(text, signed=True))
 
 
 @pytest.mark.parametrize("texts", [["X[s-:E]", "s-:E"],
@@ -198,9 +204,9 @@ def test_translate_refuses_a_justified_formula_without_a_sign():
         translate(parse_formula("s:E"))
 
 
-def test_translation_table_lists_atoms_in_minting_order():
+def test_the_translation_dictionary_lists_atoms_in_minting_order():
     f = parse_formula("t-:(s-:E) /\\ (s-:E -> u+:(v-:F))", signed=True)
-    assert list(translation_table(f).items()) == [
+    assert list(minted_names(f).items()) == [
         ("s-:E", "X[s-:E]"), ("t-:s-:E", "X[t-:X[s-:E]]"),
         ("v-:F", "X[v-:F]")]
 
